@@ -77,7 +77,6 @@ from .grid import (
     build_initial_grid,
     grid_overlap,
     lab_means_from_grid,
-    lab_moments_from_grid,
     load_snapshot,
     moments_from_grid,
     save_snapshot,

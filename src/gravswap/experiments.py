@@ -34,6 +34,7 @@ from .grid import (
 )
 from .moments_ode import IntegratorConfig, integrate_moments
 from .params import (
+    ConfigError,
     DimensionlessParams,
     PhysicalParams,
     PLATFORM_PRESETS,
@@ -54,10 +55,6 @@ KINDS = ("swap", "rwa_validity", "cat_state", "feasibility")
 ORACLES = ("none", "ode", "grid", "all")
 
 DEFAULT_MODELS = (ModelKind.QG_RWA, ModelKind.QG_FULL, ModelKind.SCEG)
-
-
-class ConfigError(ValueError):
-    """Raised for invalid experiment configuration."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ class ExperimentConfig:
     oracle: str = "none"
     grid_points: int = 256
     grid_half_extent: float | None = None
-    dt_factor: float = 5e-4
+    dt_factor: float = 5e-3
     rk_step_factor: float = 1e-4
     workers: int = 1
     seed: int = 0

@@ -43,6 +43,10 @@ class ParameterError(ValueError):
     """Raised for physically invalid or out-of-regime parameters."""
 
 
+class ConfigError(ValueError):
+    """Raised for invalid experiment configuration."""
+
+
 def _require_positive(owner: str, name: str, value: float) -> None:
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
         raise ParameterError(f"{owner}.{name}: must be a finite positive number, got {value!r}")

@@ -185,7 +185,7 @@ def test_cat_report_has_entropy_csv(tmp_path):
     from gravswap import run_cat_state
 
     cfg = ExperimentConfig(
-        kind="cat_state", delta=0.1, cat_alpha=1.2 + 0j, oracle="grid", samples=4, dt_factor=1e-3
+        kind="cat_state", delta=0.1, cat_alpha=1.2 + 0j, oracle="grid", samples=4, dt_factor=1e-2
     )
     report = run_cat_state(cfg)
     paths = emit_report(report, tmp_path)
@@ -234,3 +234,13 @@ def test_cli_seed_override(tmp_path):
     assert rc == 0
     manifest = (tmp_path / "r" / "manifest.txt").read_text()
     assert "seed = 7" in manifest
+
+
+def test_cli_refuses_physical_scale_grid_run(tmp_path, capsys):
+    # a ca40 swap needs ~1e20 grid steps: refused as a config error naming
+    # the step key, not a numpy traceback
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text("[run]\nkind = swap\nmodels = qg_full\n[params]\npreset = ca40_ion\n")
+    rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
+    assert rc == 2
+    assert "numerics.dt_factor" in capsys.readouterr().err

@@ -75,6 +75,18 @@ def test_swap_grid_oracle_single_model():
     assert report.passed
 
 
+def test_default_grid_swap_meets_grid_agreement():
+    # the default numerics must pass their own grid verdict at the stock
+    # tolerance on the default 256^2 grid over a full swap
+    cfg = ExperimentConfig(
+        kind="swap", delta=0.1, alpha=2 + 0j, beta=-1 + 0j, oracle="grid", models=(ModelKind.QG_FULL,)
+    )
+    assert cfg.tolerances.grid_agreement == 1e-5
+    report = run_swap(cfg)
+    assert _verdict(report, "qg_full_grid_mean_agreement").passed
+    assert report.passed
+
+
 def test_swap_model_method_matrix():
     # all oracles on: the moments table carries a 3-model x 3-method grid and
     # every cross-method verdict holds
@@ -158,7 +170,7 @@ def test_cat_state_requires_grid():
 def test_cat_state_smoke():
     # small, fast dichotomy run; the acceptance suite carries the full-size one
     cfg = ExperimentConfig(
-        kind="cat_state", delta=0.1, cat_alpha=1.5 + 0j, oracle="grid", samples=5, dt_factor=1e-3
+        kind="cat_state", delta=0.1, cat_alpha=1.5 + 0j, oracle="grid", samples=5, dt_factor=1e-2
     )
     report = run_cat_state(cfg)
     assert report.passed

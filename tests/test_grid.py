@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gravswap import (
+    PLATFORM_PRESETS,
     CatProduct,
+    ConfigError,
     CoherentProduct,
     DimensionlessParams,
     EvolutionError,
@@ -13,10 +15,12 @@ from gravswap import (
     GridSpec,
     IntegratorConfig,
     ModelKind,
+    ParameterError,
     auto_grid_spec,
     build_initial_grid,
     coherent_inner,
     coherent_pair_moments,
+    derive_dimensionless,
     grid_overlap,
     lab_means_from_grid,
     moments_from_grid,
@@ -24,11 +28,12 @@ from gravswap import (
     propagate_rwa_lab_displacement,
     schmidt_entropy,
     split_step_evolve,
+    swap_time,
     to_normal_modes,
 )
 
 SQRT2 = math.sqrt(2.0)
-FAST = IntegratorConfig(dt_factor=1e-3)
+FAST = IntegratorConfig(dt_factor=1e-2)
 
 
 def _mean_vec(pair):
@@ -199,23 +204,46 @@ def test_rwa_grid_matches_lab_displacement():
     assert p2 == pytest.approx(SQRT2 * want_beta.imag, abs=1e-5)
 
 
-def test_strang_convergence_order():
+def _splitting_error(model, factor, order):
     params = DimensionlessParams(0.1)
     alpha, beta = 1 + 0.5j, -0.3 + 0.2j
     pair0 = coherent_pair_moments(*to_normal_modes(alpha, beta))
     w = build_initial_grid(CoherentProduct(alpha, beta), GridSpec(n=128, half_extent=12.0))
-    t_final = 2 * math.pi
+    evo = split_step_evolve(
+        w, model, 2 * math.pi, params, IntegratorConfig(dt_factor=factor), n_samples=3, order=order
+    )
+    ref = np.array([_mean_vec(propagate_moments(model, pair0, float(t), params)) for t in evo.times])
+    got = np.array([_mean_vec(m) for m in evo.moments])
+    return np.max(np.abs(got - ref))
 
-    def err(factor):
-        evo = split_step_evolve(
-            w, ModelKind.QG_FULL, t_final, params, IntegratorConfig(dt_factor=factor), n_samples=3
-        )
-        ref = np.array([_mean_vec(propagate_moments(ModelKind.QG_FULL, pair0, float(t), params)) for t in evo.times])
-        got = np.array([_mean_vec(m) for m in evo.moments])
-        return np.max(np.abs(got - ref))
 
-    e1, e2 = err(1e-3), err(5e-4)
+def test_strang_convergence_order():
+    e1, e2 = (_splitting_error(ModelKind.QG_FULL, f, order=2) for f in (1e-3, 5e-4))
     assert math.log2(e1 / e2) == pytest.approx(2.0, abs=0.2)
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_yoshida_convergence_order(model):
+    # the mean-field kick leaves |psi|^2 alone, so SCEG keeps order 4 too
+    e1, e2 = (_splitting_error(model, f, order=4) for f in (1e-2, 5e-3))
+    assert math.log2(e1 / e2) == pytest.approx(4.0, abs=0.3)
+
+
+def test_unknown_splitting_order_rejected():
+    w = build_initial_grid(CoherentProduct(0j, 0j), GridSpec(n=64, half_extent=6.0))
+    with pytest.raises(ParameterError, match="order"):
+        split_step_evolve(w, ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), order=3)
+
+
+def test_grid_step_budget_refuses_physical_scale():
+    # the ca40 swap takes ~1e20 steps; refused by count, before any array exists
+    params = derive_dimensionless(PLATFORM_PRESETS["ca40_ion"])
+    tau = swap_time(params) * params.omega
+    with pytest.raises(ConfigError, match="numerics.dt_factor"):
+        IntegratorConfig().grid_steps(tau, params)
+    with pytest.raises(ConfigError, match="numerics.dt_factor"):
+        IntegratorConfig().grid_steps(math.inf, params)
+    assert IntegratorConfig().grid_steps(1e-9, DimensionlessParams(0.1)) == 1
 
 
 def test_sceg_evolution_uses_current_means():
