@@ -27,25 +27,26 @@ from .params import (
     swap_time,
 )
 from .states import (
+    MOMENT_FIELDS,
     DisplacementEstimate,
-    ModeMoments,
     MomentError,
-    PairMoments,
     branch_schmidt_entropy,
+    check_moments,
     coherent_inner,
     coherent_overlap,
     coherent_pair_moments,
     displacement_from_moments,
     from_normal_modes,
+    lab_means,
     moments_of_coherent,
     to_normal_modes,
     two_mode_overlap,
+    uncertainty_product,
 )
 from .analytic import (
     CoherenceResult,
     CorrectedDisplacement,
     ModelKind,
-    MomentRates,
     QuadraticHamiltonian,
     coherence_check,
     mode_hamiltonians,
@@ -98,4 +99,4 @@ from .experiments import (
     run_swap,
 )
 from .config import config_digest, format_config, parse_config, parse_config_text
-from .report import ReplayMismatchError, emit_report, verify_replay
+from .report import ReplayMismatchError, emit_report

@@ -37,13 +37,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .params import DimensionlessParams, ParameterError
-from .states import (
-    ModeMoments,
-    PairMoments,
-    SQRT2,
-    from_normal_modes,
-)
+from .states import SQRT2, check_moments, from_normal_modes
 
 COHERENCE_RESIDUAL_TOL = 1e-12
 CORRECTED_DELTA_LIMIT = 0.2
@@ -119,33 +116,19 @@ def coherence_check(h: QuadraticHamiltonian, reference_frequency: float = 1.0) -
     return CoherenceResult(preserved=abs(residual) <= COHERENCE_RESIDUAL_TOL, residual=residual)
 
 
-@dataclass(frozen=True)
-class MomentRates:
-    """Instantaneous time derivatives of a ModeMoments record."""
-
-    d_mean_x: float
-    d_mean_p: float
-    d_v_xx: float
-    d_v_pp: float
-    d_v_xp: float
-
-
-def template_moment_rhs(
-    h: QuadraticHamiltonian, m: ModeMoments, mean_field_x: float = 0.0
-) -> MomentRates:
-    """Moment equations of the template Hamiltonian.  `mean_field_x` is the
-    <x> entering the C term; self-consistent propagation passes the mode's own
-    current mean, linear models ignore it (C = 0)."""
-    return MomentRates(*_rhs_tuple(h.A, h.B, h.C, m.mean_x, m.mean_p, m.v_xx, m.v_pp, m.v_xp, mean_field_x))
-
-
-def _rhs_tuple(A, B, C, mean_x, mean_p, v_xx, v_pp, v_xp, mean_field_x):
+def template_moment_rhs(h: QuadraticHamiltonian, m, mean_field_x: float = 0.0) -> tuple:
+    """Moment equations of the template Hamiltonian: the time derivative of
+    one mode's record (mean_x, mean_p, v_xx, v_pp, v_xp), as a 5-tuple.
+    `mean_field_x` is the <x> entering the C term; self-consistent
+    propagation passes the mode's own current mean, linear models ignore it
+    (C = 0)."""
+    mean_x, mean_p, v_xx, v_pp, v_xp = m
     return (
-        2.0 * A * mean_p,
-        -2.0 * B * mean_x - C * mean_field_x,
-        4.0 * A * v_xp,
-        -4.0 * B * v_xp,
-        2.0 * A * v_pp - 2.0 * B * v_xx,
+        2.0 * h.A * mean_p,
+        -2.0 * h.B * mean_x - h.C * mean_field_x,
+        4.0 * h.A * v_xp,
+        -4.0 * h.B * v_xp,
+        2.0 * h.A * v_pp - 2.0 * h.B * v_xx,
     )
 
 
@@ -229,54 +212,63 @@ def propagate_corrected_displacement(
 
 
 def _evolve_mode(
-    m: ModeMoments,
-    mean_angle: float,
+    m: np.ndarray,
+    mean_angle: np.ndarray,
     mean_impedance: float,
-    cov_angle: float,
+    cov_angle: np.ndarray,
     cov_impedance: float,
-) -> ModeMoments:
+) -> np.ndarray:
     """Apply the symplectic rotation (x, p) -> (x cos + p sin/z, p cos - x z sin)
-    to the means at (mean_angle, mean_impedance) and the same map to the
-    covariance at (cov_angle, cov_impedance)."""
-    c = math.cos(mean_angle)
-    s = math.sin(mean_angle)
+    to the means of one mode's record (5,) at (mean_angle, mean_impedance)
+    and the same map to the covariance at (cov_angle, cov_impedance); one
+    output record (n, 5) per angle."""
+    mean_x, mean_p, v_xx, v_pp, v_xp = m
+    c = np.cos(mean_angle)
+    s = np.sin(mean_angle)
     z = mean_impedance
-    mean_x = m.mean_x * c + m.mean_p * (s / z)
-    mean_p = m.mean_p * c - m.mean_x * z * s
-    c2 = math.cos(cov_angle)
-    s2 = math.sin(cov_angle)
+    c2 = np.cos(cov_angle)
+    s2 = np.sin(cov_angle)
     z2 = cov_impedance
-    v_xx = m.v_xx * c2 * c2 + m.v_pp * (s2 / z2) ** 2 + 2.0 * m.v_xp * c2 * s2 / z2
-    v_pp = m.v_pp * c2 * c2 + m.v_xx * (z2 * s2) ** 2 - 2.0 * m.v_xp * c2 * s2 * z2
-    v_xp = m.v_xp * (c2 * c2 - s2 * s2) + (m.v_pp / z2 - m.v_xx * z2) * c2 * s2
-    return ModeMoments(mean_x=mean_x, mean_p=mean_p, v_xx=v_xx, v_pp=v_pp, v_xp=v_xp)
+    return np.stack(
+        (
+            mean_x * c + mean_p * (s / z),
+            mean_p * c - mean_x * z * s,
+            v_xx * c2 * c2 + v_pp * (s2 / z2) ** 2 + 2.0 * v_xp * c2 * s2 / z2,
+            v_pp * c2 * c2 + v_xx * (z2 * s2) ** 2 - 2.0 * v_xp * c2 * s2 * z2,
+            v_xp * (c2 * c2 - s2 * s2) + (v_pp / z2 - v_xx * z2) * c2 * s2,
+        ),
+        axis=-1,
+    )
 
 
-def propagate_moments(
-    model: ModelKind, init: PairMoments, t: float, params: DimensionlessParams
-) -> PairMoments:
-    """Closed-form per-mode moments at time t.
+def propagate_moments(model: ModelKind, init, times, params: DimensionlessParams) -> np.ndarray:
+    """Closed-form moment records (n, 2, 5) at each of the n `times`, from the
+    record `init` (2, 5).
 
     QG_RWA rotates means and covariance at omega k_pm with the bare
     impedance.  QG_FULL rotates both at Omega_pm with impedance K_pm, which
     makes initially coherent widths breathe between 1/2 and 1/(2 K_pm^2).
     SCEG shares QG_FULL's mean map but rotates the covariance at the bare
     frequency, leaving coherent widths constant."""
-    tau = params.omega * t
+    init = check_moments(init)
+    if init.shape != (2, 5):
+        raise ParameterError(f"init: need one pair record of shape (2, 5), got {init.shape}")
+    tau = params.omega * np.atleast_1d(np.asarray(times, dtype=np.float64))
     if model is ModelKind.QG_RWA:
-        plus = _evolve_mode(init.plus, params.k_plus * tau, 1.0, params.k_plus * tau, 1.0)
-        minus = _evolve_mode(init.minus, params.k_minus * tau, 1.0, params.k_minus * tau, 1.0)
+        kp, km = params.k_plus, params.k_minus
+        plus = _evolve_mode(init[0], kp * tau, 1.0, kp * tau, 1.0)
+        minus = _evolve_mode(init[1], km * tau, 1.0, km * tau, 1.0)
     elif model is ModelKind.QG_FULL:
         kp, km = params.K_plus, params.K_minus
-        plus = _evolve_mode(init.plus, kp * tau, kp, kp * tau, kp)
-        minus = _evolve_mode(init.minus, km * tau, km, km * tau, km)
+        plus = _evolve_mode(init[0], kp * tau, kp, kp * tau, kp)
+        minus = _evolve_mode(init[1], km * tau, km, km * tau, km)
     elif model is ModelKind.SCEG:
         kp, km = params.K_plus, params.K_minus
-        plus = _evolve_mode(init.plus, kp * tau, kp, tau, 1.0)
-        minus = _evolve_mode(init.minus, km * tau, km, tau, 1.0)
+        plus = _evolve_mode(init[0], kp * tau, kp, tau, 1.0)
+        minus = _evolve_mode(init[1], km * tau, km, tau, 1.0)
     else:
         raise ParameterError(f"unknown model {model!r}")
-    return PairMoments(plus=plus, minus=minus)
+    return check_moments(np.stack((plus, minus), axis=-2))
 
 
 def swap_phase_factor(t: float, params: DimensionlessParams) -> complex:

@@ -42,11 +42,13 @@ from .params import (
     swap_time,
 )
 from .states import (
-    PairMoments,
+    MOMENT_FIELDS,
+    V_XX,
     branch_schmidt_entropy,
     coherent_pair_moments,
     displacement_from_moments,
     from_normal_modes,
+    lab_means,
     to_normal_modes,
     two_mode_overlap,
 )
@@ -227,21 +229,11 @@ def _add_table(report: ExperimentReport, name: str, columns: tuple[str, ...]) ->
     return table
 
 
-def _mean_array(records: list[PairMoments]) -> np.ndarray:
-    return np.array(
-        [(r.plus.mean_x, r.plus.mean_p, r.minus.mean_x, r.minus.mean_p) for r in records]
-    )
-
-
-def _closed_series(model: ModelKind, init: PairMoments, times, params) -> list[PairMoments]:
-    return [propagate_moments(model, init, float(t), params) for t in times]
-
-
-def _amplitudes_from_pair(pair: PairMoments, width_tol: float) -> tuple[complex, complex, float]:
-    """Lab amplitudes reconstructed from normal-mode first moments, plus the
-    worst width deviation of the two modes."""
-    ep = displacement_from_moments(pair.plus, width_tol)
-    em = displacement_from_moments(pair.minus, width_tol)
+def _amplitudes_from_pair(pair: np.ndarray, width_tol: float) -> tuple[complex, complex, float]:
+    """Lab amplitudes reconstructed from the normal-mode first moments of a
+    record (2, 5), plus the worst width deviation of the two modes."""
+    ep = displacement_from_moments(pair[0], width_tol)
+    em = displacement_from_moments(pair[1], width_tol)
     alpha, beta = from_normal_modes(ep.amplitude, em.amplitude)
     return alpha, beta, max(ep.width_deviation, em.width_deviation)
 
@@ -267,21 +259,17 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
     pair0 = coherent_pair_moments(a0, b0)
     amp_scale = max(abs(a0), abs(b0))
 
-    moments_table = _add_table(
-        report, "moments", ("t", "model", "method", "mode", "mean_x", "mean_p", "v_xx", "v_pp", "v_xp")
-    )
+    moments_table = _add_table(report, "moments", ("t", "model", "method", "mode", *MOMENT_FIELDS))
     fidelity_table = _add_table(
         report,
         "fidelity",
         ("model", "method", "fidelity_raw", "fidelity_corrected", "deviation_from_target", "width_deviation"),
     )
 
-    def add_moment_rows(model, method, ts, records):
-        for t, r in zip(ts, records):
-            for mode_name, m in (("plus", r.plus), ("minus", r.minus)):
-                moments_table.rows.append(
-                    (float(t), model.value, method, mode_name, m.mean_x, m.mean_p, m.v_xx, m.v_pp, m.v_xp)
-                )
+    def add_moment_rows(model, method, ts, moments):
+        for t, (plus, minus) in zip(ts.tolist(), moments.tolist()):
+            moments_table.rows.append((t, model.value, method, "plus", *plus))
+            moments_table.rows.append((t, model.value, method, "minus", *minus))
 
     def add_fidelity(model, method, pair_final, width_dev):
         target = (beta0, alpha0)
@@ -298,19 +286,22 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
     grid_state = CoherentProduct(alpha0, beta0)
     icfg = cfg.integrator()
 
+    def mean_error(model, series_times, moments):
+        ref = propagate_moments(model, pair0, series_times, params)
+        return float(np.max(np.abs(moments[..., :2] - ref[..., :2])))
+
     for model in cfg.models:
-        closed = _closed_series(model, pair0, times, params)
-        closed_means[model] = _mean_array(closed)
+        closed = propagate_moments(model, pair0, times, params)
+        closed_means[model] = closed[..., :2]
         add_moment_rows(model, "closed", times, closed)
         alpha_T, beta_T, wdev = _amplitudes_from_pair(closed[-1], tol.width_flag_rel)
         corrected_fid[model] = add_fidelity(model, "closed", (alpha_T, beta_T), wdev)
 
         if model is ModelKind.SCEG:
-            widths = np.array([(r.plus.v_xx, r.minus.v_xx) for r in closed])
             report.verdicts.append(
                 _check(
                     "sceg_width_constancy_closed",
-                    float(np.max(np.abs(widths - 0.5))),
+                    float(np.max(np.abs(closed[..., V_XX] - 0.5))),
                     "<=",
                     tol.width_closed,
                     "closed-form mean-field widths stay at the coherent value",
@@ -319,13 +310,12 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
 
         if cfg.uses_ode():
             series = integrate_moments(model, pair0, T, params, icfg, n_samples=min(cfg.samples, 201))
-            ref = _mean_array(_closed_series(model, pair0, series.times, params))
-            err = float(np.max(np.abs(series.mean_table() - ref)))
+            err = mean_error(model, series.times, series.moments)
             report.verdicts.append(
                 _check(f"{model.value}_ode_mean_agreement", err, "<=", tol.ode_agreement)
             )
-            add_moment_rows(model, "ode", series.times, series.records)
-            alpha_T, beta_T, wdev = _amplitudes_from_pair(series.records[-1], tol.width_flag_rel)
+            add_moment_rows(model, "ode", series.times, series.moments)
+            alpha_T, beta_T, wdev = _amplitudes_from_pair(series.moments[-1], tol.width_flag_rel)
             add_fidelity(model, "ode", (alpha_T, beta_T), wdev)
 
         if cfg.uses_grid():
@@ -333,17 +323,15 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
             evo = split_step_evolve(
                 w0, model, T, params, icfg, n_samples=min(cfg.samples, 51)
             )
-            ref = _mean_array(_closed_series(model, pair0, evo.times, params))
-            err = float(np.max(np.abs(_mean_array(evo.moments) - ref)))
+            err = mean_error(model, evo.times, evo.moments)
             report.verdicts.append(
                 _check(f"{model.value}_grid_mean_agreement", err, "<=", tol.grid_agreement)
             )
             if model is ModelKind.SCEG:
-                widths = np.array([(r.plus.v_xx, r.minus.v_xx) for r in evo.moments])
                 report.verdicts.append(
                     _check(
                         "sceg_width_constancy_grid",
-                        float(np.max(np.abs(widths - 0.5))),
+                        float(np.max(np.abs(evo.moments[..., V_XX] - 0.5))),
                         "<=",
                         tol.width_grid,
                     )
@@ -378,12 +366,12 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
                 "corr_mag_2",
             ),
         )
-        full_for_widths = _closed_series(ModelKind.QG_FULL, pair0, times, params)
-        for t, full in zip(times, full_for_widths):
-            c = propagate_corrected_displacement(a0, b0, float(t), params)
+        full_widths = propagate_moments(ModelKind.QG_FULL, pair0, times, params)[..., V_XX]
+        for t, (v_xx_plus, v_xx_minus) in zip(times.tolist(), full_widths.tolist()):
+            c = propagate_corrected_displacement(a0, b0, t, params)
             disp_table.rows.append(
                 (
-                    float(t),
+                    t,
                     c.a_t.real,
                     c.a_t.imag,
                     c.b_t.real,
@@ -392,8 +380,8 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
                     c.alpha_t.imag,
                     c.beta_t.real,
                     c.beta_t.imag,
-                    full.plus.v_xx,
-                    full.minus.v_xx,
+                    v_xx_plus,
+                    v_xx_minus,
                     d * abs(c.corr_1),
                     d * abs(c.corr_2),
                 )
@@ -443,7 +431,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         )
     if ModelKind.QG_RWA in cfg.models and ModelKind.QG_FULL in cfg.models:
         diff_t = np.max(
-            np.abs(closed_means[ModelKind.QG_RWA] - closed_means[ModelKind.QG_FULL]), axis=1
+            np.abs(closed_means[ModelKind.QG_RWA] - closed_means[ModelKind.QG_FULL]), axis=(1, 2)
         )
         taus = times * params.omega
         budget = math.sqrt(2.0) * (abs(a0) + abs(b0)) * (1.5 * d + 1.5 * d * d * taus) + 1e-12
@@ -638,7 +626,7 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
         evo = split_step_evolve(
             w0, model, t_final, params, icfg, n_samples=n_samples, record_entropy=True
         )
-        max_mean = np.max(np.abs(evo.lab_means), axis=1)
+        max_mean = np.max(np.abs(lab_means(evo.moments)), axis=1)
         oracle_vals = (
             [oracle_entropy(float(t)) for t in evo.times]
             if model is ModelKind.QG_RWA

@@ -33,7 +33,7 @@ after).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -41,7 +41,7 @@ from scipy import fft as sfft
 from .analytic import ModelKind
 from .moments_ode import IntegratorConfig
 from .params import DimensionlessParams, ParameterError
-from .states import ModeMoments, PairMoments, SQRT2
+from .states import SQRT2, check_moments, lab_means
 
 GROUND_SIGMA = math.sqrt(0.5)
 GROUND_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0)) * GROUND_SIGMA
@@ -128,9 +128,6 @@ class GridWavefunction:
         edge = prob[:ring, :].sum() + prob[-ring:, :].sum()
         edge += prob[ring:-ring, :ring].sum() + prob[ring:-ring, -ring:].sum()
         return float(edge / total)
-
-    def copy(self) -> "GridWavefunction":
-        return GridWavefunction(self.spec, self.psi.copy(), self.frame)
 
 
 @dataclass(frozen=True)
@@ -251,21 +248,19 @@ def build_initial_grid(state: InitialState, spec: GridSpec | None = None) -> Gri
     return w
 
 
-def _marginal_means(psi: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    prob = psi.real**2 + psi.imag**2
+def _marginal_means(prob: np.ndarray, coord: np.ndarray):
+    """Marginals and total of a 2-D density, and the means of its two axes;
+    two sums over the array and no BLAS call, cheap enough for every SCEG
+    kick."""
     m1 = prob.sum(axis=1)
     m2 = prob.sum(axis=0)
     total = m1.sum()
-    return float((x * m1).sum() / total), float((x * m2).sum() / total)
+    return m1, m2, total, float((coord * m1).sum() / total), float((coord * m2).sum() / total)
 
 
 def _axis_stats(prob: np.ndarray, coord: np.ndarray) -> tuple[float, float, float, float, float]:
     """means, variances and covariance of the two axes of a 2-D density."""
-    total = prob.sum()
-    m1 = prob.sum(axis=1)
-    m2 = prob.sum(axis=0)
-    mean1 = float((coord * m1).sum() / total)
-    mean2 = float((coord * m2).sum() / total)
+    m1, m2, total, mean1, mean2 = _marginal_means(prob, coord)
     var1 = float((coord**2 * m1).sum() / total) - mean1**2
     var2 = float((coord**2 * m2).sum() / total) - mean2**2
     cross = float(coord @ prob @ coord / total) - mean1 * mean2
@@ -284,17 +279,13 @@ def _apply_p(w: GridWavefunction, axis: int) -> np.ndarray:
     return sfft.ifft(sfft.fft(w.psi, axis=axis, workers=1) * p.reshape(shape), axis=axis, workers=1)
 
 
-def lab_means_from_grid(w: GridWavefunction) -> tuple[float, float, float, float]:
-    x = w.spec.x_axis()
-    prob = w.psi.real**2 + w.psi.imag**2
-    mx1, mx2, *_ = _axis_stats(prob, x)
-    pp = _momentum_prob(w)
-    mp1, mp2, *_ = _axis_stats(pp, w.spec.p_axis())
-    return (mx1, mp1, mx2, mp2)
+def lab_means_from_grid(w: GridWavefunction) -> np.ndarray:
+    """Lab-frame means (x1, p1, x2, p2) of a grid state."""
+    return lab_means(moments_from_grid(w))
 
 
-def moments_from_grid(w: GridWavefunction) -> PairMoments:
-    """Quadrature moments of the normal modes.
+def moments_from_grid(w: GridWavefunction) -> np.ndarray:
+    """Quadrature moments of the normal modes, as a record (2, 5).
 
     Position moments come from grid summation, momentum moments from the
     discrete Fourier image, and the mixed covariances from spectral
@@ -321,16 +312,16 @@ def moments_from_grid(w: GridWavefunction) -> PairMoments:
             xi = x.reshape((-1, 1)) if i == 0 else x.reshape((1, -1))
             cxp[i, j] = float((xi * prod).sum() / total) - means_x[i] * means_p[j]
 
-    def mode(sign: float) -> ModeMoments:
-        return ModeMoments(
-            mean_x=(mx1 + sign * mx2) / SQRT2,
-            mean_p=(mp1 + sign * mp2) / SQRT2,
-            v_xx=0.5 * (vx1 + vx2) + sign * cxx,
-            v_pp=0.5 * (vp1 + vp2) + sign * cpp,
-            v_xp=0.5 * (cxp[0, 0] + cxp[1, 1] + sign * (cxp[0, 1] + cxp[1, 0])),
+    def mode(sign: float) -> tuple[float, ...]:
+        return (
+            (mx1 + sign * mx2) / SQRT2,
+            (mp1 + sign * mp2) / SQRT2,
+            0.5 * (vx1 + vx2) + sign * cxx,
+            0.5 * (vp1 + vp2) + sign * cpp,
+            0.5 * (cxp[0, 0] + cxp[1, 1] + sign * (cxp[0, 1] + cxp[1, 0])),
         )
 
-    return PairMoments(plus=mode(+1.0), minus=mode(-1.0))
+    return check_moments((mode(+1.0), mode(-1.0)))
 
 
 @dataclass(frozen=True)
@@ -391,16 +382,23 @@ def load_snapshot(path) -> tuple[GridWavefunction, float]:
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise GridError(f"{path}: missing snapshot header terminator")
-    lines = raw[:sep].decode("ascii").splitlines()
+    lines = raw[:sep].decode("ascii", errors="replace").splitlines()
     if not lines or not lines[0].startswith(_SNAPSHOT_MAGIC):
         raise GridError(f"{path}: not a grid snapshot")
     version = lines[0].rsplit("v", 1)[1]
-    if int(version) != SNAPSHOT_FORMAT:
+    if version != str(SNAPSHOT_FORMAT):
         raise GridError(f"{path}: unsupported snapshot format v{version}")
-    fields = dict(line.split(" = ", 1) for line in lines[1:])
-    spec = GridSpec(n=int(fields["n"]), half_extent=float(fields["half_extent"]))
-    psi = np.frombuffer(raw[sep + 2 :], dtype="<c16").reshape((spec.n, spec.n)).copy()
-    return GridWavefunction(spec, psi, fields["frame"]), float(fields["time"])
+    try:
+        fields = dict(line.split(" = ", 1) for line in lines[1:])
+        spec = GridSpec(n=int(fields["n"]), half_extent=float(fields["half_extent"]))
+        frame, time = fields["frame"], float(fields["time"])
+    except (ValueError, KeyError) as exc:
+        raise GridError(f"{path}: malformed snapshot header ({exc!r})") from exc
+    payload = raw[sep + 2 :]
+    if len(payload) != 16 * spec.n**2:
+        raise GridError(f"{path}: payload holds {len(payload)} bytes, expected {16 * spec.n**2}")
+    psi = np.frombuffer(payload, dtype="<c16").reshape((spec.n, spec.n)).copy()
+    return GridWavefunction(spec, psi, frame), time
 
 
 def _kinetic_exponent(model: ModelKind, spec: GridSpec, params: DimensionlessParams) -> np.ndarray:
@@ -431,15 +429,13 @@ class GridEvolution:
 
     model: ModelKind
     times: np.ndarray
-    moments: list[PairMoments]
-    lab_means: np.ndarray  # (n, 4): x1, p1, x2, p2
+    moments: np.ndarray  # (n, 2, 5) normal-mode records
     norms: np.ndarray
     entropies: np.ndarray | None
     purities: np.ndarray | None
     max_step_norm_drift: float
     max_boundary_fraction: float
     final: GridWavefunction
-    snapshots: list[tuple[float, GridWavefunction]] = field(default_factory=list)
 
 
 def split_step_evolve(
@@ -451,7 +447,6 @@ def split_step_evolve(
     *,
     n_samples: int = 50,
     record_entropy: bool = False,
-    keep_snapshots: bool = False,
     order: int = 4,
 ) -> GridEvolution:
     """Split-operator evolution of `w` (not mutated) under `model`, composed
@@ -486,12 +481,10 @@ def split_step_evolve(
         return sfft.ifft2(b, workers=workers, overwrite_x=True)
 
     times: list[float] = []
-    moments: list[PairMoments] = []
-    lab_means: list[tuple[float, float, float, float]] = []
+    moments: list[np.ndarray] = []
     norms: list[float] = []
     entropies: list[float] = []
     purities: list[float] = []
-    snapshots: list[tuple[float, GridWavefunction]] = []
     state = {"max_drift": 0.0, "max_boundary": 0.0, "last_norm": None}
 
     def record(tau: float) -> None:
@@ -507,18 +500,13 @@ def split_step_evolve(
                 f"boundary probability {frac:.3e} exceeds leakage limit {cfg.leakage_limit:.1e} at t = {tau!r}"
             )
         state["max_boundary"] = max(state["max_boundary"], frac)
-        t_phys = tau / params.omega
-        times.append(t_phys)
+        times.append(tau / params.omega)
         norms.append(n2)
-        pair = moments_from_grid(cur)
-        moments.append(pair)
-        lab_means.append(pair.lab_means())
+        moments.append(moments_from_grid(cur))
         if record_entropy:
             sr = schmidt_entropy(cur)
             entropies.append(sr.entropy)
             purities.append(sr.purity)
-        if keep_snapshots:
-            snapshots.append((t_phys, cur.copy()))
 
     def track_norm() -> None:
         n2 = _norm_squared(psi, spec.dx)
@@ -548,7 +536,7 @@ def split_step_evolve(
             def kick(a, c):
                 # separable mean-field potential: one 1-D phase per axis,
                 # each carrying its half of the harmonic trap
-                mean1, mean2 = _marginal_means(a, x)
+                *_, mean1, mean2 = _marginal_means(a.real**2 + a.imag**2, x)
                 a *= np.exp(-1j * c * dtau * (0.5 * x**2 + 2.0 * delta * mean2 * x)).reshape((-1, 1))
                 a *= np.exp(-1j * c * dtau * (0.5 * x**2 + 2.0 * delta * mean1 * x)).reshape((1, -1))
 
@@ -578,13 +566,11 @@ def split_step_evolve(
     return GridEvolution(
         model=model,
         times=np.array(times),
-        moments=moments,
-        lab_means=np.array(lab_means),
+        moments=np.array(moments),
         norms=np.array(norms),
         entropies=np.array(entropies) if record_entropy else None,
         purities=np.array(purities) if record_entropy else None,
         max_step_norm_drift=state["max_drift"],
         max_boundary_fraction=state["max_boundary"],
         final=GridWavefunction(spec, psi, w.frame),
-        snapshots=snapshots,
     )

@@ -139,15 +139,3 @@ def emit_report(report: ExperimentReport, out_dir: str | Path, force: bool = Fal
         raise RuntimeError(f"failed to emit report into {out}: {exc}") from exc
     return written
 
-
-def verify_replay(out_dir: str | Path, report_or_cfg) -> None:
-    """Raise ReplayMismatchError if out_dir's manifest came from a different
-    configuration than `report_or_cfg` (a report or a config)."""
-    cfg = getattr(report_or_cfg, "config", report_or_cfg)
-    manifest_path = Path(out_dir) / "manifest.txt"
-    if not manifest_path.exists():
-        raise ReplayMismatchError(f"{out_dir}: no manifest to replay against")
-    old = _existing_digest(manifest_path)
-    new = config_digest(cfg)
-    if old != new:
-        raise ReplayMismatchError(f"{out_dir}: manifest digest {old} != config digest {new}")

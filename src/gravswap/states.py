@@ -11,6 +11,14 @@ Complex amplitudes are plain Python/numpy complex numbers.  The lab pair
 45-degree rotation a = (alpha + beta)/sqrt(2), b = (alpha - beta)/sqrt(2);
 all three interaction models decouple in the normal modes, so moments are
 stored per normal mode and lab-frame views are computed on demand.
+
+A Gaussian moment record is a plain float64 array of shape (..., 2, 5): the
+mode axis is (plus, minus) and the field axis is (mean_x, mean_p, v_xx,
+v_pp, v_xp), the covariance entry V_xp symmetrized.  The two modes are
+assumed uncorrelated, which every propagator here preserves because all
+three Hamiltonians separate in (+, -).  A series of records carries a
+leading time axis, (n, 2, 5); `check_moments` validates any number of
+records at once, at the boundaries of the propagators.
 """
 
 from __future__ import annotations
@@ -27,61 +35,49 @@ GROUND_VARIANCE = 0.5
 # the discretization error of grid-derived moments.
 _UNCERTAINTY_SLACK = 1e-7
 
+# The field axis of a moment record (..., 2, 5); see the module docstring.
+MOMENT_FIELDS = ("mean_x", "mean_p", "v_xx", "v_pp", "v_xp")
+V_XX, V_PP, V_XP = 2, 3, 4
+
 
 class MomentError(ValueError):
     """Raised for unphysical Gaussian moment records."""
 
 
-@dataclass(frozen=True)
-class ModeMoments:
-    """First and second moments of one mode: <x>, <p>, and the covariance
-    entries V_xx, V_pp, V_xp (V_xp symmetrized)."""
-
-    mean_x: float
-    mean_p: float
-    v_xx: float
-    v_pp: float
-    v_xp: float
-
-    def __post_init__(self) -> None:
-        for name in ("mean_x", "mean_p", "v_xx", "v_pp", "v_xp"):
-            if not math.isfinite(getattr(self, name)):
-                raise MomentError(f"moments.{name}: must be finite")
-        if self.v_xx <= 0 or self.v_pp <= 0:
-            raise MomentError(f"variances must be positive, got v_xx={self.v_xx!r}, v_pp={self.v_pp!r}")
-        if self.uncertainty_product < 0.25 * (1.0 - _UNCERTAINTY_SLACK):
-            raise MomentError(
-                f"uncertainty violated: v_xx*v_pp - v_xp^2 = {self.uncertainty_product!r} < 1/4"
-            )
-
-    @property
-    def uncertainty_product(self) -> float:
-        return self.v_xx * self.v_pp - self.v_xp**2
+def uncertainty_product(m) -> np.ndarray:
+    """V_xx V_pp - V_xp^2 of each mode of a record (..., 5) or (..., 2, 5)."""
+    m = np.asarray(m)
+    return m[..., V_XX] * m[..., V_PP] - m[..., V_XP] ** 2
 
 
-@dataclass(frozen=True)
-class PairMoments:
-    """Moment records for the symmetric (+) and antisymmetric (-) normal
-    modes.  The modes are assumed uncorrelated, which every propagator here
-    preserves because all three Hamiltonians separate in (+, -)."""
+def check_moments(m) -> np.ndarray:
+    """Validate moment records of shape (..., 2, 5) and return them as a
+    float64 array.  Every record must be finite, with positive variances and
+    an uncertainty product of at least 1/4."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape[-2:] != (2, 5):
+        raise MomentError(f"moment records must have shape (..., 2, 5), got {m.shape}")
+    finite = np.isfinite(m)
+    if not finite.all():
+        field = MOMENT_FIELDS[np.argwhere(~finite)[0][-1]]
+        raise MomentError(f"moments.{field}: must be finite")
+    for i in (V_XX, V_PP):
+        v = m[..., i]
+        if not (v > 0).all():
+            raise MomentError(f"moments.{MOMENT_FIELDS[i]}: variances must be positive, got {v.min()!r}")
+    product = uncertainty_product(m)
+    if not (product >= 0.25 * (1.0 - _UNCERTAINTY_SLACK)).all():
+        raise MomentError(
+            f"uncertainty violated: v_xx*v_pp - v_xp^2 = {product.min()!r} < 1/4"
+        )
+    return m
 
-    plus: ModeMoments
-    minus: ModeMoments
 
-    def lab_means(self) -> tuple[float, float, float, float]:
-        """(x1, p1, x2, p2) means in the lab frame."""
-        x1 = (self.plus.mean_x + self.minus.mean_x) / SQRT2
-        x2 = (self.plus.mean_x - self.minus.mean_x) / SQRT2
-        p1 = (self.plus.mean_p + self.minus.mean_p) / SQRT2
-        p2 = (self.plus.mean_p - self.minus.mean_p) / SQRT2
-        return (x1, p1, x2, p2)
-
-    def lab_position_widths(self) -> tuple[float, float, float]:
-        """(V_x1x1, V_x2x2, Cov_x1x2); uses the no-cross-mode-correlation
-        assumption stated above."""
-        v = 0.5 * (self.plus.v_xx + self.minus.v_xx)
-        c = 0.5 * (self.plus.v_xx - self.minus.v_xx)
-        return (v, v, c)
+def lab_means(m) -> np.ndarray:
+    """Lab-frame means (..., 4) = (x1, p1, x2, p2) of records (..., 2, 5)."""
+    m = np.asarray(m)
+    plus, minus = m[..., 0, :2], m[..., 1, :2]
+    return np.concatenate(((plus + minus) / SQRT2, (plus - minus) / SQRT2), axis=-1)
 
 
 def to_normal_modes(alpha: complex, beta: complex) -> tuple[complex, complex]:
@@ -95,20 +91,14 @@ def from_normal_modes(a: complex, b: complex) -> tuple[complex, complex]:
     return ((a + b) / SQRT2, (a - b) / SQRT2)
 
 
-def moments_of_coherent(g: complex) -> ModeMoments:
-    """Minimum-uncertainty moment record of the coherent state g."""
-    return ModeMoments(
-        mean_x=SQRT2 * g.real,
-        mean_p=SQRT2 * g.imag,
-        v_xx=GROUND_VARIANCE,
-        v_pp=GROUND_VARIANCE,
-        v_xp=0.0,
-    )
+def moments_of_coherent(g: complex) -> np.ndarray:
+    """Minimum-uncertainty moment record (5,) of the coherent state g."""
+    return np.array([SQRT2 * g.real, SQRT2 * g.imag, GROUND_VARIANCE, GROUND_VARIANCE, 0.0])
 
 
-def coherent_pair_moments(a: complex, b: complex) -> PairMoments:
-    """Moments of the normal-mode coherent product |a>_+ |b>_-."""
-    return PairMoments(plus=moments_of_coherent(a), minus=moments_of_coherent(b))
+def coherent_pair_moments(a: complex, b: complex) -> np.ndarray:
+    """Moments (2, 5) of the normal-mode coherent product |a>_+ |b>_-."""
+    return np.array([moments_of_coherent(a), moments_of_coherent(b)])
 
 
 @dataclass(frozen=True)
@@ -123,13 +113,15 @@ class DisplacementEstimate:
     is_coherent: bool
 
 
-def displacement_from_moments(m: ModeMoments, width_tol: float = 1e-6) -> DisplacementEstimate:
-    """Invert moments_of_coherent on first moments; flag non-coherent widths."""
-    amplitude = complex(m.mean_x / SQRT2, m.mean_p / SQRT2)
+def displacement_from_moments(m, width_tol: float = 1e-6) -> DisplacementEstimate:
+    """Invert moments_of_coherent on the first moments of one mode's record
+    (5,); flag non-coherent widths."""
+    mean_x, mean_p, v_xx, v_pp, v_xp = (float(v) for v in m)
+    amplitude = complex(mean_x / SQRT2, mean_p / SQRT2)
     deviation = max(
-        abs(m.v_xx / GROUND_VARIANCE - 1.0),
-        abs(m.v_pp / GROUND_VARIANCE - 1.0),
-        abs(m.v_xp) / GROUND_VARIANCE,
+        abs(v_xx / GROUND_VARIANCE - 1.0),
+        abs(v_pp / GROUND_VARIANCE - 1.0),
+        abs(v_xp) / GROUND_VARIANCE,
     )
     return DisplacementEstimate(
         amplitude=amplitude,

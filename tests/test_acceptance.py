@@ -50,8 +50,9 @@ def _announce(num, name, ok, detail=""):
     assert ok, line
 
 
-def _mean_vec(pair):
-    return np.array([pair.plus.mean_x, pair.plus.mean_p, pair.minus.mean_x, pair.minus.mean_p])
+def _mean_error(model, init, times, moments, params):
+    ref = propagate_moments(model, init, times, params)
+    return float(np.max(np.abs(moments[..., :2] - ref[..., :2])))
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +92,9 @@ def test_criterion_2_first_moment_identity():
         a0, b0 = (complex(*rng.uniform(-2, 2, 2)) for _ in range(2))
         init = coherent_pair_moments(a0, b0)
         times = np.linspace(0.0, swap_time(params), 1000)
-        for t in times:
-            full = propagate_moments(ModelKind.QG_FULL, init, float(t), params)
-            sceg = propagate_moments(ModelKind.SCEG, init, float(t), params)
-            worst = max(worst, float(np.max(np.abs(_mean_vec(full) - _mean_vec(sceg)))))
+        full = propagate_moments(ModelKind.QG_FULL, init, times, params)
+        sceg = propagate_moments(ModelKind.SCEG, init, times, params)
+        worst = max(worst, float(np.max(np.abs(full[..., :2] - sceg[..., :2]))))
     _announce(2, "first-moment identity", worst <= 1e-12, f"max componentwise diff {worst:.3e}")
 
 
@@ -105,22 +105,18 @@ def test_criterion_3_width_dichotomy():
 
     # closed forms
     rng = np.random.default_rng(3)
-    sceg_dev = max(
-        abs(propagate_moments(ModelKind.SCEG, init, float(t), params).plus.v_xx - 0.5)
-        for t in rng.uniform(0, swap_time(params), 300)
-    )
+    sceg_times = rng.uniform(0, swap_time(params), 300)
+    sceg_dev = float(np.max(np.abs(propagate_moments(ModelKind.SCEG, init, sceg_times, params)[:, 0, 2] - 0.5)))
     t_star = (math.pi / 2) / params.Omega_plus
-    full_quarter = propagate_moments(ModelKind.QG_FULL, init, t_star, params).plus.v_xx
+    full_quarter = propagate_moments(ModelKind.QG_FULL, init, [t_star], params)[0, 0, 2]
     closed_ok = sceg_dev <= 1e-12 and abs(full_quarter - 0.5 / params.K_plus**2) <= 1e-12
 
     # grid oracle
     w0 = build_initial_grid(CoherentProduct(STACK_ALPHA, STACK_BETA))
     sceg_evo = split_step_evolve(w0, ModelKind.SCEG, swap_time(params) / 2, params, n_samples=21)
-    sceg_grid_dev = max(
-        max(abs(m.plus.v_xx - 0.5), abs(m.minus.v_xx - 0.5)) for m in sceg_evo.moments
-    )
+    sceg_grid_dev = float(np.max(np.abs(sceg_evo.moments[..., 2] - 0.5)))
     full_evo = split_step_evolve(w0, ModelKind.QG_FULL, t_star, params, n_samples=3)
-    full_grid_err = abs(full_evo.moments[-1].plus.v_xx - 0.5 / params.K_plus**2)
+    full_grid_err = abs(full_evo.moments[-1, 0, 2] - 0.5 / params.K_plus**2)
     grid_ok = sceg_grid_dev <= 5e-6 and full_grid_err <= 1e-5
 
     _announce(
@@ -182,12 +178,9 @@ def test_criterion_5_correction_law_and_oracle_stack(stack_grid_runs):
     grid_worst = 0.0
     for model in ModelKind:
         series = integrate_moments(model, init, T, params, n_samples=101)
-        ref = np.array([_mean_vec(propagate_moments(model, init, float(t), params)) for t in series.times])
-        rk_worst = max(rk_worst, float(np.max(np.abs(series.mean_table() - ref))))
+        rk_worst = max(rk_worst, _mean_error(model, init, series.times, series.moments, params))
         evo = grid_runs[model]
-        gref = np.array([_mean_vec(propagate_moments(model, init, float(t), params)) for t in evo.times])
-        got = np.array([_mean_vec(m) for m in evo.moments])
-        grid_worst = max(grid_worst, float(np.max(np.abs(got - gref))))
+        grid_worst = max(grid_worst, _mean_error(model, init, evo.times, evo.moments, params))
     stack_ok = rk_worst <= 1e-8 and grid_worst <= 1e-5
 
     _announce(
@@ -240,8 +233,7 @@ def test_criterion_8_numerical_hygiene(stack_grid_runs):
     def rk_err(factor):
         cfg = IntegratorConfig(rk_step_factor=factor, rk_tol=1.0)
         s = integrate_moments(ModelKind.QG_FULL, init, t_final, params, cfg, n_samples=9)
-        ref = np.array([_mean_vec(propagate_moments(ModelKind.QG_FULL, init, float(t), params)) for t in s.times])
-        return np.max(np.abs(s.mean_table() - ref))
+        return _mean_error(ModelKind.QG_FULL, init, s.times, s.moments, params)
 
     rk_order = math.log2(rk_err(2e-2) / rk_err(1e-2))
 
@@ -251,9 +243,7 @@ def test_criterion_8_numerical_hygiene(stack_grid_runs):
         evo = split_step_evolve(
             w0, ModelKind.QG_FULL, t_final, params, IntegratorConfig(dt_factor=factor), n_samples=3, order=order
         )
-        ref = np.array([_mean_vec(propagate_moments(ModelKind.QG_FULL, init, float(t), params)) for t in evo.times])
-        got = np.array([_mean_vec(m) for m in evo.moments])
-        return np.max(np.abs(got - ref))
+        return _mean_error(ModelKind.QG_FULL, init, evo.times, evo.moments, params)
 
     strang_order = math.log2(grid_err(1e-3, 2) / grid_err(5e-4, 2))
     yoshida_order = math.log2(grid_err(1e-2, 4) / grid_err(5e-3, 4))

@@ -7,7 +7,6 @@ import pytest
 from gravswap import (
     DimensionlessParams,
     ModelKind,
-    ModeMoments,
     ParameterError,
     QuadraticHamiltonian,
     coherence_check,
@@ -23,13 +22,10 @@ from gravswap import (
     template_moment_rhs,
     to_normal_modes,
     two_mode_overlap,
+    uncertainty_product,
 )
 
 P005 = DimensionlessParams(0.05)
-
-
-def _mean_vec(pair):
-    return np.array([pair.plus.mean_x, pair.plus.mean_p, pair.minus.mean_x, pair.minus.mean_p])
 
 
 # ---------------------------------------------------------------- displacement
@@ -88,19 +84,19 @@ def test_swap_property_random_pairs():
 def test_free_oscillator_period_recovers_state(model):
     params = DimensionlessParams(0.0)
     init = coherent_pair_moments(0.7 - 0.2j, -1.1 + 0.4j)
-    out = propagate_moments(model, init, 2 * math.pi, params)
-    assert np.allclose(_mean_vec(out), _mean_vec(init), atol=1e-12)
-    assert out.plus.v_xx == pytest.approx(0.5, abs=1e-12)
+    (out,) = propagate_moments(model, init, [2 * math.pi], params)
+    assert np.allclose(out[:, :2], init[:, :2], atol=1e-12)
+    assert out[0, 2] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_full_width_at_quarter_period():
     params = DimensionlessParams(0.1)
     init = coherent_pair_moments(1 + 0j, 0j)
     t_star = (math.pi / 2) / params.Omega_plus
-    out = propagate_moments(ModelKind.QG_FULL, init, t_star, params)
-    assert out.plus.v_xx == pytest.approx(0.5 / 1.2, abs=1e-12)
+    (out,) = propagate_moments(ModelKind.QG_FULL, init, [t_star], params)
+    assert out[0, 2] == pytest.approx(0.5 / 1.2, abs=1e-12)
     # momentum width inflates by the inverse factor, keeping the product minimal
-    assert out.plus.v_pp == pytest.approx(0.5 * 1.2, abs=1e-12)
+    assert out[0, 3] == pytest.approx(0.5 * 1.2, abs=1e-12)
 
 
 def test_first_moment_identity_full_vs_sceg():
@@ -108,24 +104,23 @@ def test_first_moment_identity_full_vs_sceg():
     params = DimensionlessParams(0.05)
     a0, b0 = to_normal_modes(1 + 1j, -1 + 0j)
     init = coherent_pair_moments(a0, b0)
-    for t in np.linspace(0, swap_time(params), 200):
-        full = propagate_moments(ModelKind.QG_FULL, init, float(t), params)
-        sceg = propagate_moments(ModelKind.SCEG, init, float(t), params)
-        assert np.max(np.abs(_mean_vec(full) - _mean_vec(sceg))) <= 1e-12
+    times = np.linspace(0, swap_time(params), 200)
+    full = propagate_moments(ModelKind.QG_FULL, init, times, params)
+    sceg = propagate_moments(ModelKind.SCEG, init, times, params)
+    assert np.max(np.abs(full[..., :2] - sceg[..., :2])) <= 1e-12
 
 
 def test_width_dichotomy():
     params = DimensionlessParams(0.1)
     init = coherent_pair_moments(0.5 + 0.5j, -0.25j)
     period_plus = math.pi / params.Omega_plus
-    for t in np.linspace(0, 30, 60):
-        sceg = propagate_moments(ModelKind.SCEG, init, float(t), params)
-        assert abs(sceg.plus.v_xx - 0.5) < 1e-12
-        assert abs(sceg.minus.v_xx - 0.5) < 1e-12
-        full = propagate_moments(ModelKind.QG_FULL, init, float(t), params)
-        assert 0.5 / params.K_plus**2 - 1e-12 <= full.plus.v_xx <= 0.5 + 1e-12
-        again = propagate_moments(ModelKind.QG_FULL, init, float(t) + period_plus, params)
-        assert again.plus.v_xx == pytest.approx(full.plus.v_xx, abs=1e-10)
+    times = np.linspace(0, 30, 60)
+    sceg = propagate_moments(ModelKind.SCEG, init, times, params)
+    assert np.max(np.abs(sceg[..., 2] - 0.5)) < 1e-12
+    full = propagate_moments(ModelKind.QG_FULL, init, times, params)[:, 0, 2]
+    assert np.all((0.5 / params.K_plus**2 - 1e-12 <= full) & (full <= 0.5 + 1e-12))
+    again = propagate_moments(ModelKind.QG_FULL, init, times + period_plus, params)[:, 0, 2]
+    assert again == pytest.approx(full, abs=1e-10)
 
 
 def test_uncertainty_preserved_under_all_models():
@@ -138,13 +133,10 @@ def test_uncertainty_preserved_under_all_models():
                 vxx = rng.uniform(0.3, 1.5)
                 vxp = rng.uniform(-0.2, 0.2)
                 vpp = (0.25 + vxp**2) / vxx * rng.uniform(1.0, 2.0)
-                init_mode = ModeMoments(rng.uniform(-2, 2), rng.uniform(-2, 2), vxx, vpp, vxp)
-                from gravswap import PairMoments
-
-                init = PairMoments(init_mode, init_mode)
-                out = propagate_moments(model, init, rng.uniform(0, 40), params)
-                assert out.plus.uncertainty_product >= 0.25 - 1e-12
-                assert out.minus.uncertainty_product >= 0.25 - 1e-12
+                init_mode = [rng.uniform(-2, 2), rng.uniform(-2, 2), vxx, vpp, vxp]
+                init = np.array([init_mode, init_mode])
+                out = propagate_moments(model, init, [rng.uniform(0, 40)], params)
+                assert np.all(uncertainty_product(out) >= 0.25 - 1e-12)
 
 
 # ---------------------------------------------------------------- corrections
@@ -225,11 +217,11 @@ def test_corrected_matches_exact_first_moments_to_second_order():
     def max_err(delta):
         params = DimensionlessParams(delta)
         errs = []
-        for t in np.linspace(0, 4 * math.pi, 40):
+        times = np.linspace(0, 4 * math.pi, 40)
+        for t, exact in zip(times, propagate_moments(ModelKind.QG_FULL, init, times, params)):
             c = propagate_corrected_displacement(a, b, float(t), params)
-            exact = propagate_moments(ModelKind.QG_FULL, init, float(t), params)
-            ea = displacement_from_moments(exact.plus, width_tol=1.0).amplitude
-            eb = displacement_from_moments(exact.minus, width_tol=1.0).amplitude
+            ea = displacement_from_moments(exact[0], width_tol=1.0).amplitude
+            eb = displacement_from_moments(exact[1], width_tol=1.0).amplitude
             errs.append(max(abs(c.a_t - ea), abs(c.b_t - eb)))
         return max(errs)
 
@@ -286,27 +278,25 @@ def test_coherence_rejects_nonpositive_kinetic():
 
 def test_template_rhs_coherent_widths_static():
     h = QuadraticHamiltonian(A=0.5, B=0.5)
-    m = ModeMoments(1.0, -0.5, 0.5, 0.5, 0.0)
-    r = template_moment_rhs(h, m)
-    assert r.d_v_xx == 0.0 and r.d_v_pp == 0.0 and r.d_v_xp == 0.0
-    assert r.d_mean_x == -0.5
-    assert r.d_mean_p == -1.0
+    d_mean_x, d_mean_p, d_v_xx, d_v_pp, d_v_xp = template_moment_rhs(h, (1.0, -0.5, 0.5, 0.5, 0.0))
+    assert d_v_xx == 0.0 and d_v_pp == 0.0 and d_v_xp == 0.0
+    assert d_mean_x == -0.5
+    assert d_mean_p == -1.0
 
 
 def test_template_rhs_hookes_law():
     h = QuadraticHamiltonian(A=0.5, B=0.7)
-    m = ModeMoments(2.0, 0.0, 0.5, 0.5, 0.0)
-    r = template_moment_rhs(h, m)
-    assert r.d_mean_p == pytest.approx(-2 * 0.7 * 2.0)
+    _, d_mean_p, *_ = template_moment_rhs(h, (2.0, 0.0, 0.5, 0.5, 0.0))
+    assert d_mean_p == pytest.approx(-2 * 0.7 * 2.0)
 
 
 def test_template_rhs_mean_field_term():
     h = QuadraticHamiltonian(A=0.5, B=0.5, C=0.2)
-    m = ModeMoments(1.0, 0.0, 0.5, 0.5, 0.0)
-    r = template_moment_rhs(h, m, mean_field_x=m.mean_x)
-    assert r.d_mean_p == pytest.approx(-(1.0 + 0.2))
+    m = (1.0, 0.0, 0.5, 0.5, 0.0)
+    _, d_mean_p, d_v_xx, d_v_pp, d_v_xp = template_moment_rhs(h, m, mean_field_x=m[0])
+    assert d_mean_p == pytest.approx(-(1.0 + 0.2))
     # second-moment equations never see the linear coefficient
-    assert r.d_v_xx == 0.0 and r.d_v_pp == 0.0 and r.d_v_xp == 0.0
+    assert d_v_xx == 0.0 and d_v_pp == 0.0 and d_v_xp == 0.0
 
 
 def test_template_rhs_full_model_mixes_widths():
@@ -315,7 +305,8 @@ def test_template_rhs_full_model_mixes_widths():
     params = DimensionlessParams(0.1)
     hp, _ = mode_hamiltonians(ModelKind.QG_FULL, params)
     init = coherent_pair_moments(1 + 0j, 0j)
-    mid = propagate_moments(ModelKind.QG_FULL, init, (math.pi / 8) / params.Omega_plus, params)
-    assert mid.plus.v_pp / mid.plus.v_xx != pytest.approx(params.K_plus**2, rel=1e-3)
-    r = template_moment_rhs(hp, mid.plus)
-    assert abs(r.d_v_xp) > 1e-3
+    (mid,) = propagate_moments(ModelKind.QG_FULL, init, [(math.pi / 8) / params.Omega_plus], params)
+    plus = mid[0]
+    assert plus[3] / plus[2] != pytest.approx(params.K_plus**2, rel=1e-3)
+    *_, d_v_xp = template_moment_rhs(hp, plus)
+    assert abs(d_v_xp) > 1e-3

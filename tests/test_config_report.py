@@ -15,7 +15,6 @@ from gravswap import (
     parse_config_text,
     run_feasibility,
     run_swap,
-    verify_replay,
 )
 from gravswap.cli import main as cli_main
 
@@ -164,14 +163,6 @@ def test_replay_mismatch_guard(tmp_path):
     emit_report(run_feasibility(other), out, force=True)  # explicit override allowed
 
 
-def test_verify_replay(tmp_path):
-    cfg = ExperimentConfig(kind="feasibility")
-    emit_report(run_feasibility(cfg), tmp_path)
-    verify_replay(tmp_path, cfg)
-    with pytest.raises(ReplayMismatchError):
-        verify_replay(tmp_path, ExperimentConfig(kind="feasibility", seed=5))
-
-
 def test_source_digest_recorded(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text(MINIMAL)
@@ -244,3 +235,14 @@ def test_cli_refuses_physical_scale_grid_run(tmp_path, capsys):
     rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
     assert rc == 2
     assert "numerics.dt_factor" in capsys.readouterr().err
+
+
+def test_cli_refuses_physical_scale_ode_run(tmp_path, capsys):
+    # a ca40 swap needs ~1e20 RK4 steps: refused naming the step key, with the
+    # config-error status rather than a traceback
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text("[run]\nkind = swap\nmodels = qg_full\n[params]\npreset = ca40_ion\n")
+    rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "ode"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "numerics.rk_step_factor" in err

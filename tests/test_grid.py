@@ -22,6 +22,7 @@ from gravswap import (
     coherent_pair_moments,
     derive_dimensionless,
     grid_overlap,
+    lab_means,
     lab_means_from_grid,
     moments_from_grid,
     propagate_moments,
@@ -36,8 +37,9 @@ SQRT2 = math.sqrt(2.0)
 FAST = IntegratorConfig(dt_factor=1e-2)
 
 
-def _mean_vec(pair):
-    return np.array([pair.plus.mean_x, pair.plus.mean_p, pair.minus.mean_x, pair.minus.mean_p])
+def _mean_error(model, evo, pair0, params):
+    ref = propagate_moments(model, pair0, evo.times, params)
+    return np.max(np.abs(evo.moments[..., :2] - ref[..., :2]))
 
 
 # ---------------------------------------------------------------- construction
@@ -58,11 +60,8 @@ def test_vacuum_grid_moments():
     w = build_initial_grid(CoherentProduct(0j, 0j), GridSpec(n=128, half_extent=8.0))
     assert w.norm_squared() == pytest.approx(1.0, abs=1e-12)
     pm = moments_from_grid(w)
-    for mode in (pm.plus, pm.minus):
-        assert abs(mode.mean_x) < 1e-8 and abs(mode.mean_p) < 1e-8
-        assert mode.v_xx == pytest.approx(0.5, abs=1e-8)
-        assert mode.v_pp == pytest.approx(0.5, abs=1e-8)
-        assert abs(mode.v_xp) < 1e-8
+    assert pm.shape == (2, 5)
+    assert pm == pytest.approx(coherent_pair_moments(0j, 0j), abs=1e-8)
 
 
 def test_coherent_grid_moments_match_analytic():
@@ -77,10 +76,8 @@ def test_coherent_grid_moments_match_analytic():
     w = build_initial_grid(CoherentProduct(alpha, beta))
     want = coherent_pair_moments(*to_normal_modes(alpha, beta))
     got = moments_from_grid(w)
-    assert np.max(np.abs(_mean_vec(got) - _mean_vec(want))) < 1e-8
-    for mode in (got.plus, got.minus):
-        assert mode.v_xx == pytest.approx(0.5, abs=1e-8)
-        assert mode.v_pp == pytest.approx(0.5, abs=1e-8)
+    assert np.max(np.abs(got[:, :2] - want[:, :2])) < 1e-8
+    assert got[:, 2:4] == pytest.approx(0.5, abs=1e-8)
 
 
 def test_cat_grid_structure():
@@ -176,18 +173,10 @@ def test_grid_tracks_closed_moments_short_run(model):
     pair0 = coherent_pair_moments(*to_normal_modes(alpha, beta))
     w = build_initial_grid(CoherentProduct(alpha, beta))
     evo = split_step_evolve(w, model, 4.0, params, n_samples=5)
-    ref = np.array([_mean_vec(propagate_moments(model, pair0, float(t), params)) for t in evo.times])
-    got = np.array([_mean_vec(m) for m in evo.moments])
-    assert np.max(np.abs(got - ref)) < 1e-5
-    widths_ref = np.array(
-        [
-            (propagate_moments(model, pair0, float(t), params).plus.v_xx,
-             propagate_moments(model, pair0, float(t), params).minus.v_xx)
-            for t in evo.times
-        ]
-    )
-    widths = np.array([(m.plus.v_xx, m.minus.v_xx) for m in evo.moments])
-    assert np.max(np.abs(widths - widths_ref)) < 1e-5
+    assert evo.moments.shape == (len(evo.times), 2, 5)
+    assert _mean_error(model, evo, pair0, params) < 1e-5
+    widths_ref = propagate_moments(model, pair0, evo.times, params)[..., 2]
+    assert np.max(np.abs(evo.moments[..., 2] - widths_ref)) < 1e-5
 
 
 def test_rwa_grid_matches_lab_displacement():
@@ -197,7 +186,7 @@ def test_rwa_grid_matches_lab_displacement():
     t_final = 3.0
     evo = split_step_evolve(w, ModelKind.QG_RWA, t_final, params, n_samples=3)
     want_alpha, want_beta = propagate_rwa_lab_displacement(alpha, beta, t_final, params)
-    x1, p1, x2, p2 = evo.lab_means[-1]
+    x1, p1, x2, p2 = lab_means(evo.moments[-1])
     assert x1 == pytest.approx(SQRT2 * want_alpha.real, abs=1e-5)
     assert p1 == pytest.approx(SQRT2 * want_alpha.imag, abs=1e-5)
     assert x2 == pytest.approx(SQRT2 * want_beta.real, abs=1e-5)
@@ -212,9 +201,7 @@ def _splitting_error(model, factor, order):
     evo = split_step_evolve(
         w, model, 2 * math.pi, params, IntegratorConfig(dt_factor=factor), n_samples=3, order=order
     )
-    ref = np.array([_mean_vec(propagate_moments(model, pair0, float(t), params)) for t in evo.times])
-    got = np.array([_mean_vec(m) for m in evo.moments])
-    return np.max(np.abs(got - ref))
+    return _mean_error(model, evo, pair0, params)
 
 
 def test_strang_convergence_order():
@@ -255,9 +242,9 @@ def test_sceg_evolution_uses_current_means():
     w = build_initial_grid(CoherentProduct(alpha, beta))
     t_final = 4.0
     evo = split_step_evolve(w, ModelKind.SCEG, t_final, params, n_samples=3)
-    got = _mean_vec(evo.moments[-1])
-    want = _mean_vec(propagate_moments(ModelKind.SCEG, pair0, t_final, params))
-    free = _mean_vec(propagate_moments(ModelKind.SCEG, pair0, t_final, DimensionlessParams(0.0)))
+    got = evo.moments[-1, :, :2]
+    want = propagate_moments(ModelKind.SCEG, pair0, [t_final], params)[0, :, :2]
+    free = propagate_moments(ModelKind.SCEG, pair0, [t_final], DimensionlessParams(0.0))[0, :, :2]
     assert np.max(np.abs(got - want)) < 1e-5
     assert np.max(np.abs(got - free)) > 0.1
 
@@ -295,13 +282,42 @@ def test_snapshot_file_round_trip(tmp_path):
         load_snapshot(bad)
 
 
-def test_snapshots_kept_on_request():
-    params = DimensionlessParams(0.05)
-    w = build_initial_grid(CoherentProduct(0j, 0j), GridSpec(n=128, half_extent=8.0))
-    evo = split_step_evolve(
-        w, ModelKind.QG_RWA, 1.0, params, FAST, n_samples=3, keep_snapshots=True
-    )
-    assert len(evo.snapshots) == len(evo.times)
-    t0, snap0 = evo.snapshots[0]
-    assert t0 == 0.0
-    assert abs(grid_overlap(snap0, w)) == pytest.approx(1.0, abs=1e-12)
+def _snapshot_file(tmp_path):
+    from gravswap import save_snapshot
+
+    w = build_initial_grid(CoherentProduct(0.5j, 0j), GridSpec(n=64, half_extent=6.0))
+    path = tmp_path / "state.snap"
+    save_snapshot(w, path, time=1.5)
+    raw = path.read_bytes()
+    sep = raw.index(b"\n\n") + 2
+    return path, raw[:sep], raw[sep:]
+
+
+def test_snapshot_truncated_payload_refused(tmp_path):
+    from gravswap import load_snapshot
+
+    path, header, payload = _snapshot_file(tmp_path)
+    path.write_bytes(header + payload[:-16])
+    with pytest.raises(GridError, match="payload") as info:
+        load_snapshot(path)
+    assert str(path) in str(info.value)
+
+
+def test_snapshot_bad_version_refused(tmp_path):
+    from gravswap import load_snapshot
+
+    path, header, payload = _snapshot_file(tmp_path)
+    path.write_bytes(header.replace(b" v1\n", b" vx\n") + payload)
+    with pytest.raises(GridError, match="unsupported snapshot format vx") as info:
+        load_snapshot(path)
+    assert str(path) in str(info.value)
+
+
+def test_snapshot_missing_key_refused(tmp_path):
+    from gravswap import load_snapshot
+
+    path, header, payload = _snapshot_file(tmp_path)
+    path.write_bytes(header.replace(b"frame = lab\n", b"") + payload)
+    with pytest.raises(GridError, match="frame") as info:
+        load_snapshot(path)
+    assert str(path) in str(info.value)

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from gravswap import (
-    ModeMoments,
+    MOMENT_FIELDS,
     MomentError,
     branch_schmidt_entropy,
+    check_moments,
     coherent_inner,
     coherent_overlap,
     coherent_pair_moments,
     displacement_from_moments,
     from_normal_modes,
+    lab_means,
     moments_of_coherent,
     to_normal_modes,
     two_mode_overlap,
+    uncertainty_product,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -57,10 +60,10 @@ def test_round_trip_random():
 )
 def test_moments_of_coherent(g, mean_x, mean_p):
     m = moments_of_coherent(g)
-    assert m.mean_x == pytest.approx(mean_x, abs=1e-15)
-    assert m.mean_p == pytest.approx(mean_p, abs=1e-15)
-    assert m.v_xx == 0.5 and m.v_pp == 0.5 and m.v_xp == 0.0
-    assert m.uncertainty_product == 0.25
+    assert m[0] == pytest.approx(mean_x, abs=1e-15)
+    assert m[1] == pytest.approx(mean_p, abs=1e-15)
+    assert m[2] == 0.5 and m[3] == 0.5 and m[4] == 0.0
+    assert uncertainty_product(m) == 0.25
 
 
 def test_displacement_round_trip():
@@ -76,22 +79,54 @@ def test_displacement_round_trip():
 def test_displacement_examples():
     est = displacement_from_moments(moments_of_coherent(2 - 3j))
     assert est.amplitude == 2 - 3j
-    est = displacement_from_moments(ModeMoments(SQRT2, SQRT2, 0.5, 0.5, 0.0))
+    est = displacement_from_moments(np.array([SQRT2, SQRT2, 0.5, 0.5, 0.0]))
     assert est.amplitude == pytest.approx(1 + 1j, abs=1e-15)
 
 
 def test_displacement_flags_inflated_widths():
-    m = ModeMoments(mean_x=1.0, mean_p=0.0, v_xx=0.6, v_pp=0.6, v_xp=0.0)
+    m = np.array([1.0, 0.0, 0.6, 0.6, 0.0])
     est = displacement_from_moments(m, width_tol=1e-6)
     assert not est.is_coherent
     assert est.width_deviation == pytest.approx(0.2, rel=1e-12)
 
 
+def _pair(mode):
+    return np.array([[0.0, 0.0, 0.5, 0.5, 0.0], mode])
+
+
 def test_moment_validation():
-    with pytest.raises(MomentError):
-        ModeMoments(0.0, 0.0, -0.5, 0.5, 0.0)
+    with pytest.raises(MomentError, match="v_xx"):
+        check_moments(_pair([0.0, 0.0, -0.5, 0.5, 0.0]))
+    with pytest.raises(MomentError, match="v_pp"):
+        check_moments(_pair([0.0, 0.0, 0.5, 0.0, 0.0]))
     with pytest.raises(MomentError, match="uncertainty"):
-        ModeMoments(0.0, 0.0, 0.1, 0.1, 0.0)
+        check_moments(_pair([0.0, 0.0, 0.1, 0.1, 0.0]))
+    with pytest.raises(MomentError, match="uncertainty"):
+        check_moments(_pair([0.0, 0.0, 0.5, 0.5, 0.1]))
+    # the slack covers rounding, not a real violation
+    check_moments(_pair([0.0, 0.0, 0.5, 0.5 * (1 - 1e-8), 0.0]))
+
+
+@pytest.mark.parametrize("field", range(5))
+def test_moment_validation_names_nonfinite_field(field):
+    for bad in (math.nan, math.inf):
+        mode = [0.0, 0.0, 0.5, 0.5, 0.0]
+        mode[field] = bad
+        with pytest.raises(MomentError, match=f"moments.{MOMENT_FIELDS[field]}: must be finite"):
+            check_moments(_pair(mode))
+
+
+def test_moment_validation_covers_every_record():
+    good = np.array([moments_of_coherent(1 + 1j), moments_of_coherent(-0.5j)])
+    series = np.repeat(good[None], 7, axis=0)
+    assert check_moments(series).shape == (7, 2, 5)
+    for index in ((0, 0), (6, 1), (3, 0)):
+        broken = series.copy()
+        broken[index + (3,)] = 0.1
+        with pytest.raises(MomentError):
+            check_moments(broken)
+    with pytest.raises(MomentError, match="shape"):
+        check_moments(np.zeros((2, 4)))
 
 
 def test_overlap_values():
@@ -116,12 +151,15 @@ def test_two_mode_overlap():
 
 def test_pair_moments_lab_views():
     pair = coherent_pair_moments(*to_normal_modes(2 + 0j, 0j))
-    x1, p1, x2, p2 = pair.lab_means()
+    assert pair.shape == (2, 5)
+    x1, p1, x2, p2 = lab_means(pair)
     assert x1 == pytest.approx(2 * SQRT2, rel=1e-14)
     assert abs(p1) < 1e-15 and abs(x2) < 1e-15 and abs(p2) < 1e-15
-    v1, v2, cov = pair.lab_position_widths()
-    assert v1 == pytest.approx(0.5) and v2 == pytest.approx(0.5)
-    assert abs(cov) < 1e-15
+    # lab means of a series keep its leading axis
+    series = np.stack([pair, coherent_pair_moments(*to_normal_modes(0j, 1j))])
+    means = lab_means(series)
+    assert means.shape == (2, 4)
+    assert means[1] == pytest.approx([0.0, 0.0, 0.0, SQRT2], abs=1e-15)
 
 
 def test_branch_entropy_limits():
