@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .experiments import ConfigError, ExperimentConfig, ORACLES, RUNNERS
 from .config import parse_config
+from .grid import GridError
 from .moments_ode import IntegrationError
 from .params import ParameterError
 from .report import ReplayMismatchError, emit_report, render_summary
@@ -78,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(render_summary(report))
         sys.stdout.write(f"report written to {out_dir}\n")
         return 0 if report.passed else 1
-    except (ConfigError, ParameterError, IntegrationError) as exc:
+    except (ConfigError, ParameterError, IntegrationError, GridError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ReplayMismatchError as exc:

@@ -10,6 +10,7 @@ identical configs produce byte-identical emitted files.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -147,6 +148,9 @@ class ExperimentConfig:
             raise ConfigError("params: give either a direct delta or SI parameters, not both")
         if self.delta is None and self.physical is None:
             raise ConfigError("params: one of delta or SI parameters is required")
+        for name in ("alpha", "beta", "cat_alpha"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ConfigError(f"state.{name}: must be finite, got {getattr(self, name)!r}")
         if not all(m > 0 for m in self.alpha_mags):
             raise ConfigError("sweep.alpha_mags: magnitudes must be positive")
 
@@ -267,9 +271,10 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
     def add_moment_rows(model, method, ts, moments):
+        name, rows = model.value, moments_table.rows
         for t, (plus, minus) in zip(ts.tolist(), moments.tolist()):
-            moments_table.rows.append((t, model.value, method, "plus", *plus))
-            moments_table.rows.append((t, model.value, method, "minus", *minus))
+            rows.append((t, name, method, "plus", *plus))
+            rows.append((t, name, method, "minus", *minus))
 
     def add_fidelity(model, method, pair_final, width_dev):
         target = (beta0, alpha0)

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .analytic import ModelKind
 from .moments_ode import IntegratorConfig
@@ -48,6 +47,25 @@ GROUND_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0)) * GROUND_SIGMA
 RESOLUTION_POINTS = 8.0  # grid points across one ground-state FWHM
 FIT_FRACTION = 0.8  # state envelope must fit inside this fraction of the box
 ENVELOPE_SIGMAS = 5.0
+# Points per grid axis: one complex128 array of n^2 amplitudes takes
+# 16 n^2 bytes, 256 MiB at this cap.
+MAX_GRID_POINTS = 4096
+
+
+class _LazyFFT:
+    """`scipy.fft`, imported on first use, so runs that never build a grid
+    skip its import.  Each function is bound on the instance when first
+    looked up, after which lookups cost what a module attribute costs."""
+
+    def __getattr__(self, name):
+        from scipy import fft
+
+        value = getattr(fft, name)
+        setattr(self, name, value)
+        return value
+
+
+sfft = _LazyFFT()
 
 
 # Yoshida's triple jump: three Strang substeps whose weights cancel the
@@ -80,12 +98,13 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n, int) and self.n >= 64 and (self.n & (self.n - 1)) == 0):
-            raise GridSizingError(f"grid n must be a power of two >= 64, got {self.n!r}")
+            raise GridSizingError(f"numerics.grid_points: must be a power of two >= 64, got {self.n!r}")
+        _check_memory(self.n, "the grid")
         if not (math.isfinite(self.half_extent) and self.half_extent > 0):
-            raise GridSizingError(f"grid half_extent must be positive, got {self.half_extent!r}")
+            raise GridSizingError(f"numerics.grid_half_extent: must be positive, got {self.half_extent!r}")
         if self.dx > GROUND_FWHM / RESOLUTION_POINTS:
             raise GridSizingError(
-                f"dx = {self.dx:.4g} does not resolve the ground-state width "
+                f"numerics.grid_points: dx = {self.dx:.4g} does not resolve the ground-state width "
                 f"({RESOLUTION_POINTS:g} points per FWHM needs dx <= {GROUND_FWHM / RESOLUTION_POINTS:.4g}); "
                 f"increase n to >= {_next_pow2(math.ceil(2 * self.half_extent * RESOLUTION_POINTS / GROUND_FWHM))}"
             )
@@ -158,6 +177,17 @@ def _norm_squared(psi: np.ndarray, dx: float) -> float:
     return float(np.einsum("i,i->", v, v)) * dx**2
 
 
+def _check_memory(n: float, cause: str) -> None:
+    """Refuses a grid of more than MAX_GRID_POINTS points per axis, before
+    anything is allocated."""
+    if not n <= MAX_GRID_POINTS:
+        raise GridSizingError(
+            f"numerics.grid_points: {cause} needs n = {n:.6g} points per axis, "
+            f"{16 * n * n / 2**30:.4g} GiB per complex array, beyond the budget of "
+            f"{MAX_GRID_POINTS} points ({16 * MAX_GRID_POINTS**2 / 2**30:g} GiB)"
+        )
+
+
 def _next_pow2(m: int) -> int:
     n = 64
     while n < m:
@@ -185,12 +215,14 @@ def auto_grid_spec(state: InitialState, n: int | None = None) -> GridSpec:
     dx_resolution = GROUND_FWHM / RESOLUTION_POINTS
     dx_momentum = FIT_FRACTION * math.pi / (env + ENVELOPE_SIGMAS * GROUND_SIGMA)
     dx_needed = min(dx_resolution, dx_momentum)
-    n_needed = _next_pow2(math.ceil(2.0 * half_extent / dx_needed))
+    points = 2.0 * half_extent / dx_needed
+    _check_memory(points, f"a displacement envelope of {env:.4g}")
+    n_needed = _next_pow2(math.ceil(points))
     if n is None:
         n = max(256, n_needed)
     elif n < n_needed:
         raise GridSizingError(
-            f"n = {n} cannot hold the requested displacements; need n >= {n_needed} "
+            f"numerics.grid_points: n = {n} cannot hold the requested displacements; need n >= {n_needed} "
             f"at half_extent = {half_extent:.4g}"
         )
     return GridSpec(n=n, half_extent=half_extent)
@@ -207,12 +239,12 @@ def _check_fit(spec: GridSpec, state: InitialState) -> None:
     reach = env + ENVELOPE_SIGMAS * GROUND_SIGMA
     if reach > FIT_FRACTION * spec.half_extent:
         raise GridSizingError(
-            f"displacement envelope {env:.4g} does not fit the grid "
+            f"numerics.grid_half_extent: displacement envelope {env:.4g} does not fit the grid "
             f"(need half_extent >= {reach / FIT_FRACTION:.4g}, have {spec.half_extent:.4g})"
         )
     if reach > FIT_FRACTION * spec.p_max:
         raise GridSizingError(
-            f"momentum envelope {env:.4g} does not fit the momentum grid "
+            f"numerics.grid_points: momentum envelope {env:.4g} does not fit the momentum grid "
             f"(need p_max >= {reach / FIT_FRACTION:.4g}, have {spec.p_max:.4g}); decrease dx"
         )
 

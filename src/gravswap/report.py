@@ -2,9 +2,12 @@
 
 Emission is a pure serialization of the report object: identical reports
 produce byte-identical files (floats at 17 significant digits, fixed key
-order, LF line endings).  A directory already holding a manifest from a
-different configuration refuses re-emission unless forced, so a replay can
-never silently mix artifacts from two runs.
+order, LF line endings).  `_fmt` is the one definition of a value's text;
+CSV rows of common value types are rendered with one cached %-format per
+row shape, which writes the same bytes as `_fmt` value by value.  A
+directory already holding a manifest from a different configuration refuses
+re-emission unless forced, so a replay can never silently mix artifacts from
+two runs.
 """
 
 from __future__ import annotations
@@ -38,12 +41,41 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Exact value types whose `_fmt` text is one %-conversion: "%.17g" prints nan
+# without a sign as `_fmt` does, and "%d" prints a bool as 1 or 0.
+_FAST_FORMATS = {
+    float: "%.17g",
+    np.float64: "%.17g",
+    int: "%d",
+    bool: "%d",
+    np.int64: "%d",
+    np.bool_: "%d",
+    str: "%s",
+}
+
+
+def _row_format(shape: tuple[type, ...]) -> str | None:
+    """One %-format for a row of these exact value types, or None when some
+    type needs `_fmt` (complex values, subclasses, other numpy scalars)."""
+    try:
+        return ",".join(_FAST_FORMATS[t] for t in shape)
+    except KeyError:
+        return None
+
+
 def render_csv(table: Table) -> str:
+    width = len(table.columns)
+    formats: dict[tuple[type, ...], str | None] = {}  # only shapes of the header's width
     lines = [",".join(table.columns)]
     for row in table.rows:
-        if len(row) != len(table.columns):
-            raise ValueError(f"table {table.name}: row width {len(row)} != header {len(table.columns)}")
-        lines.append(",".join(_fmt(v) for v in row))
+        shape = tuple(map(type, row))
+        try:
+            fmt = formats[shape]
+        except KeyError:
+            if len(shape) != width:
+                raise ValueError(f"table {table.name}: row width {len(shape)} != header {width}") from None
+            fmt = formats[shape] = _row_format(shape)
+        lines.append(fmt % tuple(row) if fmt is not None else ",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -246,3 +246,52 @@ def test_cli_refuses_physical_scale_ode_run(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "numerics.rk_step_factor" in err
+
+
+@pytest.mark.parametrize(
+    "numerics,key",
+    [
+        ("grid_points = 128", "numerics.grid_points"),  # too few points for the state
+        ("grid_points = 100", "numerics.grid_points"),  # not a power of two
+        ("grid_half_extent = 5", "numerics.grid_half_extent"),  # the state does not fit
+    ],
+)
+def test_cli_refuses_bad_grid_size(tmp_path, capsys, numerics, key):
+    # a grid that cannot hold the state is refused naming the key, with the
+    # config-error status rather than a sizing traceback
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text(f"[run]\nkind = swap\nmodels = qg_full\n[numerics]\n{numerics}\n")
+    rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise AssertionError("a grid beyond the memory budget reached the allocating code")
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("swap", "[run]\nkind = swap\nmodels = qg_full\n[numerics]\ngrid_points = 65536\n"),
+        ("cat-state", "[run]\nkind = cat_state\n[state]\ncat_alpha = 1000\n"),
+    ],
+)
+def test_cli_refuses_grid_beyond_memory_budget(tmp_path, capsys, monkeypatch, command, text):
+    # refused from the grid size alone, whether it comes from the config or
+    # from auto-sizing; the allocating functions are replaced so that a
+    # missing refusal fails here instead of allocating 64 GiB
+    monkeypatch.setattr("gravswap.experiments.build_initial_grid", _refuse_allocation)
+    monkeypatch.setattr("gravswap.experiments.split_step_evolve", _refuse_allocation)
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text(text)
+    rc = cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "numerics.grid_points" in err and "GiB per complex array" in err
+
+
+def test_non_finite_amplitude_refused():
+    with pytest.raises(ConfigError, match="state.cat_alpha"):
+        parse_config_text("[run]\nkind = cat_state\n[state]\ncat_alpha = inf\n")

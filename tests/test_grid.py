@@ -32,6 +32,7 @@ from gravswap import (
     swap_time,
     to_normal_modes,
 )
+from gravswap.grid import MAX_GRID_POINTS
 
 SQRT2 = math.sqrt(2.0)
 FAST = IntegratorConfig(dt_factor=1e-2)
@@ -102,6 +103,17 @@ def test_sizing_errors_and_auto_spec():
         auto_grid_spec(CoherentProduct(20 + 0j, 0j), n=256)
     spec = auto_grid_spec(CoherentProduct(20 + 0j, 0j))
     assert spec.n >= 1024  # large displacement demands momentum range and extent
+
+
+def test_grid_memory_budget():
+    # refused from the sizes alone: neither call allocates an array
+    with pytest.raises(GridSizingError, match=r"numerics.grid_points: .* 64 GiB per complex array"):
+        GridSpec(n=65536, half_extent=12.0)
+    with pytest.raises(GridSizingError, match="numerics.grid_points: a displacement envelope"):
+        auto_grid_spec(CatProduct(1e6 + 0j))
+    with pytest.raises(GridSizingError, match="numerics.grid_points: a displacement envelope"):
+        auto_grid_spec(CatProduct(1e6 + 0j), n=256)
+    assert GridSpec(n=MAX_GRID_POINTS, half_extent=12.0).n == 4096
 
 
 # ---------------------------------------------------------------- overlaps
