@@ -204,7 +204,8 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         kwargs["deltas"] = _parse_float_list(get("sweep", "deltas"), "sweep.deltas")
 
     if get("numerics", "grid_points") is not None:
-        kwargs["grid_points"] = _parse_int(get("numerics", "grid_points"), "numerics.grid_points")
+        raw = get("numerics", "grid_points")
+        kwargs["grid_points"] = None if raw == "auto" else _parse_int(raw, "numerics.grid_points")
     if get("numerics", "grid_half_extent") is not None:
         raw = get("numerics", "grid_half_extent")
         kwargs["grid_half_extent"] = None if raw == "auto" else _parse_float(raw, "numerics.grid_half_extent")
@@ -330,7 +331,7 @@ def format_config(cfg: ExperimentConfig) -> str:
     lines.append("deltas = " + ", ".join(_fmt_float(v) for v in cfg.deltas))
     lines.append("")
     lines.append("[numerics]")
-    lines.append(f"grid_points = {cfg.grid_points}")
+    lines.append(f"grid_points = {'auto' if cfg.grid_points is None else cfg.grid_points}")
     extent = "auto" if cfg.grid_half_extent is None else _fmt_float(cfg.grid_half_extent)
     lines.append(f"grid_half_extent = {extent}")
     lines.append(f"dt_factor = {_fmt_float(cfg.dt_factor)}")

@@ -121,7 +121,7 @@ class ExperimentConfig:
     deltas: tuple[float, ...] = (0.01, 0.05, 0.1)
     samples: int = 200
     oracle: str = "none"
-    grid_points: int = 256
+    grid_points: int | None = None  # None: sized from the state
     grid_half_extent: float | None = None
     dt_factor: float = 5e-3
     rk_step_factor: float = 1e-4
@@ -244,8 +244,15 @@ def _amplitudes_from_pair(pair: np.ndarray, width_tol: float) -> tuple[complex, 
 
 def _grid_state_config(cfg: ExperimentConfig, state) -> GridSpec:
     if cfg.grid_half_extent is not None:
-        return GridSpec(n=cfg.grid_points, half_extent=cfg.grid_half_extent)
-    return auto_grid_spec(state, n=cfg.grid_points)
+        # an explicit box keeps the fixed default n unless n is given too
+        n = GridSpec.n if cfg.grid_points is None else cfg.grid_points
+        return GridSpec(n=n, half_extent=cfg.grid_half_extent)
+    return auto_grid_spec(
+        state,
+        n=cfg.grid_points,
+        delta=cfg.dimensionless().delta,
+        leakage_limit=cfg.integrator().leakage_limit,
+    )
 
 
 def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
@@ -346,7 +353,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
             add_fidelity(model, "grid", (alpha_T, beta_T), wdev)
             report.notes.append(
                 f"grid oracle [{model.value}]: max per-step norm drift {evo.max_step_norm_drift:.3e}, "
-                f"max boundary fraction {evo.max_boundary_fraction:.3e}"
+                f"max boundary fraction {evo.max_boundary_fraction:.3e} (x), {evo.max_p_boundary_fraction:.3e} (p)"
             )
 
     # corrected displacement trajectory with the exact-model width envelope
@@ -647,7 +654,7 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
         }
         report.notes.append(
             f"grid [{model.value}]: max per-step norm drift {evo.max_step_norm_drift:.3e}, "
-            f"max boundary fraction {evo.max_boundary_fraction:.3e}"
+            f"max boundary fraction {evo.max_boundary_fraction:.3e} (x), {evo.max_p_boundary_fraction:.3e} (p)"
         )
         report.verdicts.append(
             _check(f"{model.value}_initial_product_entropy", float(evo.entropies[0]), "<=", tol.product_entropy_max)

@@ -26,8 +26,8 @@ its order.
 
 Norm is never renormalized during evolution; drift is tracked every step and
 the run aborts if it exceeds the configured rate.  Probability reaching the
-grid boundary also aborts (wrap-around would silently corrupt everything
-after).
+edge of the position box or of the momentum grid also aborts (wrap-around
+would silently corrupt everything after).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .analytic import ModelKind
 from .moments_ode import IntegratorConfig
-from .params import DimensionlessParams, ParameterError
+from .params import DELTA_WARN_LIMIT, DimensionlessParams, ParameterError
 from .states import SQRT2, check_moments, lab_means
 
 GROUND_SIGMA = math.sqrt(0.5)
@@ -50,6 +50,7 @@ ENVELOPE_SIGMAS = 5.0
 # Points per grid axis: one complex128 array of n^2 amplitudes takes
 # 16 n^2 bytes, 256 MiB at this cap.
 MAX_GRID_POINTS = 4096
+EDGE_RING = 2  # rows and columns on each side counted as the edge of a grid
 
 
 class _LazyFFT:
@@ -139,14 +140,12 @@ class GridWavefunction:
     def norm_squared(self) -> float:
         return _norm_squared(self.psi, self.spec.dx)
 
-    def boundary_fraction(self, ring: int = 2) -> float:
-        prob = np.abs(self.psi) ** 2
-        total = prob.sum()
-        if total == 0.0:
-            return 0.0
-        edge = prob[:ring, :].sum() + prob[-ring:, :].sum()
-        edge += prob[ring:-ring, :ring].sum() + prob[ring:-ring, -ring:].sum()
-        return float(edge / total)
+    def boundary_fraction(self, ring: int = EDGE_RING, prob: np.ndarray | None = None) -> float:
+        """Share of the position density on the outer `ring` rows and columns
+        of the box; `prob`, the density |psi|^2, is computed if not given."""
+        if prob is None:
+            prob = _density(self.psi)
+        return _edge_fraction(prob, _edge_mask(self.spec.n, ring))
 
 
 @dataclass(frozen=True)
@@ -175,6 +174,27 @@ def _norm_squared(psi: np.ndarray, dx: float) -> float:
     # second OpenBLAS thread that then spins) and no temporary array
     v = psi.reshape(-1).view(np.float64)
     return float(np.einsum("i,i->", v, v)) * dx**2
+
+
+def _density(psi: np.ndarray) -> np.ndarray:
+    return psi.real**2 + psi.imag**2
+
+
+def _edge_mask(n: int, ring: int) -> np.ndarray:
+    """Axis mask of the outer `ring` points on each side, in centred order
+    (that of `x_axis`); `np.fft.ifftshift` of it is the mask in the fftfreq
+    order of `p_axis`, where the momentum edge is the band around n // 2."""
+    edge = np.zeros(n, dtype=bool)
+    edge[:ring] = edge[n - ring :] = True
+    return edge
+
+
+def _edge_fraction(prob: np.ndarray, edge: np.ndarray) -> float:
+    """Share of a 2-D density on the rows and columns flagged in `edge`."""
+    total = prob.sum()
+    if total == 0.0:
+        return 0.0
+    return float((prob[edge].sum() + prob[np.ix_(~edge, edge)].sum()) / total)
 
 
 def _check_memory(n: float, cause: str) -> None:
@@ -206,20 +226,44 @@ def _envelope_displacement(state: InitialState) -> float:
     return SQRT2 * budget
 
 
-def auto_grid_spec(state: InitialState, n: int | None = None) -> GridSpec:
-    """Grid sized for `state` plus swap dynamics: half extent 8 + 4 times the
-    displacement envelope, n grown past the default 256 only if resolution or
-    momentum range demand it."""
+def auto_grid_spec(
+    state: InitialState,
+    n: int | None = None,
+    *,
+    delta: float = DELTA_WARN_LIMIT,
+    leakage_limit: float = IntegratorConfig.leakage_limit,
+) -> GridSpec:
+    """Grid sized from `state` and the swap dynamics at coupling `delta`.
+
+    Half extent: the displacement envelope env, plus the tail distance at
+    which a Gaussian of the widest width the dynamics reach falls to
+    `leakage_limit` of its peak, plus the EDGE_RING points the leakage guard
+    counts as the edge (at the coarsest dx the resolution rule allows); and
+    at least reach / FIT_FRACTION (reach = env + ENVELOPE_SIGMAS ground
+    widths), so the state passes `_check_fit`.  The widest width is the
+    ground width times (1 - 2 delta)^(-1/2), that of the exact minus mode; the
+    default `delta` covers every coupling up to the warning limit.  The means
+    reach the same envelope in momentum, where widths grow less, so the
+    momentum grid must hold the same extent: p_max = pi / dx >= half extent.
+
+    n: the smallest power of two >= 64 that meets this momentum rule and
+    RESOLUTION_POINTS per ground-state FWHM.  An explicit n is checked against
+    both rules and refused if it falls short.  The edge guards of
+    `split_step_evolve` catch a state that outgrows the estimate."""
     env = _envelope_displacement(state)
-    half_extent = 8.0 + 4.0 * env
+    reach = env + ENVELOPE_SIGMAS * GROUND_SIGMA
+    widest = GROUND_SIGMA / math.sqrt(1.0 - 2.0 * delta)
+    tail = widest * math.sqrt(-2.0 * math.log(min(leakage_limit, 1.0)))
     dx_resolution = GROUND_FWHM / RESOLUTION_POINTS
-    dx_momentum = FIT_FRACTION * math.pi / (env + ENVELOPE_SIGMAS * GROUND_SIGMA)
-    dx_needed = min(dx_resolution, dx_momentum)
+    # one ulp above reach / FIT_FRACTION, so that FIT_FRACTION * half_extent
+    # >= reach in floating point too
+    half_extent = max(env + tail + EDGE_RING * dx_resolution, math.nextafter(reach / FIT_FRACTION, math.inf))
+    dx_needed = min(dx_resolution, math.pi / half_extent)
     points = 2.0 * half_extent / dx_needed
     _check_memory(points, f"a displacement envelope of {env:.4g}")
     n_needed = _next_pow2(math.ceil(points))
     if n is None:
-        n = max(256, n_needed)
+        n = n_needed
     elif n < n_needed:
         raise GridSizingError(
             f"numerics.grid_points: n = {n} cannot hold the requested displacements; need n >= {n_needed} "
@@ -299,11 +343,6 @@ def _axis_stats(prob: np.ndarray, coord: np.ndarray) -> tuple[float, float, floa
     return mean1, mean2, var1, var2, cross
 
 
-def _momentum_prob(w: GridWavefunction) -> np.ndarray:
-    phi = sfft.fft2(w.psi, workers=1)
-    return phi.real**2 + phi.imag**2
-
-
 def _apply_p(w: GridWavefunction, axis: int) -> np.ndarray:
     """Spectral application of the momentum operator along one axis."""
     p = w.spec.p_axis()
@@ -316,20 +355,24 @@ def lab_means_from_grid(w: GridWavefunction) -> np.ndarray:
     return lab_means(moments_from_grid(w))
 
 
-def moments_from_grid(w: GridWavefunction) -> np.ndarray:
+def moments_from_grid(w: GridWavefunction, prob: np.ndarray | None = None, *, return_p_edge: bool = False):
     """Quadrature moments of the normal modes, as a record (2, 5).
 
     Position moments come from grid summation, momentum moments from the
     discrete Fourier image, and the mixed covariances from spectral
     application of each momentum operator (the i = j entry is the symmetrized
-    product; the cross entries commute)."""
+    product; the cross entries commute).  `prob`, the position density
+    |psi|^2, is computed if not given.  With `return_p_edge` the result is
+    (record, share of the momentum density on the edge of the momentum grid),
+    read off the Fourier image the moments use."""
     spec = w.spec
     x = spec.x_axis()
-    prob = w.psi.real**2 + w.psi.imag**2
+    if prob is None:
+        prob = _density(w.psi)
     total = prob.sum()
     mx1, mx2, vx1, vx2, cxx = _axis_stats(prob, x)
 
-    pp = _momentum_prob(w)
+    pp = _density(sfft.fft2(w.psi, workers=1))
     p = spec.p_axis()
     mp1, mp2, vp1, vp2, cpp = _axis_stats(pp, p)
 
@@ -353,7 +396,10 @@ def moments_from_grid(w: GridWavefunction) -> np.ndarray:
             0.5 * (cxp[0, 0] + cxp[1, 1] + sign * (cxp[0, 1] + cxp[1, 0])),
         )
 
-    return check_moments((mode(+1.0), mode(-1.0)))
+    record = check_moments((mode(+1.0), mode(-1.0)))
+    if return_p_edge:
+        return record, _edge_fraction(pp, np.fft.ifftshift(_edge_mask(spec.n, EDGE_RING)))
+    return record
 
 
 @dataclass(frozen=True)
@@ -466,7 +512,8 @@ class GridEvolution:
     entropies: np.ndarray | None
     purities: np.ndarray | None
     max_step_norm_drift: float
-    max_boundary_fraction: float
+    max_boundary_fraction: float  # position edge
+    max_p_boundary_fraction: float  # momentum edge
     final: GridWavefunction
 
 
@@ -487,8 +534,8 @@ def split_step_evolve(
     Observables are recorded at ~n_samples step boundaries including both
     endpoints.  Refuses (ConfigError) a run beyond the grid step budget
     before allocating anything.  Aborts (EvolutionError) on norm drift beyond
-    cfg.norm_drift_limit per unit scaled time or on boundary probability
-    beyond cfg.leakage_limit.
+    cfg.norm_drift_limit per unit scaled time, or on probability beyond
+    cfg.leakage_limit on the edge of the position box or of the momentum grid.
     """
     cfg = cfg or IntegratorConfig()
     if t_final < 0:
@@ -517,7 +564,7 @@ def split_step_evolve(
     norms: list[float] = []
     entropies: list[float] = []
     purities: list[float] = []
-    state = {"max_drift": 0.0, "max_boundary": 0.0, "last_norm": None}
+    state = {"max_drift": 0.0, "max_boundary": 0.0, "max_p_boundary": 0.0, "last_norm": None}
 
     def record(tau: float) -> None:
         cur = GridWavefunction(spec, psi, w.frame)
@@ -526,15 +573,24 @@ def split_step_evolve(
             raise EvolutionError(
                 f"norm drift |{n2 - 1.0:.3e}| exceeds {cfg.norm_drift_limit:.1e} per unit time at t = {tau!r}"
             )
-        frac = cur.boundary_fraction()
+        prob = _density(psi)
+        frac = cur.boundary_fraction(prob=prob)
         if frac > cfg.leakage_limit:
             raise EvolutionError(
-                f"boundary probability {frac:.3e} exceeds leakage limit {cfg.leakage_limit:.1e} at t = {tau!r}"
+                f"position axis leaked: boundary probability {frac:.3e} exceeds leakage limit "
+                f"{cfg.leakage_limit:.1e} at t = {tau!r}; widen numerics.grid_half_extent"
+            )
+        pair, p_frac = moments_from_grid(cur, prob, return_p_edge=True)
+        if p_frac > cfg.leakage_limit:
+            raise EvolutionError(
+                f"momentum axis leaked: probability {p_frac:.3e} on the momentum-grid edge exceeds leakage "
+                f"limit {cfg.leakage_limit:.1e} at t = {tau!r}; decrease dx (more numerics.grid_points)"
             )
         state["max_boundary"] = max(state["max_boundary"], frac)
+        state["max_p_boundary"] = max(state["max_p_boundary"], p_frac)
         times.append(tau / params.omega)
         norms.append(n2)
-        moments.append(moments_from_grid(cur))
+        moments.append(pair)
         if record_entropy:
             sr = schmidt_entropy(cur)
             entropies.append(sr.entropy)
@@ -568,7 +624,7 @@ def split_step_evolve(
             def kick(a, c):
                 # separable mean-field potential: one 1-D phase per axis,
                 # each carrying its half of the harmonic trap
-                *_, mean1, mean2 = _marginal_means(a.real**2 + a.imag**2, x)
+                *_, mean1, mean2 = _marginal_means(_density(a), x)
                 a *= np.exp(-1j * c * dtau * (0.5 * x**2 + 2.0 * delta * mean2 * x)).reshape((-1, 1))
                 a *= np.exp(-1j * c * dtau * (0.5 * x**2 + 2.0 * delta * mean1 * x)).reshape((1, -1))
 
@@ -604,5 +660,6 @@ def split_step_evolve(
         purities=np.array(purities) if record_entropy else None,
         max_step_norm_drift=state["max_drift"],
         max_boundary_fraction=state["max_boundary"],
+        max_p_boundary_fraction=state["max_p_boundary"],
         final=GridWavefunction(spec, psi, w.frame),
     )

@@ -29,8 +29,8 @@ MAX_STEPS = 100_000_000
 # most 2.3e-16 relative over random records, delta 0.01 to 0.2); a nonlinear
 # right-hand side misses by far more.
 _LINEARITY_TOL = 1e-12
-# Composite grid steps per run: a fourth-order step on the default 256^2 grid
-# takes about 8 ms on a 2-vCPU machine, so the budget is about a day.
+# Composite grid steps per run: a fourth-order step on a 256^2 grid takes
+# about 8 ms on a 2-vCPU machine (2 ms on 128^2), so the budget is about a day.
 MAX_GRID_STEPS = 10_000_000
 
 

@@ -258,9 +258,10 @@ def test_cli_refuses_physical_scale_ode_run(tmp_path, capsys):
 )
 def test_cli_refuses_bad_grid_size(tmp_path, capsys, numerics, key):
     # a grid that cannot hold the state is refused naming the key, with the
-    # config-error status rather than a sizing traceback
+    # config-error status rather than a sizing traceback; alpha = 6 needs a
+    # half extent >= 15, so n >= 256 (128 points hold the default alpha = 1)
     cfg_path = tmp_path / "c.txt"
-    cfg_path.write_text(f"[run]\nkind = swap\nmodels = qg_full\n[numerics]\n{numerics}\n")
+    cfg_path.write_text(f"[run]\nkind = swap\nmodels = qg_full\n[state]\nalpha = 6\n[numerics]\n{numerics}\n")
     rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
     assert rc == 2
     err = capsys.readouterr().err

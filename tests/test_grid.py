@@ -13,6 +13,7 @@ from gravswap import (
     GridError,
     GridSizingError,
     GridSpec,
+    GridWavefunction,
     IntegratorConfig,
     ModelKind,
     ParameterError,
@@ -267,6 +268,50 @@ def test_leakage_abort():
     cfg = IntegratorConfig(dt_factor=1e-3, leakage_limit=1e-40)
     with pytest.raises(EvolutionError, match="boundary"):
         split_step_evolve(w, ModelKind.QG_FULL, 1.0, params, cfg, n_samples=3)
+
+
+def _gaussian_product(spec, x0=0.0, p0=0.0):
+    """Normalized ground-width Gaussian centred at (x0, p0) in oscillator 1,
+    vacuum in oscillator 2, built without the fit check of
+    build_initial_grid."""
+    x = spec.x_axis()
+    one = np.exp(-0.5 * (x - x0) ** 2 + 1j * p0 * x)
+    w = GridWavefunction(spec, np.outer(one, np.exp(-0.5 * x**2)))
+    w.psi /= math.sqrt(w.norm_squared())
+    return w
+
+
+def test_box_too_small_in_x_refused():
+    # a state beyond the box is refused before evolution starts ...
+    with pytest.raises(GridSizingError, match="numerics.grid_half_extent"):
+        build_initial_grid(CoherentProduct(6 + 0j, 0j), GridSpec(n=128, half_extent=10.0))
+    # ... and one built past that check is refused at the first record, on
+    # the edge rows (oscillator 1) and on the edge columns (oscillator 2)
+    spec = GridSpec(n=128, half_extent=10.0)
+    w = _gaussian_product(spec, x0=spec.half_extent - 1.0)
+    for psi in (w.psi, w.psi.T):
+        with pytest.raises(EvolutionError, match=r"position axis leaked: .* at t = 0\.0"):
+            split_step_evolve(
+                GridWavefunction(spec, psi), ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), FAST, n_samples=3
+            )
+
+
+def test_box_too_small_in_p_refused():
+    # a state that fits this box in x but not its p_max = 15.5 is refused
+    # before evolution starts ...
+    with pytest.raises(GridSizingError, match="numerics.grid_points: momentum envelope"):
+        build_initial_grid(CoherentProduct(8.5 + 0j, 0j), GridSpec(n=256, half_extent=26.0))
+    # ... and one built past that check is refused at the first record: the
+    # momentum edge is the band around n // 2 of the fftfreq order
+    spec = GridSpec(n=128, half_extent=10.0)
+    w = _gaussian_product(spec, p0=spec.p_max - 1.0)
+    assert w.boundary_fraction() < 1e-20  # nothing near the position edge
+    with pytest.raises(EvolutionError, match=r"momentum axis leaked: .* at t = 0\.0"):
+        split_step_evolve(w, ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), FAST, n_samples=3)
+    # well inside the momentum grid the same run passes and reports its edge mass
+    w = _gaussian_product(spec, p0=4.0)
+    evo = split_step_evolve(w, ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), FAST, n_samples=3)
+    assert 0.0 <= evo.max_p_boundary_fraction < IntegratorConfig().leakage_limit
 
 
 def test_evolution_does_not_mutate_input():

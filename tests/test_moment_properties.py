@@ -1,9 +1,11 @@
 """Properties of the closed-form moment propagators over generated inputs:
 valid records in, valid records out, a conserved uncertainty product, a
 group law in time, and the same numbers whether the times come as one array
-or one at a time."""
+or one at a time.  The lab/normal-mode amplitude transforms invert each
+other."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +13,9 @@ from gravswap import (
     DimensionlessParams,
     ModelKind,
     check_moments,
+    from_normal_modes,
     propagate_moments,
+    to_normal_modes,
     uncertainty_product,
 )
 
@@ -68,3 +72,20 @@ def test_vectorized_matches_one_time_at_a_time(init, model, params, ts):
     together = propagate_moments(model, init, ts, params)
     apart = np.array([propagate_moments(model, init, [t], params)[0] for t in ts])
     np.testing.assert_allclose(together, apart, rtol=1e-14, atol=1e-14)
+
+
+lab_amplitudes = st.builds(complex, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+
+
+@PROPERTY_SETTINGS
+@given(lab_amplitudes, lab_amplitudes)
+def test_normal_mode_transforms_invert(alpha, beta):
+    # an orthogonal map: the round trip is exact to rounding, both ways, and
+    # the total amplitude norm is kept
+    scale = abs(alpha) + abs(beta)
+    back = from_normal_modes(*to_normal_modes(alpha, beta))
+    assert abs(back[0] - alpha) <= 4e-16 * scale and abs(back[1] - beta) <= 4e-16 * scale
+    forth = to_normal_modes(*from_normal_modes(alpha, beta))
+    assert abs(forth[0] - alpha) <= 4e-16 * scale and abs(forth[1] - beta) <= 4e-16 * scale
+    a, b = to_normal_modes(alpha, beta)
+    assert abs(a) ** 2 + abs(b) ** 2 == pytest.approx(abs(alpha) ** 2 + abs(beta) ** 2, rel=1e-14, abs=1e-300)
