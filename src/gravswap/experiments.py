@@ -247,12 +247,7 @@ def _grid_state_config(cfg: ExperimentConfig, state) -> GridSpec:
         # an explicit box keeps the fixed default n unless n is given too
         n = GridSpec.n if cfg.grid_points is None else cfg.grid_points
         return GridSpec(n=n, half_extent=cfg.grid_half_extent)
-    return auto_grid_spec(
-        state,
-        n=cfg.grid_points,
-        delta=cfg.dimensionless().delta,
-        leakage_limit=cfg.integrator().leakage_limit,
-    )
+    return auto_grid_spec(state, n=cfg.grid_points, delta=cfg.dimensionless().delta)
 
 
 def run_swap(cfg: ExperimentConfig) -> ExperimentReport:

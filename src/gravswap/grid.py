@@ -216,9 +216,11 @@ def _next_pow2(m: int) -> int:
 
 
 def _envelope_displacement(state: InitialState) -> float:
-    """Worst-case |<x>| on either axis over the swap dynamics: the exchanged
-    amplitudes can pile into one oscillator, so the bound is sqrt(2) times the
-    total amplitude budget."""
+    """Bound on |<x>| and |<p>| on either axis under the resonant (RWA)
+    swap: the exchanged amplitudes can pile into one oscillator, so the bound
+    is sqrt(2) times the total amplitude budget.  QG_FULL and SCEG move the
+    means at the normal-mode frequencies (1 -+ 2 delta)^(1/2), which can carry
+    a mean up to (1 - 2 delta)^(-1/2) times further."""
     if isinstance(state, CoherentProduct):
         budget = abs(state.alpha) + abs(state.beta)
     else:
@@ -231,20 +233,22 @@ def auto_grid_spec(
     n: int | None = None,
     *,
     delta: float = DELTA_WARN_LIMIT,
-    leakage_limit: float = IntegratorConfig.leakage_limit,
 ) -> GridSpec:
     """Grid sized from `state` and the swap dynamics at coupling `delta`.
 
-    Half extent: the displacement envelope env, plus the tail distance at
-    which a Gaussian of the widest width the dynamics reach falls to
-    `leakage_limit` of its peak, plus the EDGE_RING points the leakage guard
-    counts as the edge (at the coarsest dx the resolution rule allows); and
-    at least reach / FIT_FRACTION (reach = env + ENVELOPE_SIGMAS ground
-    widths), so the state passes `_check_fit`.  The widest width is the
-    ground width times (1 - 2 delta)^(-1/2), that of the exact minus mode; the
-    default `delta` covers every coupling up to the warning limit.  The means
-    reach the same envelope in momentum, where widths grow less, so the
-    momentum grid must hold the same extent: p_max = pi / dx >= half extent.
+    Half extent: the farthest mean, plus the tail distance at which a
+    Gaussian of the widest width the dynamics reach falls to
+    `IntegratorConfig.leakage_limit` of its peak, plus the EDGE_RING points
+    the leakage guard counts as the edge (at the coarsest dx the resolution
+    rule allows); and at least reach / FIT_FRACTION (reach = env +
+    ENVELOPE_SIGMAS ground widths, env the RWA displacement envelope), so the
+    state passes `_check_fit`.  The exact minus mode stretches both the means
+    and the x width by up to (1 - 2 delta)^(-1/2): the farthest mean is env
+    times that factor and the widest width the ground width times it.  The
+    default `delta` covers every coupling up to the warning limit.  In
+    momentum the means and widths grow by (1 + 2 delta)^(1/2) at most, which
+    is less, so the momentum grid must hold the same extent: p_max = pi / dx
+    >= half extent.
 
     n: the smallest power of two >= 64 that meets this momentum rule and
     RESOLUTION_POINTS per ground-state FWHM.  An explicit n is checked against
@@ -252,12 +256,14 @@ def auto_grid_spec(
     `split_step_evolve` catch a state that outgrows the estimate."""
     env = _envelope_displacement(state)
     reach = env + ENVELOPE_SIGMAS * GROUND_SIGMA
-    widest = GROUND_SIGMA / math.sqrt(1.0 - 2.0 * delta)
-    tail = widest * math.sqrt(-2.0 * math.log(min(leakage_limit, 1.0)))
+    stretch = 1.0 / math.sqrt(1.0 - 2.0 * delta)
+    tail = stretch * GROUND_SIGMA * math.sqrt(-2.0 * math.log(IntegratorConfig.leakage_limit))
     dx_resolution = GROUND_FWHM / RESOLUTION_POINTS
     # one ulp above reach / FIT_FRACTION, so that FIT_FRACTION * half_extent
     # >= reach in floating point too
-    half_extent = max(env + tail + EDGE_RING * dx_resolution, math.nextafter(reach / FIT_FRACTION, math.inf))
+    half_extent = max(
+        stretch * env + tail + EDGE_RING * dx_resolution, math.nextafter(reach / FIT_FRACTION, math.inf)
+    )
     dx_needed = min(dx_resolution, math.pi / half_extent)
     points = 2.0 * half_extent / dx_needed
     _check_memory(points, f"a displacement envelope of {env:.4g}")

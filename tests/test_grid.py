@@ -270,6 +270,23 @@ def test_leakage_abort():
         split_step_evolve(w, ModelKind.QG_FULL, 1.0, params, cfg, n_samples=3)
 
 
+@pytest.mark.parametrize("model", [ModelKind.QG_FULL, ModelKind.SCEG])
+def test_auto_box_holds_a_momentum_swap(model):
+    # a momentum-borne amplitude swings out to p0 / K_minus in x under the
+    # exact dynamics, beyond the resonant envelope sqrt(2) |alpha|; the
+    # automatic box must hold the whole swap at the warning-limit coupling
+    params = DimensionlessParams(0.2)
+    alpha = 3j
+    pair0 = coherent_pair_moments(*to_normal_modes(alpha, 0j))
+    w = build_initial_grid(CoherentProduct(alpha, 0j), auto_grid_spec(CoherentProduct(alpha, 0j), delta=0.2))
+    evo = split_step_evolve(w, model, swap_time(params), params, FAST, n_samples=49)
+    assert evo.max_boundary_fraction < IntegratorConfig().leakage_limit
+    assert evo.max_p_boundary_fraction < IntegratorConfig().leakage_limit
+    # the run reached past the resonant envelope, so the widened mean is what held it
+    assert np.max(np.abs(lab_means(evo.moments)[:, 2])) > SQRT2 * abs(alpha)
+    assert _mean_error(model, evo, pair0, params) < 1e-3
+
+
 def _gaussian_product(spec, x0=0.0, p0=0.0):
     """Normalized ground-width Gaussian centred at (x0, p0) in oscillator 1,
     vacuum in oscillator 2, built without the fit check of

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravswap import CatProduct, CoherentProduct, GridSizingError, GridSpec, auto_grid_spec
+from gravswap import CatProduct, CoherentProduct, GridSizingError, GridSpec, IntegratorConfig, auto_grid_spec
 from gravswap.grid import EDGE_RING, GROUND_SIGMA, _check_fit, _envelope_displacement
 from gravswap.params import DELTA_WARN_LIMIT
 
@@ -20,7 +20,7 @@ parts = st.floats(min_value=-14.0, max_value=14.0)
 amplitudes = st.builds(complex, parts, parts)
 states = st.one_of(st.builds(CoherentProduct, amplitudes, amplitudes), st.builds(CatProduct, amplitudes, amplitudes))
 couplings = st.floats(min_value=0.0, max_value=DELTA_WARN_LIMIT)
-leakage_limits = st.floats(min_value=1e-16, max_value=1e-6)
+LEAK = IntegratorConfig.leakage_limit
 
 
 def _holds(n: int, half_extent: float) -> bool:
@@ -34,25 +34,27 @@ def _holds(n: int, half_extent: float) -> bool:
 
 
 @PROPERTY_SETTINGS
-@given(states, couplings, leakage_limits)
-def test_auto_spec_holds_the_state_and_is_smallest(state, delta, leak):
-    spec = auto_grid_spec(state, delta=delta, leakage_limit=leak)
+@given(states, couplings)
+def test_auto_spec_holds_the_state_and_is_smallest(state, delta):
+    spec = auto_grid_spec(state, delta=delta)
     _check_fit(spec, state)
     assert _holds(spec.n, spec.half_extent)
-    # a Gaussian of the widest width, centred on the displacement envelope,
-    # has fallen to the leakage limit where the edge ring of the guard starts
-    widest = GROUND_SIGMA / math.sqrt(1.0 - 2.0 * delta)
-    env = _envelope_displacement(state)
-    edge_gap = spec.half_extent - EDGE_RING * spec.dx - env
-    assert math.exp(-0.5 * (edge_gap / widest) ** 2) <= leak * (1.0 + 1e-9)
+    # a Gaussian of the widest width, centred on the farthest mean, has fallen
+    # to the leakage limit where the edge ring of the guard starts; the minus
+    # mode stretches both the envelope and the width by (1 - 2 delta)^(-1/2)
+    stretch = 1.0 / math.sqrt(1.0 - 2.0 * delta)
+    widest = stretch * GROUND_SIGMA
+    farthest = stretch * _envelope_displacement(state)
+    edge_gap = spec.half_extent - EDGE_RING * spec.dx - farthest
+    assert math.exp(-0.5 * (edge_gap / widest) ** 2) <= LEAK * (1.0 + 1e-9)
     # likewise on the momentum grid, whose spacing is pi / half_extent (momentum
-    # widths grow by (1 + 2 delta)^(1/2) at most, less than positions do)
-    p_gap = spec.p_max - EDGE_RING * math.pi / spec.half_extent - env
-    assert math.exp(-0.5 * (p_gap / widest) ** 2) <= leak * (1.0 + 1e-9)
+    # means and widths grow by (1 + 2 delta)^(1/2) at most, less than positions do)
+    p_gap = spec.p_max - EDGE_RING * math.pi / spec.half_extent - farthest
+    assert math.exp(-0.5 * (p_gap / widest) ** 2) <= LEAK * (1.0 + 1e-9)
     # n is the smallest power of two that meets both rules
     assert spec.n // 2 < 64 or not _holds(spec.n // 2, spec.half_extent)
     # an explicit n is held to the same rules
-    assert auto_grid_spec(state, n=spec.n, delta=delta, leakage_limit=leak) == spec
+    assert auto_grid_spec(state, n=spec.n, delta=delta) == spec
     if spec.n // 2 >= 64:
         with pytest.raises(GridSizingError, match="numerics.grid_points"):
-            auto_grid_spec(state, n=spec.n // 2, delta=delta, leakage_limit=leak)
+            auto_grid_spec(state, n=spec.n // 2, delta=delta)
