@@ -78,9 +78,7 @@ from .grid import (
     build_initial_grid,
     grid_overlap,
     lab_means_from_grid,
-    load_snapshot,
     moments_from_grid,
-    save_snapshot,
     schmidt_entropy,
     split_step_evolve,
 )

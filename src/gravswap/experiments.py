@@ -123,9 +123,9 @@ class ExperimentConfig:
     oracle: str = "none"
     grid_points: int | None = None  # None: sized from the state
     grid_half_extent: float | None = None
-    dt_factor: float = 5e-3
-    rk_step_factor: float = 1e-4
-    workers: int = 1
+    dt_factor: float = IntegratorConfig.dt_factor
+    rk_step_factor: float = IntegratorConfig.rk_step_factor
+    workers: int = IntegratorConfig.workers
     seed: int = 0
     timestamp: str | None = None
     out_dir: str | None = None

@@ -10,19 +10,22 @@ in the lab frame:
     SCEG      T = (p1^2 + p2^2)/2                 V = (x1^2 + x2^2)/2
                                                       + 2 d (<x2> x1 + <x1> x2)
 
-with d the coupling ratio.  One step of length h composes symmetric (Strang)
-substeps S(w h) = K(w h/2) V(w h) K(w h/2) over a tuple of weights w summing
-to one.  The weights (1,) give Strang itself, order 2; Yoshida's triple jump
-(w1, w0, w1) with w1 = 1/(2 - 2^(1/3)) and w0 = 1 - 2 w1 (Phys. Lett. A 150,
-262, 1990) gives order 4 for three kinetic FFT round trips per step.  Adjacent
-kinetic factors are merged into one round trip, which is algebraically
-identical.
+with d the coupling ratio.  One step of length h is a palindromic splitting
+that alternates potential kicks V(a_k h) and kinetic drifts K(b_k h), kicks
+outermost:
+
+    V(a1) K(b1) V(a2) K(b2) ... K(b2) V(a2) K(b1) V(a1)
+
+The coefficients (a, b) = ((1/2, 1/2), (1,)) give Strang, order 2; Blanes and
+Moan's optimised six-stage splitting S6 (J. Comput. Appl. Math. 142, 313, 2002)
+gives order 4 for six kinetic FFT round trips per step; at the same step its
+error is about 7,000 times smaller than that of Yoshida's triple jump.  A step
+starts and ends on a kick, so every record is taken in position space.
 
 For the mean-field model V is separable, so each potential step is two 1-D
-phase factors, with the means measured right before the step.  The kick
+phase factors, with the means measured right before the kick.  The kick
 changes only the phase of psi, not |psi|^2, so the means after it equal the
-means before it: each substep is symmetric in time and the composition keeps
-its order.
+means before it: the step stays symmetric in time and keeps its order.
 
 Norm is never renormalized during evolution; drift is tracked every step and
 the run aborts if it exceeds the configured rate.  Probability reaching the
@@ -69,12 +72,15 @@ class _LazyFFT:
 sfft = _LazyFFT()
 
 
-# Yoshida's triple jump: three Strang substeps whose weights cancel the
-# third-order error term.
-_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_SPLITTING_WEIGHTS = {
-    2: (1.0,),
-    4: (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1),
+# Palindromic splittings by order: (potential kicks, kinetic drifts), kicks
+# outermost.  Order 4 is Blanes-Moan S6.
+_S6_A = (0.0792036964311957, 0.353172906049774, -0.0420650803577195)
+_S6_B = (0.209515106613362, -0.143851773179818)
+_S6_KICKS = (*_S6_A, 1.0 - 2.0 * sum(_S6_A))
+_S6_DRIFTS = (*_S6_B, 0.5 - sum(_S6_B))
+_SPLITTINGS = {
+    2: ((0.5, 0.5), (1.0,)),
+    4: (_S6_KICKS + _S6_KICKS[-2::-1], _S6_DRIFTS + _S6_DRIFTS[::-1]),
 }
 
 
@@ -349,11 +355,17 @@ def _axis_stats(prob: np.ndarray, coord: np.ndarray) -> tuple[float, float, floa
     return mean1, mean2, var1, var2, cross
 
 
-def _apply_p(w: GridWavefunction, axis: int) -> np.ndarray:
-    """Spectral application of the momentum operator along one axis."""
+def _p_density(w: GridWavefunction, axis: int) -> np.ndarray:
+    """Re(conj(psi) p psi) for the momentum operator along one axis, applied
+    spectrally; no complex temporary outlives the call."""
     p = w.spec.p_axis()
     shape = (-1, 1) if axis == 0 else (1, -1)
-    return sfft.ifft(sfft.fft(w.psi, axis=axis, workers=1) * p.reshape(shape), axis=axis, workers=1)
+    b = sfft.fft(w.psi, axis=axis, workers=1)
+    b *= p.reshape(shape)
+    b = sfft.ifft(b, axis=axis, workers=1, overwrite_x=True)
+    prod = w.psi.real * b.real
+    prod += w.psi.imag * b.imag
+    return prod
 
 
 def lab_means_from_grid(w: GridWavefunction) -> np.ndarray:
@@ -387,8 +399,7 @@ def moments_from_grid(w: GridWavefunction, prob: np.ndarray | None = None, *, re
     means_x = (mx1, mx2)
     means_p = (mp1, mp2)
     for j in range(2):
-        pj_psi = _apply_p(w, axis=j)
-        prod = (w.psi.conj() * pj_psi).real
+        prod = _p_density(w, axis=j)
         for i in range(2):
             xi = x.reshape((-1, 1)) if i == 0 else x.reshape((1, -1))
             cxp[i, j] = float((xi * prod).sum() / total) - means_x[i] * means_p[j]
@@ -436,53 +447,6 @@ def grid_overlap(w: GridWavefunction, v: GridWavefunction) -> complex:
     if w.frame != v.frame:
         raise GridError("cannot overlap states in different frames")
     return complex(np.vdot(w.psi, v.psi)) * w.spec.dx**2
-
-
-SNAPSHOT_FORMAT = 1
-_SNAPSHOT_MAGIC = "gravswap-grid-snapshot"
-
-
-def save_snapshot(w: GridWavefunction, path, time: float = 0.0) -> None:
-    """Dump a grid state: text header (format version, n, half_extent, frame,
-    time) terminated by a blank line, then the raw complex128 amplitudes in
-    little-endian C order."""
-    header = (
-        f"{_SNAPSHOT_MAGIC} v{SNAPSHOT_FORMAT}\n"
-        f"n = {w.spec.n}\n"
-        f"half_extent = {w.spec.half_extent!r}\n"
-        f"frame = {w.frame}\n"
-        f"time = {float(time)!r}\n"
-        "\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(w.psi, dtype="<c16").tobytes())
-
-
-def load_snapshot(path) -> tuple[GridWavefunction, float]:
-    """Inverse of save_snapshot; returns (state, time)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    sep = raw.find(b"\n\n")
-    if sep < 0:
-        raise GridError(f"{path}: missing snapshot header terminator")
-    lines = raw[:sep].decode("ascii", errors="replace").splitlines()
-    if not lines or not lines[0].startswith(_SNAPSHOT_MAGIC):
-        raise GridError(f"{path}: not a grid snapshot")
-    version = lines[0].rsplit("v", 1)[1]
-    if version != str(SNAPSHOT_FORMAT):
-        raise GridError(f"{path}: unsupported snapshot format v{version}")
-    try:
-        fields = dict(line.split(" = ", 1) for line in lines[1:])
-        spec = GridSpec(n=int(fields["n"]), half_extent=float(fields["half_extent"]))
-        frame, time = fields["frame"], float(fields["time"])
-    except (ValueError, KeyError) as exc:
-        raise GridError(f"{path}: malformed snapshot header ({exc!r})") from exc
-    payload = raw[sep + 2 :]
-    if len(payload) != 16 * spec.n**2:
-        raise GridError(f"{path}: payload holds {len(payload)} bytes, expected {16 * spec.n**2}")
-    psi = np.frombuffer(payload, dtype="<c16").reshape((spec.n, spec.n)).copy()
-    return GridWavefunction(spec, psi, frame), time
 
 
 def _kinetic_exponent(model: ModelKind, spec: GridSpec, params: DimensionlessParams) -> np.ndarray:
@@ -534,35 +498,38 @@ def split_step_evolve(
     record_entropy: bool = False,
     order: int = 4,
 ) -> GridEvolution:
-    """Split-operator evolution of `w` (not mutated) under `model`, composed
-    to the given order: 4 is Yoshida's triple jump, 2 is Strang.
+    """Split-operator evolution of `w` (not mutated) under `model`, to the
+    given order: 4 is Blanes-Moan S6 (six kinetic FFT round trips per step),
+    2 is Strang (one).
 
-    Observables are recorded at ~n_samples step boundaries including both
-    endpoints.  Refuses (ConfigError) a run beyond the grid step budget
-    before allocating anything.  Aborts (EvolutionError) on norm drift beyond
-    cfg.norm_drift_limit per unit scaled time, or on probability beyond
-    cfg.leakage_limit on the edge of the position box or of the momentum grid.
+    Observables are recorded at n_samples step boundaries including both
+    endpoints; a run takes at least n_samples - 1 steps, so no two records
+    fall on the same boundary.  Refuses (ConfigError) a run beyond the grid
+    step budget before allocating anything.  Aborts (EvolutionError) on norm
+    drift beyond cfg.norm_drift_limit per unit scaled time, or on probability
+    beyond cfg.leakage_limit on the edge of the position box or of the
+    momentum grid.
     """
     cfg = cfg or IntegratorConfig()
     if t_final < 0:
         raise ParameterError("t_final must be non-negative")
-    if order not in _SPLITTING_WEIGHTS:
-        raise ParameterError(f"splitting order must be one of {sorted(_SPLITTING_WEIGHTS)}, got {order!r}")
-    weights = _SPLITTING_WEIGHTS[order]
+    if order not in _SPLITTINGS:
+        raise ParameterError(f"splitting order must be one of {sorted(_SPLITTINGS)}, got {order!r}")
+    kicks, drifts = _SPLITTINGS[order]
+    n_samples = max(2, n_samples)
     spec = w.spec
     tau_final = t_final * params.omega
-    steps = cfg.grid_steps(tau_final, params) if tau_final > 0.0 else 0
+    steps = max(cfg.grid_steps(tau_final, params), n_samples - 1) if tau_final > 0.0 else 0
     x = spec.x_axis()
     delta = params.delta
 
     psi = w.psi.copy()
     workers = cfg.workers
 
-    def kinetic(a, *phases):
+    def kinetic(a, phase):
         # full momentum-space round trip; buffers may be reused by the FFT
         b = sfft.fft2(a, workers=workers, overwrite_x=True)
-        for phase in phases:
-            b *= phase
+        b *= phase
         return sfft.ifft2(b, workers=workers, overwrite_x=True)
 
     times: list[float] = []
@@ -614,16 +581,10 @@ def split_step_evolve(
 
     if steps:
         dtau = tau_final / steps
-
-        # One phase per distinct kinetic factor: the outer half-drift at the
-        # chunk edges (applied twice between steps), and one per pair of
-        # adjacent substeps, which Yoshida's two inner drifts share.
-        drifts = [0.5 * (a + b) for a, b in zip(weights, weights[1:])]
         kin = _kinetic_exponent(model, spec, params)
-        kin_phase = {c: np.exp(-1j * c * dtau * kin) for c in {0.5 * weights[0], *drifts}}
+        kin_phase = {c: np.exp(-1j * c * dtau * kin) for c in set(drifts)}
         del kin
-        outer = kin_phase[0.5 * weights[0]]
-        inner = (None, *(kin_phase[c] for c in drifts))
+        drift_phases = [kin_phase[c] for c in drifts]
 
         if model is ModelKind.SCEG:
 
@@ -636,25 +597,20 @@ def split_step_evolve(
 
         else:
             pot = _potential_exponent(model, spec, params)
-            pot_phase = {c: np.exp(-1j * c * dtau * pot) for c in set(weights)}
+            pot_phase = {c: np.exp(-1j * c * dtau * pot) for c in set(kicks)}
             del pot
 
             def kick(a, c):
                 a *= pot_phase[c]
 
-        n_samples = max(2, n_samples)
-        bounds = np.unique(np.round(np.linspace(0, steps, min(n_samples, steps + 1))).astype(int))
+        bounds = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
         for i0, i1 in zip(bounds[:-1], bounds[1:]):
-            psi = kinetic(psi, outer)
-            for j in range(int(i1 - i0)):
-                if j:
-                    psi = kinetic(psi, outer, outer)
-                for c, drift in zip(weights, inner):
-                    if drift is not None:
-                        psi = kinetic(psi, drift)
+            for _ in range(int(i1 - i0)):
+                for c, drift in zip(kicks, drift_phases):
                     kick(psi, c)
+                    psi = kinetic(psi, drift)
+                kick(psi, kicks[-1])
                 track_norm()
-            psi = kinetic(psi, outer)
             record(float(i1) * dtau)
 
     return GridEvolution(

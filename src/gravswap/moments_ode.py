@@ -29,8 +29,9 @@ MAX_STEPS = 100_000_000
 # most 2.3e-16 relative over random records, delta 0.01 to 0.2); a nonlinear
 # right-hand side misses by far more.
 _LINEARITY_TOL = 1e-12
-# Composite grid steps per run: a fourth-order step on a 256^2 grid takes
-# about 8 ms on a 2-vCPU machine (2 ms on 128^2), so the budget is about a day.
+# Grid steps per run: a fourth-order step is six kinetic FFT round trips,
+# about 4 ms on a 128^2 grid and 17 ms on 256^2 on a 2-vCPU machine, so the
+# budget is half a day to two days.
 MAX_GRID_STEPS = 10_000_000
 
 
@@ -51,14 +52,14 @@ class IntegratorConfig:
     """Step-size and safety knobs shared by the two numerical oracles.
 
     Both step factors are in units of one exact-plus-mode period 2 pi /
-    Omega_plus.  The grid factor is the length of one fourth-order composite
-    step and is capped at 1e-2 of a period: the measured order of the grid
-    error is 4.00 between 1e-2 and 5e-3, so up to the cap the error is still
-    in the asymptotic regime.  The default 5e-3 leaves a grid mean error of
-    about 1e-6 over a full swap.
+    Omega_plus.  The grid factor is the length of one fourth-order step (six
+    kinetic FFT round trips) and is capped at 4e-2 of a period: the measured
+    order of the grid error is still 3.9 between 4e-2 and 2e-2, so up to the
+    cap the error is in the asymptotic regime.  The default 2e-2 leaves a grid
+    mean error of about 7e-8 over a full swap.
     """
 
-    dt_factor: float = 5e-3
+    dt_factor: float = 2e-2
     rk_step_factor: float = 1e-4
     rk_tol: float = 1e-8
     norm_drift_limit: float = 1e-8  # per unit scaled time
@@ -66,10 +67,8 @@ class IntegratorConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.dt_factor <= 1e-2):
-            raise ParameterError(
-                f"numerics.dt_factor: must be in (0, 1e-2] periods, got {self.dt_factor!r}"
-            )
+        if not (0.0 < self.dt_factor <= 4e-2):
+            raise ParameterError(f"numerics.dt_factor: must be in (0, 4e-2] periods, got {self.dt_factor!r}")
         if not (0.0 < self.rk_step_factor):
             raise ParameterError("numerics.rk_step_factor: must be positive")
         for name in ("rk_tol", "norm_drift_limit", "leakage_limit"):

@@ -92,14 +92,24 @@ def test_grid_size_from_config():
 
 
 def test_default_grid_swap_meets_grid_agreement():
-    # the default numerics must pass their own grid verdict at the stock
-    # tolerance over a full swap, on the grid sized from the state (128^2)
+    # the default numerics must pass their own grid verdicts at the stock
+    # tolerance over a full swap, on the grid sized from the state (128^2),
+    # and stay within the errors of the previous default (Yoshida's triple
+    # jump at dt_factor 5e-3), so a longer default step costs no accuracy
     cfg = ExperimentConfig(
-        kind="swap", delta=0.1, alpha=2 + 0j, beta=-1 + 0j, oracle="grid", models=(ModelKind.QG_FULL,)
+        kind="swap",
+        delta=0.1,
+        alpha=2 + 0j,
+        beta=-1 + 0j,
+        oracle="grid",
+        models=(ModelKind.QG_FULL, ModelKind.SCEG),
     )
     assert cfg.tolerances.grid_agreement == 1e-5
     report = run_swap(cfg)
-    assert _verdict(report, "qg_full_grid_mean_agreement").passed
+    for model in ("qg_full", "sceg"):
+        verdict = _verdict(report, f"{model}_grid_mean_agreement")
+        assert verdict.passed and verdict.observed <= 1.2001e-6
+    assert _verdict(report, "sceg_width_constancy_grid").observed <= 2.57e-8
     assert report.passed
 
 

@@ -223,10 +223,31 @@ def test_strang_convergence_order():
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
-def test_yoshida_convergence_order(model):
-    # the mean-field kick leaves |psi|^2 alone, so SCEG keeps order 4 too
-    e1, e2 = (_splitting_error(model, f, order=4) for f in (1e-2, 5e-3))
-    assert math.log2(e1 / e2) == pytest.approx(4.0, abs=0.3)
+def test_s6_convergence_order(model):
+    # Blanes-Moan S6 is order 4 up to the dt_factor cap; the mean-field kick
+    # leaves |psi|^2 alone, so SCEG keeps order 4 too
+    e4, e2, e1 = (_splitting_error(model, f, order=4) for f in (4e-2, 2e-2, 1e-2))
+    assert math.log2(e2 / e1) == pytest.approx(4.0, abs=0.3)
+    assert math.log2(e4 / e2) == pytest.approx(4.0, abs=0.3)
+
+
+def test_dt_factor_cap():
+    assert IntegratorConfig(dt_factor=4e-2).dt_factor == 4e-2
+    with pytest.raises(ParameterError, match="numerics.dt_factor"):
+        IntegratorConfig(dt_factor=4.01e-2)
+
+
+def test_cat_state_run_keeps_every_record():
+    # the cat-state inputs of the benchmark: a quarter beat is fewer default
+    # steps than records, so the run steps once per record instead
+    params = DimensionlessParams(0.2)
+    t_final = swap_time(params) / 2.0
+    assert IntegratorConfig().grid_steps(t_final * params.omega, params) < 60
+    w = build_initial_grid(CatProduct(2 + 0j))
+    evo = split_step_evolve(w, ModelKind.QG_RWA, t_final, params, n_samples=61, record_entropy=True)
+    assert len(evo.times) == len(evo.entropies) == 61
+    assert evo.times[-1] == pytest.approx(t_final, rel=1e-12)
+    assert np.all(np.diff(evo.times) > 0)
 
 
 def test_unknown_splitting_order_rejected():
@@ -337,61 +358,3 @@ def test_evolution_does_not_mutate_input():
     before = w.psi.copy()
     split_step_evolve(w, ModelKind.QG_FULL, 1.0, params, FAST, n_samples=2)
     assert np.array_equal(w.psi, before)
-
-
-def test_snapshot_file_round_trip(tmp_path):
-    from gravswap import load_snapshot, save_snapshot
-
-    w = build_initial_grid(CoherentProduct(1 - 0.5j, 0.25j), GridSpec(n=128, half_extent=10.0))
-    path = tmp_path / "state.snap"
-    save_snapshot(w, path, time=3.75)
-    back, t = load_snapshot(path)
-    assert t == 3.75
-    assert back.spec == w.spec
-    assert back.frame == w.frame
-    assert np.array_equal(back.psi, w.psi)
-    with pytest.raises(GridError, match="not a grid snapshot"):
-        bad = tmp_path / "bad.snap"
-        bad.write_bytes(b"something else\n\n")
-        load_snapshot(bad)
-
-
-def _snapshot_file(tmp_path):
-    from gravswap import save_snapshot
-
-    w = build_initial_grid(CoherentProduct(0.5j, 0j), GridSpec(n=64, half_extent=6.0))
-    path = tmp_path / "state.snap"
-    save_snapshot(w, path, time=1.5)
-    raw = path.read_bytes()
-    sep = raw.index(b"\n\n") + 2
-    return path, raw[:sep], raw[sep:]
-
-
-def test_snapshot_truncated_payload_refused(tmp_path):
-    from gravswap import load_snapshot
-
-    path, header, payload = _snapshot_file(tmp_path)
-    path.write_bytes(header + payload[:-16])
-    with pytest.raises(GridError, match="payload") as info:
-        load_snapshot(path)
-    assert str(path) in str(info.value)
-
-
-def test_snapshot_bad_version_refused(tmp_path):
-    from gravswap import load_snapshot
-
-    path, header, payload = _snapshot_file(tmp_path)
-    path.write_bytes(header.replace(b" v1\n", b" vx\n") + payload)
-    with pytest.raises(GridError, match="unsupported snapshot format vx") as info:
-        load_snapshot(path)
-    assert str(path) in str(info.value)
-
-
-def test_snapshot_missing_key_refused(tmp_path):
-    from gravswap import load_snapshot
-
-    path, header, payload = _snapshot_file(tmp_path)
-    path.write_bytes(header.replace(b"frame = lab\n", b"") + payload)
-    with pytest.raises(GridError, match="frame") as info:
-        load_snapshot(path)
-    assert str(path) in str(info.value)
