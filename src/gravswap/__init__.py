@@ -76,7 +76,6 @@ from .grid import (
     GridWavefunction,
     auto_grid_spec,
     build_initial_grid,
-    grid_overlap,
     lab_means_from_grid,
     moments_from_grid,
     schmidt_entropy,
@@ -91,7 +90,6 @@ from .experiments import (
     Verdict,
     preset_platform,
     run_cat_state,
-    run_experiment,
     run_feasibility,
     run_rwa_validity,
     run_swap,

@@ -2,7 +2,9 @@
 
 Format: `key = value` lines grouped under `[section]` headers, `#` comments.
 Unknown keys and sections are rejected outright so a typo can never fall back
-to a physics default silently.  `format_config` renders the fully resolved
+to a physics default silently.  The [params] block and each [platform:NAME]
+section share one builder and one echo; a key the section's parameterization
+does not take is refused, never dropped.  `format_config` renders the fully resolved
 configuration (defaults applied) in a canonical order with full float
 precision; parse(format(cfg)) == cfg.
 """
@@ -79,6 +81,14 @@ _STATE_KEYS = {"alpha", "beta", "cat_alpha", "random_pairs"}
 _SWEEP_KEYS = {"alpha_mags", "deltas"}
 _NUMERICS_KEYS = {"grid_points", "grid_half_extent", "dt_factor", "rk_step_factor", "workers"}
 _TOLERANCE_KEYS = {f.name for f in dataclasses.fields(Tolerances)}
+_SECTION_KEYS = {
+    "run": _RUN_KEYS,
+    "params": _PARAMS_KEYS,
+    "state": _STATE_KEYS,
+    "sweep": _SWEEP_KEYS,
+    "numerics": _NUMERICS_KEYS,
+    "tolerances": _TOLERANCE_KEYS,
+}
 _SI_KEYS = ("mass_kg", "omega_rad_s", "separation_m")
 
 
@@ -94,9 +104,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
-    entries: dict[tuple[str, str], str] = {}
+    sections: dict[str, dict[str, str]] = {}
     section = "run"
-    platform_sections: dict[str, dict[str, str]] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -104,37 +113,26 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section.startswith("platform:"):
-                platform_sections.setdefault(section.split(":", 1)[1].strip(), {})
-            elif section not in ("run", "params", "state", "sweep", "numerics", "tolerances"):
+                section = "platform:" + section.split(":", 1)[1].strip()
+            elif section not in _SECTION_KEYS:
                 raise ConfigError(f"{source}:{lineno}: unknown section [{section}]")
+            sections.setdefault(section, {})
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected `key = value`, got {rawline.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if section.startswith("platform:"):
-            name = section.split(":", 1)[1].strip()
-            if key not in _PARAMS_KEYS:
-                raise ConfigError(f"{source}:{lineno}: platform:{name}.{key}: unknown key")
-            platform_sections[name][key] = value
-        else:
-            known = {
-                "run": _RUN_KEYS,
-                "params": _PARAMS_KEYS,
-                "state": _STATE_KEYS,
-                "sweep": _SWEEP_KEYS,
-                "numerics": _NUMERICS_KEYS,
-                "tolerances": _TOLERANCE_KEYS,
-            }[section]
-            if key not in known:
-                raise ConfigError(f"{source}:{lineno}: {section}.{key}: unknown key")
-            if (section, key) in entries:
-                raise ConfigError(f"{source}:{lineno}: {section}.{key}: duplicate key")
-            entries[(section, key)] = value
+        known = _PARAMS_KEYS if section.startswith("platform:") else _SECTION_KEYS[section]
+        if key not in known:
+            raise ConfigError(f"{source}:{lineno}: {section}.{key}: unknown key")
+        entries = sections.setdefault(section, {})
+        if key in entries:
+            raise ConfigError(f"{source}:{lineno}: {section}.{key}: duplicate key")
+        entries[key] = value
 
     def get(section: str, key: str) -> str | None:
-        return entries.get((section, key))
+        return sections.get(section, {}).get(key)
 
     if get("run", "kind") is None:
         raise ConfigError(f"{source}: run.kind is required")
@@ -154,39 +152,8 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     if get("run", "models") is not None:
         kwargs["models"] = _parse_models(get("run", "models"), "run.models")
 
-    si_given = [k for k in _SI_KEYS if get("params", k) is not None]
-    preset = get("params", "preset")
-    delta_given = get("params", "delta") is not None
-    if preset is not None:
-        if preset not in PLATFORM_PRESETS:
-            raise ConfigError(f"params.preset: unknown preset {preset!r}; known: {sorted(PLATFORM_PRESETS)}")
-        if si_given or delta_given:
-            raise ConfigError("params: preset cannot be combined with delta or SI keys")
-        kwargs["physical"] = PLATFORM_PRESETS[preset]
-        kwargs["delta"] = None
-    elif si_given:
-        if delta_given:
-            raise ConfigError("params: give either delta or SI keys, not both")
-        if set(si_given) != set(_SI_KEYS):
-            missing = sorted(set(_SI_KEYS) - set(si_given))
-            raise ConfigError(f"params: SI parameterization needs all of {_SI_KEYS}; missing {missing}")
-        extra = {}
-        if get("params", "grav_constant") is not None:
-            extra["grav_constant"] = _parse_float(get("params", "grav_constant"), "params.grav_constant")
-        if get("params", "hbar") is not None:
-            extra["hbar"] = _parse_float(get("params", "hbar"), "params.hbar")
-        kwargs["physical"] = PhysicalParams(
-            mass=_parse_float(get("params", "mass_kg"), "params.mass_kg"),
-            omega=_parse_float(get("params", "omega_rad_s"), "params.omega_rad_s"),
-            separation=_parse_float(get("params", "separation_m"), "params.separation_m"),
-            **extra,
-        )
-        kwargs["delta"] = None
-    else:
-        if delta_given:
-            kwargs["delta"] = _parse_float(get("params", "delta"), "params.delta")
-        if get("params", "omega") is not None:
-            kwargs["omega"] = _parse_float(get("params", "omega"), "params.omega")
+    if sections.get("params"):
+        kwargs["platform"] = _build_platform("params", sections["params"])
 
     for key, parser in (
         ("alpha", _parse_complex),
@@ -223,67 +190,77 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     if tol_kwargs:
         kwargs["tolerances"] = dataclasses.replace(Tolerances(), **tol_kwargs)
 
+    defined = sorted(s.removeprefix("platform:") for s in sections if s.startswith("platform:"))
     platforms_raw = get("run", "platforms")
     if platforms_raw is not None:
         names = [s.strip() for s in platforms_raw.split(",") if s.strip()]
         platforms = []
-        for name in names:
-            if name in platform_sections:
-                platforms.append(_build_platform(name, platform_sections[name]))
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"run.platforms: {name!r} is listed twice")
+            if name in defined:
+                platform = _build_platform(f"platform:{name}", sections[f"platform:{name}"])
+                if name in PLATFORM_PRESETS and platform != preset_platform(name):
+                    raise ConfigError(f"platform:{name}: differs from the preset of that name; rename the section")
+                platforms.append(platform)
             elif name in PLATFORM_PRESETS:
                 platforms.append(preset_platform(name))
             else:
                 raise ConfigError(
                     f"run.platforms: {name!r} is neither a preset nor defined in a [platform:{name}] section"
                 )
-        unused = sorted(set(platform_sections) - set(names))
+        unused = [name for name in defined if name not in names]
         if unused:
             raise ConfigError(f"platform sections defined but not listed in run.platforms: {unused}")
         kwargs["platforms"] = tuple(platforms)
-    elif platform_sections:
+    elif defined:
         raise ConfigError("platform sections given without run.platforms listing them")
 
     try:
         cfg = ExperimentConfig(**kwargs)
-        cfg.dimensionless()  # surface range violations (e.g. delta >= 1/2) at parse time
-        for platform in cfg.platforms:
-            platform.dimensionless()
+        for platform in (cfg.platform, *cfg.platforms):
+            platform.dimensionless()  # surface range violations (e.g. delta >= 1/2) at parse time
     except (ConfigError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     return cfg
 
 
-def _build_platform(name: str, keys: dict[str, str]) -> Platform:
-    path = f"platform:{name}"
-    preset = keys.get("preset")
-    if preset is not None:
+def _build_platform(path: str, keys: dict[str, str]) -> Platform:
+    """The Platform of the [params] block or of a [platform:NAME] section.
+    It takes one of three parameterizations: `preset`; the SI keys, with
+    optional `grav_constant` and `hbar`; or `delta`, with optional `omega`.
+    A key of any other parameterization is refused by name."""
+    if "preset" in keys:
+        label, allowed = "a preset", {"preset"}
+    elif any(k in keys for k in _SI_KEYS):
+        label, allowed = "the SI keys", {*_SI_KEYS, "grav_constant", "hbar"}
+    elif "delta" in keys:
+        label, allowed = "delta", {"delta", "omega"}
+    else:
+        raise ConfigError(f"{path}: needs preset, delta, or SI keys")
+    for key in keys:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}: cannot be combined with {label}; give one parameterization, not both")
+
+    def number(key: str) -> float:
+        return _parse_float(keys[key], f"{path}.{key}")
+
+    name = path.removeprefix("platform:")
+    if "preset" in keys:
+        preset = keys["preset"]
         if preset not in PLATFORM_PRESETS:
-            raise ConfigError(f"{path}.preset: unknown preset {preset!r}")
-        return Platform(name=name, physical=PLATFORM_PRESETS[preset])
-    si = [k for k in _SI_KEYS if k in keys]
-    if si:
-        if "delta" in keys:
-            raise ConfigError(f"{path}: give either delta or SI keys, not both")
-        if set(si) != set(_SI_KEYS):
-            raise ConfigError(f"{path}: SI parameterization needs all of {_SI_KEYS}")
-        extra = {}
-        if "grav_constant" in keys:
-            extra["grav_constant"] = _parse_float(keys["grav_constant"], f"{path}.grav_constant")
-        if "hbar" in keys:
-            extra["hbar"] = _parse_float(keys["hbar"], f"{path}.hbar")
-        return Platform(
-            name=name,
-            physical=PhysicalParams(
-                mass=_parse_float(keys["mass_kg"], f"{path}.mass_kg"),
-                omega=_parse_float(keys["omega_rad_s"], f"{path}.omega_rad_s"),
-                separation=_parse_float(keys["separation_m"], f"{path}.separation_m"),
-                **extra,
-            ),
-        )
+            raise ConfigError(f"{path}.preset: unknown preset {preset!r}; known: {sorted(PLATFORM_PRESETS)}")
+        return Platform(name, physical=PLATFORM_PRESETS[preset])
     if "delta" in keys:
-        omega = _parse_float(keys["omega"], f"{path}.omega") if "omega" in keys else 1.0
-        return Platform(name=name, delta=_parse_float(keys["delta"], f"{path}.delta"), omega=omega)
-    raise ConfigError(f"{path}: needs preset, delta, or SI keys")
+        return Platform(name, delta=number("delta"), omega=number("omega") if "omega" in keys else Platform.omega)
+    missing = [k for k in _SI_KEYS if k not in keys]
+    if missing:
+        raise ConfigError(f"{path}: SI parameterization needs all of {_SI_KEYS}; missing {missing}")
+    extra = {k: number(k) for k in ("grav_constant", "hbar") if k in keys}
+    physical = PhysicalParams(
+        mass=number("mass_kg"), omega=number("omega_rad_s"), separation=number("separation_m"), **extra
+    )
+    return Platform(name, physical=physical)
 
 
 def _fmt_float(v: float) -> str:
@@ -292,6 +269,21 @@ def _fmt_float(v: float) -> str:
 
 def _fmt_complex(v: complex) -> str:
     return "%.17g%+.17gj" % (v.real, v.imag)
+
+
+def _platform_lines(platform: Platform) -> list[str]:
+    """The keys of a [params] or [platform:NAME] block; a preset is echoed
+    as its SI values, and the block's name is the caller's to write."""
+    p = platform.physical
+    if p is None:
+        return [f"delta = {_fmt_float(platform.delta)}", f"omega = {_fmt_float(platform.omega)}"]
+    return [
+        f"mass_kg = {_fmt_float(p.mass)}",
+        f"omega_rad_s = {_fmt_float(p.omega)}",
+        f"separation_m = {_fmt_float(p.separation)}",
+        f"grav_constant = {_fmt_float(p.grav_constant)}",
+        f"hbar = {_fmt_float(p.hbar)}",
+    ]
 
 
 def format_config(cfg: ExperimentConfig) -> str:
@@ -309,16 +301,7 @@ def format_config(cfg: ExperimentConfig) -> str:
     lines.append("platforms = " + ", ".join(p.name for p in cfg.platforms))
     lines.append("")
     lines.append("[params]")
-    if cfg.physical is not None:
-        p = cfg.physical
-        lines.append(f"mass_kg = {_fmt_float(p.mass)}")
-        lines.append(f"omega_rad_s = {_fmt_float(p.omega)}")
-        lines.append(f"separation_m = {_fmt_float(p.separation)}")
-        lines.append(f"grav_constant = {_fmt_float(p.grav_constant)}")
-        lines.append(f"hbar = {_fmt_float(p.hbar)}")
-    else:
-        lines.append(f"delta = {_fmt_float(cfg.delta)}")
-        lines.append(f"omega = {_fmt_float(cfg.omega)}")
+    lines.extend(_platform_lines(cfg.platform))
     lines.append("")
     lines.append("[state]")
     lines.append(f"alpha = {_fmt_complex(cfg.alpha)}")
@@ -344,16 +327,7 @@ def format_config(cfg: ExperimentConfig) -> str:
     for platform in cfg.platforms:
         lines.append("")
         lines.append(f"[platform:{platform.name}]")
-        if platform.physical is not None:
-            p = platform.physical
-            lines.append(f"mass_kg = {_fmt_float(p.mass)}")
-            lines.append(f"omega_rad_s = {_fmt_float(p.omega)}")
-            lines.append(f"separation_m = {_fmt_float(p.separation)}")
-            lines.append(f"grav_constant = {_fmt_float(p.grav_constant)}")
-            lines.append(f"hbar = {_fmt_float(p.hbar)}")
-        else:
-            lines.append(f"delta = {_fmt_float(platform.delta)}")
-            lines.append(f"omega = {_fmt_float(platform.omega)}")
+        lines.extend(_platform_lines(platform))
     lines.append("")
     return "\n".join(lines)
 

@@ -83,9 +83,10 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Platform:
-    """One feasibility row: SI parameters or a synthetic direct coupling."""
+    """The coupling of a run or of one feasibility row: SI parameters or a
+    direct delta.  The run's own coupling keeps the default name."""
 
-    name: str
+    name: str = "params"
     physical: PhysicalParams | None = None
     delta: float | None = None
     omega: float = 1.0
@@ -110,9 +111,7 @@ def preset_platform(name: str) -> Platform:
 class ExperimentConfig:
     kind: str = "swap"
     models: tuple[ModelKind, ...] = DEFAULT_MODELS
-    delta: float | None = 0.05
-    omega: float = 1.0
-    physical: PhysicalParams | None = None
+    platform: Platform = Platform(delta=0.05)
     alpha: complex = 1 + 0j
     beta: complex = 0j
     cat_alpha: complex = 2 + 0j
@@ -144,20 +143,11 @@ class ExperimentConfig:
             raise ConfigError("run.samples: need at least 2 samples")
         if self.random_pairs < 0:
             raise ConfigError("state.random_pairs: must be non-negative")
-        if self.delta is not None and self.physical is not None:
-            raise ConfigError("params: give either a direct delta or SI parameters, not both")
-        if self.delta is None and self.physical is None:
-            raise ConfigError("params: one of delta or SI parameters is required")
         for name in ("alpha", "beta", "cat_alpha"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ConfigError(f"state.{name}: must be finite, got {getattr(self, name)!r}")
         if not all(m > 0 for m in self.alpha_mags):
             raise ConfigError("sweep.alpha_mags: magnitudes must be positive")
-
-    def dimensionless(self) -> DimensionlessParams:
-        if self.physical is not None:
-            return derive_dimensionless(self.physical)
-        return DimensionlessParams(delta=self.delta, omega=self.omega)
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(
@@ -247,13 +237,13 @@ def _grid_state_config(cfg: ExperimentConfig, state) -> GridSpec:
         # an explicit box keeps the fixed default n unless n is given too
         n = GridSpec.n if cfg.grid_points is None else cfg.grid_points
         return GridSpec(n=n, half_extent=cfg.grid_half_extent)
-    return auto_grid_spec(state, n=cfg.grid_points, delta=cfg.dimensionless().delta)
+    return auto_grid_spec(state, n=cfg.grid_points, delta=cfg.platform.dimensionless().delta)
 
 
 def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
     """Evolve (alpha, beta) to the swap time under each requested model and
     compare every enabled method's trajectory against the closed forms."""
-    params = cfg.dimensionless()
+    params = cfg.platform.dimensionless()
     if params.delta <= 0:
         raise ConfigError("params.delta: the swap experiment needs a positive coupling")
     tol = cfg.tolerances
@@ -514,7 +504,7 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
     threshold = 1.0  # one oscillator unit of displacement: comparable to the state width
 
     for d in cfg.deltas:
-        params = DimensionlessParams(delta=float(d), omega=cfg.omega)
+        params = DimensionlessParams(delta=float(d), omega=cfg.platform.omega)
         ratios = []
         scaling_mags = []
         for mag in cfg.alpha_mags:
@@ -594,7 +584,7 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
     freezes (all first moments vanish, so the mean-field force is zero)."""
     if not cfg.uses_grid():
         raise ConfigError("run.oracle: the cat-state experiment needs the grid oracle (grid or all)")
-    params = cfg.dimensionless()
+    params = cfg.platform.dimensionless()
     if params.delta <= 0:
         raise ConfigError("params.delta: the cat-state experiment needs a positive coupling")
     tol = cfg.tolerances
@@ -786,7 +776,3 @@ RUNNERS = {
     "cat_state": run_cat_state,
     "feasibility": run_feasibility,
 }
-
-
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    return RUNNERS[cfg.kind](cfg)

@@ -134,14 +134,13 @@ class GridSpec:
 class GridWavefunction:
     """Mutable grid state; `psi` is the complex amplitude array."""
 
-    __slots__ = ("spec", "psi", "frame")
+    __slots__ = ("spec", "psi")
 
-    def __init__(self, spec: GridSpec, psi: np.ndarray, frame: str = "lab"):
+    def __init__(self, spec: GridSpec, psi: np.ndarray):
         if psi.shape != (spec.n, spec.n):
             raise GridError(f"amplitude shape {psi.shape} does not match spec n = {spec.n}")
         self.spec = spec
         self.psi = np.ascontiguousarray(psi, dtype=np.complex128)
-        self.frame = frame
 
     def norm_squared(self) -> float:
         return _norm_squared(self.psi, self.spec.dx)
@@ -429,8 +428,6 @@ class SchmidtResult:
 def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
     """Entanglement entropy (nats) between the two lab oscillators from the
     singular values of the amplitude matrix."""
-    if w.frame != "lab":
-        raise GridError("Schmidt split is between lab oscillators; state must be in the lab frame")
     svals = np.linalg.svd(w.psi * w.spec.dx, compute_uv=False)
     probs = svals**2
     probs = probs / probs.sum()
@@ -438,15 +435,6 @@ def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
     entropy = float(-np.sum(nz * np.log(nz)))
     purity = float(np.sum(probs**2))
     return SchmidtResult(entropy=entropy, purity=purity, coefficients=probs)
-
-
-def grid_overlap(w: GridWavefunction, v: GridWavefunction) -> complex:
-    """Inner product <w|v> by grid quadrature."""
-    if w.spec != v.spec:
-        raise GridError(f"grid mismatch: {w.spec} vs {v.spec}")
-    if w.frame != v.frame:
-        raise GridError("cannot overlap states in different frames")
-    return complex(np.vdot(w.psi, v.psi)) * w.spec.dx**2
 
 
 def _kinetic_exponent(model: ModelKind, spec: GridSpec, params: DimensionlessParams) -> np.ndarray:
@@ -540,7 +528,7 @@ def split_step_evolve(
     state = {"max_drift": 0.0, "max_boundary": 0.0, "max_p_boundary": 0.0, "last_norm": None}
 
     def record(tau: float) -> None:
-        cur = GridWavefunction(spec, psi, w.frame)
+        cur = GridWavefunction(spec, psi)
         n2 = cur.norm_squared()
         if abs(n2 - 1.0) > cfg.norm_drift_limit * max(tau, 1.0):
             raise EvolutionError(
@@ -623,5 +611,5 @@ def split_step_evolve(
         max_step_norm_drift=state["max_drift"],
         max_boundary_fraction=state["max_boundary"],
         max_p_boundary_fraction=state["max_p_boundary"],
-        final=GridWavefunction(spec, psi, w.frame),
+        final=GridWavefunction(spec, psi),
     )

@@ -18,6 +18,7 @@ from gravswap import (
     ExperimentConfig,
     IntegratorConfig,
     ModelKind,
+    Platform,
     CoherentProduct,
     build_initial_grid,
     coherence_check,
@@ -193,7 +194,7 @@ def test_criterion_5_correction_law_and_oracle_stack(stack_grid_runs):
 
 def test_criterion_6_cat_state_dichotomy():
     cfg = ExperimentConfig(
-        kind="cat_state", delta=STACK_DELTA, cat_alpha=2 + 0j, oracle="grid", samples=13
+        kind="cat_state", platform=Platform(delta=STACK_DELTA), cat_alpha=2 + 0j, oracle="grid", samples=13
     )
     report = run_cat_state(cfg)
     verdicts = {v.name: v for v in report.verdicts}

@@ -1,15 +1,15 @@
 """The config echo is the config: parse_config_text(format_config(cfg)) == cfg
 over generated configurations, including both forms of the grid size (auto
-and an explicit power of two), direct and SI parameters, and platform
-sections of either kind."""
+and an explicit power of two), and direct, preset and free SI parameters in
+both the [params] block and platform sections."""
 
 import dataclasses
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gravswap import ExperimentConfig, ModelKind, Platform, Tolerances, format_config, parse_config_text
+from gravswap import ExperimentConfig, ModelKind, PhysicalParams, Platform, Tolerances, format_config, parse_config_text
 from gravswap.experiments import KINDS, ORACLES
 from gravswap.params import DELTA_WARN_LIMIT, PLATFORM_PRESETS
 
@@ -20,32 +20,51 @@ positive = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False)
 deltas = st.floats(min_value=1e-9, max_value=DELTA_WARN_LIMIT)
 amplitudes = st.builds(complex, finite, finite)
 model_orders = [perm for r in (1, 2, 3) for perm in itertools.permutations(ModelKind, r)]
-names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8)
+names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8).filter(
+    lambda name: name not in PLATFORM_PRESETS
+)
 paths = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-", min_size=1, max_size=20)
 stamps = st.text(alphabet="0123456789-:T", min_size=1, max_size=20)
 
 
+def log_uniform(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def si_params(draw):
+    """Free mass, omega, grav_constant and hbar; the separation is solved
+    from a drawn delta = G m / (d^3 omega^2), so delta stays in (0, 0.2]."""
+    mass, omega = draw(log_uniform(-30, 3)), draw(log_uniform(-3, 9))
+    grav_constant, hbar = draw(log_uniform(-15, -5)), draw(log_uniform(-40, -28))
+    separation = (grav_constant * mass / (draw(deltas) * omega**2)) ** (1 / 3)
+    p = PhysicalParams(mass=mass, omega=omega, separation=separation, grav_constant=grav_constant, hbar=hbar)
+    assume(0 < p.omega_g / p.omega <= DELTA_WARN_LIMIT)
+    return p
+
+
+physicals = st.one_of(st.sampled_from(list(PLATFORM_PRESETS.values())), si_params())
+
+
+def couplings(name: str = Platform.name):
+    """A direct delta (with omega), a preset or free SI parameters."""
+    return st.one_of(
+        st.builds(Platform, name=st.just(name), delta=deltas, omega=positive),
+        st.builds(Platform, name=st.just(name), physical=physicals),
+    )
+
+
 @st.composite
 def platforms(draw):
-    """One to three platforms, each a preset or a direct coupling, with
-    distinct names."""
+    """One to three platforms of any parameterization, with distinct names."""
     count = draw(st.integers(1, 3))
-    out = []
-    for name in draw(st.lists(names, min_size=count, max_size=count, unique=True)):
-        preset = draw(st.sampled_from([None, *PLATFORM_PRESETS]))
-        if preset is None:
-            out.append(Platform(name=name, delta=draw(deltas), omega=draw(positive)))
-        else:
-            out.append(Platform(name=name, physical=PLATFORM_PRESETS[preset]))
-    return tuple(out)
+    return tuple(
+        draw(couplings(name)) for name in draw(st.lists(names, min_size=count, max_size=count, unique=True))
+    )
 
 
 @st.composite
 def configs(draw):
-    if draw(st.booleans()):
-        params = {"delta": draw(deltas), "omega": draw(positive)}
-    else:
-        params = {"delta": None, "physical": PLATFORM_PRESETS[draw(st.sampled_from(sorted(PLATFORM_PRESETS)))]}
     tolerances = dataclasses.replace(
         Tolerances(),
         **{f.name: draw(positive) for f in dataclasses.fields(Tolerances) if draw(st.booleans())},
@@ -53,6 +72,7 @@ def configs(draw):
     return ExperimentConfig(
         kind=draw(st.sampled_from(KINDS)),
         models=draw(st.sampled_from(model_orders)),
+        platform=draw(couplings()),
         alpha=draw(amplitudes),
         beta=draw(amplitudes),
         cat_alpha=draw(amplitudes),
@@ -71,7 +91,6 @@ def configs(draw):
         out_dir=draw(st.one_of(st.none(), paths)),
         platforms=draw(platforms()),
         tolerances=tolerances,
-        **params,
     )
 
 

@@ -35,7 +35,7 @@ beta = 0
 def test_minimal_config_fills_defaults():
     cfg = parse_config_text(MINIMAL)
     assert cfg.kind == "swap"
-    assert cfg.delta == 0.02
+    assert cfg.platform == Platform(delta=0.02)
     assert cfg.alpha == 1 + 0j
     assert cfg.samples == 200  # default applied
     assert cfg.oracle == "none"
@@ -88,8 +88,8 @@ def test_malformed_lines_rejected():
 
 def test_preset_expansion_matches_derivation():
     cfg = parse_config_text("[run]\nkind = feasibility\n\n[params]\npreset = ca40_ion\n")
-    assert cfg.physical == PLATFORM_PRESETS["ca40_ion"]
-    assert cfg.dimensionless() == derive_dimensionless(PLATFORM_PRESETS["ca40_ion"])
+    assert cfg.platform == Platform(physical=PLATFORM_PRESETS["ca40_ion"])
+    assert cfg.platform.dimensionless() == derive_dimensionless(PLATFORM_PRESETS["ca40_ion"])
 
 
 def test_si_params_block():
@@ -103,8 +103,8 @@ omega_rad_s = 2e4
 separation_m = 1e-3
 """
     cfg = parse_config_text(text)
-    assert cfg.physical is not None
-    assert cfg.physical.mass == 1e-6
+    assert cfg.platform.physical is not None
+    assert cfg.platform.physical.mass == 1e-6
     with pytest.raises(ConfigError, match="missing"):
         parse_config_text(text.replace("separation_m = 1e-3", ""))
     with pytest.raises(ConfigError, match="not both"):
@@ -132,7 +132,7 @@ omega = 1
 
 
 def test_emit_report_file_set(tmp_path):
-    cfg = ExperimentConfig(kind="swap", delta=0.05, samples=12)
+    cfg = ExperimentConfig(kind="swap", platform=Platform(delta=0.05), samples=12)
     report = run_swap(cfg)
     paths = emit_report(report, tmp_path / "out")
     names = {p.name for p in paths}
@@ -176,7 +176,7 @@ def test_cat_report_has_entropy_csv(tmp_path):
     from gravswap import run_cat_state
 
     cfg = ExperimentConfig(
-        kind="cat_state", delta=0.1, cat_alpha=1.2 + 0j, oracle="grid", samples=4, dt_factor=1e-2
+        kind="cat_state", platform=Platform(delta=0.1), cat_alpha=1.2 + 0j, oracle="grid", samples=4, dt_factor=1e-2
     )
     report = run_cat_state(cfg)
     paths = emit_report(report, tmp_path)
@@ -190,7 +190,7 @@ def test_cat_report_has_entropy_csv(tmp_path):
 def test_plot_bundle_references_emitted_data(tmp_path):
     import json
 
-    cfg = ExperimentConfig(kind="swap", delta=0.05, samples=10)
+    cfg = ExperimentConfig(kind="swap", platform=Platform(delta=0.05), samples=10)
     paths = emit_report(run_swap(cfg), tmp_path)
     names = {p.name for p in paths}
     bundle = json.loads((tmp_path / "plots.json").read_text())
@@ -296,3 +296,130 @@ def test_cli_refuses_grid_beyond_memory_budget(tmp_path, capsys, monkeypatch, co
 def test_non_finite_amplitude_refused():
     with pytest.raises(ConfigError, match="state.cat_alpha"):
         parse_config_text("[run]\nkind = cat_state\n[state]\ncat_alpha = inf\n")
+
+
+_ECHO_RUN = "[run]\nkind = {kind}\nseed = 0\noracle = none\nsamples = 200\nmodels = qg_rwa, qg_full, sceg\nplatforms = {platforms}\n\n"
+_ECHO_DEFAULTS = """
+[state]
+alpha = 1+0j
+beta = 0+0j
+cat_alpha = 2+0j
+random_pairs = 0
+
+[sweep]
+alpha_mags = 1, 10, 100
+deltas = 0.01, 0.050000000000000003, 0.10000000000000001
+
+[numerics]
+grid_points = auto
+grid_half_extent = auto
+dt_factor = 0.02
+rk_step_factor = 0.0001
+workers = 1
+
+[tolerances]
+swap_fidelity = 9.9999999999999998e-13
+first_moment = 9.9999999999999998e-13
+width_closed = 9.9999999999999998e-13
+width_grid = 5.0000000000000004e-06
+ode_agreement = 1e-08
+grid_agreement = 1.0000000000000001e-05
+deviation_law_rel = 0.10000000000000001
+linear_scaling_rel = 0.050000000000000003
+entropy_oracle = 0.01
+entropy_min = 0.5
+product_entropy_max = 9.9999999999999995e-07
+sceg_mean_max = 9.9999999999999995e-07
+sceg_purity_defect = 0.0001
+impractical_swap_seconds = 1000000000
+width_flag_rel = 9.9999999999999995e-07
+
+[platform:ca40_ion]
+mass_kg = 6.6421562664000002e-26
+omega_rad_s = 1000000
+separation_m = 1e-10
+grav_constant = 6.6742999999999994e-11
+hbar = 1.054571817e-34
+"""
+_ECHO_CA40_PARAMS = """[params]
+mass_kg = 6.6421562664000002e-26
+omega_rad_s = 1000000
+separation_m = 1e-10
+grav_constant = 6.6742999999999994e-11
+hbar = 1.054571817e-34
+"""
+
+
+@pytest.mark.parametrize(
+    "text,echo",
+    [
+        (
+            "[run]\nkind = swap\n[params]\npreset = ca40_ion\n",
+            _ECHO_RUN.format(kind="swap", platforms="ca40_ion") + _ECHO_CA40_PARAMS + _ECHO_DEFAULTS,
+        ),
+        (
+            "[run]\nkind = swap\n[params]\nmass_kg = 1e-6\nomega_rad_s = 2e4\nseparation_m = 1e-3\n"
+            "grav_constant = 7e-11\nhbar = 1.1e-34\n",
+            _ECHO_RUN.format(kind="swap", platforms="ca40_ion")
+            + "[params]\nmass_kg = 9.9999999999999995e-07\nomega_rad_s = 20000\nseparation_m = 0.001\n"
+            "grav_constant = 7.0000000000000004e-11\nhbar = 1.0999999999999999e-34\n"
+            + _ECHO_DEFAULTS,
+        ),
+        (
+            "[run]\nkind = feasibility\nplatforms = ca40_ion, bench\n[platform:bench]\ndelta = 0.01\nomega = 2.5\n",
+            _ECHO_RUN.format(kind="feasibility", platforms="ca40_ion, bench")
+            + "[params]\ndelta = 0.050000000000000003\nomega = 1\n"
+            + _ECHO_DEFAULTS
+            + "\n[platform:bench]\ndelta = 0.01\nomega = 2.5\n",
+        ),
+    ],
+    ids=["preset", "si", "feasibility"],
+)
+def test_echo_bytes_pinned(text, echo):
+    # the literal canonical echo: config.echo.txt and the manifest digest
+    # depend on every byte of it
+    assert format_config(parse_config_text(text)) == echo
+
+
+_SI_KEYS_TEXT = "mass_kg = 1e-6\nomega_rad_s = 2e4\nseparation_m = 1e-3\n"
+
+
+@pytest.mark.parametrize(
+    "params,key",
+    [
+        ("preset = ca40_ion\nomega = 2\n", "params.omega"),
+        (_SI_KEYS_TEXT + "omega = 2\n", "params.omega"),
+        ("delta = 0.1\ngrav_constant = 7e-11\n", "params.grav_constant"),
+        ("delta = 0.1\nhbar = 1.1e-34\n", "params.hbar"),
+    ],
+    ids=["preset_omega", "si_omega", "delta_grav_constant", "delta_hbar"],
+)
+def test_params_refuses_leftover_key(params, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text("[run]\nkind = swap\n[params]\n" + params)
+
+
+_BENCH = "[run]\nkind = feasibility\nplatforms = ca40_ion, x\n[platform:x]\n"
+
+
+def test_platform_refuses_preset_with_delta():
+    with pytest.raises(ConfigError, match="platform:x.delta"):
+        parse_config_text(_BENCH + "preset = ca40_ion\ndelta = 0.1\n")
+
+
+def test_platform_refuses_duplicate_key():
+    with pytest.raises(ConfigError, match="platform:x.delta: duplicate key"):
+        parse_config_text(_BENCH + "delta = 0.1\ndelta = 0.2\n")
+
+
+def test_platforms_refuses_duplicate_name():
+    with pytest.raises(ConfigError, match="run.platforms: 'x' is listed twice"):
+        parse_config_text(_BENCH.replace("ca40_ion, x", "x, x") + "delta = 0.1\n")
+
+
+def test_platform_section_may_not_shadow_preset(tmp_path, capsys):
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text("[run]\nkind = feasibility\nplatforms = ca40_ion\n[platform:ca40_ion]\ndelta = 0.1\n")
+    rc = cli_main(["feasibility", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "platform:ca40_ion" in capsys.readouterr().err

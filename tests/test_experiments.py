@@ -7,10 +7,10 @@ from gravswap import (
     ConfigError,
     ExperimentConfig,
     ModelKind,
+    PLATFORM_PRESETS,
     Platform,
     preset_platform,
     run_cat_state,
-    run_experiment,
     run_feasibility,
     run_rwa_validity,
     run_swap,
@@ -25,7 +25,7 @@ def _verdict(report, name):
 
 
 def test_swap_closed_form_all_models():
-    cfg = ExperimentConfig(kind="swap", delta=0.01, alpha=2 + 0j, beta=-1 + 0j, samples=40)
+    cfg = ExperimentConfig(kind="swap", platform=Platform(delta=0.01), alpha=2 + 0j, beta=-1 + 0j, samples=40)
     report = run_swap(cfg)
     assert report.passed
     assert _verdict(report, "qg_rwa_phase_corrected_swap").observed >= 1 - 1e-12
@@ -36,7 +36,7 @@ def test_swap_closed_form_all_models():
 
 
 def test_swap_equal_amplitudes_is_identity():
-    cfg = ExperimentConfig(kind="swap", delta=0.01, alpha=1 + 0.5j, beta=1 + 0.5j, samples=20)
+    cfg = ExperimentConfig(kind="swap", platform=Platform(delta=0.01), alpha=1 + 0.5j, beta=1 + 0.5j, samples=20)
     report = run_swap(cfg)
     rows = {(r[0], r[1]): r for r in report.tables["fidelity"].rows}
     # the swap target equals the input; the number-conserving model hits it exactly
@@ -50,7 +50,7 @@ def test_swap_equal_amplitudes_is_identity():
 
 def test_swap_with_ode_oracle_and_random_pairs():
     cfg = ExperimentConfig(
-        kind="swap", delta=0.05, alpha=1 + 0j, beta=0.5j, samples=30, oracle="ode", random_pairs=10
+        kind="swap", platform=Platform(delta=0.05), alpha=1 + 0j, beta=0.5j, samples=30, oracle="ode", random_pairs=10
     )
     report = run_swap(cfg)
     assert report.passed
@@ -63,7 +63,7 @@ def test_swap_with_ode_oracle_and_random_pairs():
 def test_swap_grid_oracle_single_model():
     cfg = ExperimentConfig(
         kind="swap",
-        delta=0.1,
+        platform=Platform(delta=0.1),
         alpha=1 + 0j,
         beta=0j,
         samples=20,
@@ -81,8 +81,8 @@ def test_grid_size_from_config():
     from gravswap import CatProduct, CoherentProduct
     from gravswap.experiments import _grid_state_config
 
-    swap = ExperimentConfig(kind="swap", delta=0.1, alpha=2 + 0j, beta=-1 + 0j)
-    cat = ExperimentConfig(kind="cat_state", delta=0.2, cat_alpha=2 + 0j, beta=0j)
+    swap = ExperimentConfig(kind="swap", platform=Platform(delta=0.1), alpha=2 + 0j, beta=-1 + 0j)
+    cat = ExperimentConfig(kind="cat_state", platform=Platform(delta=0.2), cat_alpha=2 + 0j, beta=0j)
     assert _grid_state_config(swap, CoherentProduct(2 + 0j, -1 + 0j)).n == 128
     assert _grid_state_config(cat, CatProduct(2 + 0j, 0j)).n == 128
     boxed = ExperimentConfig(kind="swap", grid_half_extent=12.0)
@@ -98,7 +98,7 @@ def test_default_grid_swap_meets_grid_agreement():
     # jump at dt_factor 5e-3), so a longer default step costs no accuracy
     cfg = ExperimentConfig(
         kind="swap",
-        delta=0.1,
+        platform=Platform(delta=0.1),
         alpha=2 + 0j,
         beta=-1 + 0j,
         oracle="grid",
@@ -118,7 +118,7 @@ def test_swap_model_method_matrix():
     # every cross-method verdict holds
     cfg = ExperimentConfig(
         kind="swap",
-        delta=0.1,
+        platform=Platform(delta=0.1),
         alpha=1 + 0j,
         beta=0j,
         samples=15,
@@ -138,11 +138,11 @@ def test_swap_model_method_matrix():
 
 def test_swap_requires_positive_coupling():
     with pytest.raises(ConfigError):
-        run_swap(ExperimentConfig(kind="swap", delta=0.0))
+        run_swap(ExperimentConfig(kind="swap", platform=Platform(delta=0.0)))
 
 
 def test_swap_determinism():
-    cfg = ExperimentConfig(kind="swap", delta=0.02, alpha=1 + 1j, beta=-0.5j, samples=25, random_pairs=5)
+    cfg = ExperimentConfig(kind="swap", platform=Platform(delta=0.02), alpha=1 + 1j, beta=-0.5j, samples=25, random_pairs=5)
     r1 = run_swap(cfg)
     r2 = run_swap(cfg)
     assert r1.tables["moments"].rows == r2.tables["moments"].rows
@@ -196,7 +196,7 @@ def test_cat_state_requires_grid():
 def test_cat_state_smoke():
     # small, fast dichotomy run; the acceptance suite carries the full-size one
     cfg = ExperimentConfig(
-        kind="cat_state", delta=0.1, cat_alpha=1.5 + 0j, oracle="grid", samples=5, dt_factor=1e-2
+        kind="cat_state", platform=Platform(delta=0.1), cat_alpha=1.5 + 0j, oracle="grid", samples=5, dt_factor=1e-2
     )
     report = run_cat_state(cfg)
     assert report.passed
@@ -208,11 +208,6 @@ def test_cat_state_smoke():
     assert "entropy" in report.tables
 
 
-def test_run_experiment_dispatch():
-    report = run_experiment(ExperimentConfig(kind="feasibility"))
-    assert report.kind == "feasibility"
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="nope")
@@ -220,7 +215,7 @@ def test_config_validation():
         ExperimentConfig(oracle="sometimes")
     with pytest.raises(ConfigError):
         ExperimentConfig(samples=1)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(delta=None, physical=None)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="not both"):
         Platform("bad", physical=None, delta=None)
+    with pytest.raises(ConfigError, match="not both"):
+        Platform("bad", physical=PLATFORM_PRESETS["ca40_ion"], delta=0.1)

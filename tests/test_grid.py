@@ -10,7 +10,6 @@ from gravswap import (
     CoherentProduct,
     DimensionlessParams,
     EvolutionError,
-    GridError,
     GridSizingError,
     GridSpec,
     GridWavefunction,
@@ -22,7 +21,6 @@ from gravswap import (
     coherent_inner,
     coherent_pair_moments,
     derive_dimensionless,
-    grid_overlap,
     lab_means,
     lab_means_from_grid,
     moments_from_grid,
@@ -121,25 +119,20 @@ def test_grid_memory_budget():
 
 
 def test_grid_overlap_cases():
+    # <w|v> by grid quadrature
     spec = GridSpec(n=256, half_extent=16.0)
     w = build_initial_grid(CoherentProduct(0j, 0j), spec)
-    assert grid_overlap(w, w) == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(w.psi, w.psi) * spec.dx**2 == pytest.approx(1.0, abs=1e-12)
 
     # |<0|g>| = exp(-|g|^2/2): needs |g| > 6 to sink below 1e-8
     far = build_initial_grid(CoherentProduct(6.5 + 0j, 0j), spec)
-    assert abs(grid_overlap(w, far)) < 1e-8
+    assert abs(np.vdot(w.psi, far.psi) * spec.dx**2) < 1e-8
 
     one = build_initial_grid(CoherentProduct(1 + 0j, 0j), spec)
-    assert abs(grid_overlap(w, one)) ** 2 == pytest.approx(math.exp(-1), abs=1e-6)
+    overlap = np.vdot(w.psi, one.psi) * spec.dx**2
+    assert abs(overlap) ** 2 == pytest.approx(math.exp(-1), abs=1e-6)
     # complex value matches the analytic inner product incl. phase
-    assert grid_overlap(w, one) == pytest.approx(coherent_inner(0j, 1 + 0j), abs=1e-8)
-
-
-def test_grid_overlap_mismatch():
-    a = build_initial_grid(CoherentProduct(0j, 0j), GridSpec(n=128, half_extent=10.0))
-    b = build_initial_grid(CoherentProduct(0j, 0j), GridSpec(n=128, half_extent=9.0))
-    with pytest.raises(GridError):
-        grid_overlap(a, b)
+    assert overlap == pytest.approx(coherent_inner(0j, 1 + 0j), abs=1e-8)
 
 
 # ---------------------------------------------------------------- entropy
@@ -174,7 +167,7 @@ def test_free_oscillator_revival():
     params = DimensionlessParams(0.0)
     w = build_initial_grid(CoherentProduct(1 + 0j, 0j), GridSpec(n=128, half_extent=10.0))
     evo = split_step_evolve(w, ModelKind.QG_FULL, 2 * math.pi, params, FAST, n_samples=3)
-    ov = abs(grid_overlap(w, evo.final))
+    ov = abs(np.vdot(w.psi, evo.final.psi) * w.spec.dx**2)
     assert ov >= 1 - 1e-6
     assert evo.max_step_norm_drift < 1e-12
 
