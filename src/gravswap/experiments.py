@@ -119,7 +119,7 @@ class ExperimentConfig:
     alpha_mags: tuple[float, ...] = (1.0, 10.0, 100.0)
     deltas: tuple[float, ...] = (0.01, 0.05, 0.1)
     samples: int = 200
-    oracle: str = "none"
+    oracle: str | None = None  # None: grid for a cat state, which needs it, else none
     grid_points: int | None = None  # None: sized from the state
     grid_half_extent: float | None = None
     dt_factor: float = IntegratorConfig.dt_factor
@@ -135,6 +135,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"run.kind: unknown kind {self.kind!r}; expected one of {KINDS}")
+        if self.oracle is None:
+            object.__setattr__(self, "oracle", "grid" if self.kind == "cat_state" else "none")
         if self.oracle not in ORACLES:
             raise ConfigError(f"run.oracle: unknown oracle {self.oracle!r}; expected one of {ORACLES}")
         if not self.models:

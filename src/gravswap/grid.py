@@ -98,14 +98,14 @@ class EvolutionError(GridError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square grid geometry: n points per axis over [-half_extent, half_extent)."""
+    """Square grid geometry: n points per axis, n even, over [-half_extent, half_extent)."""
 
     n: int = 256
     half_extent: float = 12.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 64 and (self.n & (self.n - 1)) == 0):
-            raise GridSizingError(f"numerics.grid_points: must be a power of two >= 64, got {self.n!r}")
+        if not (isinstance(self.n, int) and self.n >= 64 and self.n % 2 == 0):
+            raise GridSizingError(f"numerics.grid_points: must be an even integer >= 64, got {self.n!r}")
         _check_memory(self.n, "the grid")
         if not (math.isfinite(self.half_extent) and self.half_extent > 0):
             raise GridSizingError(f"numerics.grid_half_extent: must be positive, got {self.half_extent!r}")
@@ -113,7 +113,7 @@ class GridSpec:
             raise GridSizingError(
                 f"numerics.grid_points: dx = {self.dx:.4g} does not resolve the ground-state width "
                 f"({RESOLUTION_POINTS:g} points per FWHM needs dx <= {GROUND_FWHM / RESOLUTION_POINTS:.4g}); "
-                f"increase n to >= {_next_pow2(math.ceil(2 * self.half_extent * RESOLUTION_POINTS / GROUND_FWHM))}"
+                f"increase n to >= {_fft_length(math.ceil(2 * self.half_extent * RESOLUTION_POINTS / GROUND_FWHM))}"
             )
 
     @property
@@ -213,24 +213,45 @@ def _check_memory(n: float, cause: str) -> None:
         )
 
 
-def _next_pow2(m: int) -> int:
-    n = 64
-    while n < m:
-        n *= 2
-    return n
+def _fft_length(m: int) -> int:
+    """Smallest even n >= max(m, 64) of the form 2^a 3^b 5^c, a length the FFT
+    transforms with native radices: each odd 3^b 5^c, times the least power
+    of two that reaches m, against the next power of two."""
+    m = max(m, 64)
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:
+            best = min(best, 2 * odd << (-(-m // (2 * odd)) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best
 
 
 def _envelope_displacement(state: InitialState) -> float:
-    """Bound on |<x>| and |<p>| on either axis under the resonant (RWA)
-    swap: the exchanged amplitudes can pile into one oscillator, so the bound
-    is sqrt(2) times the total amplitude budget.  QG_FULL and SCEG move the
-    means at the normal-mode frequencies (1 -+ 2 delta)^(1/2), which can carry
-    a mean up to (1 - 2 delta)^(-1/2) times further."""
+    """Displacement envelope of the fit check: sqrt(2) times the amplitude
+    sum, a loose bound on |<x>| and |<p>| on either axis under the resonant
+    swap.  The grid is sized from the tighter `_farthest_mean`."""
     if isinstance(state, CoherentProduct):
         budget = abs(state.alpha) + abs(state.beta)
     else:
         budget = abs(state.cat_amp) + abs(state.partner)
     return SQRT2 * budget
+
+
+def _farthest_mean(state: InitialState, delta: float) -> float:
+    """Bound on |<x>| and |<p>| on either axis, at any time and under every
+    model at coupling `delta`, of a coherent pair or of each branch of a cat:
+    by Cauchy-Schwarz over the normal modes, whose means stay within rho_+ and
+    rho_- / K_- with rho_+^2 + rho_-^2 = 2 (|alpha|^2 + |beta|^2).  The
+    mean-field model rotates a cat branch's +-g freely, on top of the mean of
+    (0, p); the quantized models move the branch (+-g, p) as a pair."""
+    f = math.sqrt(0.5 * (1.0 + 1.0 / (1.0 - 2.0 * delta)))
+    if isinstance(state, CoherentProduct):
+        return SQRT2 * math.hypot(abs(state.alpha), abs(state.beta)) * f
+    g, p = abs(state.cat_amp), abs(state.partner)
+    return max(SQRT2 * math.hypot(g, p) * f, SQRT2 * (g + p * f))
 
 
 def auto_grid_spec(
@@ -241,38 +262,36 @@ def auto_grid_spec(
 ) -> GridSpec:
     """Grid sized from `state` and the swap dynamics at coupling `delta`.
 
-    Half extent: the farthest mean, plus the tail distance at which a
-    Gaussian of the widest width the dynamics reach falls to
-    `IntegratorConfig.leakage_limit` of its peak, plus the EDGE_RING points
-    the leakage guard counts as the edge (at the coarsest dx the resolution
-    rule allows); and at least reach / FIT_FRACTION (reach = env +
-    ENVELOPE_SIGMAS ground widths, env the RWA displacement envelope), so the
-    state passes `_check_fit`.  The exact minus mode stretches both the means
-    and the x width by up to (1 - 2 delta)^(-1/2): the farthest mean is env
-    times that factor and the widest width the ground width times it.  The
-    default `delta` covers every coupling up to the warning limit.  In
-    momentum the means and widths grow by (1 + 2 delta)^(1/2) at most, which
+    Half extent: the farthest mean any model reaches (`_farthest_mean`), plus
+    the tail distance at which a Gaussian of the widest width the dynamics
+    reach falls to `IntegratorConfig.leakage_limit` of its peak, plus the
+    EDGE_RING points the leakage guard counts as the edge (at the coarsest dx
+    the resolution rule allows); and at least reach / FIT_FRACTION (reach =
+    env + ENVELOPE_SIGMAS ground widths, env the fit envelope), so the state
+    passes `_check_fit`.  The widest width is the ground width stretched by
+    the exact minus mode, (1 - 2 delta)^(-1/2).  The default `delta` covers
+    every coupling up to the warning limit.  Momentum means stay within the
+    same bound and momentum widths grow by (1 + 2 delta)^(1/2) at most, which
     is less, so the momentum grid must hold the same extent: p_max = pi / dx
     >= half extent.
 
-    n: the smallest power of two >= 64 that meets this momentum rule and
-    RESOLUTION_POINTS per ground-state FWHM.  An explicit n is checked against
-    both rules and refused if it falls short.  The edge guards of
-    `split_step_evolve` catch a state that outgrows the estimate."""
+    n: the shortest even FFT length >= 64 with no prime factor above 5
+    (`_fft_length`) that meets this momentum rule and RESOLUTION_POINTS per
+    ground-state FWHM.  An explicit n is checked against both rules and
+    refused if it falls short.  The edge guards of `split_step_evolve` catch
+    a state that outgrows the estimate."""
     env = _envelope_displacement(state)
     reach = env + ENVELOPE_SIGMAS * GROUND_SIGMA
-    stretch = 1.0 / math.sqrt(1.0 - 2.0 * delta)
-    tail = stretch * GROUND_SIGMA * math.sqrt(-2.0 * math.log(IntegratorConfig.leakage_limit))
+    tail = GROUND_SIGMA * math.sqrt(-2.0 * math.log(IntegratorConfig.leakage_limit) / (1.0 - 2.0 * delta))
+    farthest = _farthest_mean(state, delta)
     dx_resolution = GROUND_FWHM / RESOLUTION_POINTS
     # one ulp above reach / FIT_FRACTION, so that FIT_FRACTION * half_extent
     # >= reach in floating point too
-    half_extent = max(
-        stretch * env + tail + EDGE_RING * dx_resolution, math.nextafter(reach / FIT_FRACTION, math.inf)
-    )
+    half_extent = max(farthest + tail + EDGE_RING * dx_resolution, math.nextafter(reach / FIT_FRACTION, math.inf))
     dx_needed = min(dx_resolution, math.pi / half_extent)
     points = 2.0 * half_extent / dx_needed
     _check_memory(points, f"a displacement envelope of {env:.4g}")
-    n_needed = _next_pow2(math.ceil(points))
+    n_needed = _fft_length(math.ceil(points))
     if n is None:
         n = n_needed
     elif n < n_needed:

@@ -211,6 +211,29 @@ def test_cli_feasibility(tmp_path, capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("command", ["swap", "rwa-validity", "cat-state", "feasibility"])
+def test_cli_default_config_passes(tmp_path, monkeypatch, command):
+    # every subcommand run with no config and no options, as shipped, passes
+    # its own verdicts and writes its report under ./runs
+    monkeypatch.chdir(tmp_path)
+    assert cli_main([command]) == 0
+    assert (tmp_path / "runs" / command.replace("-", "_") / "manifest.txt").exists()
+
+
+def test_cat_state_oracle_defaults_to_grid():
+    # a cat state has only the grid to run on: with no oracle given it uses
+    # that, the echo says so and parses back to itself; an explicit none is
+    # kept, for the runner to refuse by name
+    assert ExperimentConfig(kind="cat_state").oracle == "grid"
+    assert ExperimentConfig(kind="swap").oracle == "none"
+    cfg = parse_config_text("[run]\nkind = cat_state\n")
+    assert cfg.oracle == "grid"
+    echo = format_config(cfg)
+    assert "oracle = grid\n" in echo
+    assert parse_config_text(echo) == cfg and format_config(parse_config_text(echo)) == echo
+    assert parse_config_text("[run]\nkind = cat_state\noracle = none\n").oracle == "none"
+
+
 def test_cli_kind_mismatch(tmp_path):
     cfg_path = tmp_path / "c.txt"
     cfg_path.write_text(MINIMAL)
@@ -252,14 +275,15 @@ def test_cli_refuses_physical_scale_ode_run(tmp_path, capsys):
     "numerics,key",
     [
         ("grid_points = 128", "numerics.grid_points"),  # too few points for the state
-        ("grid_points = 100", "numerics.grid_points"),  # not a power of two
+        ("grid_points = 100", "numerics.grid_points"),  # likewise, and not a fast FFT length
+        ("grid_points = 255", "numerics.grid_points"),  # enough points, but odd
         ("grid_half_extent = 5", "numerics.grid_half_extent"),  # the state does not fit
     ],
 )
 def test_cli_refuses_bad_grid_size(tmp_path, capsys, numerics, key):
     # a grid that cannot hold the state is refused naming the key, with the
     # config-error status rather than a sizing traceback; alpha = 6 needs a
-    # half extent >= 15, so n >= 256 (128 points hold the default alpha = 1)
+    # half extent >= 15, so n >= 150 (72 points hold the default alpha = 1)
     cfg_path = tmp_path / "c.txt"
     cfg_path.write_text(f"[run]\nkind = swap\nmodels = qg_full\n[state]\nalpha = 6\n[numerics]\n{numerics}\n")
     rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])

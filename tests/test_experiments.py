@@ -77,14 +77,15 @@ def test_swap_grid_oracle_single_model():
 
 def test_grid_size_from_config():
     # sizes only, no array: the swap and cat-state inputs of the benchmark get
-    # 128^2 by default; an explicit box keeps 256 points unless n is given
+    # 96^2 and 108^2 by default; an explicit box keeps 256 points unless n is
+    # given
     from gravswap import CatProduct, CoherentProduct
     from gravswap.experiments import _grid_state_config
 
     swap = ExperimentConfig(kind="swap", platform=Platform(delta=0.1), alpha=2 + 0j, beta=-1 + 0j)
     cat = ExperimentConfig(kind="cat_state", platform=Platform(delta=0.2), cat_alpha=2 + 0j, beta=0j)
-    assert _grid_state_config(swap, CoherentProduct(2 + 0j, -1 + 0j)).n == 128
-    assert _grid_state_config(cat, CatProduct(2 + 0j, 0j)).n == 128
+    assert _grid_state_config(swap, CoherentProduct(2 + 0j, -1 + 0j)).n == 96
+    assert _grid_state_config(cat, CatProduct(2 + 0j, 0j)).n == 108
     boxed = ExperimentConfig(kind="swap", grid_half_extent=12.0)
     assert _grid_state_config(boxed, CoherentProduct(1 + 0j)).n == 256
     fixed = ExperimentConfig(kind="swap", grid_points=512)
@@ -93,7 +94,7 @@ def test_grid_size_from_config():
 
 def test_default_grid_swap_meets_grid_agreement():
     # the default numerics must pass their own grid verdicts at the stock
-    # tolerance over a full swap, on the grid sized from the state (128^2),
+    # tolerance over a full swap, on the grid sized from the state (96^2),
     # and stay within the errors of the previous default (Yoshida's triple
     # jump at dt_factor 5e-3), so a longer default step costs no accuracy
     cfg = ExperimentConfig(

@@ -47,13 +47,14 @@ def _mean_error(model, evo, pair0, params):
 
 def test_grid_spec_validation():
     with pytest.raises(GridSizingError):
-        GridSpec(n=100, half_extent=8.0)  # not a power of two
+        GridSpec(n=101, half_extent=8.0)  # odd
     with pytest.raises(GridSizingError):
         GridSpec(n=32, half_extent=8.0)  # too small
     with pytest.raises(GridSizingError, match="resolve"):
         GridSpec(n=64, half_extent=16.0)  # too coarse for the ground state
     spec = GridSpec(n=128, half_extent=10.0)
     assert spec.dx == pytest.approx(20.0 / 128)
+    assert GridSpec(n=96, half_extent=9.0).n == 96  # any even n, not only powers of two
 
 
 def test_vacuum_grid_moments():
@@ -284,21 +285,36 @@ def test_leakage_abort():
         split_step_evolve(w, ModelKind.QG_FULL, 1.0, params, cfg, n_samples=3)
 
 
-@pytest.mark.parametrize("model", [ModelKind.QG_FULL, ModelKind.SCEG])
-def test_auto_box_holds_a_momentum_swap(model):
-    # a momentum-borne amplitude swings out to p0 / K_minus in x under the
-    # exact dynamics, beyond the resonant envelope sqrt(2) |alpha|; the
-    # automatic box must hold the whole swap at the warning-limit coupling
+_SWAP_STATES = {"": CoherentProduct(3j), "pair-": CoherentProduct(2 + 0j, -2j), "cat-": CatProduct(2 + 0j, 1j)}
+
+
+@pytest.mark.parametrize(
+    "model,state",
+    [
+        pytest.param(model, state, id=f"{prefix}{model}")
+        for prefix, state in _SWAP_STATES.items()
+        for model in (ModelKind.QG_FULL, ModelKind.SCEG)
+    ],
+)
+def test_auto_box_holds_a_momentum_swap(model, state):
+    # the automatic box must hold the whole swap at the warning-limit
+    # coupling, where it is sized from the farthest reachable mean: a
+    # momentum-borne amplitude swings out to p0 / K_minus in x under the
+    # exact dynamics, beyond the resonant envelope sqrt(2) |alpha|; a pair
+    # of equal amplitudes piles into one oscillator; a mean-field cat branch
+    # rotates +-g freely on top of the mean of (0, p)
     params = DimensionlessParams(0.2)
-    alpha = 3j
-    pair0 = coherent_pair_moments(*to_normal_modes(alpha, 0j))
-    w = build_initial_grid(CoherentProduct(alpha, 0j), auto_grid_spec(CoherentProduct(alpha, 0j), delta=0.2))
+    w = build_initial_grid(state, auto_grid_spec(state, delta=0.2))
     evo = split_step_evolve(w, model, swap_time(params), params, FAST, n_samples=49)
     assert evo.max_boundary_fraction < IntegratorConfig().leakage_limit
     assert evo.max_p_boundary_fraction < IntegratorConfig().leakage_limit
-    # the run reached past the resonant envelope, so the widened mean is what held it
-    assert np.max(np.abs(lab_means(evo.moments)[:, 2])) > SQRT2 * abs(alpha)
+    # the means of a cat are those of (0, p), the mean of its two branches
+    pair = (state.alpha, state.beta) if isinstance(state, CoherentProduct) else (0j, state.partner)
+    pair0 = coherent_pair_moments(*to_normal_modes(*pair))
     assert _mean_error(model, evo, pair0, params) < 1e-3
+    if state == CoherentProduct(3j):
+        # the run reached past the resonant envelope, so the widened mean is what held it
+        assert np.max(np.abs(lab_means(evo.moments)[:, 2])) > SQRT2 * abs(state.alpha)
 
 
 def _gaussian_product(spec, x0=0.0, p0=0.0):
