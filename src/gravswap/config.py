@@ -79,7 +79,7 @@ _RUN_KEYS = {"kind", "seed", "out", "oracle", "samples", "models", "platforms", 
 _PARAMS_KEYS = {"delta", "omega", "preset", "mass_kg", "omega_rad_s", "separation_m", "grav_constant", "hbar"}
 _STATE_KEYS = {"alpha", "beta", "cat_alpha", "random_pairs"}
 _SWEEP_KEYS = {"alpha_mags", "deltas"}
-_NUMERICS_KEYS = {"grid_points", "grid_half_extent", "dt_factor", "rk_step_factor", "workers"}
+_NUMERICS_KEYS = {"grid_points", "grid_half_extent", "dt_factor", "rk_step_factor"}
 _TOLERANCE_KEYS = {f.name for f in dataclasses.fields(Tolerances)}
 _SECTION_KEYS = {
     "run": _RUN_KEYS,
@@ -180,8 +180,6 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         kwargs["dt_factor"] = _parse_float(get("numerics", "dt_factor"), "numerics.dt_factor")
     if get("numerics", "rk_step_factor") is not None:
         kwargs["rk_step_factor"] = _parse_float(get("numerics", "rk_step_factor"), "numerics.rk_step_factor")
-    if get("numerics", "workers") is not None:
-        kwargs["workers"] = _parse_int(get("numerics", "workers"), "numerics.workers")
 
     tol_kwargs = {}
     for key in sorted(_TOLERANCE_KEYS):
@@ -319,7 +317,6 @@ def format_config(cfg: ExperimentConfig) -> str:
     lines.append(f"grid_half_extent = {extent}")
     lines.append(f"dt_factor = {_fmt_float(cfg.dt_factor)}")
     lines.append(f"rk_step_factor = {_fmt_float(cfg.rk_step_factor)}")
-    lines.append(f"workers = {cfg.workers}")
     lines.append("")
     lines.append("[tolerances]")
     for f in dataclasses.fields(Tolerances):

@@ -30,7 +30,6 @@ from .grid import (
     CoherentProduct,
     auto_grid_spec,
     build_initial_grid,
-    GridSpec,
     split_step_evolve,
 )
 from .moments_ode import IntegratorConfig, integrate_moments
@@ -124,7 +123,6 @@ class ExperimentConfig:
     grid_half_extent: float | None = None
     dt_factor: float = IntegratorConfig.dt_factor
     rk_step_factor: float = IntegratorConfig.rk_step_factor
-    workers: int = IntegratorConfig.workers
     seed: int = 0
     timestamp: str | None = None
     out_dir: str | None = None
@@ -152,11 +150,7 @@ class ExperimentConfig:
             raise ConfigError("sweep.alpha_mags: magnitudes must be positive")
 
     def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(
-            dt_factor=self.dt_factor,
-            rk_step_factor=self.rk_step_factor,
-            workers=self.workers,
-        )
+        return IntegratorConfig(dt_factor=self.dt_factor, rk_step_factor=self.rk_step_factor)
 
     def uses_ode(self) -> bool:
         return self.oracle in ("ode", "all")
@@ -234,14 +228,6 @@ def _amplitudes_from_pair(pair: np.ndarray, width_tol: float) -> tuple[complex, 
     return alpha, beta, max(ep.width_deviation, em.width_deviation)
 
 
-def _grid_state_config(cfg: ExperimentConfig, state) -> GridSpec:
-    if cfg.grid_half_extent is not None:
-        # an explicit box keeps the fixed default n unless n is given too
-        n = GridSpec.n if cfg.grid_points is None else cfg.grid_points
-        return GridSpec(n=n, half_extent=cfg.grid_half_extent)
-    return auto_grid_spec(state, n=cfg.grid_points, delta=cfg.platform.dimensionless().delta)
-
-
 def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
     """Evolve (alpha, beta) to the swap time under each requested model and
     compare every enabled method's trajectory against the closed forms."""
@@ -283,6 +269,8 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
     corrected_fid: dict[ModelKind, float] = {}
 
     grid_state = CoherentProduct(alpha0, beta0)
+    if cfg.uses_grid():
+        spec = auto_grid_spec(grid_state, delta=params.delta, n=cfg.grid_points, half_extent=cfg.grid_half_extent)
     icfg = cfg.integrator()
 
     def mean_error(model, series_times, moments):
@@ -318,7 +306,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
             add_fidelity(model, "ode", (alpha_T, beta_T), wdev)
 
         if cfg.uses_grid():
-            w0 = build_initial_grid(grid_state, _grid_state_config(cfg, grid_state))
+            w0 = build_initial_grid(grid_state, spec)
             evo = split_step_evolve(
                 w0, model, T, params, icfg, n_samples=min(cfg.samples, 51)
             )
@@ -595,7 +583,7 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
     quantum = next((m for m in cfg.models if m in (ModelKind.QG_RWA, ModelKind.QG_FULL)), ModelKind.QG_RWA)
     t_final = swap_time(params) / 2.0  # quarter beat: maximally split branches
     state = CatProduct(cat_amp=complex(cfg.cat_alpha), partner=complex(cfg.beta))
-    spec = _grid_state_config(cfg, state)
+    spec = auto_grid_spec(state, delta=params.delta, n=cfg.grid_points, half_extent=cfg.grid_half_extent)
     icfg = cfg.integrator()
     n_samples = min(cfg.samples, 61)
 

@@ -48,8 +48,6 @@ from .states import SQRT2, check_moments, lab_means
 GROUND_SIGMA = math.sqrt(0.5)
 GROUND_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0)) * GROUND_SIGMA
 RESOLUTION_POINTS = 8.0  # grid points across one ground-state FWHM
-FIT_FRACTION = 0.8  # state envelope must fit inside this fraction of the box
-ENVELOPE_SIGMAS = 5.0
 # Points per grid axis: one complex128 array of n^2 amplitudes takes
 # 16 n^2 bytes, 256 MiB at this cap.
 MAX_GRID_POINTS = 4096
@@ -98,10 +96,13 @@ class EvolutionError(GridError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square grid geometry: n points per axis, n even, over [-half_extent, half_extent)."""
+    """Square grid geometry: n points per axis, n even, over [-half_extent,
+    half_extent).  Checks only the structure (n, memory budget, a positive
+    extent, resolution of the ground state); whether the box holds a state is
+    decided by `auto_grid_spec`."""
 
-    n: int = 256
-    half_extent: float = 12.0
+    n: int
+    half_extent: float
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n, int) and self.n >= 64 and self.n % 2 == 0):
@@ -229,17 +230,6 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _envelope_displacement(state: InitialState) -> float:
-    """Displacement envelope of the fit check: sqrt(2) times the amplitude
-    sum, a loose bound on |<x>| and |<p>| on either axis under the resonant
-    swap.  The grid is sized from the tighter `_farthest_mean`."""
-    if isinstance(state, CoherentProduct):
-        budget = abs(state.alpha) + abs(state.beta)
-    else:
-        budget = abs(state.cat_amp) + abs(state.partner)
-    return SQRT2 * budget
-
-
 def _farthest_mean(state: InitialState, delta: float) -> float:
     """Bound on |<x>| and |<p>| on either axis, at any time and under every
     model at coupling `delta`, of a coherent pair or of each branch of a cat:
@@ -256,47 +246,48 @@ def _farthest_mean(state: InitialState, delta: float) -> float:
 
 def auto_grid_spec(
     state: InitialState,
-    n: int | None = None,
     *,
-    delta: float = DELTA_WARN_LIMIT,
+    delta: float,
+    n: int | None = None,
+    half_extent: float | None = None,
 ) -> GridSpec:
-    """Grid sized from `state` and the swap dynamics at coupling `delta`.
+    """The grid of `state` under the swap dynamics at coupling `delta`; the
+    one rule that sizes and admits every box, before anything is allocated.
 
-    Half extent: the farthest mean any model reaches (`_farthest_mean`), plus
-    the tail distance at which a Gaussian of the widest width the dynamics
-    reach falls to `IntegratorConfig.leakage_limit` of its peak, plus the
-    EDGE_RING points the leakage guard counts as the edge (at the coarsest dx
-    the resolution rule allows); and at least reach / FIT_FRACTION (reach =
-    env + ENVELOPE_SIGMAS ground widths, env the fit envelope), so the state
-    passes `_check_fit`.  The widest width is the ground width stretched by
-    the exact minus mode, (1 - 2 delta)^(-1/2).  The default `delta` covers
-    every coupling up to the warning limit.  Momentum means stay within the
-    same bound and momentum widths grow by (1 + 2 delta)^(1/2) at most, which
-    is less, so the momentum grid must hold the same extent: p_max = pi / dx
-    >= half extent.
+    Required half extent H: the farthest mean any model reaches
+    (`_farthest_mean`), plus the tail distance at which a Gaussian of the
+    widest width the dynamics reach falls to `IntegratorConfig.leakage_limit`
+    of its peak, plus the EDGE_RING points the edge guards of
+    `split_step_evolve` count as the edge (at the coarsest dx the resolution
+    rule allows).  The widest width is the ground width stretched by the exact
+    minus mode, (1 - 2 delta)^(-1/2).  Momentum means stay within the same
+    bound and momentum widths grow by (1 + 2 delta)^(1/2) at most, which is
+    less, so the momentum grid must hold the same extent: p_max = pi / dx >= H.
+
+    Half extent: H, or `half_extent` if given, which is refused below H.
 
     n: the shortest even FFT length >= 64 with no prime factor above 5
     (`_fft_length`) that meets this momentum rule and RESOLUTION_POINTS per
-    ground-state FWHM.  An explicit n is checked against both rules and
-    refused if it falls short.  The edge guards of `split_step_evolve` catch
-    a state that outgrows the estimate."""
-    env = _envelope_displacement(state)
-    reach = env + ENVELOPE_SIGMAS * GROUND_SIGMA
-    tail = GROUND_SIGMA * math.sqrt(-2.0 * math.log(IntegratorConfig.leakage_limit) / (1.0 - 2.0 * delta))
-    farthest = _farthest_mean(state, delta)
+    ground-state FWHM over the half extent.  A given n is refused if it falls
+    short.  The edge guards of `split_step_evolve` catch a state that outgrows
+    the estimate."""
     dx_resolution = GROUND_FWHM / RESOLUTION_POINTS
-    # one ulp above reach / FIT_FRACTION, so that FIT_FRACTION * half_extent
-    # >= reach in floating point too
-    half_extent = max(farthest + tail + EDGE_RING * dx_resolution, math.nextafter(reach / FIT_FRACTION, math.inf))
-    dx_needed = min(dx_resolution, math.pi / half_extent)
-    points = 2.0 * half_extent / dx_needed
-    _check_memory(points, f"a displacement envelope of {env:.4g}")
+    tail = GROUND_SIGMA * math.sqrt(-2.0 * math.log(IntegratorConfig.leakage_limit) / (1.0 - 2.0 * delta))
+    required = _farthest_mean(state, delta) + tail + EDGE_RING * dx_resolution
+    if half_extent is None:
+        half_extent = required
+    elif not half_extent >= required:
+        raise GridSizingError(
+            f"numerics.grid_half_extent: {half_extent!r} cannot hold the state; need half_extent >= {required:.4g}"
+        )
+    points = 2.0 * half_extent / min(dx_resolution, math.pi / required)
+    _check_memory(points, f"a half extent of {half_extent:.4g} (the state requires {required:.4g})")
     n_needed = _fft_length(math.ceil(points))
     if n is None:
         n = n_needed
     elif n < n_needed:
         raise GridSizingError(
-            f"numerics.grid_points: n = {n} cannot hold the requested displacements; need n >= {n_needed} "
+            f"numerics.grid_points: n = {n} cannot hold the state; need n >= {n_needed} "
             f"at half_extent = {half_extent:.4g}"
         )
     return GridSpec(n=n, half_extent=half_extent)
@@ -308,27 +299,13 @@ def _coherent_1d(x: np.ndarray, g: complex) -> np.ndarray:
     return np.pi**-0.25 * np.exp(-0.5 * (x - x0) ** 2 + 1j * (p0 * x - 0.5 * x0 * p0))
 
 
-def _check_fit(spec: GridSpec, state: InitialState) -> None:
-    env = _envelope_displacement(state)
-    reach = env + ENVELOPE_SIGMAS * GROUND_SIGMA
-    if reach > FIT_FRACTION * spec.half_extent:
-        raise GridSizingError(
-            f"numerics.grid_half_extent: displacement envelope {env:.4g} does not fit the grid "
-            f"(need half_extent >= {reach / FIT_FRACTION:.4g}, have {spec.half_extent:.4g})"
-        )
-    if reach > FIT_FRACTION * spec.p_max:
-        raise GridSizingError(
-            f"numerics.grid_points: momentum envelope {env:.4g} does not fit the momentum grid "
-            f"(need p_max >= {reach / FIT_FRACTION:.4g}, have {spec.p_max:.4g}); decrease dx"
-        )
-
-
 def build_initial_grid(state: InitialState, spec: GridSpec | None = None) -> GridWavefunction:
-    """Discretize a coherent product or a cat-state product; the result is
-    normalized on the grid (discretization defect is checked first)."""
+    """Discretize a coherent product or a cat-state product on `spec`, by
+    default the box `auto_grid_spec` gives at every coupling up to the warning
+    limit.  The result is normalized on the grid; a discretization defect in
+    the norm beyond 1e-8 is refused first."""
     if spec is None:
-        spec = auto_grid_spec(state)
-    _check_fit(spec, state)
+        spec = auto_grid_spec(state, delta=DELTA_WARN_LIMIT)
     x = spec.x_axis()
     if isinstance(state, CoherentProduct):
         one = _coherent_1d(x, complex(state.alpha))
@@ -531,13 +508,12 @@ def split_step_evolve(
     delta = params.delta
 
     psi = w.psi.copy()
-    workers = cfg.workers
 
     def kinetic(a, phase):
         # full momentum-space round trip; buffers may be reused by the FFT
-        b = sfft.fft2(a, workers=workers, overwrite_x=True)
+        b = sfft.fft2(a, workers=1, overwrite_x=True)
         b *= phase
-        return sfft.ifft2(b, workers=workers, overwrite_x=True)
+        return sfft.ifft2(b, workers=1, overwrite_x=True)
 
     times: list[float] = []
     moments: list[np.ndarray] = []

@@ -64,7 +64,6 @@ class IntegratorConfig:
     rk_tol: float = 1e-8
     norm_drift_limit: float = 1e-8  # per unit scaled time
     leakage_limit: float = 1e-12
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.dt_factor <= 4e-2):
@@ -74,8 +73,6 @@ class IntegratorConfig:
         for name in ("rk_tol", "norm_drift_limit", "leakage_limit"):
             if not (getattr(self, name) > 0):
                 raise ParameterError(f"numerics.{name}: must be positive")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
-            raise ParameterError(f"numerics.workers: must be a positive integer, got {self.workers!r}")
 
     def grid_step(self, params: DimensionlessParams) -> float:
         """Split-operator step in scaled time (omega t)."""

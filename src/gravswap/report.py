@@ -86,7 +86,6 @@ def render_manifest(report: ExperimentReport) -> str:
         f"version = {report.version}",
         f"kind = {report.kind}",
         f"seed = {cfg.seed}",
-        f"workers = {cfg.workers}",
         f"timestamp = {cfg.timestamp if cfg.timestamp is not None else '(unset)'}",
         f"config_digest = {config_digest(cfg)}",
         f"source_config_digest = {cfg.source_digest if cfg.source_digest is not None else '(inline)'}",

@@ -85,7 +85,6 @@ def configs(draw):
         grid_half_extent=draw(st.one_of(st.none(), positive)),
         dt_factor=draw(positive),
         rk_step_factor=draw(positive),
-        workers=draw(st.integers(1, 64)),
         seed=draw(st.integers(-(2**63), 2**63)),
         timestamp=draw(st.one_of(st.none(), stamps)),
         out_dir=draw(st.one_of(st.none(), paths)),

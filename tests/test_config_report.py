@@ -293,7 +293,7 @@ def test_cli_refuses_bad_grid_size(tmp_path, capsys, numerics, key):
 
 
 def _refuse_allocation(*args, **kwargs):
-    raise AssertionError("a grid beyond the memory budget reached the allocating code")
+    raise AssertionError("a grid the sizing rule refuses reached the allocating code")
 
 
 @pytest.mark.parametrize(
@@ -315,6 +315,20 @@ def test_cli_refuses_grid_beyond_memory_budget(tmp_path, capsys, monkeypatch, co
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "numerics.grid_points" in err and "GiB per complex array" in err
+
+
+def test_cli_refuses_box_the_edge_guard_would_refuse(tmp_path, capsys, monkeypatch):
+    # the default state needs a half extent of 7.41 for its leakage tail to
+    # clear the edge ring; a 6.3 box is refused at admission, before any
+    # array exists, not at the first record of the run
+    monkeypatch.setattr("gravswap.experiments.build_initial_grid", _refuse_allocation)
+    monkeypatch.setattr("gravswap.experiments.split_step_evolve", _refuse_allocation)
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text("[run]\nkind = swap\nmodels = qg_full\n[numerics]\ngrid_half_extent = 6.3\ngrid_points = 64\n")
+    rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerics.grid_half_extent: ") and "7.41" in err
 
 
 def test_non_finite_amplitude_refused():
@@ -339,7 +353,6 @@ grid_points = auto
 grid_half_extent = auto
 dt_factor = 0.02
 rk_step_factor = 0.0001
-workers = 1
 
 [tolerances]
 swap_fidelity = 9.9999999999999998e-13

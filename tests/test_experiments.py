@@ -6,6 +6,7 @@ import pytest
 from gravswap import (
     ConfigError,
     ExperimentConfig,
+    GridSpec,
     ModelKind,
     PLATFORM_PRESETS,
     Platform,
@@ -75,21 +76,40 @@ def test_swap_grid_oracle_single_model():
     assert report.passed
 
 
-def test_grid_size_from_config():
-    # sizes only, no array: the swap and cat-state inputs of the benchmark get
-    # 96^2 and 108^2 by default; an explicit box keeps 256 points unless n is
-    # given
-    from gravswap import CatProduct, CoherentProduct
-    from gravswap.experiments import _grid_state_config
+class _GridBuilt(Exception):
+    pass
 
-    swap = ExperimentConfig(kind="swap", platform=Platform(delta=0.1), alpha=2 + 0j, beta=-1 + 0j)
+
+def _run_grid_spec(cfg, monkeypatch):
+    """The box a run of `cfg` builds its grid on; the run stops there, before
+    any grid array exists."""
+    specs = []
+
+    def capture(state, spec):
+        specs.append(spec)
+        raise _GridBuilt
+
+    monkeypatch.setattr("gravswap.experiments.build_initial_grid", capture)
+    with pytest.raises(_GridBuilt):
+        (run_cat_state if cfg.kind == "cat_state" else run_swap)(cfg)
+    return specs[0]
+
+
+def test_grid_size_from_config(monkeypatch):
+    # sizes only, no array: the swap and cat-state inputs of the benchmark get
+    # 96^2 and 108^2 by default; a given box or n is sized by the same rule
+    swap = ExperimentConfig(kind="swap", platform=Platform(delta=0.1), alpha=2 + 0j, beta=-1 + 0j, oracle="grid")
     cat = ExperimentConfig(kind="cat_state", platform=Platform(delta=0.2), cat_alpha=2 + 0j, beta=0j)
-    assert _grid_state_config(swap, CoherentProduct(2 + 0j, -1 + 0j)).n == 96
-    assert _grid_state_config(cat, CatProduct(2 + 0j, 0j)).n == 108
-    boxed = ExperimentConfig(kind="swap", grid_half_extent=12.0)
-    assert _grid_state_config(boxed, CoherentProduct(1 + 0j)).n == 256
-    fixed = ExperimentConfig(kind="swap", grid_points=512)
-    assert _grid_state_config(fixed, CoherentProduct(1 + 0j)).n == 512
+    assert _run_grid_spec(swap, monkeypatch).n == 96
+    assert _run_grid_spec(cat, monkeypatch).n == 108
+    boxed = ExperimentConfig(kind="swap", grid_half_extent=12.0, oracle="grid")
+    assert _run_grid_spec(boxed, monkeypatch).n == 120
+    fixed = ExperimentConfig(kind="swap", grid_points=512, oracle="grid")
+    assert _run_grid_spec(fixed, monkeypatch).n == 512
+    # alpha = 6 on a given +-30 box needs 289 points for its resolution: the
+    # run gets the next fast length, 300
+    wide = ExperimentConfig(kind="swap", alpha=6 + 0j, grid_half_extent=30.0, oracle="grid")
+    assert _run_grid_spec(wide, monkeypatch) == GridSpec(n=300, half_extent=30.0)
 
 
 def test_default_grid_swap_meets_grid_agreement():

@@ -32,6 +32,7 @@ from gravswap import (
     to_normal_modes,
 )
 from gravswap.grid import MAX_GRID_POINTS
+from gravswap.params import DELTA_WARN_LIMIT
 
 SQRT2 = math.sqrt(2.0)
 FAST = IntegratorConfig(dt_factor=1e-2)
@@ -97,22 +98,27 @@ def test_cat_grid_structure():
 
 
 def test_sizing_errors_and_auto_spec():
-    with pytest.raises(GridSizingError, match="fit"):
-        build_initial_grid(CoherentProduct(6 + 0j, 0j), GridSpec(n=128, half_extent=9.0))
-    with pytest.raises(GridSizingError):
-        auto_grid_spec(CoherentProduct(20 + 0j, 0j), n=256)
-    spec = auto_grid_spec(CoherentProduct(20 + 0j, 0j))
+    # alpha = 6 at the default coupling needs a half extent of 14.67
+    with pytest.raises(GridSizingError, match=r"numerics.grid_half_extent: 9.0 .* need half_extent >= 14.67"):
+        auto_grid_spec(CoherentProduct(6 + 0j, 0j), delta=0.05, n=128, half_extent=9.0)
+    with pytest.raises(GridSizingError, match="numerics.grid_points"):
+        auto_grid_spec(CoherentProduct(20 + 0j, 0j), delta=DELTA_WARN_LIMIT, n=256)
+    spec = auto_grid_spec(CoherentProduct(20 + 0j, 0j), delta=DELTA_WARN_LIMIT)
     assert spec.n >= 1024  # large displacement demands momentum range and extent
+    # a given half extent is sized by the same rule as an automatic one: the
+    # default state on +-12 needs 116 points for its resolution, so 120
+    assert auto_grid_spec(CoherentProduct(1 + 0j), delta=0.05, half_extent=12.0) == GridSpec(n=120, half_extent=12.0)
+    assert auto_grid_spec(CoherentProduct(1 + 0j), delta=0.05, n=256, half_extent=12.0).n == 256
 
 
 def test_grid_memory_budget():
     # refused from the sizes alone: neither call allocates an array
     with pytest.raises(GridSizingError, match=r"numerics.grid_points: .* 64 GiB per complex array"):
         GridSpec(n=65536, half_extent=12.0)
-    with pytest.raises(GridSizingError, match="numerics.grid_points: a displacement envelope"):
-        auto_grid_spec(CatProduct(1e6 + 0j))
-    with pytest.raises(GridSizingError, match="numerics.grid_points: a displacement envelope"):
-        auto_grid_spec(CatProduct(1e6 + 0j), n=256)
+    with pytest.raises(GridSizingError, match=r"numerics.grid_points: a half extent of 1.633e\+06 \(the state requires 1.633e\+06\)"):
+        auto_grid_spec(CatProduct(1e6 + 0j), delta=DELTA_WARN_LIMIT)
+    with pytest.raises(GridSizingError, match="numerics.grid_points: a half extent of"):
+        auto_grid_spec(CatProduct(1e6 + 0j), delta=DELTA_WARN_LIMIT, n=256)
     assert GridSpec(n=MAX_GRID_POINTS, half_extent=12.0).n == 4096
 
 
@@ -319,8 +325,8 @@ def test_auto_box_holds_a_momentum_swap(model, state):
 
 def _gaussian_product(spec, x0=0.0, p0=0.0):
     """Normalized ground-width Gaussian centred at (x0, p0) in oscillator 1,
-    vacuum in oscillator 2, built without the fit check of
-    build_initial_grid."""
+    vacuum in oscillator 2, built past the admission of auto_grid_spec and
+    the norm-defect check of build_initial_grid."""
     x = spec.x_axis()
     one = np.exp(-0.5 * (x - x0) ** 2 + 1j * p0 * x)
     w = GridWavefunction(spec, np.outer(one, np.exp(-0.5 * x**2)))
@@ -329,9 +335,9 @@ def _gaussian_product(spec, x0=0.0, p0=0.0):
 
 
 def test_box_too_small_in_x_refused():
-    # a state beyond the box is refused before evolution starts ...
+    # a state beyond the box is refused before any array exists ...
     with pytest.raises(GridSizingError, match="numerics.grid_half_extent"):
-        build_initial_grid(CoherentProduct(6 + 0j, 0j), GridSpec(n=128, half_extent=10.0))
+        auto_grid_spec(CoherentProduct(6 + 0j, 0j), delta=0.05, n=128, half_extent=10.0)
     # ... and one built past that check is refused at the first record, on
     # the edge rows (oscillator 1) and on the edge columns (oscillator 2)
     spec = GridSpec(n=128, half_extent=10.0)
@@ -345,9 +351,9 @@ def test_box_too_small_in_x_refused():
 
 def test_box_too_small_in_p_refused():
     # a state that fits this box in x but not its p_max = 15.5 is refused
-    # before evolution starts ...
-    with pytest.raises(GridSizingError, match="numerics.grid_points: momentum envelope"):
-        build_initial_grid(CoherentProduct(8.5 + 0j, 0j), GridSpec(n=256, half_extent=26.0))
+    # before any array exists ...
+    with pytest.raises(GridSizingError, match="numerics.grid_points: n = 256 cannot hold the state"):
+        auto_grid_spec(CoherentProduct(8.5 + 0j, 0j), delta=0.05, n=256, half_extent=26.0)
     # ... and one built past that check is refused at the first record: the
     # momentum edge is the band around n // 2 of the fftfreq order
     spec = GridSpec(n=128, half_extent=10.0)

@@ -1,6 +1,7 @@
 """Properties of the grid sizing rule over generated coherent and cat states:
-the box `auto_grid_spec` picks holds the state, a box of the next shorter
-fast FFT length would not, and the farthest mean it is sized from bounds the
+a given half extent is admitted iff it reaches the required one, the box
+`auto_grid_spec` picks holds the state, a box of the next shorter fast FFT
+length would not, and the farthest mean it is sized from bounds the
 closed-form means of every model.  Only sizes and closed forms are computed;
 no grid is allocated."""
 
@@ -26,7 +27,14 @@ from gravswap import (
     swap_time,
     to_normal_modes,
 )
-from gravswap.grid import EDGE_RING, GROUND_SIGMA, MAX_GRID_POINTS, _check_fit, _farthest_mean
+from gravswap.grid import (
+    EDGE_RING,
+    GROUND_FWHM,
+    GROUND_SIGMA,
+    MAX_GRID_POINTS,
+    RESOLUTION_POINTS,
+    _farthest_mean,
+)
 from gravswap.params import DELTA_WARN_LIMIT
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
@@ -52,27 +60,45 @@ def _five_smooth(n: int) -> bool:
 FAST_LENGTHS = [n for n in range(64, MAX_GRID_POINTS + 1, 2) if _five_smooth(n)]
 
 
-def _holds(n: int, half_extent: float) -> bool:
+def _holds(n: int, half_extent: float, reach: float) -> bool:
     """n points over +-half_extent meet the resolution floor of GridSpec and
-    the momentum rule p_max >= half_extent."""
+    the momentum rule p_max >= reach."""
     try:
         spec = GridSpec(n=n, half_extent=half_extent)
     except GridSizingError:
         return False
-    return spec.p_max >= half_extent
+    return spec.p_max >= reach
+
+
+# a given half extent, as a multiple of the required one; up to 1.4 keeps
+# every generated grid within MAX_GRID_POINTS
+extent_scales = st.one_of(st.none(), st.floats(min_value=0.5, max_value=1.4))
+REL = 1e-12
 
 
 @PROPERTY_SETTINGS
-@given(states, couplings)
-def test_auto_spec_holds_the_state_and_is_smallest(state, delta):
-    spec = auto_grid_spec(state, delta=delta)
-    _check_fit(spec, state)
-    assert _holds(spec.n, spec.half_extent)
-    # a Gaussian of the widest width, centred on the farthest mean, has fallen
-    # to the leakage limit where the edge ring of the guard starts; the minus
-    # mode stretches the width by (1 - 2 delta)^(-1/2)
+@given(states, couplings, extent_scales)
+def test_auto_spec_holds_the_state_and_is_smallest(state, delta, scale):
+    # the required half extent: a Gaussian of the widest width, centred on the
+    # farthest mean, has fallen to the leakage limit where the edge ring of
+    # the guard starts, at the coarsest dx the resolution rule allows; the
+    # minus mode stretches the width by (1 - 2 delta)^(-1/2)
     widest = GROUND_SIGMA / math.sqrt(1.0 - 2.0 * delta)
     farthest = _farthest_mean(state, delta)
+    required = farthest + widest * math.sqrt(-2.0 * math.log(LEAK)) + EDGE_RING * GROUND_FWHM / RESOLUTION_POINTS
+    half_extent = None if scale is None else scale * required
+    # a given half extent is admitted iff it reaches the required one
+    try:
+        spec = auto_grid_spec(state, delta=delta, half_extent=half_extent)
+    except GridSizingError as exc:
+        assert "numerics.grid_half_extent" in str(exc)
+        assert half_extent is not None and half_extent < required * (1.0 + REL)
+        return
+    assert half_extent is None or half_extent > required * (1.0 - REL)
+    # without a given half extent the box is exactly the required one
+    assert spec.half_extent == pytest.approx(required if half_extent is None else half_extent, rel=REL)
+    assert _holds(spec.n, spec.half_extent, required * (1.0 - REL))
+    # the tail has fallen to the leakage limit where the edge ring starts
     edge_gap = spec.half_extent - EDGE_RING * spec.dx - farthest
     assert math.exp(-0.5 * (edge_gap / widest) ** 2) <= LEAK * (1.0 + 1e-9)
     # likewise on the momentum grid, whose spacing is pi / half_extent (momentum
@@ -80,15 +106,15 @@ def test_auto_spec_holds_the_state_and_is_smallest(state, delta):
     # at most, less than positions do)
     p_gap = spec.p_max - EDGE_RING * math.pi / spec.half_extent - farthest
     assert math.exp(-0.5 * (p_gap / widest) ** 2) <= LEAK * (1.0 + 1e-9)
-    # n is the shortest fast FFT length that meets both rules
+    # n is the shortest fast FFT length that meets both rules on this box
     assert spec.n in FAST_LENGTHS
     shorter = [m for m in FAST_LENGTHS if m < spec.n]
-    assert not shorter or not _holds(shorter[-1], spec.half_extent)
+    assert not shorter or not _holds(shorter[-1], spec.half_extent, required * (1.0 + REL))
     # an explicit n is held to the same rules
-    assert auto_grid_spec(state, n=spec.n, delta=delta) == spec
+    assert auto_grid_spec(state, delta=delta, n=spec.n, half_extent=half_extent) == spec
     if shorter:
         with pytest.raises(GridSizingError, match="numerics.grid_points"):
-            auto_grid_spec(state, n=shorter[-1], delta=delta)
+            auto_grid_spec(state, delta=delta, n=shorter[-1], half_extent=half_extent)
 
 
 def _lab_means(model, alpha, beta, times, params):
