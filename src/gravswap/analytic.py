@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import DimensionlessParams, ParameterError
-from .states import SQRT2, check_moments, from_normal_modes
+from .states import SQRT2, check_moments, from_normal_modes, to_normal_modes
 
 COHERENCE_RESIDUAL_TOL = 1e-12
 CORRECTED_DELTA_LIMIT = 0.2
@@ -132,31 +132,28 @@ def template_moment_rhs(h: QuadraticHamiltonian, m, mean_field_x: float = 0.0) -
     )
 
 
-def propagate_rwa_displacement(
-    a: complex, b: complex, t: float, params: DimensionlessParams
-) -> tuple[complex, complex]:
+def propagate_rwa_displacement(a, b, t, params: DimensionlessParams) -> tuple:
     """Normal-mode amplitudes under the number-conserving model: pure phase
-    rotation at omega k_pm."""
-    tau = params.omega * t
+    rotation at omega k_pm.  Amplitudes and times broadcast as arrays."""
+    tau = params.omega * np.asarray(t, dtype=np.float64)
     return (
-        a * cmath.exp(-1j * params.k_plus * tau),
-        b * cmath.exp(-1j * params.k_minus * tau),
+        a * np.exp(-1j * params.k_plus * tau),
+        b * np.exp(-1j * params.k_minus * tau),
     )
 
 
-def propagate_rwa_lab_displacement(
-    alpha: complex, beta: complex, t: float, params: DimensionlessParams
-) -> tuple[complex, complex]:
+def propagate_rwa_lab_displacement(alpha, beta, t, params: DimensionlessParams) -> tuple:
     """Lab amplitudes under the number-conserving model: a carrier rotation at
     omega times a beat at omega_g that feeds each oscillator's amplitude into
     the other.  Identical to transforming propagate_rwa_displacement back to
     the lab frame, but keeps the fast and slow phases separate so the beat
-    survives float rounding even at extreme fast-phase values."""
-    tau = params.omega * t
+    survives float rounding even at extreme fast-phase values.  Amplitudes
+    and times broadcast against each other as arrays."""
+    tau = params.omega * np.asarray(t, dtype=np.float64)
     theta_g = params.delta * tau
-    carrier = cmath.exp(-1j * tau)
-    cg = math.cos(theta_g)
-    sg = math.sin(theta_g)
+    carrier = np.exp(-1j * tau)
+    cg = np.cos(theta_g)
+    sg = np.sin(theta_g)
     return (
         carrier * (alpha * cg - 1j * beta * sg),
         carrier * (beta * cg - 1j * alpha * sg),
@@ -165,27 +162,45 @@ def propagate_rwa_lab_displacement(
 
 @dataclass(frozen=True)
 class CorrectedDisplacement:
-    """First-order-in-delta displacement evolution.
+    """First-order-in-delta displacement evolution at the time(s) `t`; every
+    field has the shape of `t`.
 
     a_t, b_t include the counter-rotating correction; alpha_t, beta_t are
     their exact lab-frame images, equal to the uncorrected lab evolution minus
-    delta * corr_1 / delta * corr_2.  corr_1 and corr_2 vanish at t = 0 and
-    are bounded by (|a| + |b|)/sqrt(2)."""
+    delta * corr_1 / delta * corr_2 (see `counter_rotating_terms`)."""
 
-    t: float
-    a_t: complex
-    b_t: complex
-    alpha_t: complex
-    beta_t: complex
-    corr_1: complex
-    corr_2: complex
+    t: float | np.ndarray
+    a_t: complex | np.ndarray
+    b_t: complex | np.ndarray
+    alpha_t: complex | np.ndarray
+    beta_t: complex | np.ndarray
+    corr_1: complex | np.ndarray
+    corr_2: complex | np.ndarray
+
+
+def counter_rotating_terms(a, b, tau, params: DimensionlessParams) -> tuple:
+    """The lab-frame amplitude terms (corr_1, corr_2) the number-conserving
+    truncation drops, at scaled times `tau` = omega t, for normal-mode
+    amplitudes (a, b) at t = 0; arrays broadcast:
+
+        corr_1 = i (conj(a) sin(k_+ tau) - conj(b) sin(k_- tau)) / sqrt(2)
+        corr_2 = i (conj(a) sin(k_+ tau) + conj(b) sin(k_- tau)) / sqrt(2)
+
+    delta * corr_1 and delta * corr_2 are the first-order corrections to the
+    lab amplitudes.  Both terms vanish at tau = 0 and are bounded by
+    (|a| + |b|)/sqrt(2).  They take any coupling; the delta < 0.2 limit
+    belongs to `propagate_corrected_displacement`."""
+    sp = np.conj(a) * np.sin(params.k_plus * tau)
+    sm = np.conj(b) * np.sin(params.k_minus * tau)
+    return 1j * (sp - sm) / SQRT2, 1j * (sp + sm) / SQRT2
 
 
 def propagate_corrected_displacement(
-    a: complex, b: complex, t: float, params: DimensionlessParams
+    a: complex, b: complex, t, params: DimensionlessParams
 ) -> CorrectedDisplacement:
-    """Displacement evolution keeping the first-order amplitude corrections
-    that the number-conserving truncation drops:
+    """Displacement evolution at the time(s) `t` (any array shape), keeping
+    the first-order amplitude corrections that the number-conserving
+    truncation drops:
 
         a(t) = a e^{-i omega_+ t} - i delta conj(a) sin(omega_+ t)
         b(t) = b e^{-i omega_- t} + i delta conj(b) sin(omega_- t)
@@ -196,15 +211,12 @@ def propagate_corrected_displacement(
         raise ParameterError(
             f"corrected displacement is a first-order-in-delta form; delta = {d!r} >= {CORRECTED_DELTA_LIMIT}"
         )
-    tau = params.omega * t
-    theta_p = params.k_plus * tau
-    theta_m = params.k_minus * tau
-    sp = math.sin(theta_p)
-    sm = math.sin(theta_m)
-    a_t = a * cmath.exp(-1j * theta_p) - 1j * d * a.conjugate() * sp
-    b_t = b * cmath.exp(-1j * theta_m) + 1j * d * b.conjugate() * sm
-    corr_1 = 1j * (a.conjugate() * sp - b.conjugate() * sm) / SQRT2
-    corr_2 = 1j * (a.conjugate() * sp + b.conjugate() * sm) / SQRT2
+    tau = params.omega * np.asarray(t, dtype=np.float64)
+    corr_1, corr_2 = counter_rotating_terms(a, b, tau, params)
+    # normal-mode image of the corrections: i conj(a) sin(k_+ tau), -i conj(b) sin(k_- tau)
+    da, db = to_normal_modes(corr_1, corr_2)
+    a_t = a * np.exp(-1j * params.k_plus * tau) - d * da
+    b_t = b * np.exp(-1j * params.k_minus * tau) - d * db
     alpha_t, beta_t = from_normal_modes(a_t, b_t)
     return CorrectedDisplacement(
         t=t, a_t=a_t, b_t=b_t, alpha_t=alpha_t, beta_t=beta_t, corr_1=corr_1, corr_2=corr_2

@@ -20,6 +20,7 @@ from . import __version__
 from .analytic import (
     CORRECTED_DELTA_LIMIT,
     ModelKind,
+    counter_rotating_terms,
     phase_corrected_pair,
     propagate_corrected_displacement,
     propagate_moments,
@@ -77,7 +78,6 @@ class Tolerances:
     sceg_mean_max: float = 1e-6
     sceg_purity_defect: float = 1e-4
     impractical_swap_seconds: float = 1e9
-    width_flag_rel: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -219,11 +219,11 @@ def _add_table(report: ExperimentReport, name: str, columns: tuple[str, ...]) ->
     return table
 
 
-def _amplitudes_from_pair(pair: np.ndarray, width_tol: float) -> tuple[complex, complex, float]:
+def _amplitudes_from_pair(pair: np.ndarray) -> tuple[complex, complex, float]:
     """Lab amplitudes reconstructed from the normal-mode first moments of a
     record (2, 5), plus the worst width deviation of the two modes."""
-    ep = displacement_from_moments(pair[0], width_tol)
-    em = displacement_from_moments(pair[1], width_tol)
+    ep = displacement_from_moments(pair[0])
+    em = displacement_from_moments(pair[1])
     alpha, beta = from_normal_modes(ep.amplitude, em.amplitude)
     return alpha, beta, max(ep.width_deviation, em.width_deviation)
 
@@ -237,8 +237,10 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
     tol = cfg.tolerances
     report = _report(cfg)
     T = swap_time(params)
+    d = params.delta
     times = np.linspace(0.0, T, cfg.samples)
     alpha0, beta0 = complex(cfg.alpha), complex(cfg.beta)
+    target = (beta0, alpha0)
     a0, b0 = to_normal_modes(alpha0, beta0)
     pair0 = coherent_pair_moments(a0, b0)
     amp_scale = max(abs(a0), abs(b0))
@@ -250,133 +252,84 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         ("model", "method", "fidelity_raw", "fidelity_corrected", "deviation_from_target", "width_deviation"),
     )
 
-    def add_moment_rows(model, method, ts, moments):
-        name, rows = model.value, moments_table.rows
-        for t, (plus, minus) in zip(ts.tolist(), moments.tolist()):
-            rows.append((t, name, method, "plus", *plus))
-            rows.append((t, name, method, "minus", *minus))
-
-    def add_fidelity(model, method, pair_final, width_dev):
-        target = (beta0, alpha0)
-        raw = two_mode_overlap(pair_final, target)
-        corrected_pair = phase_corrected_pair(pair_final, T, params)
-        corrected = two_mode_overlap(corrected_pair, target)
-        deviation = math.hypot(abs(corrected_pair[0] - target[0]), abs(corrected_pair[1] - target[1]))
-        fidelity_table.rows.append((model.value, method, raw, corrected, deviation, width_dev))
-        return corrected
-
-    closed_means: dict[ModelKind, np.ndarray] = {}
-    corrected_fid: dict[ModelKind, float] = {}
-
     grid_state = CoherentProduct(alpha0, beta0)
     if cfg.uses_grid():
-        spec = auto_grid_spec(grid_state, delta=params.delta, n=cfg.grid_points, half_extent=cfg.grid_half_extent)
+        spec = auto_grid_spec(grid_state, delta=d, n=cfg.grid_points, half_extent=cfg.grid_half_extent)
     icfg = cfg.integrator()
 
-    def mean_error(model, series_times, moments):
-        ref = propagate_moments(model, pair0, series_times, params)
-        return float(np.max(np.abs(moments[..., :2] - ref[..., :2])))
-
-    for model in cfg.models:
-        closed = propagate_moments(model, pair0, times, params)
-        closed_means[model] = closed[..., :2]
-        add_moment_rows(model, "closed", times, closed)
-        alpha_T, beta_T, wdev = _amplitudes_from_pair(closed[-1], tol.width_flag_rel)
-        corrected_fid[model] = add_fidelity(model, "closed", (alpha_T, beta_T), wdev)
-
-        if model is ModelKind.SCEG:
-            report.verdicts.append(
-                _check(
-                    "sceg_width_constancy_closed",
-                    float(np.max(np.abs(closed[..., V_XX] - 0.5))),
-                    "<=",
-                    tol.width_closed,
-                    "closed-form mean-field widths stay at the coherent value",
-                )
-            )
-
+    def series(model):
+        """(method, times, records) of each enabled method for `model`; each
+        is computed when drawn, so one oracle runs at a time."""
+        yield "closed", times, propagate_moments(model, pair0, times, params)
         if cfg.uses_ode():
-            series = integrate_moments(model, pair0, T, params, icfg, n_samples=min(cfg.samples, 201))
-            err = mean_error(model, series.times, series.moments)
-            report.verdicts.append(
-                _check(f"{model.value}_ode_mean_agreement", err, "<=", tol.ode_agreement)
-            )
-            add_moment_rows(model, "ode", series.times, series.moments)
-            alpha_T, beta_T, wdev = _amplitudes_from_pair(series.moments[-1], tol.width_flag_rel)
-            add_fidelity(model, "ode", (alpha_T, beta_T), wdev)
-
+            ode = integrate_moments(model, pair0, T, params, icfg, n_samples=min(cfg.samples, 201))
+            yield "ode", ode.times, ode.moments
         if cfg.uses_grid():
             w0 = build_initial_grid(grid_state, spec)
-            evo = split_step_evolve(
-                w0, model, T, params, icfg, n_samples=min(cfg.samples, 51)
-            )
-            err = mean_error(model, evo.times, evo.moments)
-            report.verdicts.append(
-                _check(f"{model.value}_grid_mean_agreement", err, "<=", tol.grid_agreement)
-            )
-            if model is ModelKind.SCEG:
-                report.verdicts.append(
-                    _check(
-                        "sceg_width_constancy_grid",
-                        float(np.max(np.abs(evo.moments[..., V_XX] - 0.5))),
-                        "<=",
-                        tol.width_grid,
-                    )
-                )
-            add_moment_rows(model, "grid", evo.times, evo.moments)
-            alpha_T, beta_T, wdev = _amplitudes_from_pair(evo.moments[-1], tol.width_flag_rel)
-            add_fidelity(model, "grid", (alpha_T, beta_T), wdev)
+            evo = split_step_evolve(w0, model, T, params, icfg, n_samples=min(cfg.samples, 51))
             report.notes.append(
                 f"grid oracle [{model.value}]: max per-step norm drift {evo.max_step_norm_drift:.3e}, "
                 f"max boundary fraction {evo.max_boundary_fraction:.3e} (x), {evo.max_p_boundary_fraction:.3e} (p)"
             )
+            yield "grid", evo.times, evo.moments
+
+    # an oracle's means must match the closed form; mean-field widths must stay coherent
+    mean_tol = {"ode": tol.ode_agreement, "grid": tol.grid_agreement}
+    width_check = {
+        "closed": (tol.width_closed, "closed-form mean-field widths stay at the coherent value"),
+        "grid": (tol.width_grid, ""),
+    }
+    closed_means: dict[ModelKind, np.ndarray] = {}
+    corrected_fid: dict[tuple[ModelKind, str], float] = {}
+    for model in cfg.models:
+        for method, ts, records in series(model):
+            if method == "closed":
+                closed_means[model] = records[..., :2]
+            else:
+                ref = propagate_moments(model, pair0, ts, params)
+                err = np.max(np.abs(records[..., :2] - ref[..., :2]))
+                report.verdicts.append(_check(f"{model.value}_{method}_mean_agreement", err, "<=", mean_tol[method]))
+            if model is ModelKind.SCEG and method in width_check:
+                bound, why = width_check[method]
+                width_err = np.max(np.abs(records[..., V_XX] - 0.5))
+                report.verdicts.append(_check(f"sceg_width_constancy_{method}", width_err, "<=", bound, why))
+            name, rows = model.value, moments_table.rows
+            for t, (plus, minus) in zip(ts.tolist(), records.tolist()):
+                rows.append((t, name, method, "plus", *plus))
+                rows.append((t, name, method, "minus", *minus))
+
+            alpha_T, beta_T, width_dev = _amplitudes_from_pair(records[-1])
+            raw = two_mode_overlap((alpha_T, beta_T), target)
+            corrected_pair = phase_corrected_pair((alpha_T, beta_T), T, params)
+            corrected = two_mode_overlap(corrected_pair, target)
+            deviation = math.hypot(abs(corrected_pair[0] - target[0]), abs(corrected_pair[1] - target[1]))
+            fidelity_table.rows.append((model.value, method, raw, corrected, deviation, width_dev))
+            corrected_fid[model, method] = corrected
 
     # corrected displacement trajectory with the exact-model width envelope
-    d = params.delta
     if d < CORRECTED_DELTA_LIMIT:
-        disp_table = _add_table(
-            report,
-            "displacement",
-            (
-                "t",
-                "re_a",
-                "im_a",
-                "re_b",
-                "im_b",
-                "re_alpha",
-                "im_alpha",
-                "re_beta",
-                "im_beta",
-                "v_xx_plus",
-                "v_xx_minus",
-                "corr_mag_1",
-                "corr_mag_2",
-            ),
-        )
+        c = propagate_corrected_displacement(a0, b0, times, params)
         full_widths = propagate_moments(ModelKind.QG_FULL, pair0, times, params)[..., V_XX]
-        for t, (v_xx_plus, v_xx_minus) in zip(times.tolist(), full_widths.tolist()):
-            c = propagate_corrected_displacement(a0, b0, t, params)
-            disp_table.rows.append(
-                (
-                    t,
-                    c.a_t.real,
-                    c.a_t.imag,
-                    c.b_t.real,
-                    c.b_t.imag,
-                    c.alpha_t.real,
-                    c.alpha_t.imag,
-                    c.beta_t.real,
-                    c.beta_t.imag,
-                    v_xx_plus,
-                    v_xx_minus,
-                    d * abs(c.corr_1),
-                    d * abs(c.corr_2),
-                )
-            )
-        c_T = propagate_corrected_displacement(a0, b0, T, params)
+        columns = {
+            "t": times,
+            "re_a": c.a_t.real,
+            "im_a": c.a_t.imag,
+            "re_b": c.b_t.real,
+            "im_b": c.b_t.imag,
+            "re_alpha": c.alpha_t.real,
+            "im_alpha": c.alpha_t.imag,
+            "re_beta": c.beta_t.real,
+            "im_beta": c.beta_t.imag,
+            "v_xx_plus": full_widths[:, 0],
+            "v_xx_minus": full_widths[:, 1],
+            "corr_mag_1": d * np.abs(c.corr_1),
+            "corr_mag_2": d * np.abs(c.corr_2),
+        }
+        disp_table = _add_table(report, "displacement", tuple(columns))
+        disp_table.rows.extend(zip(*(column.tolist() for column in columns.values())))
         report.notes.append(
             f"first-order correction magnitudes at the swap time: "
-            f"|dA| = {d * abs(c_T.corr_1):.6e}, |dB| = {d * abs(c_T.corr_2):.6e}"
+            f"|dA| = {d * abs(c.corr_1[-1]):.6e}, |dB| = {d * abs(c.corr_2[-1]):.6e}"
         )
     else:
         report.notes.append(
@@ -388,7 +341,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         report.verdicts.append(
             _check(
                 "qg_rwa_phase_corrected_swap",
-                corrected_fid[ModelKind.QG_RWA],
+                corrected_fid[ModelKind.QG_RWA, "closed"],
                 ">=",
                 1.0 - tol.swap_fidelity,
                 "number-conserving model swaps exactly up to the carrier phase",
@@ -410,7 +363,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         report.verdicts.append(
             _check(
                 "sceg_swap_fidelity_bound",
-                corrected_fid[ModelKind.SCEG],
+                corrected_fid[ModelKind.SCEG, "closed"],
                 ">=",
                 bound,
                 "mean-field swap fidelity within the first-order correction envelope",
@@ -435,20 +388,18 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         )
 
     if cfg.random_pairs > 0:
-        rng = np.random.default_rng(cfg.seed)
         rnd_table = _add_table(
             report, "random_swaps", ("index", "re_alpha", "im_alpha", "re_beta", "im_beta", "fidelity_corrected")
         )
-        worst = 1.0
-        for i in range(cfg.random_pairs):
-            re_a, im_a, re_b, im_b = rng.uniform(-3.0, 3.0, size=4)
-            al, be = complex(re_a, im_a), complex(re_b, im_b)
-            final = propagate_rwa_lab_displacement(al, be, T, params)
-            fid = two_mode_overlap(phase_corrected_pair(final, T, params), (be, al))
-            worst = min(worst, fid)
-            rnd_table.rows.append((i, re_a, im_a, re_b, im_b, fid))
+        # row i is the i-th draw of four from the seed's stream; its
+        # (re, im) pairs, viewed as complex, are alpha and beta
+        draws = np.random.default_rng(cfg.seed).uniform(-3.0, 3.0, size=(cfg.random_pairs, 4))
+        al, be = draws.view(np.complex128).T
+        final = propagate_rwa_lab_displacement(al, be, T, params)
+        fid = two_mode_overlap(phase_corrected_pair(final, T, params), (be, al))
+        rnd_table.rows.extend(zip(range(cfg.random_pairs), *draws.T.tolist(), fid.tolist()))
         report.verdicts.append(
-            _check("random_pair_swap_fidelity", worst, ">=", 1.0 - tol.swap_fidelity)
+            _check("random_pair_swap_fidelity", fid.min(), ">=", 1.0 - tol.swap_fidelity)
         )
 
     report.figures = [
@@ -502,11 +453,8 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
             beta = complex(cfg.beta)
             a0, b0 = to_normal_modes(alpha, beta)
             tau = np.linspace(0.0, math.pi / d, n_dense)
-            sp = np.sin(params.k_plus * tau)
-            sm = np.sin(params.k_minus * tau)
-            dev1 = d * np.abs(np.conj(a0) * sp - np.conj(b0) * sm) / math.sqrt(2.0)
-            dev2 = d * np.abs(np.conj(a0) * sp + np.conj(b0) * sm) / math.sqrt(2.0)
-            measured = float(max(dev1.max(), dev2.max()))
+            corr_1, corr_2 = counter_rotating_terms(a0, b0, tau, params)
+            measured = d * float(max(np.abs(corr_1).max(), np.abs(corr_2).max()))
             # the two sine factors visit every sign corner over one relative
             # beat, so the envelope is max(|a -/+ b|)/sqrt(2) = max(|alpha|, |beta|)
             predicted = d * max(abs(alpha), abs(beta))
@@ -593,19 +541,19 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
         ("t", "model", "entropy", "entropy_oracle", "purity", "max_abs_first_moment"),
     )
 
-    def oracle_entropy(t: float) -> float:
-        # branch amplitudes of the superposition under the number-conserving model
+    def oracle_entropies(ts: np.ndarray) -> list[float]:
+        # the branches (+g, beta) and (-g, beta) of the superposition under
+        # the number-conserving model, at every time in one call each
         g = complex(cfg.cat_alpha)
         norm = math.sqrt(2.0 * (1.0 + math.exp(-2.0 * abs(g) ** 2)))
         coeffs = [1.0 / norm, 1.0 / norm]
-        branch1 = []
-        branch2 = []
-        for sign in (1.0, -1.0):
-            al, be = propagate_rwa_lab_displacement(sign * g, complex(cfg.beta), t, params)
-            branch1.append(al)
-            branch2.append(be)
-        entropy, _ = branch_schmidt_entropy(coeffs, branch1, branch2)
-        return entropy
+        (plus1, plus2), (minus1, minus2) = (
+            propagate_rwa_lab_displacement(sign * g, complex(cfg.beta), ts, params) for sign in (1.0, -1.0)
+        )
+        return [
+            branch_schmidt_entropy(coeffs, branch1, branch2)[0]
+            for branch1, branch2 in zip(zip(plus1, minus1), zip(plus2, minus2))
+        ]
 
     results: dict[ModelKind, dict] = {}
     for model in (quantum, ModelKind.SCEG):
@@ -615,7 +563,7 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
         )
         max_mean = np.max(np.abs(lab_means(evo.moments)), axis=1)
         oracle_vals = (
-            [oracle_entropy(float(t)) for t in evo.times]
+            oracle_entropies(evo.times)
             if model is ModelKind.QG_RWA
             else [math.nan] * len(evo.times)
         )

@@ -28,9 +28,9 @@ changes only the phase of psi, not |psi|^2, so the means after it equal the
 means before it: the step stays symmetric in time and keeps its order.
 
 Norm is never renormalized during evolution; drift is tracked every step and
-the run aborts if it exceeds the configured rate.  Probability reaching the
-edge of the position box or of the momentum grid also aborts (wrap-around
-would silently corrupt everything after).
+the run aborts if it exceeds NORM_DRIFT_LIMIT per unit time.  Probability
+beyond LEAKAGE_LIMIT on the edge of the position box or of the momentum grid
+also aborts (wrap-around would silently corrupt everything after).
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ RESOLUTION_POINTS = 8.0  # grid points across one ground-state FWHM
 # 16 n^2 bytes, 256 MiB at this cap.
 MAX_GRID_POINTS = 4096
 EDGE_RING = 2  # rows and columns on each side counted as the edge of a grid
+# Largest probability on the edge of the position box or of the momentum grid
+# at any record; `auto_grid_spec` sizes every box to keep the state below it.
+LEAKAGE_LIMIT = 1e-12
+NORM_DRIFT_LIMIT = 1e-8  # largest norm change per unit scaled time
 
 
 class _LazyFFT:
@@ -256,15 +260,16 @@ def auto_grid_spec(
 
     Required half extent H: the farthest mean any model reaches
     (`_farthest_mean`), plus the tail distance at which a Gaussian of the
-    widest width the dynamics reach falls to `IntegratorConfig.leakage_limit`
-    of its peak, plus the EDGE_RING points the edge guards of
-    `split_step_evolve` count as the edge (at the coarsest dx the resolution
-    rule allows).  The widest width is the ground width stretched by the exact
-    minus mode, (1 - 2 delta)^(-1/2).  Momentum means stay within the same
-    bound and momentum widths grow by (1 + 2 delta)^(1/2) at most, which is
-    less, so the momentum grid must hold the same extent: p_max = pi / dx >= H.
+    widest width the dynamics reach falls to LEAKAGE_LIMIT of its peak, plus
+    the EDGE_RING points the edge guards of `split_step_evolve` count as the
+    edge (at the coarsest dx the resolution rule allows).  The widest width is
+    the ground width stretched by the exact minus mode, (1 - 2 delta)^(-1/2).
+    Momentum means stay within the same bound and momentum widths grow by
+    (1 + 2 delta)^(1/2) at most, which is less, so the momentum grid must hold
+    the same extent: p_max = pi / dx >= H.
 
-    Half extent: H, or `half_extent` if given, which is refused below H.
+    Half extent: H, or `half_extent` if given, which is refused below H and
+    beyond what MAX_GRID_POINTS hold at the dx below.
 
     n: the shortest even FFT length >= 64 with no prime factor above 5
     (`_fft_length`) that meets this momentum rule and RESOLUTION_POINTS per
@@ -272,15 +277,24 @@ def auto_grid_spec(
     short.  The edge guards of `split_step_evolve` catch a state that outgrows
     the estimate."""
     dx_resolution = GROUND_FWHM / RESOLUTION_POINTS
-    tail = GROUND_SIGMA * math.sqrt(-2.0 * math.log(IntegratorConfig.leakage_limit) / (1.0 - 2.0 * delta))
+    tail = GROUND_SIGMA * math.sqrt(-2.0 * math.log(LEAKAGE_LIMIT) / (1.0 - 2.0 * delta))
     required = _farthest_mean(state, delta) + tail + EDGE_RING * dx_resolution
-    if half_extent is None:
+    given = half_extent is not None
+    if not given:
         half_extent = required
     elif not half_extent >= required:
         raise GridSizingError(
             f"numerics.grid_half_extent: {half_extent!r} cannot hold the state; need half_extent >= {required:.4g}"
         )
-    points = 2.0 * half_extent / min(dx_resolution, math.pi / required)
+    dx = min(dx_resolution, math.pi / required)
+    points = 2.0 * half_extent / dx
+    if given and not points <= MAX_GRID_POINTS:
+        raise GridSizingError(
+            f"numerics.grid_half_extent: {half_extent:.4g} is beyond the memory budget: at the dx = {dx:.4g} "
+            f"this state needs, the budget of {MAX_GRID_POINTS} points per axis "
+            f"({16 * MAX_GRID_POINTS**2 / 2**30:g} GiB per complex array) holds a half extent of at most "
+            f"{MAX_GRID_POINTS * dx / 2:.4g}"
+        )
     _check_memory(points, f"a half extent of {half_extent:.4g} (the state requires {required:.4g})")
     n_needed = _fft_length(math.ceil(points))
     if n is None:
@@ -418,7 +432,6 @@ def moments_from_grid(w: GridWavefunction, prob: np.ndarray | None = None, *, re
 class SchmidtResult:
     entropy: float
     purity: float
-    coefficients: np.ndarray
 
 
 def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
@@ -430,7 +443,7 @@ def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
     nz = probs[probs > 1e-18]
     entropy = float(-np.sum(nz * np.log(nz)))
     purity = float(np.sum(probs**2))
-    return SchmidtResult(entropy=entropy, purity=purity, coefficients=probs)
+    return SchmidtResult(entropy=entropy, purity=purity)
 
 
 def _kinetic_exponent(model: ModelKind, spec: GridSpec, params: DimensionlessParams) -> np.ndarray:
@@ -462,7 +475,6 @@ class GridEvolution:
     model: ModelKind
     times: np.ndarray
     moments: np.ndarray  # (n, 2, 5) normal-mode records
-    norms: np.ndarray
     entropies: np.ndarray | None
     purities: np.ndarray | None
     max_step_norm_drift: float
@@ -490,8 +502,8 @@ def split_step_evolve(
     endpoints; a run takes at least n_samples - 1 steps, so no two records
     fall on the same boundary.  Refuses (ConfigError) a run beyond the grid
     step budget before allocating anything.  Aborts (EvolutionError) on norm
-    drift beyond cfg.norm_drift_limit per unit scaled time, or on probability
-    beyond cfg.leakage_limit on the edge of the position box or of the
+    drift beyond NORM_DRIFT_LIMIT per unit scaled time, or on probability
+    beyond LEAKAGE_LIMIT on the edge of the position box or of the
     momentum grid.
     """
     cfg = cfg or IntegratorConfig()
@@ -517,7 +529,6 @@ def split_step_evolve(
 
     times: list[float] = []
     moments: list[np.ndarray] = []
-    norms: list[float] = []
     entropies: list[float] = []
     purities: list[float] = []
     state = {"max_drift": 0.0, "max_boundary": 0.0, "max_p_boundary": 0.0, "last_norm": None}
@@ -525,27 +536,26 @@ def split_step_evolve(
     def record(tau: float) -> None:
         cur = GridWavefunction(spec, psi)
         n2 = cur.norm_squared()
-        if abs(n2 - 1.0) > cfg.norm_drift_limit * max(tau, 1.0):
+        if abs(n2 - 1.0) > NORM_DRIFT_LIMIT * max(tau, 1.0):
             raise EvolutionError(
-                f"norm drift |{n2 - 1.0:.3e}| exceeds {cfg.norm_drift_limit:.1e} per unit time at t = {tau!r}"
+                f"norm drift |{n2 - 1.0:.3e}| exceeds {NORM_DRIFT_LIMIT:.1e} per unit time at t = {tau!r}"
             )
         prob = _density(psi)
         frac = cur.boundary_fraction(prob=prob)
-        if frac > cfg.leakage_limit:
+        if frac > LEAKAGE_LIMIT:
             raise EvolutionError(
                 f"position axis leaked: boundary probability {frac:.3e} exceeds leakage limit "
-                f"{cfg.leakage_limit:.1e} at t = {tau!r}; widen numerics.grid_half_extent"
+                f"{LEAKAGE_LIMIT:.1e} at t = {tau!r}; widen numerics.grid_half_extent"
             )
         pair, p_frac = moments_from_grid(cur, prob, return_p_edge=True)
-        if p_frac > cfg.leakage_limit:
+        if p_frac > LEAKAGE_LIMIT:
             raise EvolutionError(
                 f"momentum axis leaked: probability {p_frac:.3e} on the momentum-grid edge exceeds leakage "
-                f"limit {cfg.leakage_limit:.1e} at t = {tau!r}; decrease dx (more numerics.grid_points)"
+                f"limit {LEAKAGE_LIMIT:.1e} at t = {tau!r}; decrease dx (more numerics.grid_points)"
             )
         state["max_boundary"] = max(state["max_boundary"], frac)
         state["max_p_boundary"] = max(state["max_p_boundary"], p_frac)
         times.append(tau / params.omega)
-        norms.append(n2)
         moments.append(pair)
         if record_entropy:
             sr = schmidt_entropy(cur)
@@ -600,7 +610,6 @@ def split_step_evolve(
         model=model,
         times=np.array(times),
         moments=np.array(moments),
-        norms=np.array(norms),
         entropies=np.array(entropies) if record_entropy else None,
         purities=np.array(purities) if record_entropy else None,
         max_step_norm_drift=state["max_drift"],

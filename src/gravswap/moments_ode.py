@@ -49,7 +49,7 @@ class ToleranceError(IntegrationError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step-size and safety knobs shared by the two numerical oracles.
+    """Step sizes of the two numerical oracles and the RK4 error tolerance.
 
     Both step factors are in units of one exact-plus-mode period 2 pi /
     Omega_plus.  The grid factor is the length of one fourth-order step (six
@@ -62,17 +62,14 @@ class IntegratorConfig:
     dt_factor: float = 2e-2
     rk_step_factor: float = 1e-4
     rk_tol: float = 1e-8
-    norm_drift_limit: float = 1e-8  # per unit scaled time
-    leakage_limit: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (0.0 < self.dt_factor <= 4e-2):
             raise ParameterError(f"numerics.dt_factor: must be in (0, 4e-2] periods, got {self.dt_factor!r}")
         if not (0.0 < self.rk_step_factor):
             raise ParameterError("numerics.rk_step_factor: must be positive")
-        for name in ("rk_tol", "norm_drift_limit", "leakage_limit"):
-            if not (getattr(self, name) > 0):
-                raise ParameterError(f"numerics.{name}: must be positive")
+        if not (self.rk_tol > 0):
+            raise ParameterError("numerics.rk_tol: must be positive")
 
     def grid_step(self, params: DimensionlessParams) -> float:
         """Split-operator step in scaled time (omega t)."""

@@ -105,17 +105,16 @@ def coherent_pair_moments(a: complex, b: complex) -> np.ndarray:
 class DisplacementEstimate:
     """Coherent amplitude read off a moment record.  `width_deviation` is the
     largest relative deviation of the second moments from the coherent values;
-    records beyond the caller's tolerance are flagged (not rejected) because a
-    drifting width is itself a physics signal (coherence loss)."""
+    it is reported, never used to reject the record, because a drifting width
+    is itself a physics signal (coherence loss)."""
 
     amplitude: complex
     width_deviation: float
-    is_coherent: bool
 
 
-def displacement_from_moments(m, width_tol: float = 1e-6) -> DisplacementEstimate:
+def displacement_from_moments(m) -> DisplacementEstimate:
     """Invert moments_of_coherent on the first moments of one mode's record
-    (5,); flag non-coherent widths."""
+    (5,); measure how far its widths are from coherent."""
     mean_x, mean_p, v_xx, v_pp, v_xp = (float(v) for v in m)
     amplitude = complex(mean_x / SQRT2, mean_p / SQRT2)
     deviation = max(
@@ -123,11 +122,7 @@ def displacement_from_moments(m, width_tol: float = 1e-6) -> DisplacementEstimat
         abs(v_pp / GROUND_VARIANCE - 1.0),
         abs(v_xp) / GROUND_VARIANCE,
     )
-    return DisplacementEstimate(
-        amplitude=amplitude,
-        width_deviation=deviation,
-        is_coherent=deviation <= width_tol,
-    )
+    return DisplacementEstimate(amplitude=amplitude, width_deviation=deviation)
 
 
 def coherent_inner(g: complex, m: complex) -> complex:
@@ -137,13 +132,13 @@ def coherent_inner(g: complex, m: complex) -> complex:
     return cmath.exp(-0.5 * (abs(g) ** 2 + abs(m) ** 2) + g.conjugate() * m)
 
 
-def coherent_overlap(g: complex, m: complex) -> float:
-    """Fidelity |<g|m>|^2 = exp(-|g - m|^2)."""
-    return math.exp(-abs(complex(g) - complex(m)) ** 2)
+def coherent_overlap(g, m):
+    """Fidelity |<g|m>|^2 = exp(-|g - m|^2), elementwise over arrays."""
+    return np.exp(-np.abs(np.subtract(g, m)) ** 2)
 
 
-def two_mode_overlap(pair_a: tuple[complex, complex], pair_b: tuple[complex, complex]) -> float:
-    """Fidelity of two two-mode coherent products."""
+def two_mode_overlap(pair_a, pair_b):
+    """Fidelity of two two-mode coherent products, elementwise over arrays."""
     return coherent_overlap(pair_a[0], pair_b[0]) * coherent_overlap(pair_a[1], pair_b[1])
 
 

@@ -77,6 +77,12 @@ def test_unknown_key_rejected():
         parse_config_text(MINIMAL + "\n[params]\ndelta = 0.01\n")
 
 
+def test_removed_width_flag_tolerance_rejected():
+    # width_flag_rel gated nothing and is no longer a tolerance key
+    with pytest.raises(ConfigError, match=r"tolerances\.width_flag_rel: unknown key"):
+        parse_config_text(MINIMAL + "\n[tolerances]\nwidth_flag_rel = 1e-6\n")
+
+
 def test_malformed_lines_rejected():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("[run]\nkind swap\n")
@@ -317,6 +323,20 @@ def test_cli_refuses_grid_beyond_memory_budget(tmp_path, capsys, monkeypatch, co
     assert err.startswith("error: ") and "numerics.grid_points" in err and "GiB per complex array" in err
 
 
+def test_cli_refuses_half_extent_beyond_memory_budget(tmp_path, capsys, monkeypatch):
+    # a given half extent that alone needs more points than the budget is
+    # refused naming that key, with no overflowed figure in the message
+    monkeypatch.setattr("gravswap.experiments.build_initial_grid", _refuse_allocation)
+    monkeypatch.setattr("gravswap.experiments.split_step_evolve", _refuse_allocation)
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text("[run]\nkind = swap\nmodels = qg_full\n[numerics]\ngrid_half_extent = 1e300\n")
+    rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerics.grid_half_extent: 1e+300 is beyond the memory budget")
+    assert "numerics.grid_points" not in err and "inf" not in err
+
+
 def test_cli_refuses_box_the_edge_guard_would_refuse(tmp_path, capsys, monkeypatch):
     # the default state needs a half extent of 7.41 for its leakage tail to
     # clear the edge ring; a 6.3 box is refused at admission, before any
@@ -369,7 +389,6 @@ product_entropy_max = 9.9999999999999995e-07
 sceg_mean_max = 9.9999999999999995e-07
 sceg_purity_defect = 0.0001
 impractical_swap_seconds = 1000000000
-width_flag_rel = 9.9999999999999995e-07
 
 [platform:ca40_ion]
 mass_kg = 6.6421562664000002e-26

@@ -5,16 +5,19 @@ import pytest
 
 from gravswap import (
     ConfigError,
+    DimensionlessParams,
     ExperimentConfig,
     GridSpec,
     ModelKind,
     PLATFORM_PRESETS,
     Platform,
     preset_platform,
+    propagate_corrected_displacement,
     run_cat_state,
     run_feasibility,
     run_rwa_validity,
     run_swap,
+    to_normal_modes,
 )
 
 
@@ -171,6 +174,32 @@ def test_swap_determinism():
     assert [(v.name, v.observed) for v in r1.verdicts] == [(v.name, v.observed) for v in r2.verdicts]
 
 
+def test_displacement_rows_match_scalar_closed_form():
+    # the table is one call over every sample time; each row must be the
+    # scalar closed form at its time
+    params = DimensionlessParams(delta=0.05)
+    cfg = ExperimentConfig(kind="swap", platform=Platform(delta=0.05), alpha=2 - 1j, beta=0.5 + 1j, samples=200)
+    rows = run_swap(cfg).tables["displacement"].rows
+    a0, b0 = to_normal_modes(cfg.alpha, cfg.beta)
+    for row in rows[::23] + rows[-1:]:
+        c = propagate_corrected_displacement(a0, b0, row[0], params)
+        values = (c.a_t, c.b_t, c.alpha_t, c.beta_t)
+        want = [part for z in values for part in (z.real, z.imag)] + [0.05 * abs(c.corr_1), 0.05 * abs(c.corr_2)]
+        got = list(row[1:9]) + list(row[11:13])
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-13
+
+
+def test_random_pairs_follow_the_seed_stream():
+    # pair i is the i-th draw of four uniforms on [-3, 3) from the seed's
+    # generator, as (re alpha, im alpha, re beta, im beta)
+    cfg = ExperimentConfig(kind="swap", platform=Platform(delta=0.05), random_pairs=7, seed=0)
+    rows = run_swap(cfg).tables["random_swaps"].rows
+    rng = np.random.default_rng(0)
+    for i, row in enumerate(rows):
+        assert row[0] == i
+        assert list(row[1:5]) == rng.uniform(-3.0, 3.0, size=4).tolist()
+
+
 def test_rwa_validity_law():
     cfg = ExperimentConfig(
         kind="rwa_validity", deltas=(0.01, 0.1), alpha_mags=(1.0, 10.0, 100.0), samples=20001
@@ -185,6 +214,16 @@ def test_rwa_validity_law():
     # crossing appears only past delta |alpha| ~ 1
     assert by_key[(0.01, 1.0)][6] == 0
     assert by_key[(0.1, 100.0)][6] == 1
+
+
+def test_rwa_validity_sweeps_past_the_corrected_form_limit():
+    # the sweep shares the counter-rotating terms of the corrected
+    # displacement, not its delta < 0.2 validity limit
+    cfg = ExperimentConfig(kind="rwa_validity", deltas=(0.2, 0.3), alpha_mags=(1.0, 2.0))
+    with pytest.warns(UserWarning, match="exceeds"):
+        report = run_rwa_validity(cfg)
+    assert [(r[0], r[1]) for r in report.tables["validity"].rows] == [(0.2, 1.0), (0.2, 2.0), (0.3, 1.0), (0.3, 2.0)]
+    assert _verdict(report, "deviation_law_delta_0.3_alpha_2").passed
 
 
 def test_feasibility_presets_and_synthetic():

@@ -31,7 +31,7 @@ from gravswap import (
     swap_time,
     to_normal_modes,
 )
-from gravswap.grid import MAX_GRID_POINTS
+from gravswap.grid import LEAKAGE_LIMIT, MAX_GRID_POINTS
 from gravswap.params import DELTA_WARN_LIMIT
 
 SQRT2 = math.sqrt(2.0)
@@ -283,14 +283,6 @@ def test_sceg_evolution_uses_current_means():
     assert np.max(np.abs(got - free)) > 0.1
 
 
-def test_leakage_abort():
-    params = DimensionlessParams(0.05)
-    w = build_initial_grid(CoherentProduct(1 + 0j, 0j))
-    cfg = IntegratorConfig(dt_factor=1e-3, leakage_limit=1e-40)
-    with pytest.raises(EvolutionError, match="boundary"):
-        split_step_evolve(w, ModelKind.QG_FULL, 1.0, params, cfg, n_samples=3)
-
-
 _SWAP_STATES = {"": CoherentProduct(3j), "pair-": CoherentProduct(2 + 0j, -2j), "cat-": CatProduct(2 + 0j, 1j)}
 
 
@@ -312,8 +304,8 @@ def test_auto_box_holds_a_momentum_swap(model, state):
     params = DimensionlessParams(0.2)
     w = build_initial_grid(state, auto_grid_spec(state, delta=0.2))
     evo = split_step_evolve(w, model, swap_time(params), params, FAST, n_samples=49)
-    assert evo.max_boundary_fraction < IntegratorConfig().leakage_limit
-    assert evo.max_p_boundary_fraction < IntegratorConfig().leakage_limit
+    assert evo.max_boundary_fraction < LEAKAGE_LIMIT
+    assert evo.max_p_boundary_fraction < LEAKAGE_LIMIT
     # the means of a cat are those of (0, p), the mean of its two branches
     pair = (state.alpha, state.beta) if isinstance(state, CoherentProduct) else (0j, state.partner)
     pair0 = coherent_pair_moments(*to_normal_modes(*pair))
@@ -364,7 +356,7 @@ def test_box_too_small_in_p_refused():
     # well inside the momentum grid the same run passes and reports its edge mass
     w = _gaussian_product(spec, p0=4.0)
     evo = split_step_evolve(w, ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), FAST, n_samples=3)
-    assert 0.0 <= evo.max_p_boundary_fraction < IntegratorConfig().leakage_limit
+    assert 0.0 <= evo.max_p_boundary_fraction < LEAKAGE_LIMIT
 
 
 def test_evolution_does_not_mutate_input():

@@ -18,7 +18,6 @@ from gravswap import (
     DimensionlessParams,
     GridSizingError,
     GridSpec,
-    IntegratorConfig,
     ModelKind,
     auto_grid_spec,
     coherent_pair_moments,
@@ -31,6 +30,7 @@ from gravswap.grid import (
     EDGE_RING,
     GROUND_FWHM,
     GROUND_SIGMA,
+    LEAKAGE_LIMIT,
     MAX_GRID_POINTS,
     RESOLUTION_POINTS,
     _farthest_mean,
@@ -45,7 +45,6 @@ parts = st.floats(min_value=-14.0, max_value=14.0)
 amplitudes = st.builds(complex, parts, parts)
 states = st.one_of(st.builds(CoherentProduct, amplitudes, amplitudes), st.builds(CatProduct, amplitudes, amplitudes))
 couplings = st.floats(min_value=0.0, max_value=DELTA_WARN_LIMIT)
-LEAK = IntegratorConfig.leakage_limit
 SQRT2 = math.sqrt(2.0)
 
 
@@ -85,7 +84,7 @@ def test_auto_spec_holds_the_state_and_is_smallest(state, delta, scale):
     # minus mode stretches the width by (1 - 2 delta)^(-1/2)
     widest = GROUND_SIGMA / math.sqrt(1.0 - 2.0 * delta)
     farthest = _farthest_mean(state, delta)
-    required = farthest + widest * math.sqrt(-2.0 * math.log(LEAK)) + EDGE_RING * GROUND_FWHM / RESOLUTION_POINTS
+    required = farthest + widest * math.sqrt(-2.0 * math.log(LEAKAGE_LIMIT)) + EDGE_RING * GROUND_FWHM / RESOLUTION_POINTS
     half_extent = None if scale is None else scale * required
     # a given half extent is admitted iff it reaches the required one
     try:
@@ -100,12 +99,12 @@ def test_auto_spec_holds_the_state_and_is_smallest(state, delta, scale):
     assert _holds(spec.n, spec.half_extent, required * (1.0 - REL))
     # the tail has fallen to the leakage limit where the edge ring starts
     edge_gap = spec.half_extent - EDGE_RING * spec.dx - farthest
-    assert math.exp(-0.5 * (edge_gap / widest) ** 2) <= LEAK * (1.0 + 1e-9)
+    assert math.exp(-0.5 * (edge_gap / widest) ** 2) <= LEAKAGE_LIMIT * (1.0 + 1e-9)
     # likewise on the momentum grid, whose spacing is pi / half_extent (momentum
     # means stay within the same bound, and widths grow by (1 + 2 delta)^(1/2)
     # at most, less than positions do)
     p_gap = spec.p_max - EDGE_RING * math.pi / spec.half_extent - farthest
-    assert math.exp(-0.5 * (p_gap / widest) ** 2) <= LEAK * (1.0 + 1e-9)
+    assert math.exp(-0.5 * (p_gap / widest) ** 2) <= LEAKAGE_LIMIT * (1.0 + 1e-9)
     # n is the shortest fast FFT length that meets both rules on this box
     assert spec.n in FAST_LENGTHS
     shorter = [m for m in FAST_LENGTHS if m < spec.n]
