@@ -285,7 +285,11 @@ def _platform_lines(platform: Platform) -> list[str]:
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form of the fully resolved configuration."""
+    """Canonical text form of the fully resolved configuration.  A run reads
+    one coupling or a ladder of platforms, never both: feasibility reads
+    `run.platforms` and the [platform:NAME] sections, every other kind the
+    [params] block, and the echo writes only the one its kind reads."""
+    ladder = cfg.kind == "feasibility"
     lines = ["[run]"]
     lines.append(f"kind = {cfg.kind}")
     lines.append(f"seed = {cfg.seed}")
@@ -296,10 +300,12 @@ def format_config(cfg: ExperimentConfig) -> str:
         lines.append(f"out = {cfg.out_dir}")
     if cfg.timestamp is not None:
         lines.append(f"timestamp = {cfg.timestamp}")
-    lines.append("platforms = " + ", ".join(p.name for p in cfg.platforms))
-    lines.append("")
-    lines.append("[params]")
-    lines.extend(_platform_lines(cfg.platform))
+    if ladder:
+        lines.append("platforms = " + ", ".join(p.name for p in cfg.platforms))
+    else:
+        lines.append("")
+        lines.append("[params]")
+        lines.extend(_platform_lines(cfg.platform))
     lines.append("")
     lines.append("[state]")
     lines.append(f"alpha = {_fmt_complex(cfg.alpha)}")
@@ -321,7 +327,7 @@ def format_config(cfg: ExperimentConfig) -> str:
     lines.append("[tolerances]")
     for f in dataclasses.fields(Tolerances):
         lines.append(f"{f.name} = {_fmt_float(getattr(cfg.tolerances, f.name))}")
-    for platform in cfg.platforms:
+    for platform in cfg.platforms if ladder else ():
         lines.append("")
         lines.append(f"[platform:{platform.name}]")
         lines.extend(_platform_lines(platform))

@@ -2,30 +2,43 @@
 
 The state lives on an N x N lab-frame grid psi[i, j] = psi(x1_i, x2_j) in
 oscillator units, with the FFT momentum grid p = 2 pi fftfreq(N, dx).  Every
-model splits exactly into a position-diagonal and a momentum-diagonal factor
-in the lab frame:
+model is the two bare lab oscillators H0 = (p1^2 + x1^2 + p2^2 + x2^2)/2 plus
+a coupling of size d, the coupling ratio:
 
-    QG_FULL   T = (p1^2 + p2^2)/2                 V = (x1^2 + x2^2)/2 + 2 d x1 x2
-    QG_RWA    T = (p1^2 + p2^2)/2 + d p1 p2       V = (x1^2 + x2^2)/2 + d x1 x2
-    SCEG      T = (p1^2 + p2^2)/2                 V = (x1^2 + x2^2)/2
-                                                      + 2 d (<x2> x1 + <x1> x2)
+    QG_FULL   H0 + 2 d x1 x2
+    QG_RWA    H0 + d B,   B = x1 x2 + p1 p2
+    SCEG      H0 + 2 d (<x2> x1 + <x1> x2)
 
-with d the coupling ratio.  One step of length h is a palindromic splitting
-that alternates potential kicks V(a_k h) and kinetic drifts K(b_k h), kicks
-outermost:
+H0 has an exact flow of one kinetic FFT round trip: exp(-i s H0) = C K C with
+the chirp C = exp(-i tan(s/2) x^2/2) on each axis and K = exp(-i sin(s) p^2/2).
+A step of length h therefore splits only the coupling V1 off the exact bare
+flow A, with Laskar and Robutel's SBAB2 (Celest. Mech. Dyn. Astron. 80, 39,
+2001), kicks outermost:
 
-    V(a1) K(b1) V(a2) K(b2) ... K(b2) V(a2) K(b1) V(a1)
+    B(h/6) A(h/2) B(2h/3) A(h/2) B(h/6)
 
-The coefficients (a, b) = ((1/2, 1/2), (1,)) give Strang, order 2; Blanes and
-Moan's optimised six-stage splitting S6 (J. Comput. Appl. Math. 142, 313, 2002)
-gives order 4 for six kinetic FFT round trips per step; at the same step its
-error is about 7,000 times smaller than that of Yoshida's triple jump.  A step
-starts and ends on a kick, so every record is taken in position space.
+and a corrector -(h^3/72) W for the double bracket W = {{H0, V1}, V1}, half
+on each outer kick: W = 4 d^2 (x1^2 + x2^2) for QG_FULL and, linearised
+about the means, 8 d^2 (<x1> x1 + <x2> x2) for SCEG.  The step is order 4.
+The chirps of A fold into the kicks beside them and the last kick of a step
+merges with the first of the next, so a step costs two round trips; over a
+full swap of (2, -1) at d = 0.1 it reaches a mean error of 6.6e-8 in 177
+steps (354 round trips), where Blanes and Moan's S6 on the kinetic/potential
+split needed 137 (822).  Order 2 is Strang on the same split, B(h/2) A(h)
+B(h/2), with no corrector.  A step starts and ends on a kick, so every
+record is taken in position space.
 
-For the mean-field model V is separable, so each potential step is two 1-D
-phase factors, with the means measured right before the kick.  The kick
-changes only the phase of psi, not |psi|^2, so the means after it equal the
-means before it: the step stays symmetric in time and keeps its order.
+QG_RWA: [H0, B] = 0, so exp(-i tau H) = exp(-i tau H0) exp(-i tau d B)
+exactly.  The same table runs on d B alone, kicks d x1 x2 and drifts d p1 p2,
+with W = 2 d^3 x1 x2, and the exact H0 flow runs once per record gap, in
+pieces of at most pi/2 so that tan stays clear of its pole.
+
+A mean-field kick is two 1-D phase factors, with the means measured right
+before it.  A kick changes only the phase of psi, not |psi|^2, so the means
+after it equal the means before it: the step stays symmetric in time and
+keeps its order.  The grid sees only the lab-frame H0 and coupling, never
+the normal modes or their frequencies, so it stays an independent check of
+the closed forms.
 
 Norm is never renormalized during evolution; drift is tracked every step and
 the run aborts if it exceeds NORM_DRIFT_LIMIT per unit time.  Probability
@@ -35,6 +48,7 @@ also aborts (wrap-around would silently corrupt everything after).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,15 +88,11 @@ class _LazyFFT:
 sfft = _LazyFFT()
 
 
-# Palindromic splittings by order: (potential kicks, kinetic drifts), kicks
-# outermost.  Order 4 is Blanes-Moan S6.
-_S6_A = (0.0792036964311957, 0.353172906049774, -0.0420650803577195)
-_S6_B = (0.209515106613362, -0.143851773179818)
-_S6_KICKS = (*_S6_A, 1.0 - 2.0 * sum(_S6_A))
-_S6_DRIFTS = (*_S6_B, 0.5 - sum(_S6_B))
+# Near-integrable splittings by order: (coupling kicks, bare flows, corrector
+# weight), kicks outermost.  Order 4 is SBAB2 with its corrector.
 _SPLITTINGS = {
-    2: ((0.5, 0.5), (1.0,)),
-    4: (_S6_KICKS + _S6_KICKS[-2::-1], _S6_DRIFTS + _S6_DRIFTS[::-1]),
+    2: ((0.5, 0.5), (1.0,), 0.0),
+    4: ((1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0), (0.5, 0.5), -1.0 / 72.0),
 }
 
 
@@ -434,10 +444,43 @@ class SchmidtResult:
     purity: float
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded; both
+    do nothing where that library or its symbols are not found.  Looked up on
+    first use, so importing this module loads nothing."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so*")):
+        suffix = "64_" if "openblas64" in os.path.basename(path) else ""
+        try:
+            lib = ctypes.CDLL(path)  # already loaded by numpy: the same handle
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return (lambda: 0), (lambda n: None)
+
+
 def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
     """Entanglement entropy (nats) between the two lab oscillators from the
-    singular values of the amplitude matrix."""
-    svals = np.linalg.svd(w.psi * w.spec.dx, compute_uv=False)
+    singular values of the amplitude matrix.  The SVD runs on one OpenBLAS
+    thread: at grid sizes a second thread only adds CPU time (about 3 ms wall
+    and 6 ms CPU per call at 108^2 on a 2-vCPU machine, against under 2 ms
+    of each on one)."""
+    get, put = _openblas_threads()
+    before = get()
+    put(1)
+    try:
+        svals = np.linalg.svd(w.psi * w.spec.dx, compute_uv=False)
+    finally:
+        put(before)
     probs = svals**2
     probs = probs / probs.sum()
     nz = probs[probs > 1e-18]
@@ -446,26 +489,10 @@ def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
     return SchmidtResult(entropy=entropy, purity=purity)
 
 
-def _kinetic_exponent(model: ModelKind, spec: GridSpec, params: DimensionlessParams) -> np.ndarray:
-    p = spec.p_axis()
-    p1 = p.reshape((-1, 1))
-    p2 = p.reshape((1, -1))
-    t = 0.5 * (p1**2 + p2**2)
-    if model is ModelKind.QG_RWA:
-        t = t + params.delta * p1 * p2
-    return t
-
-
-def _potential_exponent(model: ModelKind, spec: GridSpec, params: DimensionlessParams) -> np.ndarray:
-    x = spec.x_axis()
-    x1 = x.reshape((-1, 1))
-    x2 = x.reshape((1, -1))
-    v = 0.5 * (x1**2 + x2**2)
-    if model is ModelKind.QG_FULL:
-        v = v + 2.0 * params.delta * x1 * x2
-    elif model is ModelKind.QG_RWA:
-        v = v + params.delta * x1 * x2
-    return v
+def _bare_kinetic(p_sq: np.ndarray, s: float) -> np.ndarray:
+    """Momentum factor K = exp(-i sin(s) p^2 / 2) of the bare flow over s;
+    exp(-i s H0) = C K C with the chirp C = exp(-i tan(s/2) x^2 / 2)."""
+    return np.exp(-0.5j * math.sin(s) * p_sq)
 
 
 @dataclass
@@ -495,8 +522,8 @@ def split_step_evolve(
     order: int = 4,
 ) -> GridEvolution:
     """Split-operator evolution of `w` (not mutated) under `model`, to the
-    given order: 4 is Blanes-Moan S6 (six kinetic FFT round trips per step),
-    2 is Strang (one).
+    given order: 4 is SBAB2 with its corrector (two kinetic FFT round trips
+    per step), 2 is Strang on the same split (one).
 
     Observables are recorded at n_samples step boundaries including both
     endpoints; a run takes at least n_samples - 1 steps, so no two records
@@ -511,13 +538,14 @@ def split_step_evolve(
         raise ParameterError("t_final must be non-negative")
     if order not in _SPLITTINGS:
         raise ParameterError(f"splitting order must be one of {sorted(_SPLITTINGS)}, got {order!r}")
-    kicks, drifts = _SPLITTINGS[order]
+    kicks, flows, corrector = _SPLITTINGS[order]
     n_samples = max(2, n_samples)
     spec = w.spec
     tau_final = t_final * params.omega
     steps = max(cfg.grid_steps(tau_final, params), n_samples - 1) if tau_final > 0.0 else 0
     x = spec.x_axis()
     delta = params.delta
+    rwa = model is ModelKind.QG_RWA
 
     psi = w.psi.copy()
 
@@ -573,38 +601,76 @@ def split_step_evolve(
     record(0.0)
 
     if steps:
-        dtau = tau_final / steps
-        kin = _kinetic_exponent(model, spec, params)
-        kin_phase = {c: np.exp(-1j * c * dtau * kin) for c in set(drifts)}
-        del kin
-        drift_phases = [kin_phase[c] for c in drifts]
+        h = tau_final / steps
+        x1, x2 = x.reshape((-1, 1)), x.reshape((1, -1))
+        p = spec.p_axis()
+        p1, p2 = p.reshape((-1, 1)), p.reshape((1, -1))
+        x_sq, p_sq = x1**2 + x2**2, p1**2 + p2**2
+        # the flow between kicks: the bare flow, whose chirps go into the
+        # kicks on either side, or for QG_RWA the drift d p1 p2 of d B
+        if rwa:
+            chirps = [0.0] * len(flows)
+            flow_phase = {b: np.exp(-1j * b * h * delta * (p1 * p2)) for b in set(flows)}
+        else:
+            chirps = [math.tan(0.5 * b * h) for b in flows]
+            flow_phase = {b: _bare_kinetic(p_sq, b * h) for b in set(flows)}
+        flow_phases = [flow_phase[b] for b in flows]
+
+        # The position-diagonal factors of a step, each (coupling weight,
+        # corrector weight, chirp) in units of h, h^3 and 1: the outer kick,
+        # which opens and closes a run of steps between records, the kicks
+        # between flows, and the join of one step's last kick with the next
+        # step's first.
+        edge = (kicks[0], 0.5 * corrector, chirps[0])
+        inner = [(kicks[j], 0.0, chirps[j - 1] + chirps[j]) for j in range(1, len(flows))]
+        join = (kicks[0] + kicks[-1], corrector, chirps[-1] + chirps[0])
 
         if model is ModelKind.SCEG:
+            half_x_sq = 0.5 * x**2
 
-            def kick(a, c):
-                # separable mean-field potential: one 1-D phase per axis,
-                # each carrying its half of the harmonic trap
-                *_, mean1, mean2 = _marginal_means(_density(a), x)
-                a *= np.exp(-1j * c * dtau * (0.5 * x**2 + 2.0 * delta * mean2 * x)).reshape((-1, 1))
-                a *= np.exp(-1j * c * dtau * (0.5 * x**2 + 2.0 * delta * mean1 * x)).reshape((1, -1))
+            def kick(a, c, g, t):
+                # separable mean-field kick: one 1-D phase per axis, with the
+                # means measured right before it; W is linearised about them
+                *_, m1, m2 = _marginal_means(_density(a), x)
+                for m_self, m_other, shape in ((m1, m2, (-1, 1)), (m2, m1, (1, -1))):
+                    slope = c * h * 2.0 * delta * m_other + g * h**3 * 8.0 * delta**2 * m_self
+                    a *= np.exp(-1j * (slope * x + t * half_x_sq)).reshape(shape)
 
         else:
-            pot = _potential_exponent(model, spec, params)
-            pot_phase = {c: np.exp(-1j * c * dtau * pot) for c in set(kicks)}
-            del pot
+            # (kick, double bracket W, chirp exponent): QG_FULL kicks
+            # V1 = 2 d x1 x2, QG_RWA the d x1 x2 of d B
+            if rwa:
+                v1, w2, chirp = delta * x1 * x2, 2.0 * delta**3 * x1 * x2, 0.0
+            else:
+                v1, w2, chirp = 2.0 * delta * x1 * x2, 4.0 * delta**2 * x_sq, 0.5 * x_sq
+            phases = {k: np.exp(-1j * (k[0] * h * v1 + k[1] * h**3 * w2 + k[2] * chirp)) for k in {edge, join, *inner}}
 
-            def kick(a, c):
-                a *= pot_phase[c]
+            def kick(a, c, g, t):
+                a *= phases[c, g, t]
 
+        bare_flow = {}
         bounds = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
         for i0, i1 in zip(bounds[:-1], bounds[1:]):
-            for _ in range(int(i1 - i0)):
-                for c, drift in zip(kicks, drift_phases):
-                    kick(psi, c)
-                    psi = kinetic(psi, drift)
-                kick(psi, kicks[-1])
+            chunk = int(i1 - i0)
+            kick(psi, *edge)
+            for i in range(chunk):
+                for phase, k in zip(flow_phases, [*inner, join if i < chunk - 1 else edge]):
+                    psi = kinetic(psi, phase)
+                    kick(psi, *k)
                 track_norm()
-            record(float(i1) * dtau)
+            if rwa:
+                # H0 commutes with B: its exact flow over the gap, in pieces
+                # of at most pi/2 so the chirp stays clear of the pole of tan
+                if chunk not in bare_flow:
+                    pieces = math.ceil(chunk * h / (0.5 * math.pi))
+                    s = chunk * h / pieces
+                    bare_flow[chunk] = (pieces, np.exp(-0.5j * math.tan(0.5 * s) * x_sq), _bare_kinetic(p_sq, s))
+                pieces, gap_chirp, gap_kinetic = bare_flow[chunk]
+                for _ in range(pieces):
+                    psi *= gap_chirp
+                    psi = kinetic(psi, gap_kinetic)
+                    psi *= gap_chirp
+            record(float(i1) * h)
 
     return GridEvolution(
         model=model,

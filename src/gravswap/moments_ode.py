@@ -29,9 +29,9 @@ MAX_STEPS = 100_000_000
 # most 2.3e-16 relative over random records, delta 0.01 to 0.2); a nonlinear
 # right-hand side misses by far more.
 _LINEARITY_TOL = 1e-12
-# Grid steps per run: a fourth-order step is six kinetic FFT round trips,
-# about 1.9 ms on a 96^2 grid, 2.3 ms on 108^2, 3.3 ms on 128^2 and 17 ms on
-# 256^2 on a 2-vCPU machine, so the budget is five hours to two days.
+# Grid steps per run: a fourth-order step is two kinetic FFT round trips,
+# about 0.45 ms on a 96^2 grid, 0.58 ms on 108^2, 0.94 ms on 128^2 and 4.0 ms
+# on 256^2 on a 2-vCPU machine, so the budget is one to eleven hours.
 MAX_GRID_STEPS = 10_000_000
 
 
@@ -52,20 +52,22 @@ class IntegratorConfig:
     """Step sizes of the two numerical oracles and the RK4 error tolerance.
 
     Both step factors are in units of one exact-plus-mode period 2 pi /
-    Omega_plus.  The grid factor is the length of one fourth-order step (six
-    kinetic FFT round trips) and is capped at 4e-2 of a period: the measured
-    order of the grid error is still 3.9 between 4e-2 and 2e-2, so up to the
-    cap the error is in the asymptotic regime.  The default 2e-2 leaves a grid
-    mean error of about 7e-8 over a full swap.
+    Omega_plus.  The grid factor is the length of one fourth-order step (two
+    kinetic FFT round trips) and is capped at 8e-2 of a period: the measured
+    order of the grid error is still 4.0 to 4.2 between 8e-2 and 4e-2, at
+    couplings 0.1 and 0.2, so up to the cap the error is in the asymptotic
+    regime (from 1.6e-1 down to 8e-2 it strays to 3.4 to 4.5).  The
+    default 1.55e-2 leaves a grid mean error of 6.6e-8 over a full swap of
+    (2, -1) at coupling 0.1.
     """
 
-    dt_factor: float = 2e-2
+    dt_factor: float = 1.55e-2
     rk_step_factor: float = 1e-4
     rk_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.dt_factor <= 4e-2):
-            raise ParameterError(f"numerics.dt_factor: must be in (0, 4e-2] periods, got {self.dt_factor!r}")
+        if not (0.0 < self.dt_factor <= 8e-2):
+            raise ParameterError(f"numerics.dt_factor: must be in (0, 8e-2] periods, got {self.dt_factor!r}")
         if not (0.0 < self.rk_step_factor):
             raise ParameterError("numerics.rk_step_factor: must be positive")
         if not (self.rk_tol > 0):

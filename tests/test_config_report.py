@@ -356,7 +356,7 @@ def test_non_finite_amplitude_refused():
         parse_config_text("[run]\nkind = cat_state\n[state]\ncat_alpha = inf\n")
 
 
-_ECHO_RUN = "[run]\nkind = {kind}\nseed = 0\noracle = none\nsamples = 200\nmodels = qg_rwa, qg_full, sceg\nplatforms = {platforms}\n\n"
+_ECHO_RUN = "[run]\nkind = {kind}\nseed = 0\noracle = none\nsamples = 200\nmodels = qg_rwa, qg_full, sceg\n"
 _ECHO_DEFAULTS = """
 [state]
 alpha = 1+0j
@@ -371,7 +371,7 @@ deltas = 0.01, 0.050000000000000003, 0.10000000000000001
 [numerics]
 grid_points = auto
 grid_half_extent = auto
-dt_factor = 0.02
+dt_factor = 0.0155
 rk_step_factor = 0.0001
 
 [tolerances]
@@ -389,15 +389,8 @@ product_entropy_max = 9.9999999999999995e-07
 sceg_mean_max = 9.9999999999999995e-07
 sceg_purity_defect = 0.0001
 impractical_swap_seconds = 1000000000
-
-[platform:ca40_ion]
-mass_kg = 6.6421562664000002e-26
-omega_rad_s = 1000000
-separation_m = 1e-10
-grav_constant = 6.6742999999999994e-11
-hbar = 1.054571817e-34
 """
-_ECHO_CA40_PARAMS = """[params]
+_ECHO_CA40 = """
 mass_kg = 6.6421562664000002e-26
 omega_rad_s = 1000000
 separation_m = 1e-10
@@ -411,21 +404,24 @@ hbar = 1.054571817e-34
     [
         (
             "[run]\nkind = swap\n[params]\npreset = ca40_ion\n",
-            _ECHO_RUN.format(kind="swap", platforms="ca40_ion") + _ECHO_CA40_PARAMS + _ECHO_DEFAULTS,
+            _ECHO_RUN.format(kind="swap") + "\n[params]" + _ECHO_CA40 + _ECHO_DEFAULTS,
         ),
         (
             "[run]\nkind = swap\n[params]\nmass_kg = 1e-6\nomega_rad_s = 2e4\nseparation_m = 1e-3\n"
             "grav_constant = 7e-11\nhbar = 1.1e-34\n",
-            _ECHO_RUN.format(kind="swap", platforms="ca40_ion")
-            + "[params]\nmass_kg = 9.9999999999999995e-07\nomega_rad_s = 20000\nseparation_m = 0.001\n"
+            _ECHO_RUN.format(kind="swap")
+            + "\n[params]\nmass_kg = 9.9999999999999995e-07\nomega_rad_s = 20000\nseparation_m = 0.001\n"
             "grav_constant = 7.0000000000000004e-11\nhbar = 1.0999999999999999e-34\n"
             + _ECHO_DEFAULTS,
         ),
         (
+            # feasibility reads the platform ladder, not [params]
             "[run]\nkind = feasibility\nplatforms = ca40_ion, bench\n[platform:bench]\ndelta = 0.01\nomega = 2.5\n",
-            _ECHO_RUN.format(kind="feasibility", platforms="ca40_ion, bench")
-            + "[params]\ndelta = 0.050000000000000003\nomega = 1\n"
+            _ECHO_RUN.format(kind="feasibility")
+            + "platforms = ca40_ion, bench\n"
             + _ECHO_DEFAULTS
+            + "\n[platform:ca40_ion]"
+            + _ECHO_CA40
             + "\n[platform:bench]\ndelta = 0.01\nomega = 2.5\n",
         ),
     ],
@@ -435,6 +431,18 @@ def test_echo_bytes_pinned(text, echo):
     # the literal canonical echo: config.echo.txt and the manifest digest
     # depend on every byte of it
     assert format_config(parse_config_text(text)) == echo
+
+
+def test_echo_leaves_out_the_platform_block_the_kind_never_reads():
+    # a [params] block has no effect on a feasibility report, nor a platform
+    # ladder on a swap report: neither shows in the echo or moves the digest
+    ladder = "[run]\nkind = feasibility\nplatforms = ca40_ion\n"
+    with_params = parse_config_text(ladder + "[params]\ndelta = 0.1\n")
+    assert "[params]" not in format_config(with_params)
+    assert config_digest(with_params) == config_digest(parse_config_text(ladder))
+    swap = parse_config_text(MINIMAL + "[run]\nplatforms = bench\n[platform:bench]\ndelta = 0.01\n")
+    assert "platform" not in format_config(swap)
+    assert config_digest(swap) == config_digest(parse_config_text(MINIMAL))
 
 
 _SI_KEYS_TEXT = "mass_kg = 1e-6\nomega_rad_s = 2e4\nseparation_m = 1e-3\n"

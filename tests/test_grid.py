@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from gravswap import (
     swap_time,
     to_normal_modes,
 )
+from gravswap import grid
 from gravswap.grid import LEAKAGE_LIMIT, MAX_GRID_POINTS
 from gravswap.params import DELTA_WARN_LIMIT
 
@@ -152,6 +155,14 @@ def test_schmidt_entropy_product_state():
     assert res.purity == pytest.approx(1.0, abs=1e-10)
 
 
+def test_schmidt_entropy_restores_the_blas_thread_count():
+    # the SVD runs on one OpenBLAS thread; the caller's count comes back
+    get, _ = grid._openblas_threads()
+    before = get()
+    schmidt_entropy(build_initial_grid(CoherentProduct(1 + 0.5j, -0.5j)))
+    assert get() == before
+
+
 def test_schmidt_entropy_two_branch_state():
     # (|g>|g> + |-g>|-g>)/norm with nearly orthogonal branches: one bit
     spec = GridSpec(n=256, half_extent=12.0)
@@ -223,23 +234,49 @@ def test_strang_convergence_order():
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
-def test_s6_convergence_order(model):
-    # Blanes-Moan S6 is order 4 up to the dt_factor cap; the mean-field kick
-    # leaves |psi|^2 alone, so SCEG keeps order 4 too
-    e4, e2, e1 = (_splitting_error(model, f, order=4) for f in (4e-2, 2e-2, 1e-2))
+def test_near_integrable_convergence_order(model):
+    # SBAB2 with its corrector is order 4 up to the dt_factor cap; the
+    # mean-field kick leaves |psi|^2 alone, so SCEG keeps order 4 too, and
+    # QG_RWA runs the same table on its coupling alone
+    e8, e4, e2, e1 = (_splitting_error(model, f, order=4) for f in (8e-2, 4e-2, 2e-2, 1e-2))
     assert math.log2(e2 / e1) == pytest.approx(4.0, abs=0.3)
     assert math.log2(e4 / e2) == pytest.approx(4.0, abs=0.3)
+    assert math.log2(e8 / e4) == pytest.approx(4.0, abs=0.3)
+
+
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_corrector_sign_is_what_makes_order_four(model, monkeypatch):
+    # with the corrector's sign flipped the double bracket is doubled, not
+    # cancelled, and the step falls back to order 2
+    kicks, flows, corrector = grid._SPLITTINGS[4]
+    monkeypatch.setitem(grid._SPLITTINGS, 4, (kicks, flows, -corrector))
+    e2, e1 = (_splitting_error(model, f, order=4) for f in (2e-2, 1e-2))
+    assert math.log2(e2 / e1) == pytest.approx(2.0, abs=0.3)
+
+
+def test_rwa_bare_flow_over_a_long_record_gap():
+    # one record gap of 5 > pi: the exact flow of the bare oscillators runs
+    # in pieces of at most pi/2, clear of the pole of tan
+    params = DimensionlessParams(0.1)
+    alpha, beta = 1 + 0.5j, -0.5j
+    w = build_initial_grid(CoherentProduct(alpha, beta))
+    t_final = 5.0
+    evo = split_step_evolve(w, ModelKind.QG_RWA, t_final, params, n_samples=2)
+    want_alpha, want_beta = propagate_rwa_lab_displacement(alpha, beta, t_final, params)
+    want = SQRT2 * np.array([want_alpha.real, want_alpha.imag, want_beta.real, want_beta.imag])
+    assert np.max(np.abs(lab_means(evo.moments[-1]) - want)) < 1e-5
 
 
 def test_dt_factor_cap():
-    assert IntegratorConfig(dt_factor=4e-2).dt_factor == 4e-2
+    assert IntegratorConfig(dt_factor=8e-2).dt_factor == 8e-2
     with pytest.raises(ParameterError, match="numerics.dt_factor"):
-        IntegratorConfig(dt_factor=4.01e-2)
+        IntegratorConfig(dt_factor=8.01e-2)
 
 
 def test_cat_state_run_keeps_every_record():
-    # the cat-state inputs of the benchmark: a quarter beat is fewer default
-    # steps than records, so the run steps once per record instead
+    # the cat-state inputs of the benchmark: a quarter beat is 48 default
+    # steps, fewer than the 60 record gaps, so the run steps once per
+    # record instead
     params = DimensionlessParams(0.2)
     t_final = swap_time(params) / 2.0
     assert IntegratorConfig().grid_steps(t_final * params.omega, params) < 60
@@ -365,3 +402,27 @@ def test_evolution_does_not_mutate_input():
     before = w.psi.copy()
     split_step_evolve(w, ModelKind.QG_FULL, 1.0, params, FAST, n_samples=2)
     assert np.array_equal(w.psi, before)
+
+
+# ---------------------------------------------------------------- independence
+
+_CLOSED_FORM_NAMES = {"K_plus", "K_minus", "k_plus", "k_minus", "to_normal_modes", "from_normal_modes"}
+
+
+def test_grid_step_never_sees_the_closed_forms():
+    # the grid is an oracle for the closed forms only while it evolves the
+    # lab-frame H0 and coupling alone: it may learn the plus-mode frequency
+    # only through IntegratorConfig.grid_step, and no normal-mode transform,
+    # mode frequency or propagate_* series at all
+    tree = ast.parse(Path(grid.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+            names.add(node.name)
+    banned = {name for name in names if name in _CLOSED_FORM_NAMES or name.startswith("propagate_")}
+    assert not banned
