@@ -4,7 +4,8 @@ Format: `key = value` lines grouped under `[section]` headers, `#` comments.
 Unknown keys and sections are rejected outright so a typo can never fall back
 to a physics default silently.  The [params] block and each [platform:NAME]
 section share one builder and one echo; a key the section's parameterization
-does not take is refused, never dropped.  `format_config` renders the fully resolved
+does not take is refused, never dropped, and so is the platform block the
+run's kind never reads.  `format_config` renders the fully resolved
 configuration (defaults applied) in a canonical order with full float
 precision; parse(format(cfg)) == cfg.
 """
@@ -137,6 +138,14 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     if get("run", "kind") is None:
         raise ConfigError(f"{source}: run.kind is required")
     kind = _parse_choice(get("run", "kind"), "run.kind", KINDS)
+
+    # feasibility reads only the platform ladder, every other kind only the
+    # [params] block; the block a kind never reads would have no effect
+    if kind == "feasibility" and sections.get("params"):
+        key = next(iter(sections["params"]))
+        raise ConfigError(f"params.{key}: a {kind} run never reads [params]; list its platforms in run.platforms")
+    if kind != "feasibility" and get("run", "platforms") is not None:
+        raise ConfigError(f"run.platforms: a {kind} run never reads a platform ladder; give its coupling in [params]")
 
     kwargs: dict = {"kind": kind}
     if get("run", "seed") is not None:

@@ -72,20 +72,7 @@ LEAKAGE_LIMIT = 1e-12
 NORM_DRIFT_LIMIT = 1e-8  # largest norm change per unit scaled time
 
 
-class _LazyFFT:
-    """`scipy.fft`, imported on first use, so runs that never build a grid
-    skip its import.  Each function is bound on the instance when first
-    looked up, after which lookups cost what a module attribute costs."""
-
-    def __getattr__(self, name):
-        from scipy import fft
-
-        value = getattr(fft, name)
-        setattr(self, name, value)
-        return value
-
-
-sfft = _LazyFFT()
+sfft = np.fft  # the FFT module, wrapped by name by the benchmark tracer
 
 
 # Near-integrable splittings by order: (coupling kicks, bare flows, corrector
@@ -379,9 +366,9 @@ def _p_density(w: GridWavefunction, axis: int) -> np.ndarray:
     spectrally; no complex temporary outlives the call."""
     p = w.spec.p_axis()
     shape = (-1, 1) if axis == 0 else (1, -1)
-    b = sfft.fft(w.psi, axis=axis, workers=1)
+    b = sfft.fft(w.psi, axis=axis)
     b *= p.reshape(shape)
-    b = sfft.ifft(b, axis=axis, workers=1, overwrite_x=True)
+    b = sfft.ifft(b, axis=axis)
     prod = w.psi.real * b.real
     prod += w.psi.imag * b.imag
     return prod
@@ -409,7 +396,7 @@ def moments_from_grid(w: GridWavefunction, prob: np.ndarray | None = None, *, re
     total = prob.sum()
     mx1, mx2, vx1, vx2, cxx = _axis_stats(prob, x)
 
-    pp = _density(sfft.fft2(w.psi, workers=1))
+    pp = _density(sfft.fft2(w.psi))
     p = spec.p_axis()
     mp1, mp2, vp1, vp2, cpp = _axis_stats(pp, p)
 
@@ -550,10 +537,10 @@ def split_step_evolve(
     psi = w.psi.copy()
 
     def kinetic(a, phase):
-        # full momentum-space round trip; buffers may be reused by the FFT
-        b = sfft.fft2(a, workers=1, overwrite_x=True)
+        # full momentum-space round trip
+        b = sfft.fft2(a)
         b *= phase
-        return sfft.ifft2(b, workers=1, overwrite_x=True)
+        return sfft.ifft2(b)
 
     times: list[float] = []
     moments: list[np.ndarray] = []

@@ -29,9 +29,9 @@ MAX_STEPS = 100_000_000
 # most 2.3e-16 relative over random records, delta 0.01 to 0.2); a nonlinear
 # right-hand side misses by far more.
 _LINEARITY_TOL = 1e-12
-# Grid steps per run: a fourth-order step is two kinetic FFT round trips,
-# about 0.45 ms on a 96^2 grid, 0.58 ms on 108^2, 0.94 ms on 128^2 and 4.0 ms
-# on 256^2 on a 2-vCPU machine, so the budget is one to eleven hours.
+# Grid steps per run: a fourth-order step is two kinetic FFT round trips on
+# numpy.fft, about 0.56 ms on a 96^2 grid, 0.70 ms on 108^2, 1.05 ms on 128^2
+# and 4.6 ms on 256^2 on a 2-vCPU machine, so the budget is 1.5 to 13 hours.
 MAX_GRID_STEPS = 10_000_000
 
 

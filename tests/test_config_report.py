@@ -93,7 +93,7 @@ def test_malformed_lines_rejected():
 
 
 def test_preset_expansion_matches_derivation():
-    cfg = parse_config_text("[run]\nkind = feasibility\n\n[params]\npreset = ca40_ion\n")
+    cfg = parse_config_text("[run]\nkind = swap\n\n[params]\npreset = ca40_ion\n")
     assert cfg.platform == Platform(physical=PLATFORM_PRESETS["ca40_ion"])
     assert cfg.platform.dimensionless() == derive_dimensionless(PLATFORM_PRESETS["ca40_ion"])
 
@@ -433,16 +433,17 @@ def test_echo_bytes_pinned(text, echo):
     assert format_config(parse_config_text(text)) == echo
 
 
-def test_echo_leaves_out_the_platform_block_the_kind_never_reads():
-    # a [params] block has no effect on a feasibility report, nor a platform
-    # ladder on a swap report: neither shows in the echo or moves the digest
+def test_platform_block_the_kind_never_reads_is_refused():
+    # a [params] block would have no effect on a feasibility report, nor a
+    # platform ladder on any other: each is refused by its key and the kind
     ladder = "[run]\nkind = feasibility\nplatforms = ca40_ion\n"
-    with_params = parse_config_text(ladder + "[params]\ndelta = 0.1\n")
-    assert "[params]" not in format_config(with_params)
-    assert config_digest(with_params) == config_digest(parse_config_text(ladder))
-    swap = parse_config_text(MINIMAL + "[run]\nplatforms = bench\n[platform:bench]\ndelta = 0.01\n")
-    assert "platform" not in format_config(swap)
-    assert config_digest(swap) == config_digest(parse_config_text(MINIMAL))
+    with pytest.raises(ConfigError, match=r"params\.delta: a feasibility run never reads \[params\]"):
+        parse_config_text(ladder + "[params]\ndelta = 0.1\n")
+    for kind in ("swap", "cat_state", "rwa_validity"):
+        with pytest.raises(ConfigError, match=f"run.platforms: a {kind} run never reads a platform ladder"):
+            parse_config_text(f"[run]\nkind = {kind}\nplatforms = bench\n[platform:bench]\ndelta = 0.01\n")
+    assert parse_config_text(ladder).platforms[0].name == "ca40_ion"
+    assert parse_config_text(MINIMAL).platform.delta == 0.02
 
 
 _SI_KEYS_TEXT = "mass_kg = 1e-6\nomega_rad_s = 2e4\nseparation_m = 1e-3\n"

@@ -287,6 +287,37 @@ def test_cat_state_run_keeps_every_record():
     assert np.all(np.diff(evo.times) > 0)
 
 
+class _CountingFFT:
+    """Stands in for the FFT module of `grid`, counting calls by name."""
+
+    def __init__(self):
+        self.calls = dict.fromkeys(("fft", "ifft", "fft2", "ifft2"), 0)
+
+    def __getattr__(self, name):
+        fn = getattr(np.fft, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+def test_every_fft_goes_through_the_module_handle(monkeypatch):
+    # the benchmark tracer counts FFTs by swapping `grid.sfft`; a call bound
+    # to numpy at import time would escape the count.  A step is two round
+    # trips, a record one 2-D transform and two 1-D round trips.
+    counting = _CountingFFT()
+    monkeypatch.setattr(grid, "sfft", counting)
+    params = DimensionlessParams(0.1)
+    records, t_final = 4, 2.0
+    w = build_initial_grid(CoherentProduct(1 + 0j, 0j))
+    evo = split_step_evolve(w, ModelKind.QG_FULL, t_final, params, n_samples=records)
+    steps = IntegratorConfig().grid_steps(t_final * params.omega, params)
+    assert len(evo.times) == records and steps > records
+    assert counting.calls == {"fft2": 2 * steps + records, "ifft2": 2 * steps, "fft": 2 * records, "ifft": 2 * records}
+
+
 def test_unknown_splitting_order_rejected():
     w = build_initial_grid(CoherentProduct(0j, 0j), GridSpec(n=64, half_extent=6.0))
     with pytest.raises(ParameterError, match="order"):
