@@ -143,6 +143,8 @@ class ExperimentConfig:
             raise ConfigError("run.samples: need at least 2 samples")
         if self.random_pairs < 0:
             raise ConfigError("state.random_pairs: must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed: must be non-negative, got {self.seed}")
         for name in ("alpha", "beta", "cat_alpha"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ConfigError(f"state.{name}: must be finite, got {getattr(self, name)!r}")
@@ -181,9 +183,29 @@ def _check(name: str, observed: float, comparison: str, threshold: float, note: 
 
 @dataclass
 class Table:
+    """A header and a list of column blocks.  A block holds one column per
+    header name, all of one length: numpy arrays, or plain sequences (string
+    columns, and the one-value columns of `add_row`).  A cell's value is what
+    `.tolist()` gives for it; `rows` builds the row tuples on access."""
+
     name: str
     columns: tuple[str, ...]
-    rows: list[tuple]
+    blocks: list[tuple] = field(default_factory=list)
+
+    def add(self, *columns) -> None:
+        lengths = sorted({len(column) for column in columns})
+        if len(columns) != len(self.columns) or len(lengths) > 1:
+            raise ValueError(f"table {self.name}: block of {len(columns)} columns of lengths {lengths} "
+                             f"does not fit the header's {len(self.columns)}")
+        self.blocks.append(columns)
+
+    def add_row(self, *values) -> None:
+        self.add(*([v] for v in values))
+
+    @property
+    def rows(self) -> list[tuple]:
+        plain = ([c.tolist() if isinstance(c, np.ndarray) else c for c in block] for block in self.blocks)
+        return [row for block in plain for row in zip(*block)]
 
 
 @dataclass
@@ -214,7 +236,7 @@ def _report(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _add_table(report: ExperimentReport, name: str, columns: tuple[str, ...]) -> Table:
-    table = Table(name=name, columns=columns, rows=[])
+    table = Table(name=name, columns=columns)
     report.tables[name] = table
     return table
 
@@ -293,17 +315,16 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
                 bound, why = width_check[method]
                 width_err = np.max(np.abs(records[..., V_XX] - 0.5))
                 report.verdicts.append(_check(f"sceg_width_constancy_{method}", width_err, "<=", bound, why))
-            name, rows = model.value, moments_table.rows
-            for t, (plus, minus) in zip(ts.tolist(), records.tolist()):
-                rows.append((t, name, method, "plus", *plus))
-                rows.append((t, name, method, "minus", *minus))
+            n = len(ts)  # rows alternate plus, minus at each time
+            moments_table.add(np.repeat(ts, 2), [model.value] * (2 * n), [method] * (2 * n),
+                              ["plus", "minus"] * n, *records.reshape(2 * n, 5).T)
 
             alpha_T, beta_T, width_dev = _amplitudes_from_pair(records[-1])
             raw = two_mode_overlap((alpha_T, beta_T), target)
             corrected_pair = phase_corrected_pair((alpha_T, beta_T), T, params)
             corrected = two_mode_overlap(corrected_pair, target)
             deviation = math.hypot(abs(corrected_pair[0] - target[0]), abs(corrected_pair[1] - target[1]))
-            fidelity_table.rows.append((model.value, method, raw, corrected, deviation, width_dev))
+            fidelity_table.add_row(model.value, method, raw, corrected, deviation, width_dev)
             corrected_fid[model, method] = corrected
 
     # corrected displacement trajectory with the exact-model width envelope
@@ -326,7 +347,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
             "corr_mag_2": d * np.abs(c.corr_2),
         }
         disp_table = _add_table(report, "displacement", tuple(columns))
-        disp_table.rows.extend(zip(*(column.tolist() for column in columns.values())))
+        disp_table.add(*columns.values())
         report.notes.append(
             f"first-order correction magnitudes at the swap time: "
             f"|dA| = {d * abs(c.corr_1[-1]):.6e}, |dB| = {d * abs(c.corr_2[-1]):.6e}"
@@ -397,7 +418,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         al, be = draws.view(np.complex128).T
         final = propagate_rwa_lab_displacement(al, be, T, params)
         fid = two_mode_overlap(phase_corrected_pair(final, T, params), (be, al))
-        rnd_table.rows.extend(zip(range(cfg.random_pairs), *draws.T.tolist(), fid.tolist()))
+        rnd_table.add(np.arange(cfg.random_pairs), *draws.T, fid)
         report.verdicts.append(
             _check("random_pair_swap_fidelity", fid.min(), ">=", 1.0 - tol.swap_fidelity)
         )
@@ -463,7 +484,7 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
                 ratios.append(measured / mag)
                 scaling_mags.append(mag)
             crossed = measured >= threshold
-            table.rows.append((float(d), float(mag), float(d * mag), measured, predicted, ratio, int(crossed)))
+            table.add_row(float(d), float(mag), float(d * mag), measured, predicted, ratio, int(crossed))
             report.verdicts.append(
                 _check(
                     f"deviation_law_delta_{d:g}_alpha_{mag:g}",
@@ -567,8 +588,7 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
             if model is ModelKind.QG_RWA
             else [math.nan] * len(evo.times)
         )
-        for t, s, o, p, mm in zip(evo.times, evo.entropies, oracle_vals, evo.purities, max_mean):
-            table.rows.append((float(t), model.value, float(s), float(o), float(p), float(mm)))
+        table.add(evo.times, [model.value] * len(evo.times), evo.entropies, oracle_vals, evo.purities, max_mean)
         results[model] = {
             "entropies": evo.entropies,
             "oracle": oracle_vals,
@@ -693,7 +713,7 @@ def run_feasibility(cfg: ExperimentConfig) -> ExperimentReport:
                 math.nan,
                 int(T > tol.impractical_swap_seconds),
             )
-        table.rows.append(row)
+        table.add_row(*row)
         if platform.name == "ca40_ion":
             report.verdicts.append(
                 _check("ca40_ion_omega_g_order_of_magnitude", abs(math.log10(dp.omega_g / 1e-12)), "<=", 1.0,

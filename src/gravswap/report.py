@@ -2,9 +2,11 @@
 
 Emission is a pure serialization of the report object: identical reports
 produce byte-identical files (floats at 17 significant digits, fixed key
-order, LF line endings).  `_fmt` is the one definition of a value's text;
-CSV rows of common value types are rendered with one cached %-format per
-row shape, which writes the same bytes as `_fmt` value by value.  A
+order, LF line endings).  `_fmt` is the one definition of a value's text.
+CSV tables are streamed to disk a fixed number of rows at a time, through
+one %-format per column block derived from the column dtypes, which writes
+the same bytes as `_fmt` value by value; other columns go through `_fmt`.
+The manifest is written last, so a manifest implies a complete file set.  A
 directory already holding a manifest from a different configuration refuses
 re-emission unless forced, so a replay can never silently mix artifacts from
 two runs.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -41,42 +44,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# Exact value types whose `_fmt` text is one %-conversion: "%.17g" prints nan
-# without a sign as `_fmt` does, and "%d" prints a bool as 1 or 0.
-_FAST_FORMATS = {
-    float: "%.17g",
-    np.float64: "%.17g",
-    int: "%d",
-    bool: "%d",
-    np.int64: "%d",
-    np.bool_: "%d",
-    str: "%s",
-}
+CSV_CHUNK_ROWS = 4096  # rows formatted per write, which bounds the text held at once
+
+# dtype kinds whose values, after `.tolist()`, take one %-conversion with the
+# text of `_fmt`: "%.17g" prints nan without a sign as `_fmt` does, and "%d"
+# prints a bool as 1 or 0
+_KIND_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
 
-def _row_format(shape: tuple[type, ...]) -> str | None:
-    """One %-format for a row of these exact value types, or None when some
-    type needs `_fmt` (complex values, subclasses, other numpy scalars)."""
-    try:
-        return ",".join(_FAST_FORMATS[t] for t in shape)
-    except KeyError:
-        return None
+def _column_format(column) -> str | None:
+    """The %-conversion of every value of a column, or None when each value
+    needs `_fmt` (complex and object arrays, non-string sequences)."""
+    if isinstance(column, np.ndarray):
+        return _KIND_FORMATS.get(column.dtype.kind)
+    return "%s" if all(type(v) is str for v in column) else None
 
 
-def render_csv(table: Table) -> str:
-    width = len(table.columns)
-    formats: dict[tuple[type, ...], str | None] = {}  # only shapes of the header's width
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        shape = tuple(map(type, row))
-        try:
-            fmt = formats[shape]
-        except KeyError:
-            if len(shape) != width:
-                raise ValueError(f"table {table.name}: row width {len(shape)} != header {width}") from None
-            fmt = formats[shape] = _row_format(shape)
-        lines.append(fmt % tuple(row) if fmt is not None else ",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def write_csv(table: Table, out: TextIO, chunk_rows: int = CSV_CHUNK_ROWS) -> None:
+    """Stream the table to the text file `out`, `chunk_rows` rows of a block
+    at a time, each row through the block's one %-format."""
+    out.write(",".join(table.columns) + "\n")
+    for block in table.blocks:
+        formats = [_column_format(column) for column in block]
+        line = ",".join(f or "%s" for f in formats) + "\n"
+        for start in range(0, len(block[0]), chunk_rows):
+            parts = [column[start : start + chunk_rows] for column in block]
+            values = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
+            texts = [v if f else [_fmt(x) for x in v] for v, f in zip(values, formats)]
+            out.write("".join([line % row for row in zip(*texts)]))
 
 
 def render_manifest(report: ExperimentReport) -> str:
@@ -153,18 +148,22 @@ def emit_report(report: ExperimentReport, out_dir: str | Path, force: bool = Fal
             )
     try:
         out.mkdir(parents=True, exist_ok=True)
-        files: dict[str, str] = {
-            "manifest.txt": render_manifest(report),
-            "summary.txt": render_summary(report),
+        manifest_path.unlink(missing_ok=True)  # written last: a manifest implies a complete report
+        written = []
+        for name, table in sorted(report.tables.items()):
+            path = out / f"{name}.csv"
+            with path.open("w", encoding="utf-8", newline="\n") as fh:
+                write_csv(table, fh)
+            written.append(path)
+        texts = {
             "config.echo.txt": format_config(report.config),
             "plots.json": render_plots(report),
+            "summary.txt": render_summary(report),
+            "manifest.txt": render_manifest(report),
         }
-        for name, table in report.tables.items():
-            files[f"{name}.csv"] = render_csv(table)
-        written = []
-        for name in sorted(files):
+        for name, text in texts.items():
             path = out / name
-            path.write_text(files[name], encoding="utf-8", newline="\n")
+            path.write_text(text, encoding="utf-8", newline="\n")
             written.append(path)
     except OSError as exc:
         raise RuntimeError(f"failed to emit report into {out}: {exc}") from exc

@@ -2,15 +2,18 @@
 parse_config_text(format_config(cfg)) == cfg over generated configurations,
 up to the platform block the kind never reads, including both forms of the
 grid size (auto and an explicit even count), and direct, preset and free SI
-parameters in both the [params] block and platform sections."""
+parameters in both the [params] block and platform sections.  A negative
+seed is refused, from a config file and from --seed alike."""
 
 import dataclasses
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gravswap import ExperimentConfig, ModelKind, PhysicalParams, Platform, Tolerances, format_config, parse_config_text
+from gravswap import ConfigError, ExperimentConfig, ModelKind, PhysicalParams, Platform, Tolerances, format_config, parse_config_text
+from gravswap.cli import main as cli_main
 from gravswap.experiments import KINDS, ORACLES
 from gravswap.params import DELTA_WARN_LIMIT, PLATFORM_PRESETS
 
@@ -86,7 +89,7 @@ def configs(draw):
         grid_half_extent=draw(st.one_of(st.none(), positive)),
         dt_factor=draw(positive),
         rk_step_factor=draw(positive),
-        seed=draw(st.integers(-(2**63), 2**63)),
+        seed=draw(st.integers(0, 2**63)),
         timestamp=draw(st.one_of(st.none(), stamps)),
         out_dir=draw(st.one_of(st.none(), paths)),
         platforms=draw(platforms()),
@@ -113,3 +116,20 @@ def test_grid_points_echo_forms():
     fixed = parse_config_text("[run]\nkind = swap\n[numerics]\ngrid_points = 512\n")
     assert fixed.grid_points == 512
     assert "grid_points = 512\n" in format_config(fixed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(max_value=-1))
+def test_negative_seed_is_refused(seed):
+    with pytest.raises(ConfigError, match="run.seed"):
+        ExperimentConfig(kind="swap", seed=seed, random_pairs=3)
+    with pytest.raises(ConfigError, match="run.seed"):
+        parse_config_text(f"[run]\nkind = swap\nseed = {seed}\n[state]\nrandom_pairs = 3\n")
+
+
+def test_cli_refuses_negative_seed(tmp_path, capsys):
+    rc = cli_main(["swap", "--seed", "-1", "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "run.seed" in err
+    assert not (tmp_path / "r").exists()

@@ -1,5 +1,6 @@
 import pytest
 
+import gravswap.report
 from gravswap import (
     ConfigError,
     ExperimentConfig,
@@ -167,6 +168,23 @@ def test_replay_mismatch_guard(tmp_path):
     with pytest.raises(ReplayMismatchError):
         emit_report(run_feasibility(other), out)
     emit_report(run_feasibility(other), out, force=True)  # explicit override allowed
+
+
+def test_manifest_is_written_last(tmp_path, monkeypatch):
+    # a manifest implies a complete report: an emission that fails partway
+    # leaves none, not even the one of an earlier run
+    report = run_swap(ExperimentConfig(kind="swap", platform=Platform(delta=0.05), samples=12))
+    out = tmp_path / "out"
+    assert emit_report(report, out)[-1].name == "manifest.txt"
+
+    def fail(table, out, *args):
+        out.write(",".join(table.columns) + "\n")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(gravswap.report, "write_csv", fail)
+    with pytest.raises(RuntimeError, match="No space left"):
+        emit_report(report, out)
+    assert not (out / "manifest.txt").exists()
 
 
 def test_source_digest_recorded(tmp_path):

@@ -1,69 +1,88 @@
-"""render_csv renders each row with one cached %-format per row shape; over
-generated tables that must give exactly the per-value `_fmt` text, and every
-row must still be checked against the header's width."""
+"""write_csv streams a table block by block, a fixed number of rows at a
+time, through one %-format per block derived from its column dtypes; over
+generated tables that span several chunks that must give exactly the
+per-value `_fmt` text.  A block that does not fit the header is refused when
+it is added, and emission of the largest benchmark report holds only a chunk
+of text at a time."""
 
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravswap import ExperimentConfig, Platform, run_swap
 from gravswap.experiments import Table
-from gravswap.report import _fmt, render_csv
+from gravswap.report import _fmt, emit_report, write_csv
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 
 SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-320, 2.2250738585072014e-308]
 floats = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOATS))
+# numpy's fixed-width strings drop trailing NULs, so columns never hold them
+texts = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6)
 
-# one strategy per kind of value: the first seven take the cached format,
-# the rest fall back to `_fmt`
-VALUE_KINDS = (
-    floats,
-    floats.map(np.float64),
-    st.integers(min_value=-(2**80), max_value=2**80),
-    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
-    st.booleans(),
-    st.booleans().map(np.bool_),
-    st.text(max_size=6),
-    st.complex_numbers(allow_subnormal=True),
-    st.floats(width=32, allow_subnormal=True).map(np.float32),
-    st.integers(min_value=-(2**31), max_value=2**31 - 1).map(np.int32),
+# (values, column built from a list of them): float, int, bool and str arrays
+# and str lists take the block's %-format; the rest fall back to `_fmt`
+COLUMN_KINDS = (
+    (floats, lambda vs: np.array(vs, dtype=np.float64)),
+    (st.integers(min_value=-(2**63), max_value=2**63 - 1), lambda vs: np.array(vs, dtype=np.int64)),
+    (st.booleans(), lambda vs: np.array(vs, dtype=bool)),
+    (texts, lambda vs: np.array(vs, dtype=str)),
+    (texts, list),
+    (floats, list),
+    (st.integers(min_value=-(2**80), max_value=2**80), list),
+    (st.complex_numbers(allow_subnormal=True), lambda vs: np.array(vs, dtype=complex)),
 )
 
 
 @st.composite
-def tables(draw):
-    """A table whose columns each mix two kinds of value, so row shapes both
-    repeat and change partway through."""
-    width = draw(st.integers(min_value=1, max_value=6))
-    palettes = [draw(st.lists(st.sampled_from(VALUE_KINDS), min_size=1, max_size=2)) for _ in range(width)]
-    n_rows = draw(st.integers(min_value=0, max_value=12))
-    rows = [tuple(draw(st.one_of(palette)) for palette in palettes) for _ in range(n_rows)]
-    return Table(name="generated", columns=tuple(f"c{i}" for i in range(width)), rows=rows)
+def chunked_tables(draw):
+    """A table, a chunk size and the table's per-value text: the first block
+    spans several chunks and ends in a partial one, the others have any
+    length, and each column is one of COLUMN_KINDS."""
+    chunk_rows = draw(st.integers(min_value=2, max_value=5))
+    width = draw(st.integers(min_value=1, max_value=5))
+    first = chunk_rows * draw(st.integers(min_value=1, max_value=3)) + draw(st.integers(1, chunk_rows - 1))
+    lengths = [first, *draw(st.lists(st.integers(min_value=0, max_value=12), max_size=3))]
+    table = Table(name="generated", columns=tuple(f"c{i}" for i in range(width)))
+    lines = [",".join(table.columns)]
+    for n in lengths:
+        kinds = [draw(st.sampled_from(COLUMN_KINDS)) for _ in range(width)]
+        values = [draw(st.lists(strategy, min_size=n, max_size=n)) for strategy, _ in kinds]
+        table.add(*(build(vs) for (_, build), vs in zip(kinds, values)))
+        lines += [",".join(_fmt(v) for v in row) for row in zip(*values)]
+    return table, chunk_rows, "\n".join(lines) + "\n"
 
 
-def _per_value(table):
-    lines = [",".join(table.columns)] + [",".join(_fmt(v) for v in row) for row in table.rows]
-    return "\n".join(lines) + "\n"
+def _streamed(table, *chunk_rows):
+    out = io.StringIO()
+    write_csv(table, out, *chunk_rows)
+    return out.getvalue()
 
 
 @PROPERTY_SETTINGS
-@given(tables())
-def test_render_csv_matches_per_value_text(table):
-    assert render_csv(table) == _per_value(table)
+@given(chunked_tables())
+def test_render_csv_matches_per_value_text(case):
+    table, chunk_rows, expected = case
+    assert _streamed(table, chunk_rows) == expected
+    # the row tuples hold the values the text was made from
+    rows = [",".join(table.columns)] + [",".join(_fmt(v) for v in row) for row in table.rows]
+    assert "\n".join(rows) + "\n" == expected
 
 
-@PROPERTY_SETTINGS
-@given(tables(), st.data())
-def test_render_csv_checks_every_row_width(table, data):
-    width = len(table.columns)
-    short = tuple(table.rows[0][:-1]) if table.rows else (0.5,) * (width - 1)
-    at = data.draw(st.integers(min_value=0, max_value=len(table.rows)))
-    bad = Table(name="generated", columns=table.columns, rows=[*table.rows[:at], short, *table.rows[at:]])
-    with pytest.raises(ValueError, match=f"table generated: row width {width - 1} != header {width}"):
-        render_csv(bad)
+def test_table_refuses_a_block_that_does_not_fit():
+    table = Table(name="generated", columns=("a", "b", "c"))
+    with pytest.raises(ValueError, match="table generated: block of 3 columns of lengths \\[3, 4\\]"):
+        table.add(np.zeros(4), np.zeros(3), ["x"] * 4)
+    with pytest.raises(ValueError, match="table generated: block of 2 columns"):
+        table.add(np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError, match="table generated: block of 4 columns"):
+        table.add_row(1.0, 2.0, "x", 4)
+    assert table.blocks == [] and table.rows == []
 
 
 @pytest.mark.parametrize(
@@ -71,5 +90,32 @@ def test_render_csv_checks_every_row_width(table, data):
     [math.nan, -math.nan, math.inf, -math.inf, -0.0, 1e-320, 2**70, np.True_, np.False_, np.int64(-7), True, "x%sy"],
 )
 def test_render_csv_edge_values(value):
-    table = Table(name="edge", columns=("a", "b"), rows=[(value, 1.5), (value, 1.5)])
-    assert render_csv(table) == _per_value(table)
+    # the value in a one-value column of add_row, and in a numpy array
+    table = Table(name="edge", columns=("a", "b"))
+    table.add_row(value, 1.5)
+    table.add(np.array([value, value]), np.array([1.5, 1.5]))
+    assert _streamed(table) == "a,b\n" + f"{_fmt(value)},1.5\n" * 3
+
+
+def test_emit_report_streams_the_largest_report(tmp_path):
+    # swap --oracle ode at 20,000 samples and 10,000 random pairs: 151,212
+    # rows, 19 MB of CSV; building it whole took 47 MB above the report
+    cfg = ExperimentConfig(
+        kind="swap",
+        platform=Platform(delta=0.02),
+        alpha=2 + 1j,
+        beta=-1 + 0.5j,
+        samples=20000,
+        random_pairs=10000,
+        oracle="ode",
+    )
+    report = run_swap(cfg)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        paths = emit_report(report, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(p.stat().st_size for p in paths) > 19e6
+    assert peak - start < 8e6
