@@ -13,6 +13,14 @@ coherent-state swapping, RWA breakdown, the superposition/entanglement
 dichotomy, and platform feasibility -- as reproducible experiments.
 """
 
+import os
+
+# OpenBLAS reads its thread count once, when numpy loads it, and a second
+# thread spins idle beside the grid's work and the forked model runs; so one
+# thread is the default here, before any numpy import.  A value the user set
+# is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .params import (

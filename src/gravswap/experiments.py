@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,6 +245,77 @@ def _add_table(report: ExperimentReport, name: str, columns: tuple[str, ...]) ->
     return table
 
 
+def cpu_count() -> int:
+    """The CPUs this process may run on; 1 where `fork_map` cannot fork."""
+    if sys.platform != "linux" or not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def fork_map(fn, items) -> list:
+    """[fn(item) for item in items]: the first item in this process, each
+    other in a forked child, which sends its pickled result back over a pipe
+    and leaves through os._exit.  An exception of fn is raised here with its
+    type and message, the first item's before the others'.  Every child is
+    reaped before this returns or raises, and killed first if this process's
+    own item raises; a child that sends no result raises RuntimeError.  On
+    one CPU the items run here one after another.  A fork copies only the
+    calling thread: gravswap starts no threads, and OpenBLAS stops its own
+    pool across a fork."""
+    items = list(items)
+    if len(items) < 2 or cpu_count() < 2:
+        return [fn(item) for item in items]
+    children = []  # (pid, read end of its pipe)
+    done = False
+    try:
+        for item in items[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _run_child(fn, item, write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        first = fn(items[0])
+        payloads = [pipe.read() for _, pipe in children]
+        done = True
+    finally:
+        for pid, pipe in children:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+    results = [first]
+    for (pid, _), payload in zip(children, payloads):
+        if not payload:
+            raise RuntimeError(f"forked worker {pid} exited without a result")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _run_child(fn, item, fd: int) -> None:
+    """The body of a `fork_map` child: write (True, result) or (False,
+    exception) to `fd`, pickled, and exit without returning."""
+    try:
+        try:
+            outcome = (True, fn(item))
+        except Exception as exc:
+            outcome = (False, exc)
+        payload = pickle.dumps(outcome)  # if this fails, the parent reads no result
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
 def _amplitudes_from_pair(pair: np.ndarray) -> tuple[complex, complex, float]:
     """Lab amplitudes reconstructed from the normal-mode first moments of a
     record (2, 5), plus the worst width deviation of the two modes."""
@@ -279,16 +354,23 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         spec = auto_grid_spec(grid_state, delta=d, n=cfg.grid_points, half_extent=cfg.grid_half_extent)
     icfg = cfg.integrator()
 
+    def grid_run(model):
+        w0 = build_initial_grid(grid_state, spec)
+        return split_step_evolve(w0, model, T, params, icfg, n_samples=min(cfg.samples, 51))
+
+    # the grid runs of the models are independent: one process each
+    grid_runs = dict(zip(cfg.models, fork_map(grid_run, cfg.models))) if cfg.uses_grid() else {}
+
     def series(model):
-        """(method, times, records) of each enabled method for `model`; each
-        is computed when drawn, so one oracle runs at a time."""
+        """(method, times, records) of each enabled method for `model`; the
+        closed and ode series are computed when drawn, the grid run is the
+        model's one from `grid_runs`."""
         yield "closed", times, propagate_moments(model, pair0, times, params)
         if cfg.uses_ode():
             ode = integrate_moments(model, pair0, T, params, icfg, n_samples=min(cfg.samples, 201))
             yield "ode", ode.times, ode.moments
         if cfg.uses_grid():
-            w0 = build_initial_grid(grid_state, spec)
-            evo = split_step_evolve(w0, model, T, params, icfg, n_samples=min(cfg.samples, 51))
+            evo = grid_runs[model]
             report.notes.append(
                 f"grid oracle [{model.value}]: max per-step norm drift {evo.max_step_norm_drift:.3e}, "
                 f"max boundary fraction {evo.max_boundary_fraction:.3e} (x), {evo.max_p_boundary_fraction:.3e} (p)"
@@ -576,8 +658,7 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
             for branch1, branch2 in zip(zip(plus1, minus1), zip(plus2, minus2))
         ]
 
-    results: dict[ModelKind, dict] = {}
-    for model in (quantum, ModelKind.SCEG):
+    def grid_run(model):
         w0 = build_initial_grid(state, spec)
         evo = split_step_evolve(
             w0, model, t_final, params, icfg, n_samples=n_samples, record_entropy=True
@@ -588,6 +669,12 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
             if model is ModelKind.QG_RWA
             else [math.nan] * len(evo.times)
         )
+        return evo, max_mean, oracle_vals
+
+    # the quantum and mean-field runs are independent: one process each
+    models = (quantum, ModelKind.SCEG)
+    results: dict[ModelKind, dict] = {}
+    for model, (evo, max_mean, oracle_vals) in zip(models, fork_map(grid_run, models)):
         table.add(evo.times, [model.value] * len(evo.times), evo.entropies, oracle_vals, evo.purities, max_mean)
         results[model] = {
             "entropies": evo.entropies,

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ModelKind
-from .moments_ode import IntegratorConfig
+from .moments_ode import IntegratorConfig, record_bounds
 from .params import DELTA_WARN_LIMIT, DimensionlessParams, ParameterError
 from .states import SQRT2, check_moments, lab_means
 
@@ -460,7 +460,19 @@ def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
     singular values of the amplitude matrix.  The SVD runs on one OpenBLAS
     thread: at grid sizes a second thread only adds CPU time (about 3 ms wall
     and 6 ms CPU per call at 108^2 on a 2-vCPU machine, against under 2 ms
-    of each on one)."""
+    of each on one), and it changes the result: on the records of the
+    benchmark's cat state the singular values differ by up to 3.3e-16
+    between one and two threads, and the report prints the entropy to 17
+    significant digits.
+
+    Importing gravswap sets OPENBLAS_NUM_THREADS to 1 unless it is set, but
+    a caller that loads numpy first (a library user, pytest) gets OpenBLAS's
+    own default, so the pin stays.  Pinning is no substitute for the
+    variable: a thread count set after numpy's import leaves the second
+    thread spinning.  A process that imports numpy and this module and then
+    works 0.3 s on one thread used a median 0.58 s of CPU with the pin set
+    after the import and 0.49 s with the variable set at start (7 runs each,
+    2-vCPU VM)."""
     get, put = _openblas_threads()
     before = get()
     put(1)
@@ -636,7 +648,7 @@ def split_step_evolve(
                 a *= phases[c, g, t]
 
         bare_flow = {}
-        bounds = np.unique(np.round(np.linspace(0, steps, n_samples)).astype(int))
+        bounds = record_bounds(steps, n_samples)
         for i0, i1 in zip(bounds[:-1], bounds[1:]):
             chunk = int(i1 - i0)
             kick(psi, *edge)

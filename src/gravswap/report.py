@@ -6,6 +6,8 @@ order, LF line endings).  `_fmt` is the one definition of a value's text.
 CSV tables are streamed to disk a fixed number of rows at a time, through
 one %-format per column block derived from the column dtypes, which writes
 the same bytes as `_fmt` value by value; other columns go through `_fmt`.
+The tables are split into one group per CPU, balanced by cell count; the
+first group is written in this process, each other one in a forked child.
 The manifest is written last, so a manifest implies a complete file set.  A
 directory already holding a manifest from a different configuration refuses
 re-emission unless forced, so a replay can never silently mix artifacts from
@@ -22,7 +24,7 @@ from typing import TextIO
 import numpy as np
 
 from .config import config_digest, format_config
-from .experiments import ExperimentReport, Table
+from .experiments import ExperimentReport, Table, cpu_count, fork_map
 
 
 class ReplayMismatchError(RuntimeError):
@@ -72,6 +74,20 @@ def write_csv(table: Table, out: TextIO, chunk_rows: int = CSV_CHUNK_ROWS) -> No
             values = [p.tolist() if isinstance(p, np.ndarray) else p for p in parts]
             texts = [v if f else [_fmt(x) for x in v] for v, f in zip(values, formats)]
             out.write("".join([line % row for row in zip(*texts)]))
+
+
+def csv_groups(tables: dict[str, Table], n: int) -> list[list[str]]:
+    """The table names split into at most `n` non-empty groups of about equal
+    cell count: largest table first, each into the group with the fewest
+    cells so far."""
+    cells = {name: len(t.columns) * sum(len(block[0]) for block in t.blocks) for name, t in tables.items()}
+    groups: list[list[str]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for name in sorted(tables, key=lambda name: (-cells[name], name)):
+        i = loads.index(min(loads))
+        groups[i].append(name)
+        loads[i] += cells[name]
+    return [g for g in groups if g]
 
 
 def render_manifest(report: ExperimentReport) -> str:
@@ -149,12 +165,14 @@ def emit_report(report: ExperimentReport, out_dir: str | Path, force: bool = Fal
     try:
         out.mkdir(parents=True, exist_ok=True)
         manifest_path.unlink(missing_ok=True)  # written last: a manifest implies a complete report
-        written = []
-        for name, table in sorted(report.tables.items()):
-            path = out / f"{name}.csv"
-            with path.open("w", encoding="utf-8", newline="\n") as fh:
-                write_csv(table, fh)
-            written.append(path)
+
+        def write_group(names: list[str]) -> None:
+            for name in names:
+                with (out / f"{name}.csv").open("w", encoding="utf-8", newline="\n") as fh:
+                    write_csv(report.tables[name], fh)
+
+        fork_map(write_group, csv_groups(report.tables, cpu_count()))
+        written = [out / f"{name}.csv" for name in sorted(report.tables)]
         texts = {
             "config.echo.txt": format_config(report.config),
             "plots.json": render_plots(report),
