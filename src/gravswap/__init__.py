@@ -13,6 +13,7 @@ coherent-state swapping, RWA breakdown, the superposition/entanglement
 dichotomy, and platform feasibility -- as reproducible experiments.
 """
 
+import importlib
 import os
 
 # OpenBLAS reads its thread count once, when numpy loads it, and a second
@@ -23,84 +24,51 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .params import (
-    ATOMIC_MASS,
-    DimensionlessParams,
-    GRAVITATIONAL_CONSTANT,
-    HBAR,
-    ParameterError,
-    PhysicalParams,
-    PLATFORM_PRESETS,
-    derive_dimensionless,
-    swap_time,
-)
-from .states import (
-    MOMENT_FIELDS,
-    DisplacementEstimate,
-    MomentError,
-    branch_schmidt_entropy,
-    check_moments,
-    coherent_inner,
-    coherent_overlap,
-    coherent_pair_moments,
-    displacement_from_moments,
-    from_normal_modes,
-    lab_means,
-    moments_of_coherent,
-    to_normal_modes,
-    two_mode_overlap,
-    uncertainty_product,
-)
-from .analytic import (
-    CoherenceResult,
-    CorrectedDisplacement,
-    ModelKind,
-    QuadraticHamiltonian,
-    coherence_check,
-    mode_hamiltonians,
-    phase_corrected_pair,
-    propagate_corrected_displacement,
-    propagate_moments,
-    propagate_rwa_displacement,
-    propagate_rwa_lab_displacement,
-    template_moment_rhs,
-)
-from .moments_ode import (
-    IntegrationError,
-    IntegratorConfig,
-    MomentSeries,
-    StepUnderflowError,
-    ToleranceError,
-    integrate_moments,
-)
-from .grid import (
-    CatProduct,
-    CoherentProduct,
-    EvolutionError,
-    GridError,
-    GridEvolution,
-    GridSizingError,
-    GridSpec,
-    GridWavefunction,
-    auto_grid_spec,
-    build_initial_grid,
-    lab_means_from_grid,
-    moments_from_grid,
-    schmidt_entropy,
-    split_step_evolve,
-)
-from .experiments import (
-    ConfigError,
-    ExperimentConfig,
-    ExperimentReport,
-    Platform,
-    Tolerances,
-    Verdict,
-    preset_platform,
-    run_cat_state,
-    run_feasibility,
-    run_rwa_validity,
-    run_swap,
-)
-from .config import config_digest, format_config, parse_config, parse_config_text
-from .report import ReplayMismatchError, emit_report
+# Each exported name is loaded from its module on first access (PEP 562), so
+# importing the package, or its numpy-free config modules, loads no numpy.
+_EXPORTS = {
+    "params": (
+        "ATOMIC_MASS", "ConfigError", "DimensionlessParams", "GRAVITATIONAL_CONSTANT", "HBAR",
+        "IntegratorConfig", "ModelKind", "ParameterError", "PhysicalParams", "PLATFORM_PRESETS",
+        "derive_dimensionless", "swap_time",
+    ),
+    "config": (
+        "ExperimentConfig", "Platform", "Tolerances", "config_digest", "format_config", "parse_config",
+        "parse_config_text", "preset_platform",
+    ),
+    "states": (
+        "MOMENT_FIELDS", "DisplacementEstimate", "MomentError", "branch_schmidt_entropy", "check_moments",
+        "coherent_inner", "coherent_overlap", "coherent_pair_moments", "displacement_from_moments",
+        "from_normal_modes", "lab_means", "moments_of_coherent", "to_normal_modes", "two_mode_overlap",
+        "uncertainty_product",
+    ),
+    "analytic": (
+        "CoherenceResult", "CorrectedDisplacement", "QuadraticHamiltonian", "coherence_check",
+        "mode_hamiltonians", "phase_corrected_pair", "propagate_corrected_displacement", "propagate_moments",
+        "propagate_rwa_displacement", "propagate_rwa_lab_displacement", "template_moment_rhs",
+    ),
+    "moments_ode": ("IntegrationError", "MomentSeries", "StepUnderflowError", "ToleranceError", "integrate_moments"),
+    "grid": (
+        "CatProduct", "CoherentProduct", "EvolutionError", "GridError", "GridEvolution", "GridSizingError",
+        "GridSpec", "GridWavefunction", "auto_grid_spec", "build_initial_grid", "lab_means_from_grid",
+        "moments_from_grid", "schmidt_entropy", "split_step_evolve",
+    ),
+    "experiments": (
+        "ExperimentReport", "Verdict", "run_cat_state", "run_feasibility", "run_rwa_validity", "run_swap",
+    ),
+    "report": ("ReplayMismatchError", "emit_report"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -33,26 +33,16 @@ mode frequency; `coherence_check` measures exactly that coefficient.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DimensionlessParams, ParameterError
+from .params import DimensionlessParams, ModelKind, ParameterError
 from .states import SQRT2, check_moments, from_normal_modes, to_normal_modes
 
 COHERENCE_RESIDUAL_TOL = 1e-12
 CORRECTED_DELTA_LIMIT = 0.2
-
-
-class ModelKind(enum.Enum):
-    QG_FULL = "qg_full"
-    QG_RWA = "qg_rwa"
-    SCEG = "sceg"
-
-
-MODEL_BY_NAME = {m.value: m for m in ModelKind}
 
 
 @dataclass(frozen=True)

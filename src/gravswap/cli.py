@@ -4,6 +4,9 @@ Subcommands mirror the experiment kinds; each loads an optional config file,
 applies flag overrides, runs the experiment, writes the report directory, and
 exits 0 only if every verdict passed.  Reports are byte-reproducible by
 default; pass --stamp to record a wall-clock timestamp in the manifest.
+
+The config is parsed and checked before the experiments, the report writer
+and numpy are imported, so a refusal or `--help` never waits for them.
 """
 
 from __future__ import annotations
@@ -14,12 +17,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .experiments import ConfigError, ExperimentConfig, ORACLES, RUNNERS
-from .config import parse_config
-from .grid import GridError
-from .moments_ode import IntegrationError
-from .params import ParameterError
-from .report import ReplayMismatchError, emit_report, render_summary
+from .config import ORACLES, ExperimentConfig, parse_config
+from .params import ConfigError, ParameterError
 
 _COMMANDS = {
     "swap": "swap",
@@ -51,28 +50,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def emit_report(report, out_dir, force=False):
+    """`report.emit_report`, imported on first call.  `main` calls it through
+    this module's global, so a replacement set here is the one called."""
+    from .report import emit_report as emit
+
+    return emit(report, out_dir, force=force)
+
+
+def _config(args, kind: str) -> ExperimentConfig:
+    """The run's config: the --config file or the kind's defaults, with the
+    flag overrides applied."""
+    if args.config is not None:
+        cfg = parse_config(args.config)
+        if cfg.kind != kind:
+            raise ConfigError(f"config kind {cfg.kind!r} does not match subcommand {args.command!r}")
+    else:
+        cfg = ExperimentConfig(kind=kind)
+    overrides = {}
+    if args.oracle is not None:
+        overrides["oracle"] = args.oracle
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.stamp:
+        overrides["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     kind = _COMMANDS[args.command]
     try:
-        if args.config is not None:
-            cfg = parse_config(args.config)
-            if cfg.kind != kind:
-                raise ConfigError(
-                    f"config kind {cfg.kind!r} does not match subcommand {args.command!r}"
-                )
-        else:
-            cfg = ExperimentConfig(kind=kind)
-        overrides = {}
-        if args.oracle is not None:
-            overrides["oracle"] = args.oracle
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.stamp:
-            overrides["timestamp"] = datetime.now(timezone.utc).isoformat()
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+        cfg = _config(args, kind)
+    except (ConfigError, ParameterError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    # the config holds: only now load the runners and numpy
+    from .experiments import RUNNERS
+    from .grid import GridError
+    from .moments_ode import IntegrationError
+    from .report import ReplayMismatchError, render_summary
 
+    try:
         report = RUNNERS[kind](cfg)
         out_dir = args.out or cfg.out_dir or Path("runs") / kind
         emit_report(report, out_dir, force=args.force)

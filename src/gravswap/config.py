@@ -1,4 +1,13 @@
-"""Strict key-value configuration: parsing, validation, canonical echo.
+"""The experiment configuration: its schema, and a strict key-value text form
+with parsing, validation and a canonical echo.
+
+This module holds the schema of a run's inputs, `ExperimentConfig` with its
+`Platform` and `Tolerances` and the budgets of its counts; `params` holds the
+model names and the integrator settings it reads.  Neither imports numpy, so
+a config is parsed, echoed, digested or refused, and `--help` answers, before
+any numeric module loads; the CLI imports the experiments only once a run
+starts.  The imports run one way: params, config, the numeric modules,
+experiments, report, cli.
 
 Format: `key = value` lines grouped under `[section]` headers, `#` comments.
 Unknown keys and sections are rejected outright so a typo can never fall back
@@ -12,21 +21,144 @@ precision; parse(format(cfg)) == cfg.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import hashlib
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analytic import MODEL_BY_NAME, ModelKind
-from .experiments import (
+from .params import (
+    MODEL_BY_NAME,
     ConfigError,
-    ExperimentConfig,
-    KINDS,
-    ORACLES,
-    Platform,
-    Tolerances,
-    preset_platform,
+    DimensionlessParams,
+    IntegratorConfig,
+    ModelKind,
+    PhysicalParams,
+    PLATFORM_PRESETS,
+    derive_dimensionless,
+    swap_time,
 )
-from .params import PhysicalParams, PLATFORM_PRESETS
+
+# Budgets of the two sampled counts.  A swap sample costs about 0.8 kB of
+# memory and 0.9 kB of CSV with the three default models, and a random pair
+# 0.12 kB and 0.09 kB, so either budget holds a run near 1 GB of each;
+# beyond them numpy fails to allocate with a raw traceback.
+MAX_SAMPLES = 1_000_000
+MAX_RANDOM_PAIRS = 10_000_000
+
+KINDS = ("swap", "rwa_validity", "cat_state", "feasibility")
+ORACLES = ("none", "ode", "grid", "all")
+
+DEFAULT_MODELS = (ModelKind.QG_RWA, ModelKind.QG_FULL, ModelKind.SCEG)
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Every threshold any verdict uses; echoed verbatim into manifests."""
+
+    swap_fidelity: float = 1e-12
+    first_moment: float = 1e-12
+    width_closed: float = 1e-12
+    width_grid: float = 5e-6
+    ode_agreement: float = 1e-8
+    grid_agreement: float = 1e-5
+    deviation_law_rel: float = 0.10
+    linear_scaling_rel: float = 0.05
+    entropy_oracle: float = 1e-2
+    entropy_min: float = 0.5
+    product_entropy_max: float = 1e-6
+    sceg_mean_max: float = 1e-6
+    sceg_purity_defect: float = 1e-4
+    impractical_swap_seconds: float = 1e9
+
+
+@dataclass(frozen=True)
+class Platform:
+    """The coupling of a run or of one feasibility row: SI parameters or a
+    direct delta.  The run's own coupling keeps the default name."""
+
+    name: str = "params"
+    physical: PhysicalParams | None = None
+    delta: float | None = None
+    omega: float = 1.0
+
+    def __post_init__(self) -> None:
+        if (self.physical is None) == (self.delta is None):
+            raise ConfigError(f"platform {self.name!r}: give SI parameters or a direct delta, not both")
+
+    def dimensionless(self) -> DimensionlessParams:
+        """The platform's coupling; a positive one must give a finite swap time."""
+        if self.physical is not None:
+            params = derive_dimensionless(self.physical)
+        else:
+            params = DimensionlessParams(delta=self.delta, omega=self.omega)
+        if params.delta > 0 and swap_time(params) == math.inf:
+            raise ConfigError(f"params.delta: {params.delta!r} is too small: its swap time pi/(2 delta omega) is inf")
+        return params
+
+
+def preset_platform(name: str) -> Platform:
+    if name not in PLATFORM_PRESETS:
+        raise ConfigError(f"unknown platform preset {name!r}; known: {sorted(PLATFORM_PRESETS)}")
+    return Platform(name=name, physical=PLATFORM_PRESETS[name])
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    kind: str = "swap"
+    models: tuple[ModelKind, ...] = DEFAULT_MODELS
+    platform: Platform = Platform(delta=0.05)
+    alpha: complex = 1 + 0j
+    beta: complex = 0j
+    cat_alpha: complex = 2 + 0j
+    random_pairs: int = 0
+    alpha_mags: tuple[float, ...] = (1.0, 10.0, 100.0)
+    deltas: tuple[float, ...] = (0.01, 0.05, 0.1)
+    samples: int = 200
+    oracle: str | None = None  # None: grid for a cat state, which needs it, else none
+    grid_points: int | None = None  # None: sized from the state
+    grid_half_extent: float | None = None
+    dt_factor: float = IntegratorConfig.dt_factor
+    rk_step_factor: float = IntegratorConfig.rk_step_factor
+    seed: int = 0
+    timestamp: str | None = None
+    out_dir: str | None = None
+    platforms: tuple[Platform, ...] = (preset_platform("ca40_ion"),)
+    tolerances: Tolerances = field(default_factory=Tolerances)
+    source_digest: str | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ConfigError(f"run.kind: unknown kind {self.kind!r}; expected one of {KINDS}")
+        if self.oracle is None:
+            object.__setattr__(self, "oracle", "grid" if self.kind == "cat_state" else "none")
+        if self.oracle not in ORACLES:
+            raise ConfigError(f"run.oracle: unknown oracle {self.oracle!r}; expected one of {ORACLES}")
+        if not self.models:
+            raise ConfigError("run.models: at least one model required")
+        if not 2 <= self.samples <= MAX_SAMPLES:
+            raise ConfigError(f"run.samples: need 2 to {MAX_SAMPLES} samples, got {self.samples}")
+        if not 0 <= self.random_pairs <= MAX_RANDOM_PAIRS:
+            raise ConfigError(f"state.random_pairs: must be 0 to {MAX_RANDOM_PAIRS}, got {self.random_pairs}")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed: must be non-negative, got {self.seed}")
+        for name in ("alpha", "beta", "cat_alpha"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ConfigError(f"state.{name}: must be finite, got {getattr(self, name)!r}")
+        if not all(0 < d < math.inf and math.pi / d < math.inf for d in self.deltas):  # each sweeps pi/delta
+            raise ConfigError(f"sweep.deltas: couplings must be positive, with a finite pi/delta, got {self.deltas}")
+        if not all(0 < m < math.inf for m in self.alpha_mags):
+            raise ConfigError(f"sweep.alpha_mags: magnitudes must be finite and positive, got {self.alpha_mags}")
+
+    def integrator(self) -> IntegratorConfig:
+        return IntegratorConfig(dt_factor=self.dt_factor, rk_step_factor=self.rk_step_factor)
+
+    def uses_ode(self) -> bool:
+        return self.oracle in ("ode", "all")
+
+    def uses_grid(self) -> bool:
+        return self.oracle in ("grid", "all")
 
 
 def _parse_float(raw: str, path: str) -> float:

@@ -10,7 +10,6 @@ identical configs produce byte-identical emitted files.
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 import pickle
@@ -37,15 +36,9 @@ from .grid import (
     build_initial_grid,
     split_step_evolve,
 )
-from .moments_ode import IntegratorConfig, integrate_moments
-from .params import (
-    ConfigError,
-    DimensionlessParams,
-    PhysicalParams,
-    PLATFORM_PRESETS,
-    derive_dimensionless,
-    swap_time,
-)
+from .config import KINDS, ORACLES, ExperimentConfig  # KINDS, ORACLES re-exported
+from .moments_ode import integrate_moments
+from .params import ConfigError, DimensionlessParams, swap_time
 from .states import (
     MOMENT_FIELDS,
     V_XX,
@@ -57,112 +50,6 @@ from .states import (
     to_normal_modes,
     two_mode_overlap,
 )
-
-KINDS = ("swap", "rwa_validity", "cat_state", "feasibility")
-ORACLES = ("none", "ode", "grid", "all")
-
-DEFAULT_MODELS = (ModelKind.QG_RWA, ModelKind.QG_FULL, ModelKind.SCEG)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Every threshold any verdict uses; echoed verbatim into manifests."""
-
-    swap_fidelity: float = 1e-12
-    first_moment: float = 1e-12
-    width_closed: float = 1e-12
-    width_grid: float = 5e-6
-    ode_agreement: float = 1e-8
-    grid_agreement: float = 1e-5
-    deviation_law_rel: float = 0.10
-    linear_scaling_rel: float = 0.05
-    entropy_oracle: float = 1e-2
-    entropy_min: float = 0.5
-    product_entropy_max: float = 1e-6
-    sceg_mean_max: float = 1e-6
-    sceg_purity_defect: float = 1e-4
-    impractical_swap_seconds: float = 1e9
-
-
-@dataclass(frozen=True)
-class Platform:
-    """The coupling of a run or of one feasibility row: SI parameters or a
-    direct delta.  The run's own coupling keeps the default name."""
-
-    name: str = "params"
-    physical: PhysicalParams | None = None
-    delta: float | None = None
-    omega: float = 1.0
-
-    def __post_init__(self) -> None:
-        if (self.physical is None) == (self.delta is None):
-            raise ConfigError(f"platform {self.name!r}: give SI parameters or a direct delta, not both")
-
-    def dimensionless(self) -> DimensionlessParams:
-        if self.physical is not None:
-            return derive_dimensionless(self.physical)
-        return DimensionlessParams(delta=self.delta, omega=self.omega)
-
-
-def preset_platform(name: str) -> Platform:
-    if name not in PLATFORM_PRESETS:
-        raise ConfigError(f"unknown platform preset {name!r}; known: {sorted(PLATFORM_PRESETS)}")
-    return Platform(name=name, physical=PLATFORM_PRESETS[name])
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str = "swap"
-    models: tuple[ModelKind, ...] = DEFAULT_MODELS
-    platform: Platform = Platform(delta=0.05)
-    alpha: complex = 1 + 0j
-    beta: complex = 0j
-    cat_alpha: complex = 2 + 0j
-    random_pairs: int = 0
-    alpha_mags: tuple[float, ...] = (1.0, 10.0, 100.0)
-    deltas: tuple[float, ...] = (0.01, 0.05, 0.1)
-    samples: int = 200
-    oracle: str | None = None  # None: grid for a cat state, which needs it, else none
-    grid_points: int | None = None  # None: sized from the state
-    grid_half_extent: float | None = None
-    dt_factor: float = IntegratorConfig.dt_factor
-    rk_step_factor: float = IntegratorConfig.rk_step_factor
-    seed: int = 0
-    timestamp: str | None = None
-    out_dir: str | None = None
-    platforms: tuple[Platform, ...] = (preset_platform("ca40_ion"),)
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    source_digest: str | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ConfigError(f"run.kind: unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.oracle is None:
-            object.__setattr__(self, "oracle", "grid" if self.kind == "cat_state" else "none")
-        if self.oracle not in ORACLES:
-            raise ConfigError(f"run.oracle: unknown oracle {self.oracle!r}; expected one of {ORACLES}")
-        if not self.models:
-            raise ConfigError("run.models: at least one model required")
-        if self.samples < 2:
-            raise ConfigError("run.samples: need at least 2 samples")
-        if self.random_pairs < 0:
-            raise ConfigError("state.random_pairs: must be non-negative")
-        if self.seed < 0:
-            raise ConfigError(f"run.seed: must be non-negative, got {self.seed}")
-        for name in ("alpha", "beta", "cat_alpha"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ConfigError(f"state.{name}: must be finite, got {getattr(self, name)!r}")
-        if not all(m > 0 for m in self.alpha_mags):
-            raise ConfigError("sweep.alpha_mags: magnitudes must be positive")
-
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(dt_factor=self.dt_factor, rk_step_factor=self.rk_step_factor)
-
-    def uses_ode(self) -> bool:
-        return self.oracle in ("ode", "all")
-
-    def uses_grid(self) -> bool:
-        return self.oracle in ("grid", "all")
 
 
 @dataclass

@@ -54,9 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ModelKind
-from .moments_ode import IntegratorConfig, record_bounds
-from .params import DELTA_WARN_LIMIT, DimensionlessParams, ParameterError
+from .moments_ode import record_bounds
+from .params import DELTA_WARN_LIMIT, DimensionlessParams, IntegratorConfig, ModelKind, ParameterError
 from .states import SQRT2, check_moments, lab_means
 
 GROUND_SIGMA = math.sqrt(0.5)

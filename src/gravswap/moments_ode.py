@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ModelKind, mode_hamiltonians, template_moment_rhs
-from .params import ConfigError, DimensionlessParams, ParameterError
+from .params import DimensionlessParams, IntegratorConfig, ParameterError
 from .states import check_moments
 
 MAX_STEPS = 100_000_000
@@ -29,10 +29,6 @@ MAX_STEPS = 100_000_000
 # most 2.3e-16 relative over random records, delta 0.01 to 0.2); a nonlinear
 # right-hand side misses by far more.
 _LINEARITY_TOL = 1e-12
-# Grid steps per run: a fourth-order step is two kinetic FFT round trips on
-# numpy.fft, about 0.56 ms on a 96^2 grid, 0.70 ms on 108^2, 1.05 ms on 128^2
-# and 4.6 ms on 256^2 on a 2-vCPU machine, so the budget is 1.5 to 13 hours.
-MAX_GRID_STEPS = 10_000_000
 
 
 class IntegrationError(RuntimeError):
@@ -45,54 +41,6 @@ class StepUnderflowError(IntegrationError):
 
 class ToleranceError(IntegrationError):
     pass
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Step sizes of the two numerical oracles and the RK4 error tolerance.
-
-    Both step factors are in units of one exact-plus-mode period 2 pi /
-    Omega_plus.  The grid factor is the length of one fourth-order step (two
-    kinetic FFT round trips) and is capped at 8e-2 of a period: the measured
-    order of the grid error is still 4.0 to 4.2 between 8e-2 and 4e-2, at
-    couplings 0.1 and 0.2, so up to the cap the error is in the asymptotic
-    regime (from 1.6e-1 down to 8e-2 it strays to 3.4 to 4.5).  The
-    default 1.55e-2 leaves a grid mean error of 6.6e-8 over a full swap of
-    (2, -1) at coupling 0.1.
-    """
-
-    dt_factor: float = 1.55e-2
-    rk_step_factor: float = 1e-4
-    rk_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.dt_factor <= 8e-2):
-            raise ParameterError(f"numerics.dt_factor: must be in (0, 8e-2] periods, got {self.dt_factor!r}")
-        if not (0.0 < self.rk_step_factor):
-            raise ParameterError("numerics.rk_step_factor: must be positive")
-        if not (self.rk_tol > 0):
-            raise ParameterError("numerics.rk_tol: must be positive")
-
-    def grid_step(self, params: DimensionlessParams) -> float:
-        """Split-operator step in scaled time (omega t)."""
-        return self.dt_factor * 2.0 * math.pi / params.K_plus
-
-    def grid_steps(self, tau_final: float, params: DimensionlessParams) -> int:
-        """Composite split-operator steps over `tau_final` (scaled time).
-
-        Refuses a span beyond MAX_GRID_STEPS steps, so an unrunnable grid run
-        fails before any array is allocated."""
-        steps = tau_final / self.grid_step(params)
-        if not steps <= MAX_GRID_STEPS:
-            raise ConfigError(
-                f"numerics.dt_factor: {self.dt_factor!r} periods gives {steps:.3g} grid steps "
-                f"over scaled time {tau_final:.3g}, beyond the budget of {MAX_GRID_STEPS}"
-            )
-        return max(1, math.ceil(steps))
-
-    def rk_step(self, params: DimensionlessParams) -> float:
-        """Runge-Kutta step in scaled time (omega t)."""
-        return self.rk_step_factor * 2.0 * math.pi / params.K_plus
 
 
 @dataclass

@@ -316,6 +316,32 @@ def test_cli_refuses_bad_grid_size(tmp_path, capsys, numerics, key):
     assert err.startswith("error: ") and key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command,text,key",
+    [
+        # counts whose arrays numpy cannot allocate: refused by the sample budgets
+        ("swap", "[run]\nkind = swap\nsamples = 3000000000\n", "run.samples"),
+        ("swap", "[run]\nkind = swap\n[state]\nrandom_pairs = 100000000000\n", "state.random_pairs"),
+        # non-finite sweeps: rows of inf/nan, or a division by a zero coupling
+        ("rwa-validity", "[run]\nkind = rwa_validity\n[sweep]\nalpha_mags = 1, inf\n", "sweep.alpha_mags"),
+        ("rwa-validity", "[run]\nkind = rwa_validity\n[sweep]\ndeltas = 0\n", "sweep.deltas"),
+        ("rwa-validity", "[run]\nkind = rwa_validity\n[sweep]\ndeltas = 1e-320\n", "sweep.deltas"),
+        # a coupling whose swap time pi/(2 delta) overflows to inf
+        ("swap", "[run]\nkind = swap\n[params]\ndelta = 1e-320\n", "params.delta"),
+        ("cat-state", "[run]\nkind = cat_state\n[params]\ndelta = 1e-320\n", "params.delta"),
+    ],
+    ids=["samples", "random_pairs", "alpha_mags_inf", "deltas_zero", "deltas_tiny", "swap_delta", "cat_delta"],
+)
+def test_cli_refuses_unrunnable_input_by_key(tmp_path, capsys, command, text, key):
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text(text)
+    rc = cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def _refuse_allocation(*args, **kwargs):
     raise AssertionError("a grid the sizing rule refuses reached the allocating code")
 

@@ -1,17 +1,23 @@
 """gravswap needs only numpy at run time, and of numpy not numpy.ma: each is
 blocked in a fresh interpreter (`sys.modules["scipy"] = None` makes every
 import of it fail), and the CLI still runs the grid oracle from start to
-end.  Importing gravswap sets numpy's BLAS to one thread unless the user
-chose a count."""
+end.  Parsing, echoing and refusing a config, and `--help`, need no numpy at
+all.  Importing gravswap sets numpy's BLAS to one thread unless the user
+chose a count; its names load from their modules on first access."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import gravswap
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 def _env() -> dict[str, str]:
@@ -69,3 +75,103 @@ def test_import_sets_one_blas_thread_unless_set(preset, expected):
     assert variable == expected
     if preset is None:
         assert threads in ("1", "0")
+
+
+NUMPY_FREE = """
+import sys
+sys.modules["numpy"] = None
+import gravswap
+import gravswap.cli
+from gravswap.config import config_digest, format_config, parse_config, parse_config_text
+
+CONFIGS = {
+    "swap": "[params]\\ndelta = 0.1\\n[state]\\nalpha = 2\\nrandom_pairs = 5\\n",
+    "rwa_validity": "[sweep]\\nalpha_mags = 1, 2\\ndeltas = 0.01\\n",
+    "cat_state": "[params]\\npreset = ca40_ion\\n[state]\\ncat_alpha = 1+1j\\n",
+    "feasibility": "[run]\\nplatforms = ca40_ion, bench\\n[platform:bench]\\ndelta = 0.01\\n",
+}
+for kind, body in CONFIGS.items():
+    with open(kind + ".cfg", "w") as fh:
+        fh.write("[run]\\nkind = " + kind + "\\n" + body)
+    cfg = parse_config(kind + ".cfg")
+    assert cfg.kind == kind and parse_config_text(format_config(cfg)) == cfg
+    assert config_digest(cfg).startswith("sha256:")
+with open("bad.cfg", "w") as fh:
+    fh.write("[run]\\nkind = swap\\nsampels = 5\\n")
+assert gravswap.cli.main(["swap", "--config", "bad.cfg"]) == 2
+print(sorted(m for m in sys.modules if m.startswith("gravswap")))
+gravswap.cli.main(["swap", "--help"])
+"""
+
+
+def test_config_and_help_need_no_numpy(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE], capture_output=True, text=True, env=_env(), cwd=tmp_path
+    )
+    assert done.returncode == 0, done.stderr  # --help exits 0
+    assert done.stderr == "error: bad.cfg:3: run.sampels: unknown key\n"
+    loaded, _, usage = done.stdout.partition("\n")
+    assert loaded == "['gravswap', 'gravswap.cli', 'gravswap.config', 'gravswap.params']"
+    assert usage.startswith("usage: gravswap swap")
+
+
+# today's exported names, each with the module that defines it
+EXPORTS = {
+    "params": [
+        "ATOMIC_MASS", "ConfigError", "DimensionlessParams", "GRAVITATIONAL_CONSTANT", "HBAR",
+        "IntegratorConfig", "ModelKind", "ParameterError", "PhysicalParams", "PLATFORM_PRESETS",
+        "derive_dimensionless", "swap_time",
+    ],
+    "config": [
+        "ExperimentConfig", "Platform", "Tolerances", "config_digest", "format_config", "parse_config",
+        "parse_config_text", "preset_platform",
+    ],
+    "states": [
+        "MOMENT_FIELDS", "DisplacementEstimate", "MomentError", "branch_schmidt_entropy", "check_moments",
+        "coherent_inner", "coherent_overlap", "coherent_pair_moments", "displacement_from_moments",
+        "from_normal_modes", "lab_means", "moments_of_coherent", "to_normal_modes", "two_mode_overlap",
+        "uncertainty_product",
+    ],
+    "analytic": [
+        "CoherenceResult", "CorrectedDisplacement", "QuadraticHamiltonian", "coherence_check",
+        "mode_hamiltonians", "phase_corrected_pair", "propagate_corrected_displacement", "propagate_moments",
+        "propagate_rwa_displacement", "propagate_rwa_lab_displacement", "template_moment_rhs",
+    ],
+    "moments_ode": ["IntegrationError", "MomentSeries", "StepUnderflowError", "ToleranceError", "integrate_moments"],
+    "grid": [
+        "CatProduct", "CoherentProduct", "EvolutionError", "GridError", "GridEvolution", "GridSizingError",
+        "GridSpec", "GridWavefunction", "auto_grid_spec", "build_initial_grid", "lab_means_from_grid",
+        "moments_from_grid", "schmidt_entropy", "split_step_evolve",
+    ],
+    "experiments": ["ExperimentReport", "Verdict", "run_cat_state", "run_feasibility", "run_rwa_validity", "run_swap"],
+    "report": ["ReplayMismatchError", "emit_report"],
+}
+
+
+def test_exports_resolve_to_their_defining_module():
+    names = [name for group in EXPORTS.values() for name in group]
+    assert sorted(gravswap.__all__) == sorted(names)
+    assert set(names) <= set(dir(gravswap))
+    for module, group in EXPORTS.items():
+        owner = importlib.import_module(f"gravswap.{module}")
+        for name in group:
+            namespace = {}
+            exec(f"from gravswap import {name}", namespace)
+            assert namespace[name] is getattr(owner, name), name
+            assert getattr(namespace[name], "__module__", owner.__name__) == owner.__name__, name
+
+
+def test_unknown_export_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gravswap.no_such_name
+    with pytest.raises(ImportError):
+        from gravswap import no_such_name
+
+
+def test_readme_library_sketch_runs(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+    sketch = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert (tmp_path / "runs" / "swap" / "manifest.txt").is_file()
+    assert len(capsys.readouterr().out.splitlines()) == 2

@@ -1,7 +1,8 @@
 """The per-layer tracer of the benchmark (perfbench/tracer.py) wraps library
 functions by name.  A renamed or deleted function breaks `perfbench/run.py
 --trace 1` without failing any other test, so every name it wraps must still
-resolve on its owner."""
+resolve on its owner, and the CLI must call the runner and the emitter
+through the names the tracer replaces."""
 
 import importlib.util
 from pathlib import Path
@@ -41,3 +42,25 @@ def test_wrapped_entry_points_resolve():
 
     assert set(gravswap.experiments.RUNNERS) >= {"swap", "cat_state"}
     assert callable(gravswap.cli.emit_report)
+
+
+def test_cli_calls_the_replaced_runner_and_emitter(tmp_path, monkeypatch):
+    import gravswap.cli
+    import gravswap.experiments
+
+    calls = []
+    run = gravswap.experiments.RUNNERS["feasibility"]
+
+    def runner(cfg):
+        calls.append(("run", cfg.kind))
+        return run(cfg)
+
+    def emit(report, out_dir, force=False):
+        calls.append(("emit", report.kind))
+        return []
+
+    monkeypatch.setitem(gravswap.experiments.RUNNERS, "feasibility", runner)
+    monkeypatch.setattr(gravswap.cli, "emit_report", emit)
+    assert gravswap.cli.main(["feasibility", "--out", str(tmp_path / "r")]) == 0
+    assert calls == [("run", "feasibility"), ("emit", "feasibility")]
+    assert not (tmp_path / "r").exists()
