@@ -10,12 +10,13 @@ starts.  The imports run one way: params, config, the numeric modules,
 experiments, report, cli.
 
 Format: `key = value` lines grouped under `[section]` headers, `#` comments.
-Unknown keys and sections are rejected outright so a typo can never fall back
-to a physics default silently.  The [params] block and each [platform:NAME]
-section share one builder and one echo; a key the section's parameterization
-does not take is refused, never dropped, and so is the platform block the
-run's kind never reads.  `format_config` renders the fully resolved
-configuration (defaults applied) in a canonical order with full float
+Each key is declared once: `CONFIG_KEYS` drives the parse and echo of the
+plain keys, `SI_FIELDS` and `_DIRECT_FIELDS` those of the [params] and
+[platform:NAME] blocks.  Unknown keys and sections are refused, so a typo
+never falls back to a physics default; so are a key the block's
+parameterization does not take and the platform block the run's kind never
+reads.  Every refusal names the key or block at fault.  `format_config`
+renders the fully resolved configuration in a canonical order with full float
 precision; parse(format(cfg)) == cfg.
 """
 
@@ -29,11 +30,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .params import (
+    DELTA_HARD_LIMIT,
     MODEL_BY_NAME,
     ConfigError,
     DimensionlessParams,
     IntegratorConfig,
     ModelKind,
+    ParameterError,
     PhysicalParams,
     PLATFORM_PRESETS,
     derive_dimensionless,
@@ -93,8 +96,9 @@ class Platform:
             params = derive_dimensionless(self.physical)
         else:
             params = DimensionlessParams(delta=self.delta, omega=self.omega)
-        if params.delta > 0 and swap_time(params) == math.inf:
-            raise ConfigError(f"params.delta: {params.delta!r} is too small: its swap time pi/(2 delta omega) is inf")
+        # a direct delta may be zero (no coupling); the SI keys give zero only by underflow
+        if (params.delta > 0 or self.physical is not None) and swap_time(params) == math.inf:
+            raise ParameterError(f"params.delta: {params.delta!r} is too small: swap time pi/(2 delta omega) is inf")
         return params
 
 
@@ -137,6 +141,9 @@ class ExperimentConfig:
             raise ConfigError(f"run.oracle: unknown oracle {self.oracle!r}; expected one of {ORACLES}")
         if not self.models:
             raise ConfigError("run.models: at least one model required")
+        for i, model in enumerate(self.models):
+            if model in self.models[:i]:
+                raise ConfigError(f"run.models: {model.value!r} is listed twice")
         if not 2 <= self.samples <= MAX_SAMPLES:
             raise ConfigError(f"run.samples: need 2 to {MAX_SAMPLES} samples, got {self.samples}")
         if not 0 <= self.random_pairs <= MAX_RANDOM_PAIRS:
@@ -146,8 +153,8 @@ class ExperimentConfig:
         for name in ("alpha", "beta", "cat_alpha"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ConfigError(f"state.{name}: must be finite, got {getattr(self, name)!r}")
-        if not all(0 < d < math.inf and math.pi / d < math.inf for d in self.deltas):  # each sweeps pi/delta
-            raise ConfigError(f"sweep.deltas: couplings must be positive, with a finite pi/delta, got {self.deltas}")
+        if not all(0 < d < DELTA_HARD_LIMIT and math.pi / d < math.inf for d in self.deltas):  # each sweeps pi/delta
+            raise ConfigError(f"sweep.deltas: couplings must be in (0, 1/2), with a finite pi/delta, got {self.deltas}")
         if not all(0 < m < math.inf for m in self.alpha_mags):
             raise ConfigError(f"sweep.alpha_mags: magnitudes must be finite and positive, got {self.alpha_mags}")
 
@@ -161,26 +168,21 @@ class ExperimentConfig:
         return self.oracle in ("grid", "all")
 
 
-def _parse_float(raw: str, path: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{path}: expected a number, got {raw!r}") from None
+def _number(convert, what: str):
+    """The parser of a number that `convert` reads, refused as not `what`."""
+
+    def parse(raw: str, path: str):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(f"{path}: expected {what}, got {raw!r}") from None
+
+    return parse
 
 
-def _parse_int(raw: str, path: str) -> int:
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise ConfigError(f"{path}: expected an integer, got {raw!r}") from None
-
-
-def _parse_complex(raw: str, path: str) -> complex:
-    text = raw.replace(" ", "").replace("i", "j")
-    try:
-        return complex(text)
-    except ValueError:
-        raise ConfigError(f"{path}: expected a complex number like 1+2j, got {raw!r}") from None
+_parse_float = _number(float, "a number")
+_parse_int = _number(lambda raw: int(raw, 0), "an integer")
+_parse_complex = _number(lambda raw: complex(raw.replace(" ", "").replace("i", "j")), "a complex number like 1+2j")
 
 
 def _parse_float_list(raw: str, path: str) -> tuple[float, ...]:
@@ -192,37 +194,80 @@ def _parse_float_list(raw: str, path: str) -> tuple[float, ...]:
 
 def _parse_models(raw: str, path: str) -> tuple[ModelKind, ...]:
     names = [s.strip() for s in raw.split(",") if s.strip()]
-    out = []
     for name in names:
         if name not in MODEL_BY_NAME:
             raise ConfigError(f"{path}: unknown model {name!r}; expected {sorted(MODEL_BY_NAME)}")
-        out.append(MODEL_BY_NAME[name])
-    if not out:
-        raise ConfigError(f"{path}: at least one model required")
-    return tuple(out)
+    return tuple(MODEL_BY_NAME[name] for name in names)
 
 
-def _parse_choice(raw: str, path: str, choices) -> str:
-    if raw not in choices:
-        raise ConfigError(f"{path}: expected one of {tuple(choices)}, got {raw!r}")
+def _parse_text(raw: str, path: str) -> str:
     return raw
 
 
-_RUN_KEYS = {"kind", "seed", "out", "oracle", "samples", "models", "platforms", "timestamp"}
-_PARAMS_KEYS = {"delta", "omega", "preset", "mass_kg", "omega_rad_s", "separation_m", "grav_constant", "hbar"}
-_STATE_KEYS = {"alpha", "beta", "cat_alpha", "random_pairs"}
-_SWEEP_KEYS = {"alpha_mags", "deltas"}
-_NUMERICS_KEYS = {"grid_points", "grid_half_extent", "dt_factor", "rk_step_factor"}
-_TOLERANCE_KEYS = {f.name for f in dataclasses.fields(Tolerances)}
-_SECTION_KEYS = {
-    "run": _RUN_KEYS,
-    "params": _PARAMS_KEYS,
-    "state": _STATE_KEYS,
-    "sweep": _SWEEP_KEYS,
-    "numerics": _NUMERICS_KEYS,
-    "tolerances": _TOLERANCE_KEYS,
-}
-_SI_KEYS = ("mass_kg", "omega_rad_s", "separation_m")
+def _auto(parse):
+    """`parse`, with `auto` read as None: the value is sized at run time."""
+    return lambda raw, path: None if raw == "auto" else parse(raw, path)
+
+
+def _fmt_float(v: float) -> str:
+    return "%.17g" % v
+
+
+def _fmt_complex(v: complex) -> str:
+    return "%.17g%+.17gj" % (v.real, v.imag)
+
+
+def _fmt_floats(values: tuple[float, ...]) -> str:
+    return ", ".join(_fmt_float(v) for v in values)
+
+
+def _fmt_text(v: str | None) -> str | None:
+    return v
+
+
+def _fmt_auto(fmt):
+    return lambda v: "auto" if v is None else fmt(v)
+
+
+# Every key of [run], [state], [sweep] and [numerics], in echo order: its
+# section, its name, the ExperimentConfig field it sets, the parser of its
+# text and the echo of its value (an echo of None leaves the line out).  This
+# is the one place such a key is declared; the coupling blocks are declared by
+# SI_FIELDS and _DIRECT_FIELDS, the tolerances by the Tolerances fields, and
+# run.platforms is the platform ladder.
+CONFIG_KEYS = (
+    ("run", "kind", "kind", _parse_text, str),
+    ("run", "seed", "seed", _parse_int, str),
+    ("run", "oracle", "oracle", _parse_text, str),
+    ("run", "samples", "samples", _parse_int, str),
+    ("run", "models", "models", _parse_models, lambda models: ", ".join(m.value for m in models)),
+    ("run", "out", "out_dir", _parse_text, _fmt_text),
+    ("run", "timestamp", "timestamp", _parse_text, _fmt_text),
+    ("state", "alpha", "alpha", _parse_complex, _fmt_complex),
+    ("state", "beta", "beta", _parse_complex, _fmt_complex),
+    ("state", "cat_alpha", "cat_alpha", _parse_complex, _fmt_complex),
+    ("state", "random_pairs", "random_pairs", _parse_int, str),
+    ("sweep", "alpha_mags", "alpha_mags", _parse_float_list, _fmt_floats),
+    ("sweep", "deltas", "deltas", _parse_float_list, _fmt_floats),
+    ("numerics", "grid_points", "grid_points", _auto(_parse_int), _fmt_auto(str)),
+    ("numerics", "grid_half_extent", "grid_half_extent", _auto(_parse_float), _fmt_auto(_fmt_float)),
+    ("numerics", "dt_factor", "dt_factor", _parse_float, _fmt_float),
+    ("numerics", "rk_step_factor", "rk_step_factor", _parse_float, _fmt_float),
+)
+
+# The keys of a [params] or [platform:NAME] block besides `preset`, each with
+# the field it sets, in echo order: the SI keys set a PhysicalParams, the
+# direct keys the coupling of a Platform.
+_SI_REQUIRED = {"mass_kg": "mass", "omega_rad_s": "omega", "separation_m": "separation"}
+SI_FIELDS = {**_SI_REQUIRED, "grav_constant": "grav_constant", "hbar": "hbar"}
+_DIRECT_FIELDS = {"delta": "delta", "omega": "omega"}
+_PARAMS_KEYS = {"preset", *SI_FIELDS, *_DIRECT_FIELDS}
+
+# the keys of each section, in echo order of the sections
+_SECTION_KEYS: dict[str, set[str]] = {"run": {"platforms"}, "params": _PARAMS_KEYS}
+for _section, _key, *_ in CONFIG_KEYS:
+    _SECTION_KEYS.setdefault(_section, set()).add(_key)
+_SECTION_KEYS["tolerances"] = {f.name for f in dataclasses.fields(Tolerances)}
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -263,76 +308,35 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         if key in entries:
             raise ConfigError(f"{source}:{lineno}: {section}.{key}: duplicate key")
         entries[key] = value
-
-    def get(section: str, key: str) -> str | None:
-        return sections.get(section, {}).get(key)
-
-    if get("run", "kind") is None:
+    run = sections.get("run", {})
+    if "kind" not in run:
         raise ConfigError(f"{source}: run.kind is required")
-    kind = _parse_choice(get("run", "kind"), "run.kind", KINDS)
+
+    kwargs: dict = {}
+    for section, key, name, parse, _ in CONFIG_KEYS:
+        raw = sections.get(section, {}).get(key)
+        if raw is not None:
+            kwargs[name] = parse(raw, f"{section}.{key}")
+    cfg = ExperimentConfig(**kwargs)  # checks these keys, the kind first
+    kind, blocks = cfg.kind, {}
 
     # feasibility reads only the platform ladder, every other kind only the
     # [params] block; the block a kind never reads would have no effect
     if kind == "feasibility" and sections.get("params"):
         key = next(iter(sections["params"]))
         raise ConfigError(f"params.{key}: a {kind} run never reads [params]; list its platforms in run.platforms")
-    if kind != "feasibility" and get("run", "platforms") is not None:
+    if kind != "feasibility" and "platforms" in run:
         raise ConfigError(f"run.platforms: a {kind} run never reads a platform ladder; give its coupling in [params]")
-
-    kwargs: dict = {"kind": kind}
-    if get("run", "seed") is not None:
-        kwargs["seed"] = _parse_int(get("run", "seed"), "run.seed")
-    if get("run", "out") is not None:
-        kwargs["out_dir"] = get("run", "out")
-    if get("run", "timestamp") is not None:
-        kwargs["timestamp"] = get("run", "timestamp")
-    if get("run", "oracle") is not None:
-        kwargs["oracle"] = _parse_choice(get("run", "oracle"), "run.oracle", ORACLES)
-    if get("run", "samples") is not None:
-        kwargs["samples"] = _parse_int(get("run", "samples"), "run.samples")
-    if get("run", "models") is not None:
-        kwargs["models"] = _parse_models(get("run", "models"), "run.models")
-
     if sections.get("params"):
-        kwargs["platform"] = _build_platform("params", sections["params"])
+        blocks["platform"] = _build_platform("params", sections["params"])
 
-    for key, parser in (
-        ("alpha", _parse_complex),
-        ("beta", _parse_complex),
-        ("cat_alpha", _parse_complex),
-    ):
-        if get("state", key) is not None:
-            kwargs[key] = parser(get("state", key), f"state.{key}")
-    if get("state", "random_pairs") is not None:
-        kwargs["random_pairs"] = _parse_int(get("state", "random_pairs"), "state.random_pairs")
-
-    if get("sweep", "alpha_mags") is not None:
-        kwargs["alpha_mags"] = _parse_float_list(get("sweep", "alpha_mags"), "sweep.alpha_mags")
-    if get("sweep", "deltas") is not None:
-        kwargs["deltas"] = _parse_float_list(get("sweep", "deltas"), "sweep.deltas")
-
-    if get("numerics", "grid_points") is not None:
-        raw = get("numerics", "grid_points")
-        kwargs["grid_points"] = None if raw == "auto" else _parse_int(raw, "numerics.grid_points")
-    if get("numerics", "grid_half_extent") is not None:
-        raw = get("numerics", "grid_half_extent")
-        kwargs["grid_half_extent"] = None if raw == "auto" else _parse_float(raw, "numerics.grid_half_extent")
-    if get("numerics", "dt_factor") is not None:
-        kwargs["dt_factor"] = _parse_float(get("numerics", "dt_factor"), "numerics.dt_factor")
-    if get("numerics", "rk_step_factor") is not None:
-        kwargs["rk_step_factor"] = _parse_float(get("numerics", "rk_step_factor"), "numerics.rk_step_factor")
-
-    tol_kwargs = {}
-    for key in sorted(_TOLERANCE_KEYS):
-        if get("tolerances", key) is not None:
-            tol_kwargs[key] = _parse_float(get("tolerances", key), f"tolerances.{key}")
-    if tol_kwargs:
-        kwargs["tolerances"] = dataclasses.replace(Tolerances(), **tol_kwargs)
+    if "tolerances" in sections:
+        tolerances = sections["tolerances"].items()
+        blocks["tolerances"] = Tolerances(**{key: _parse_float(raw, f"tolerances.{key}") for key, raw in tolerances})
 
     defined = sorted(s.removeprefix("platform:") for s in sections if s.startswith("platform:"))
-    platforms_raw = get("run", "platforms")
-    if platforms_raw is not None:
-        names = [s.strip() for s in platforms_raw.split(",") if s.strip()]
+    if "platforms" in run:
+        names = [s.strip() for s in run["platforms"].split(",") if s.strip()]
         platforms = []
         for i, name in enumerate(names):
             if name in names[:i]:
@@ -351,38 +355,30 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         unused = [name for name in defined if name not in names]
         if unused:
             raise ConfigError(f"platform sections defined but not listed in run.platforms: {unused}")
-        kwargs["platforms"] = tuple(platforms)
+        blocks["platforms"] = tuple(platforms)
     elif defined:
         raise ConfigError("platform sections given without run.platforms listing them")
 
-    try:
-        cfg = ExperimentConfig(**kwargs)
-        for platform in (cfg.platform, *cfg.platforms):
-            platform.dimensionless()  # surface range violations (e.g. delta >= 1/2) at parse time
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+    return dataclasses.replace(cfg, **blocks)
 
 
 def _build_platform(path: str, keys: dict[str, str]) -> Platform:
-    """The Platform of the [params] block or of a [platform:NAME] section.
-    It takes one of three parameterizations: `preset`; the SI keys, with
-    optional `grav_constant` and `hbar`; or `delta`, with optional `omega`.
-    A key of any other parameterization is refused by name."""
+    """The Platform of the [params] block or of a [platform:NAME] section,
+    with its coupling checked.  It takes one of three parameterizations:
+    `preset`; the SI keys, with optional `grav_constant` and `hbar`; or
+    `delta`, with optional `omega`.  A key of any other parameterization is
+    refused by name, and so is a value out of range."""
     if "preset" in keys:
-        label, allowed = "a preset", {"preset"}
-    elif any(k in keys for k in _SI_KEYS):
-        label, allowed = "the SI keys", {*_SI_KEYS, "grav_constant", "hbar"}
+        label, fields = "a preset", {"preset"}
+    elif any(k in keys for k in _SI_REQUIRED):
+        label, fields = "the SI keys", SI_FIELDS
     elif "delta" in keys:
-        label, allowed = "delta", {"delta", "omega"}
+        label, fields = "delta", _DIRECT_FIELDS
     else:
         raise ConfigError(f"{path}: needs preset, delta, or SI keys")
     for key in keys:
-        if key not in allowed:
+        if key not in fields:
             raise ConfigError(f"{path}.{key}: cannot be combined with {label}; give one parameterization, not both")
-
-    def number(key: str) -> float:
-        return _parse_float(keys[key], f"{path}.{key}")
 
     name = path.removeprefix("platform:")
     if "preset" in keys:
@@ -390,39 +386,30 @@ def _build_platform(path: str, keys: dict[str, str]) -> Platform:
         if preset not in PLATFORM_PRESETS:
             raise ConfigError(f"{path}.preset: unknown preset {preset!r}; known: {sorted(PLATFORM_PRESETS)}")
         return Platform(name, physical=PLATFORM_PRESETS[preset])
-    if "delta" in keys:
-        return Platform(name, delta=number("delta"), omega=number("omega") if "omega" in keys else Platform.omega)
-    missing = [k for k in _SI_KEYS if k not in keys]
-    if missing:
-        raise ConfigError(f"{path}: SI parameterization needs all of {_SI_KEYS}; missing {missing}")
-    extra = {k: number(k) for k in ("grav_constant", "hbar") if k in keys}
-    physical = PhysicalParams(
-        mass=number("mass_kg"), omega=number("omega_rad_s"), separation=number("separation_m"), **extra
-    )
-    return Platform(name, physical=physical)
-
-
-def _fmt_float(v: float) -> str:
-    return "%.17g" % v
-
-
-def _fmt_complex(v: complex) -> str:
-    return "%.17g%+.17gj" % (v.real, v.imag)
+    missing = [k for k in _SI_REQUIRED if k not in keys]
+    if fields is SI_FIELDS and missing:
+        raise ConfigError(f"{path}: SI parameterization needs all of {tuple(_SI_REQUIRED)}; missing {missing}")
+    values = {fields[key]: _parse_float(raw, f"{path}.{key}") for key, raw in keys.items()}
+    try:
+        if fields is SI_FIELDS:
+            values = {"physical": PhysicalParams(**values)}
+        platform = Platform(name, **values)
+        platform.dimensionless()
+    except ParameterError as exc:
+        # params names the field it refuses (`params.mass: ...`); the config
+        # names the key that set it, or the block for the delta the SI keys give
+        field, _, reason = str(exc).partition(": ")
+        key = next((k for k, f in fields.items() if field == f"params.{f}"), None)
+        where = f"{path}.{key}" if key else f"{path}: delta from the SI keys"
+        raise ConfigError(f"{where}: {reason}") from None
+    return platform
 
 
 def _platform_lines(platform: Platform) -> list[str]:
     """The keys of a [params] or [platform:NAME] block; a preset is echoed
     as its SI values, and the block's name is the caller's to write."""
-    p = platform.physical
-    if p is None:
-        return [f"delta = {_fmt_float(platform.delta)}", f"omega = {_fmt_float(platform.omega)}"]
-    return [
-        f"mass_kg = {_fmt_float(p.mass)}",
-        f"omega_rad_s = {_fmt_float(p.omega)}",
-        f"separation_m = {_fmt_float(p.separation)}",
-        f"grav_constant = {_fmt_float(p.grav_constant)}",
-        f"hbar = {_fmt_float(p.hbar)}",
-    ]
+    source, fields = (platform, _DIRECT_FIELDS) if platform.physical is None else (platform.physical, SI_FIELDS)
+    return [f"{key} = {_fmt_float(getattr(source, field))}" for key, field in fields.items()]
 
 
 def format_config(cfg: ExperimentConfig) -> str:
@@ -431,49 +418,21 @@ def format_config(cfg: ExperimentConfig) -> str:
     `run.platforms` and the [platform:NAME] sections, every other kind the
     [params] block, and the echo writes only the one its kind reads."""
     ladder = cfg.kind == "feasibility"
-    lines = ["[run]"]
-    lines.append(f"kind = {cfg.kind}")
-    lines.append(f"seed = {cfg.seed}")
-    lines.append(f"oracle = {cfg.oracle}")
-    lines.append(f"samples = {cfg.samples}")
-    lines.append("models = " + ", ".join(m.value for m in cfg.models))
-    if cfg.out_dir is not None:
-        lines.append(f"out = {cfg.out_dir}")
-    if cfg.timestamp is not None:
-        lines.append(f"timestamp = {cfg.timestamp}")
+    blocks: dict[str, list[str]] = {section: [] for section in _SECTION_KEYS}
+    for section, key, name, _, echo in CONFIG_KEYS:
+        text = echo(getattr(cfg, name))
+        if text is not None:
+            blocks[section].append(f"{key} = {text}")
     if ladder:
-        lines.append("platforms = " + ", ".join(p.name for p in cfg.platforms))
+        blocks["run"].append("platforms = " + ", ".join(p.name for p in cfg.platforms))
     else:
-        lines.append("")
-        lines.append("[params]")
-        lines.extend(_platform_lines(cfg.platform))
-    lines.append("")
-    lines.append("[state]")
-    lines.append(f"alpha = {_fmt_complex(cfg.alpha)}")
-    lines.append(f"beta = {_fmt_complex(cfg.beta)}")
-    lines.append(f"cat_alpha = {_fmt_complex(cfg.cat_alpha)}")
-    lines.append(f"random_pairs = {cfg.random_pairs}")
-    lines.append("")
-    lines.append("[sweep]")
-    lines.append("alpha_mags = " + ", ".join(_fmt_float(v) for v in cfg.alpha_mags))
-    lines.append("deltas = " + ", ".join(_fmt_float(v) for v in cfg.deltas))
-    lines.append("")
-    lines.append("[numerics]")
-    lines.append(f"grid_points = {'auto' if cfg.grid_points is None else cfg.grid_points}")
-    extent = "auto" if cfg.grid_half_extent is None else _fmt_float(cfg.grid_half_extent)
-    lines.append(f"grid_half_extent = {extent}")
-    lines.append(f"dt_factor = {_fmt_float(cfg.dt_factor)}")
-    lines.append(f"rk_step_factor = {_fmt_float(cfg.rk_step_factor)}")
-    lines.append("")
-    lines.append("[tolerances]")
-    for f in dataclasses.fields(Tolerances):
-        lines.append(f"{f.name} = {_fmt_float(getattr(cfg.tolerances, f.name))}")
-    for platform in cfg.platforms if ladder else ():
-        lines.append("")
-        lines.append(f"[platform:{platform.name}]")
-        lines.extend(_platform_lines(platform))
-    lines.append("")
-    return "\n".join(lines)
+        blocks["params"] = _platform_lines(cfg.platform)
+    blocks["tolerances"] = [
+        f"{f.name} = {_fmt_float(getattr(cfg.tolerances, f.name))}" for f in dataclasses.fields(Tolerances)
+    ]
+    sections = [(section, lines) for section, lines in blocks.items() if lines]
+    sections += [(f"platform:{p.name}", _platform_lines(p)) for p in (cfg.platforms if ladder else ())]
+    return "\n\n".join("\n".join([f"[{section}]", *lines]) for section, lines in sections) + "\n"
 
 
 def config_digest(cfg: ExperimentConfig) -> str:

@@ -11,13 +11,11 @@ Everything downstream works in oscillator units (hbar = m = 1, lengths in
 sqrt(hbar/(m omega)), momenta in sqrt(hbar m omega)) and takes time arguments
 in units of 1/omega, so SI values enter the library only through this module.
 
-The derived frequency ladder for the symmetric (+) and antisymmetric (-)
-normal modes:
+The derived frequency factors of the symmetric (+) and antisymmetric (-)
+normal modes, whose frequencies are omega * k_pm and omega * K_pm:
 
     k_pm     = 1 +/- delta            number-conserving (RWA) factors
     K_pm     = sqrt(1 +/- 2 delta)    exact normal-mode factors
-    omega_pm = omega * k_pm
-    Omega_pm = omega * K_pm
 
 K_minus is real only for delta < 1/2, and the quadratic expansion of the pair
 potential is long dead by then, so delta >= 1/2 is rejected outright.  Values
@@ -137,22 +135,6 @@ class DimensionlessParams:
     def K_minus(self) -> float:
         return math.sqrt(1.0 - 2.0 * self.delta)
 
-    @property
-    def omega_plus(self) -> float:
-        return self.omega * self.k_plus
-
-    @property
-    def omega_minus(self) -> float:
-        return self.omega * self.k_minus
-
-    @property
-    def Omega_plus(self) -> float:
-        return self.omega * self.K_plus
-
-    @property
-    def Omega_minus(self) -> float:
-        return self.omega * self.K_minus
-
 
 def derive_dimensionless(p: PhysicalParams) -> DimensionlessParams:
     """Reduce SI inputs to the coupling ratio; rejects delta >= 1/2."""
@@ -188,7 +170,7 @@ class IntegratorConfig:
     """Step sizes of the two numerical oracles and the RK4 error tolerance.
 
     Both step factors are in units of one exact-plus-mode period 2 pi /
-    Omega_plus.  The grid factor is the length of one fourth-order step (two
+    (omega K_plus).  The grid factor is the length of one fourth-order step (two
     kinetic FFT round trips) and is capped at 8e-2 of a period: the measured
     order of the grid error is still 4.0 to 4.2 between 8e-2 and 4e-2, at
     couplings 0.1 and 0.2, so up to the cap the error is in the asymptotic

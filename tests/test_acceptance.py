@@ -108,7 +108,7 @@ def test_criterion_3_width_dichotomy():
     rng = np.random.default_rng(3)
     sceg_times = rng.uniform(0, swap_time(params), 300)
     sceg_dev = float(np.max(np.abs(propagate_moments(ModelKind.SCEG, init, sceg_times, params)[:, 0, 2] - 0.5)))
-    t_star = (math.pi / 2) / params.Omega_plus
+    t_star = (math.pi / 2) / (params.omega * params.K_plus)
     full_quarter = propagate_moments(ModelKind.QG_FULL, init, [t_star], params)[0, 0, 2]
     closed_ok = sceg_dev <= 1e-12 and abs(full_quarter - 0.5 / params.K_plus**2) <= 1e-12
 

@@ -92,7 +92,7 @@ def test_free_oscillator_period_recovers_state(model):
 def test_full_width_at_quarter_period():
     params = DimensionlessParams(0.1)
     init = coherent_pair_moments(1 + 0j, 0j)
-    t_star = (math.pi / 2) / params.Omega_plus
+    t_star = (math.pi / 2) / (params.omega * params.K_plus)
     (out,) = propagate_moments(ModelKind.QG_FULL, init, [t_star], params)
     assert out[0, 2] == pytest.approx(0.5 / 1.2, abs=1e-12)
     # momentum width inflates by the inverse factor, keeping the product minimal
@@ -113,7 +113,7 @@ def test_first_moment_identity_full_vs_sceg():
 def test_width_dichotomy():
     params = DimensionlessParams(0.1)
     init = coherent_pair_moments(0.5 + 0.5j, -0.25j)
-    period_plus = math.pi / params.Omega_plus
+    period_plus = math.pi / (params.omega * params.K_plus)
     times = np.linspace(0, 30, 60)
     sceg = propagate_moments(ModelKind.SCEG, init, times, params)
     assert np.max(np.abs(sceg[..., 2] - 0.5)) < 1e-12
@@ -305,7 +305,7 @@ def test_template_rhs_full_model_mixes_widths():
     params = DimensionlessParams(0.1)
     hp, _ = mode_hamiltonians(ModelKind.QG_FULL, params)
     init = coherent_pair_moments(1 + 0j, 0j)
-    (mid,) = propagate_moments(ModelKind.QG_FULL, init, [(math.pi / 8) / params.Omega_plus], params)
+    (mid,) = propagate_moments(ModelKind.QG_FULL, init, [(math.pi / 8) / (params.omega * params.K_plus)], params)
     plus = mid[0]
     assert plus[3] / plus[2] != pytest.approx(params.K_plus**2, rel=1e-3)
     *_, d_v_xp = template_moment_rhs(hp, plus)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import gravswap.report
@@ -6,8 +8,10 @@ from gravswap import (
     ExperimentConfig,
     ModelKind,
     PLATFORM_PRESETS,
+    PhysicalParams,
     Platform,
     ReplayMismatchError,
+    Tolerances,
     config_digest,
     derive_dimensionless,
     emit_report,
@@ -18,6 +22,7 @@ from gravswap import (
     run_swap,
 )
 from gravswap.cli import main as cli_main
+from gravswap.config import CONFIG_KEYS, SI_FIELDS
 
 
 MINIMAL = """
@@ -316,6 +321,12 @@ def test_cli_refuses_bad_grid_size(tmp_path, capsys, numerics, key):
     assert err.startswith("error: ") and key in err and "Traceback" not in err
 
 
+_SI_KEYS_TEXT = "mass_kg = 1e-6\nomega_rad_s = 2e4\nseparation_m = 1e-3\n"
+# SI keys whose delta = G m / (d^3 omega^2) is 66743, far beyond 1/2
+_SI_DELTA_66743 = "mass_kg = 1000\nomega_rad_s = 1e-6\nseparation_m = 1\n"
+_LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
+
+
 @pytest.mark.parametrize(
     "command,text,key",
     [
@@ -329,8 +340,37 @@ def test_cli_refuses_bad_grid_size(tmp_path, capsys, numerics, key):
         # a coupling whose swap time pi/(2 delta) overflows to inf
         ("swap", "[run]\nkind = swap\n[params]\ndelta = 1e-320\n", "params.delta"),
         ("cat-state", "[run]\nkind = cat_state\n[params]\ndelta = 1e-320\n", "params.delta"),
+        # a value out of range names the key that gave it, not the field it sets
+        ("swap", "[run]\nkind = swap\n[params]\n" + _SI_KEYS_TEXT.replace("1e-6", "-1"), "params.mass_kg"),
+        ("swap", "[run]\nkind = swap\n[params]\n" + _SI_KEYS_TEXT.replace("2e4", "0"), "params.omega_rad_s"),
+        ("swap", "[run]\nkind = swap\n[params]\n" + _SI_KEYS_TEXT.replace("1e-3", "-1"), "params.separation_m"),
+        ("rwa-validity", "[run]\nkind = rwa_validity\n[sweep]\ndeltas = 0.01, 0.6\n", "sweep.deltas"),
+        ("feasibility", _LADDER_B + "delta = 0.6\n", "platform:b.delta"),
+        ("feasibility", _LADDER_B + "delta = 0.1\nomega = 0\n", "platform:b.omega"),
+        # a coupling the SI keys derive has no key: its block is named
+        ("swap", "[run]\nkind = swap\n[params]\n" + _SI_DELTA_66743, "params"),
+        ("feasibility", _LADDER_B + _SI_DELTA_66743, "platform:b"),
+        # a model listed twice would run every series twice
+        ("swap", "[run]\nkind = swap\nmodels = sceg, sceg\n", "run.models"),
     ],
-    ids=["samples", "random_pairs", "alpha_mags_inf", "deltas_zero", "deltas_tiny", "swap_delta", "cat_delta"],
+    ids=[
+        "samples",
+        "random_pairs",
+        "alpha_mags_inf",
+        "deltas_zero",
+        "deltas_tiny",
+        "swap_delta",
+        "cat_delta",
+        "mass_kg",
+        "omega_rad_s",
+        "separation_m",
+        "sweep_delta",
+        "platform_delta",
+        "platform_omega",
+        "si_delta",
+        "platform_si_delta",
+        "repeated_model",
+    ],
 )
 def test_cli_refuses_unrunnable_input_by_key(tmp_path, capsys, command, text, key):
     cfg_path = tmp_path / "c.txt"
@@ -490,9 +530,6 @@ def test_platform_block_the_kind_never_reads_is_refused():
     assert parse_config_text(MINIMAL).platform.delta == 0.02
 
 
-_SI_KEYS_TEXT = "mass_kg = 1e-6\nomega_rad_s = 2e4\nseparation_m = 1e-3\n"
-
-
 @pytest.mark.parametrize(
     "params,key",
     [
@@ -532,3 +569,31 @@ def test_platform_section_may_not_shadow_preset(tmp_path, capsys):
     rc = cli_main(["feasibility", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
     assert rc == 2
     assert "platform:ca40_ion" in capsys.readouterr().err
+
+
+def test_repeated_model_is_refused():
+    # a model listed twice would run every series twice and fork a second
+    # grid run; refused like a platform listed twice
+    with pytest.raises(ConfigError, match="run.models: 'sceg' is listed twice"):
+        ExperimentConfig(models=(ModelKind.SCEG, ModelKind.QG_FULL, ModelKind.SCEG))
+
+
+def test_key_table_covers_the_schema():
+    # every config field but the coupling blocks and the tolerances has one
+    # row of the key table, and the echo writes each row's key in its section,
+    # every tolerance and every SI field; a field left out of parse or echo
+    # fails here
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    rows = [name for _, _, name, _, _ in CONFIG_KEYS]
+    assert sorted(rows) == sorted(fields - {"platform", "platforms", "tolerances", "source_digest"})
+    assert set(SI_FIELDS.values()) == {f.name for f in dataclasses.fields(PhysicalParams)}
+    ca40 = Platform(physical=PLATFORM_PRESETS["ca40_ion"])
+    cfg = ExperimentConfig(kind="swap", out_dir="o", timestamp="t", platform=ca40)
+    echoed = {}
+    for block in format_config(cfg).split("\n\n"):
+        head, *lines = block.strip().split("\n")
+        echoed[head.strip("[]")] = [line.split(" = ")[0] for line in lines]
+    assert echoed["tolerances"] == [f.name for f in dataclasses.fields(Tolerances)]
+    assert echoed["params"] == list(SI_FIELDS)
+    for section, key, *_ in CONFIG_KEYS:
+        assert key in echoed[section]

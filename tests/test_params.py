@@ -94,8 +94,8 @@ def test_si_round_trip():
 
 
 def test_exact_vs_rwa_frequency_ratio_band():
-    # Omega_pm / omega_pm stays within delta^2 of unity up to delta = 0.2
+    # the exact-to-RWA frequency ratio K_pm / k_pm stays within delta^2 of unity up to delta = 0.2
     for delta in [0.005, 0.02, 0.05, 0.1, 0.15, 0.2]:
         dp = DimensionlessParams(delta)
-        for ratio in (dp.Omega_plus / dp.omega_plus, dp.Omega_minus / dp.omega_minus):
+        for ratio in (dp.K_plus / dp.k_plus, dp.K_minus / dp.k_minus):
             assert 1 - delta**2 <= ratio <= 1 + delta**2
