@@ -122,23 +122,14 @@ def template_moment_rhs(h: QuadraticHamiltonian, m, mean_field_x: float = 0.0) -
     )
 
 
-def propagate_rwa_displacement(a, b, t, params: DimensionlessParams) -> tuple:
-    """Normal-mode amplitudes under the number-conserving model: pure phase
-    rotation at omega k_pm.  Amplitudes and times broadcast as arrays."""
-    tau = params.omega * np.asarray(t, dtype=np.float64)
-    return (
-        a * np.exp(-1j * params.k_plus * tau),
-        b * np.exp(-1j * params.k_minus * tau),
-    )
-
-
 def propagate_rwa_lab_displacement(alpha, beta, t, params: DimensionlessParams) -> tuple:
     """Lab amplitudes under the number-conserving model: a carrier rotation at
     omega times a beat at omega_g that feeds each oscillator's amplitude into
-    the other.  Identical to transforming propagate_rwa_displacement back to
-    the lab frame, but keeps the fast and slow phases separate so the beat
-    survives float rounding even at extreme fast-phase values.  Amplitudes
-    and times broadcast against each other as arrays."""
+    the other.  Identical to the lab means of the QG_RWA normal modes of
+    `propagate_moments`, each a pure phase rotation at omega k_pm, but keeps
+    the fast and slow phases separate so the beat survives float rounding
+    even at extreme fast-phase values.  Amplitudes and times broadcast
+    against each other as arrays."""
     tau = params.omega * np.asarray(t, dtype=np.float64)
     theta_g = params.delta * tau
     carrier = np.exp(-1j * tau)

@@ -14,7 +14,7 @@ Each key is declared once: `CONFIG_KEYS` drives the parse and echo of the
 plain keys, `SI_FIELDS` and `_DIRECT_FIELDS` those of the [params] and
 [platform:NAME] blocks.  Unknown keys and sections are refused, so a typo
 never falls back to a physics default; so are a key the block's
-parameterization does not take and the platform block the run's kind never
+parameterization does not take and a coupling block the run's kind never
 reads.  Every refusal names the key or block at fault.  `format_config`
 renders the fully resolved configuration in a canonical order with full float
 precision; parse(format(cfg)) == cfg.
@@ -121,8 +121,6 @@ class ExperimentConfig:
     deltas: tuple[float, ...] = (0.01, 0.05, 0.1)
     samples: int = 200
     oracle: str | None = None  # None: grid for a cat state, which needs it, else none
-    grid_points: int | None = None  # None: sized from the state
-    grid_half_extent: float | None = None
     dt_factor: float = IntegratorConfig.dt_factor
     rk_step_factor: float = IntegratorConfig.rk_step_factor
     seed: int = 0
@@ -157,6 +155,7 @@ class ExperimentConfig:
             raise ConfigError(f"sweep.deltas: couplings must be in (0, 1/2), with a finite pi/delta, got {self.deltas}")
         if not all(0 < m < math.inf for m in self.alpha_mags):
             raise ConfigError(f"sweep.alpha_mags: magnitudes must be finite and positive, got {self.alpha_mags}")
+        self.integrator()  # checks the [numerics] step factors
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(dt_factor=self.dt_factor, rk_step_factor=self.rk_step_factor)
@@ -204,11 +203,6 @@ def _parse_text(raw: str, path: str) -> str:
     return raw
 
 
-def _auto(parse):
-    """`parse`, with `auto` read as None: the value is sized at run time."""
-    return lambda raw, path: None if raw == "auto" else parse(raw, path)
-
-
 def _fmt_float(v: float) -> str:
     return "%.17g" % v
 
@@ -223,10 +217,6 @@ def _fmt_floats(values: tuple[float, ...]) -> str:
 
 def _fmt_text(v: str | None) -> str | None:
     return v
-
-
-def _fmt_auto(fmt):
-    return lambda v: "auto" if v is None else fmt(v)
 
 
 # Every key of [run], [state], [sweep] and [numerics], in echo order: its
@@ -249,8 +239,6 @@ CONFIG_KEYS = (
     ("state", "random_pairs", "random_pairs", _parse_int, str),
     ("sweep", "alpha_mags", "alpha_mags", _parse_float_list, _fmt_floats),
     ("sweep", "deltas", "deltas", _parse_float_list, _fmt_floats),
-    ("numerics", "grid_points", "grid_points", _auto(_parse_int), _fmt_auto(str)),
-    ("numerics", "grid_half_extent", "grid_half_extent", _auto(_parse_float), _fmt_auto(_fmt_float)),
     ("numerics", "dt_factor", "dt_factor", _parse_float, _fmt_float),
     ("numerics", "rk_step_factor", "rk_step_factor", _parse_float, _fmt_float),
 )
@@ -258,10 +246,15 @@ CONFIG_KEYS = (
 # The keys of a [params] or [platform:NAME] block besides `preset`, each with
 # the field it sets, in echo order: the SI keys set a PhysicalParams, the
 # direct keys the coupling of a Platform.
-_SI_REQUIRED = {"mass_kg": "mass", "omega_rad_s": "omega", "separation_m": "separation"}
-SI_FIELDS = {**_SI_REQUIRED, "grav_constant": "grav_constant", "hbar": "hbar"}
+SI_FIELDS = {"mass_kg": "mass", "omega_rad_s": "omega", "separation_m": "separation"}
 _DIRECT_FIELDS = {"delta": "delta", "omega": "omega"}
 _PARAMS_KEYS = {"preset", *SI_FIELDS, *_DIRECT_FIELDS}
+
+# the kinds that read no [params] block, each with where its couplings come from
+_COUPLING_ELSEWHERE = {
+    "rwa_validity": "give its couplings in sweep.deltas",
+    "feasibility": "list its platforms in run.platforms",
+}
 
 # the keys of each section, in echo order of the sections
 _SECTION_KEYS: dict[str, set[str]] = {"run": {"platforms"}, "params": _PARAMS_KEYS}
@@ -320,11 +313,12 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     cfg = ExperimentConfig(**kwargs)  # checks these keys, the kind first
     kind, blocks = cfg.kind, {}
 
-    # feasibility reads only the platform ladder, every other kind only the
-    # [params] block; the block a kind never reads would have no effect
-    if kind == "feasibility" and sections.get("params"):
+    # feasibility reads only the platform ladder, rwa_validity only its sweep
+    # and every other kind only the [params] block; a coupling block that a
+    # kind never reads would have no effect
+    if kind in _COUPLING_ELSEWHERE and sections.get("params"):
         key = next(iter(sections["params"]))
-        raise ConfigError(f"params.{key}: a {kind} run never reads [params]; list its platforms in run.platforms")
+        raise ConfigError(f"params.{key}: a {kind} run never reads [params]; {_COUPLING_ELSEWHERE[kind]}")
     if kind != "feasibility" and "platforms" in run:
         raise ConfigError(f"run.platforms: a {kind} run never reads a platform ladder; give its coupling in [params]")
     if sections.get("params"):
@@ -365,12 +359,12 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
 def _build_platform(path: str, keys: dict[str, str]) -> Platform:
     """The Platform of the [params] block or of a [platform:NAME] section,
     with its coupling checked.  It takes one of three parameterizations:
-    `preset`; the SI keys, with optional `grav_constant` and `hbar`; or
-    `delta`, with optional `omega`.  A key of any other parameterization is
-    refused by name, and so is a value out of range."""
+    `preset`; the SI keys; or `delta`, with optional `omega`.  A key of any
+    other parameterization is refused by name, and so is a value out of
+    range."""
     if "preset" in keys:
         label, fields = "a preset", {"preset"}
-    elif any(k in keys for k in _SI_REQUIRED):
+    elif any(k in keys for k in SI_FIELDS):
         label, fields = "the SI keys", SI_FIELDS
     elif "delta" in keys:
         label, fields = "delta", _DIRECT_FIELDS
@@ -386,9 +380,9 @@ def _build_platform(path: str, keys: dict[str, str]) -> Platform:
         if preset not in PLATFORM_PRESETS:
             raise ConfigError(f"{path}.preset: unknown preset {preset!r}; known: {sorted(PLATFORM_PRESETS)}")
         return Platform(name, physical=PLATFORM_PRESETS[preset])
-    missing = [k for k in _SI_REQUIRED if k not in keys]
+    missing = [k for k in SI_FIELDS if k not in keys]
     if fields is SI_FIELDS and missing:
-        raise ConfigError(f"{path}: SI parameterization needs all of {tuple(_SI_REQUIRED)}; missing {missing}")
+        raise ConfigError(f"{path}: SI parameterization needs all of {tuple(SI_FIELDS)}; missing {missing}")
     values = {fields[key]: _parse_float(raw, f"{path}.{key}") for key, raw in keys.items()}
     try:
         if fields is SI_FIELDS:
@@ -414,9 +408,9 @@ def _platform_lines(platform: Platform) -> list[str]:
 
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical text form of the fully resolved configuration.  A run reads
-    one coupling or a ladder of platforms, never both: feasibility reads
-    `run.platforms` and the [platform:NAME] sections, every other kind the
-    [params] block, and the echo writes only the one its kind reads."""
+    at most one coupling block: feasibility reads `run.platforms` and the
+    [platform:NAME] sections, rwa_validity neither block, every other kind
+    the [params] block, and the echo writes only the one its kind reads."""
     ladder = cfg.kind == "feasibility"
     blocks: dict[str, list[str]] = {section: [] for section in _SECTION_KEYS}
     for section, key, name, _, echo in CONFIG_KEYS:
@@ -425,7 +419,7 @@ def format_config(cfg: ExperimentConfig) -> str:
             blocks[section].append(f"{key} = {text}")
     if ladder:
         blocks["run"].append("platforms = " + ", ".join(p.name for p in cfg.platforms))
-    else:
+    elif cfg.kind not in _COUPLING_ELSEWHERE:
         blocks["params"] = _platform_lines(cfg.platform)
     blocks["tolerances"] = [
         f"{f.name} = {_fmt_float(getattr(cfg.tolerances, f.name))}" for f in dataclasses.fields(Tolerances)

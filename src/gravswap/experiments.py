@@ -238,7 +238,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
 
     grid_state = CoherentProduct(alpha0, beta0)
     if cfg.uses_grid():
-        spec = auto_grid_spec(grid_state, delta=d, n=cfg.grid_points, half_extent=cfg.grid_half_extent)
+        spec = auto_grid_spec(grid_state, delta=d)
     icfg = cfg.integrator()
 
     def grid_run(model):
@@ -435,7 +435,7 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
     threshold = 1.0  # one oscillator unit of displacement: comparable to the state width
 
     for d in cfg.deltas:
-        params = DimensionlessParams(delta=float(d), omega=cfg.platform.omega)
+        params = DimensionlessParams(delta=float(d))
         ratios = []
         scaling_mags = []
         for mag in cfg.alpha_mags:
@@ -521,7 +521,7 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
     quantum = next((m for m in cfg.models if m in (ModelKind.QG_RWA, ModelKind.QG_FULL)), ModelKind.QG_RWA)
     t_final = swap_time(params) / 2.0  # quarter beat: maximally split branches
     state = CatProduct(cat_amp=complex(cfg.cat_alpha), partner=complex(cfg.beta))
-    spec = auto_grid_spec(state, delta=params.delta, n=cfg.grid_points, half_extent=cfg.grid_half_extent)
+    spec = auto_grid_spec(state, delta=params.delta)
     icfg = cfg.integrator()
     n_samples = min(cfg.samples, 61)
 

@@ -24,12 +24,11 @@ The chirps of A fold into the kicks beside them and the last kick of a step
 merges with the first of the next, so a step costs two round trips; over a
 full swap of (2, -1) at d = 0.1 it reaches a mean error of 6.6e-8 in 177
 steps (354 round trips), where Blanes and Moan's S6 on the kinetic/potential
-split needed 137 (822).  Order 2 is Strang on the same split, B(h/2) A(h)
-B(h/2), with no corrector.  A step starts and ends on a kick, so every
-record is taken in position space.
+split needed 137 (822).  A step starts and ends on a kick, so every record
+is taken in position space.
 
 QG_RWA: [H0, B] = 0, so exp(-i tau H) = exp(-i tau H0) exp(-i tau d B)
-exactly.  The same table runs on d B alone, kicks d x1 x2 and drifts d p1 p2,
+exactly.  The same step runs on d B alone, kicks d x1 x2 and drifts d p1 p2,
 with W = 2 d^3 x1 x2, and the exact H0 flow runs once per record gap, in
 pieces of at most pi/2 so that tan stays clear of its pole.
 
@@ -74,12 +73,9 @@ NORM_DRIFT_LIMIT = 1e-8  # largest norm change per unit scaled time
 sfft = np.fft  # the FFT module, wrapped by name by the benchmark tracer
 
 
-# Near-integrable splittings by order: (coupling kicks, bare flows, corrector
-# weight), kicks outermost.  Order 4 is SBAB2 with its corrector.
-_SPLITTINGS = {
-    2: ((0.5, 0.5), (1.0,), 0.0),
-    4: ((1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0), (0.5, 0.5), -1.0 / 72.0),
-}
+# The step, SBAB2 with its corrector: (coupling kicks, bare flows, corrector
+# weight), kicks outermost.
+_SBAB2 = ((1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0), (0.5, 0.5), -1.0 / 72.0)
 
 
 class GridError(RuntimeError):
@@ -106,13 +102,13 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.n, int) and self.n >= 64 and self.n % 2 == 0):
-            raise GridSizingError(f"numerics.grid_points: must be an even integer >= 64, got {self.n!r}")
-        _check_memory(self.n, "the grid")
+            raise GridSizingError(f"GridSpec.n: must be an even integer >= 64, got {self.n!r}")
+        _check_memory(self.n, "GridSpec.n: the grid")
         if not (math.isfinite(self.half_extent) and self.half_extent > 0):
-            raise GridSizingError(f"numerics.grid_half_extent: must be positive, got {self.half_extent!r}")
+            raise GridSizingError(f"GridSpec.half_extent: must be positive, got {self.half_extent!r}")
         if self.dx > GROUND_FWHM / RESOLUTION_POINTS:
             raise GridSizingError(
-                f"numerics.grid_points: dx = {self.dx:.4g} does not resolve the ground-state width "
+                f"GridSpec.n: dx = {self.dx:.4g} does not resolve the ground-state width "
                 f"({RESOLUTION_POINTS:g} points per FWHM needs dx <= {GROUND_FWHM / RESOLUTION_POINTS:.4g}); "
                 f"increase n to >= {_fft_length(math.ceil(2 * self.half_extent * RESOLUTION_POINTS / GROUND_FWHM))}"
             )
@@ -205,10 +201,10 @@ def _edge_fraction(prob: np.ndarray, edge: np.ndarray) -> float:
 
 def _check_memory(n: float, cause: str) -> None:
     """Refuses a grid of more than MAX_GRID_POINTS points per axis, before
-    anything is allocated."""
+    anything is allocated; `cause` opens the message."""
     if not n <= MAX_GRID_POINTS:
         raise GridSizingError(
-            f"numerics.grid_points: {cause} needs n = {n:.6g} points per axis, "
+            f"{cause} needs n = {n:.6g} points per axis, "
             f"{16 * n * n / 2**30:.4g} GiB per complex array, beyond the budget of "
             f"{MAX_GRID_POINTS} points ({16 * MAX_GRID_POINTS**2 / 2**30:g} GiB)"
         )
@@ -244,63 +240,32 @@ def _farthest_mean(state: InitialState, delta: float) -> float:
     return max(SQRT2 * math.hypot(g, p) * f, SQRT2 * (g + p * f))
 
 
-def auto_grid_spec(
-    state: InitialState,
-    *,
-    delta: float,
-    n: int | None = None,
-    half_extent: float | None = None,
-) -> GridSpec:
+def auto_grid_spec(state: InitialState, *, delta: float) -> GridSpec:
     """The grid of `state` under the swap dynamics at coupling `delta`; the
-    one rule that sizes and admits every box, before anything is allocated.
+    one rule that sizes every box, before anything is allocated.
 
-    Required half extent H: the farthest mean any model reaches
-    (`_farthest_mean`), plus the tail distance at which a Gaussian of the
-    widest width the dynamics reach falls to LEAKAGE_LIMIT of its peak, plus
-    the EDGE_RING points the edge guards of `split_step_evolve` count as the
-    edge (at the coarsest dx the resolution rule allows).  The widest width is
-    the ground width stretched by the exact minus mode, (1 - 2 delta)^(-1/2).
-    Momentum means stay within the same bound and momentum widths grow by
+    Half extent H: the farthest mean any model reaches (`_farthest_mean`),
+    plus the tail distance at which a Gaussian of the widest width the
+    dynamics reach falls to LEAKAGE_LIMIT of its peak, plus the EDGE_RING
+    points the edge guards of `split_step_evolve` count as the edge (at the
+    coarsest dx the resolution rule allows).  The widest width is the ground
+    width stretched by the exact minus mode, (1 - 2 delta)^(-1/2).  Momentum
+    means stay within the same bound and momentum widths grow by
     (1 + 2 delta)^(1/2) at most, which is less, so the momentum grid must hold
     the same extent: p_max = pi / dx >= H.
 
-    Half extent: H, or `half_extent` if given, which is refused below H and
-    beyond what MAX_GRID_POINTS hold at the dx below.
-
     n: the shortest even FFT length >= 64 with no prime factor above 5
     (`_fft_length`) that meets this momentum rule and RESOLUTION_POINTS per
-    ground-state FWHM over the half extent.  A given n is refused if it falls
-    short.  The edge guards of `split_step_evolve` catch a state that outgrows
-    the estimate."""
+    ground-state FWHM over H.  A box beyond MAX_GRID_POINTS per axis is
+    refused.  The edge guards of `split_step_evolve` catch a state that
+    outgrows the estimate."""
     dx_resolution = GROUND_FWHM / RESOLUTION_POINTS
     tail = GROUND_SIGMA * math.sqrt(-2.0 * math.log(LEAKAGE_LIMIT) / (1.0 - 2.0 * delta))
-    required = _farthest_mean(state, delta) + tail + EDGE_RING * dx_resolution
-    given = half_extent is not None
-    if not given:
-        half_extent = required
-    elif not half_extent >= required:
-        raise GridSizingError(
-            f"numerics.grid_half_extent: {half_extent!r} cannot hold the state; need half_extent >= {required:.4g}"
-        )
-    dx = min(dx_resolution, math.pi / required)
-    points = 2.0 * half_extent / dx
-    if given and not points <= MAX_GRID_POINTS:
-        raise GridSizingError(
-            f"numerics.grid_half_extent: {half_extent:.4g} is beyond the memory budget: at the dx = {dx:.4g} "
-            f"this state needs, the budget of {MAX_GRID_POINTS} points per axis "
-            f"({16 * MAX_GRID_POINTS**2 / 2**30:g} GiB per complex array) holds a half extent of at most "
-            f"{MAX_GRID_POINTS * dx / 2:.4g}"
-        )
-    _check_memory(points, f"a half extent of {half_extent:.4g} (the state requires {required:.4g})")
-    n_needed = _fft_length(math.ceil(points))
-    if n is None:
-        n = n_needed
-    elif n < n_needed:
-        raise GridSizingError(
-            f"numerics.grid_points: n = {n} cannot hold the state; need n >= {n_needed} "
-            f"at half_extent = {half_extent:.4g}"
-        )
-    return GridSpec(n=n, half_extent=half_extent)
+    half_extent = _farthest_mean(state, delta) + tail + EDGE_RING * dx_resolution
+    dx = min(dx_resolution, math.pi / half_extent)  # 0 where an amplitude near the float limit makes H inf
+    points = 2.0 * half_extent / dx if dx > 0 else math.inf
+    _check_memory(points, f"state: the box that holds it at delta = {delta!r}, a half extent of {half_extent:.4g},")
+    return GridSpec(n=_fft_length(math.ceil(points)), half_extent=half_extent)
 
 
 def _coherent_1d(x: np.ndarray, g: complex) -> np.ndarray:
@@ -517,11 +482,9 @@ def split_step_evolve(
     *,
     n_samples: int = 50,
     record_entropy: bool = False,
-    order: int = 4,
 ) -> GridEvolution:
-    """Split-operator evolution of `w` (not mutated) under `model`, to the
-    given order: 4 is SBAB2 with its corrector (two kinetic FFT round trips
-    per step), 2 is Strang on the same split (one).
+    """Split-operator evolution of `w` (not mutated) under `model`, in SBAB2
+    steps with their corrector (two kinetic FFT round trips per step).
 
     Observables are recorded at n_samples step boundaries including both
     endpoints; a run takes at least n_samples - 1 steps, so no two records
@@ -534,9 +497,7 @@ def split_step_evolve(
     cfg = cfg or IntegratorConfig()
     if t_final < 0:
         raise ParameterError("t_final must be non-negative")
-    if order not in _SPLITTINGS:
-        raise ParameterError(f"splitting order must be one of {sorted(_SPLITTINGS)}, got {order!r}")
-    kicks, flows, corrector = _SPLITTINGS[order]
+    kicks, flows, corrector = _SBAB2
     n_samples = max(2, n_samples)
     spec = w.spec
     tau_final = t_final * params.omega
@@ -571,13 +532,13 @@ def split_step_evolve(
         if frac > LEAKAGE_LIMIT:
             raise EvolutionError(
                 f"position axis leaked: boundary probability {frac:.3e} exceeds leakage limit "
-                f"{LEAKAGE_LIMIT:.1e} at t = {tau!r}; widen numerics.grid_half_extent"
+                f"{LEAKAGE_LIMIT:.1e} at t = {tau!r}; widen GridSpec.half_extent"
             )
         pair, p_frac = moments_from_grid(cur, prob, return_p_edge=True)
         if p_frac > LEAKAGE_LIMIT:
             raise EvolutionError(
                 f"momentum axis leaked: probability {p_frac:.3e} on the momentum-grid edge exceeds leakage "
-                f"limit {LEAKAGE_LIMIT:.1e} at t = {tau!r}; decrease dx (more numerics.grid_points)"
+                f"limit {LEAKAGE_LIMIT:.1e} at t = {tau!r}; decrease dx (raise GridSpec.n)"
             )
         state["max_boundary"] = max(state["max_boundary"], frac)
         state["max_p_boundary"] = max(state["max_p_boundary"], p_frac)

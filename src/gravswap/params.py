@@ -58,22 +58,21 @@ def _require_positive(owner: str, name: str, value: float) -> None:
 @dataclass(frozen=True)
 class PhysicalParams:
     """SI description of one platform: two traps of mass `mass` (kg) at
-    angular frequency `omega` (rad/s), separated by `separation` (m)."""
+    angular frequency `omega` (rad/s), separated by `separation` (m), with
+    G and hbar at their CODATA values."""
 
     mass: float
     omega: float
     separation: float
-    grav_constant: float = GRAVITATIONAL_CONSTANT
-    hbar: float = HBAR
 
     def __post_init__(self) -> None:
-        for name in ("mass", "omega", "separation", "grav_constant", "hbar"):
+        for name in ("mass", "omega", "separation"):
             _require_positive("params", name, getattr(self, name))
 
     @property
     def lam(self) -> float:
         """Quadratic coupling strength G m^2 / d^3 (J m^-2)."""
-        return self.grav_constant * self.mass**2 / self.separation**3
+        return GRAVITATIONAL_CONSTANT * self.mass**2 / self.separation**3
 
     @property
     def omega_g(self) -> float:
@@ -83,7 +82,7 @@ class PhysicalParams:
     @property
     def oscillator_length(self) -> float:
         """sqrt(hbar / (m omega)) (m); unit of position in oscillator units."""
-        return math.sqrt(self.hbar / (self.mass * self.omega))
+        return math.sqrt(HBAR / (self.mass * self.omega))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ from gravswap import (
     mode_hamiltonians,
     phase_corrected_pair,
     propagate_corrected_displacement,
+    from_normal_modes,
+    lab_means,
     propagate_moments,
-    propagate_rwa_displacement,
     propagate_rwa_lab_displacement,
     swap_time,
     template_moment_rhs,
@@ -26,14 +27,25 @@ from gravswap import (
 )
 
 P005 = DimensionlessParams(0.05)
+SQRT2 = math.sqrt(2.0)
+
+
+def _rwa_lab(a, b, t, params):
+    """Lab amplitudes at time t under QG_RWA of the normal-mode coherent pair
+    (a, b), read off the lab means of the closed-form moment records: a path
+    independent of propagate_rwa_lab_displacement."""
+    x1, p1, x2, p2 = lab_means(propagate_moments(ModelKind.QG_RWA, coherent_pair_moments(a, b), t, params))[0]
+    return complex(x1, p1) / SQRT2, complex(x2, p2) / SQRT2
 
 
 # ---------------------------------------------------------------- displacement
 
 
 def test_rwa_displacement_identity_at_t0():
-    a, b = 0.3 + 1j, -2 + 0.5j
-    assert propagate_rwa_displacement(a, b, 0.0, P005) == (a, b)
+    alpha, beta = 0.3 + 1j, -2 + 0.5j
+    assert propagate_rwa_lab_displacement(alpha, beta, 0.0, P005) == (alpha, beta)
+    moment_path = _rwa_lab(*to_normal_modes(alpha, beta), 0.0, P005)
+    assert moment_path == pytest.approx((alpha, beta), abs=1e-15)
 
 
 def test_rwa_lab_swap_and_half_swap():
@@ -53,11 +65,7 @@ def test_lab_and_normal_mode_paths_agree():
     for _ in range(50):
         alpha, beta = (complex(*rng.uniform(-3, 3, 2)) for _ in range(2))
         t = rng.uniform(0, 50)
-        a, b = to_normal_modes(alpha, beta)
-        at, bt = propagate_rwa_displacement(a, b, t, P005)
-        from gravswap import from_normal_modes
-
-        lab_from_modes = from_normal_modes(at, bt)
+        lab_from_modes = _rwa_lab(*to_normal_modes(alpha, beta), t, P005)
         lab_direct = propagate_rwa_lab_displacement(alpha, beta, t, P005)
         assert abs(lab_from_modes[0] - lab_direct[0]) < 1e-12
         assert abs(lab_from_modes[1] - lab_direct[1]) < 1e-12
@@ -147,9 +155,9 @@ def test_corrected_reduces_to_rwa_at_zero_delta():
     a, b = 1.5 - 0.5j, 0.25 + 1j
     for t in (0.0, 1.0, 7.3):
         c = propagate_corrected_displacement(a, b, t, params)
-        at, bt = propagate_rwa_displacement(a, b, t, params)
-        assert abs(c.a_t - at) < 1e-15
-        assert abs(c.b_t - bt) < 1e-15
+        alpha_t, beta_t = _rwa_lab(a, b, t, params)
+        assert abs(c.alpha_t - alpha_t) < 1e-15
+        assert abs(c.beta_t - beta_t) < 1e-15
         assert c.corr_1 == c.corr_1 * 0 + c.corr_1  # finite
     c0 = propagate_corrected_displacement(a, b, 0.0, DimensionlessParams(0.05))
     assert c0.corr_1 == 0 and c0.corr_2 == 0
@@ -172,8 +180,6 @@ def test_corrected_direct_value():
 
 
 def test_corrected_lab_frame_is_exact_transform():
-    from gravswap import from_normal_modes
-
     rng = np.random.default_rng(17)
     params = DimensionlessParams(0.05)
     for _ in range(50):
@@ -184,9 +190,7 @@ def test_corrected_lab_frame_is_exact_transform():
         assert abs(lab[0] - c.alpha_t) < 1e-14
         assert abs(lab[1] - c.beta_t) < 1e-14
         # the corrections are exactly the difference to the uncorrected evolution
-        from gravswap import from_normal_modes as fnm
-
-        plain = fnm(*propagate_rwa_displacement(a, b, t, params))
+        plain = _rwa_lab(a, b, t, params)
         assert abs((plain[0] - params.delta * c.corr_1) - c.alpha_t) < 1e-13
         assert abs((plain[1] - params.delta * c.corr_2) - c.beta_t) < 1e-13
 
@@ -199,10 +203,7 @@ def test_correction_magnitude_bound():
         a, b = (complex(*rng.uniform(-radius / 2, radius / 2, 2)) * math.sqrt(2) for _ in range(2))
         t = rng.uniform(0, 100)
         c = propagate_corrected_displacement(a, b, t, params)
-        plain_a, plain_b = propagate_rwa_displacement(a, b, t, params)
-        from gravswap import from_normal_modes as fnm
-
-        plain = fnm(plain_a, plain_b)
+        plain = _rwa_lab(a, b, t, params)
         bound = 2 * params.delta * max(abs(a), abs(b), radius)
         assert abs(c.alpha_t - plain[0]) <= bound + 1e-12
         assert abs(c.beta_t - plain[1]) <= bound + 1e-12

@@ -1,8 +1,7 @@
 """The config echo is the config as its kind reads it:
 parse_config_text(format_config(cfg)) == cfg over generated configurations,
-up to the platform block the kind never reads, including both forms of the
-grid size (auto and an explicit even count), and direct, preset and free SI
-parameters in both the [params] block and platform sections.  A negative
+up to the coupling blocks the kind never reads, with direct, preset and free
+SI parameters in both the [params] block and platform sections.  A negative
 seed is refused, from a config file and from --seed alike."""
 
 import dataclasses
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 from gravswap import ConfigError, ExperimentConfig, ModelKind, PhysicalParams, Platform, Tolerances, format_config, parse_config_text
 from gravswap.cli import main as cli_main
 from gravswap.experiments import KINDS, ORACLES
-from gravswap.params import DELTA_WARN_LIMIT, PLATFORM_PRESETS
+from gravswap.params import DELTA_WARN_LIMIT, GRAVITATIONAL_CONSTANT, PLATFORM_PRESETS
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -37,12 +36,11 @@ def log_uniform(lo: float, hi: float):
 
 @st.composite
 def si_params(draw):
-    """Free mass, omega, grav_constant and hbar; the separation is solved
-    from a drawn delta = G m / (d^3 omega^2), so delta stays in (0, 0.2]."""
+    """Free mass and omega; the separation is solved from a drawn
+    delta = G m / (d^3 omega^2), so delta stays in (0, 0.2]."""
     mass, omega = draw(log_uniform(-30, 3)), draw(log_uniform(-3, 9))
-    grav_constant, hbar = draw(log_uniform(-15, -5)), draw(log_uniform(-40, -28))
-    separation = (grav_constant * mass / (draw(deltas) * omega**2)) ** (1 / 3)
-    p = PhysicalParams(mass=mass, omega=omega, separation=separation, grav_constant=grav_constant, hbar=hbar)
+    separation = (GRAVITATIONAL_CONSTANT * mass / (draw(deltas) * omega**2)) ** (1 / 3)
+    p = PhysicalParams(mass=mass, omega=omega, separation=separation)
     assume(0 < p.omega_g / p.omega <= DELTA_WARN_LIMIT)
     return p
 
@@ -85,9 +83,7 @@ def configs(draw):
         deltas=tuple(draw(st.lists(deltas, min_size=1, max_size=4))),
         samples=draw(st.integers(2, 10**6)),
         oracle=draw(st.sampled_from(ORACLES)),
-        grid_points=draw(st.one_of(st.none(), st.integers(32, 2048).map(lambda k: 2 * k))),
-        grid_half_extent=draw(st.one_of(st.none(), positive)),
-        dt_factor=draw(positive),
+        dt_factor=draw(st.floats(min_value=1e-12, max_value=8e-2)),
         rk_step_factor=draw(positive),
         seed=draw(st.integers(0, 2**63)),
         timestamp=draw(st.one_of(st.none(), stamps)),
@@ -102,20 +98,12 @@ def configs(draw):
 def test_parse_inverts_format(cfg):
     text = format_config(cfg)
     back = parse_config_text(text)
-    # feasibility reads only the platform ladder, every other kind only the
-    # [params] platform; the block a kind never reads parses back to its default
-    unread = "platform" if cfg.kind == "feasibility" else "platforms"
-    assert back == dataclasses.replace(cfg, **{unread: getattr(ExperimentConfig(), unread)})
+    # feasibility reads only the platform ladder, rwa_validity neither block
+    # and every other kind only the [params] platform; a block the kind never
+    # reads parses back to its default
+    unread = {"feasibility": ("platform",), "rwa_validity": ("platform", "platforms")}.get(cfg.kind, ("platforms",))
+    assert back == dataclasses.replace(cfg, **{name: getattr(ExperimentConfig(), name) for name in unread})
     assert format_config(back) == text
-
-
-def test_grid_points_echo_forms():
-    auto = parse_config_text("[run]\nkind = swap\n[numerics]\ngrid_points = auto\n")
-    assert auto.grid_points is None and auto == parse_config_text("[run]\nkind = swap\n")
-    assert "grid_points = auto\n" in format_config(auto)
-    fixed = parse_config_text("[run]\nkind = swap\n[numerics]\ngrid_points = 512\n")
-    assert fixed.grid_points == 512
-    assert "grid_points = 512\n" in format_config(fixed)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -61,7 +62,6 @@ def test_round_trip_through_echo():
         samples=5001,
         seed=99,
         oracle="ode",
-        grid_half_extent=14.5,
         out_dir="runs/custom",
         timestamp="2026-01-01T00:00:00",
     )
@@ -310,9 +310,9 @@ def test_cli_refuses_physical_scale_ode_run(tmp_path, capsys):
     ],
 )
 def test_cli_refuses_bad_grid_size(tmp_path, capsys, numerics, key):
-    # a grid that cannot hold the state is refused naming the key, with the
-    # config-error status rather than a sizing traceback; alpha = 6 needs a
-    # half extent >= 15, so n >= 150 (72 points hold the default alpha = 1)
+    # the box is sized from the state alone: a config that still gives a
+    # grid size is refused naming the key, with the config-error status
+    # rather than a traceback, whether or not that size could hold the state
     cfg_path = tmp_path / "c.txt"
     cfg_path.write_text(f"[run]\nkind = swap\nmodels = qg_full\n[state]\nalpha = 6\n[numerics]\n{numerics}\n")
     rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
@@ -352,6 +352,19 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         ("feasibility", _LADDER_B + _SI_DELTA_66743, "platform:b"),
         # a model listed twice would run every series twice
         ("swap", "[run]\nkind = swap\nmodels = sceg, sceg\n", "run.models"),
+        # the step factors are checked for every kind, even one that never steps
+        ("rwa-validity", "[run]\nkind = rwa_validity\n[numerics]\ndt_factor = 5\n", "numerics.dt_factor"),
+        ("rwa-validity", "[run]\nkind = rwa_validity\n[numerics]\nrk_step_factor = -1\n", "numerics.rk_step_factor"),
+        ("feasibility", "[run]\nkind = feasibility\n[numerics]\ndt_factor = 5\n", "numerics.dt_factor"),
+        ("cat-state", "[run]\nkind = cat_state\n[numerics]\ndt_factor = 0\n", "numerics.dt_factor"),
+        # rwa_validity sweeps sweep.deltas: a [params] block would have no effect
+        ("rwa-validity", "[run]\nkind = rwa_validity\n[params]\ndelta = 0.3\nomega = 7\n", "params.delta"),
+        # keys that no longer exist: the box is sized from the state, G and
+        # hbar are constants; each is refused by name, wherever it is given
+        ("swap", "[run]\nkind = swap\n[numerics]\ngrid_points = 512\n", "numerics.grid_points"),
+        ("cat-state", "[run]\nkind = cat_state\n[numerics]\ngrid_half_extent = 12\n", "numerics.grid_half_extent"),
+        ("swap", "[run]\nkind = swap\n[params]\n" + _SI_KEYS_TEXT + "grav_constant = 7e-11\n", "params.grav_constant"),
+        ("feasibility", _LADDER_B + _SI_KEYS_TEXT + "hbar = 1.1e-34\n", "platform:b.hbar"),
     ],
     ids=[
         "samples",
@@ -370,6 +383,15 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         "si_delta",
         "platform_si_delta",
         "repeated_model",
+        "rwa_dt_factor",
+        "rwa_rk_step_factor",
+        "feasibility_dt_factor",
+        "cat_dt_factor",
+        "rwa_params",
+        "grid_points",
+        "grid_half_extent",
+        "grav_constant",
+        "platform_hbar",
     ],
 )
 def test_cli_refuses_unrunnable_input_by_key(tmp_path, capsys, command, text, key):
@@ -378,7 +400,9 @@ def test_cli_refuses_unrunnable_input_by_key(tmp_path, capsys, command, text, ke
     rc = cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "r")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+    # an unknown key is refused with its file and line before its name
+    assert re.match(rf"error: ({re.escape(str(cfg_path))}:\d+: )?{re.escape(key)}: ", err)
+    assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
 
 
@@ -389,14 +413,16 @@ def _refuse_allocation(*args, **kwargs):
 @pytest.mark.parametrize(
     "command,text",
     [
-        ("swap", "[run]\nkind = swap\nmodels = qg_full\n[numerics]\ngrid_points = 65536\n"),
+        ("swap", "[run]\nkind = swap\nmodels = qg_full\n[state]\nalpha = 1000\n"),
         ("cat-state", "[run]\nkind = cat_state\n[state]\ncat_alpha = 1000\n"),
+        # an amplitude whose box overflows to an infinite half extent
+        ("cat-state", "[run]\nkind = cat_state\n[state]\ncat_alpha = 1.7e308\n"),
     ],
 )
 def test_cli_refuses_grid_beyond_memory_budget(tmp_path, capsys, monkeypatch, command, text):
-    # refused from the grid size alone, whether it comes from the config or
-    # from auto-sizing; the allocating functions are replaced so that a
-    # missing refusal fails here instead of allocating 64 GiB
+    # refused from the size of the box the state needs alone, naming the
+    # state and the coupling; the allocating functions are replaced so that
+    # a missing refusal fails here instead of allocating 27 TiB
     monkeypatch.setattr("gravswap.experiments.build_initial_grid", _refuse_allocation)
     monkeypatch.setattr("gravswap.experiments.split_step_evolve", _refuse_allocation)
     cfg_path = tmp_path / "c.txt"
@@ -404,35 +430,8 @@ def test_cli_refuses_grid_beyond_memory_budget(tmp_path, capsys, monkeypatch, co
     rc = cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "numerics.grid_points" in err and "GiB per complex array" in err
-
-
-def test_cli_refuses_half_extent_beyond_memory_budget(tmp_path, capsys, monkeypatch):
-    # a given half extent that alone needs more points than the budget is
-    # refused naming that key, with no overflowed figure in the message
-    monkeypatch.setattr("gravswap.experiments.build_initial_grid", _refuse_allocation)
-    monkeypatch.setattr("gravswap.experiments.split_step_evolve", _refuse_allocation)
-    cfg_path = tmp_path / "c.txt"
-    cfg_path.write_text("[run]\nkind = swap\nmodels = qg_full\n[numerics]\ngrid_half_extent = 1e300\n")
-    rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: numerics.grid_half_extent: 1e+300 is beyond the memory budget")
-    assert "numerics.grid_points" not in err and "inf" not in err
-
-
-def test_cli_refuses_box_the_edge_guard_would_refuse(tmp_path, capsys, monkeypatch):
-    # the default state needs a half extent of 7.41 for its leakage tail to
-    # clear the edge ring; a 6.3 box is refused at admission, before any
-    # array exists, not at the first record of the run
-    monkeypatch.setattr("gravswap.experiments.build_initial_grid", _refuse_allocation)
-    monkeypatch.setattr("gravswap.experiments.split_step_evolve", _refuse_allocation)
-    cfg_path = tmp_path / "c.txt"
-    cfg_path.write_text("[run]\nkind = swap\nmodels = qg_full\n[numerics]\ngrid_half_extent = 6.3\ngrid_points = 64\n")
-    rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: numerics.grid_half_extent: ") and "7.41" in err
+    assert err.startswith("error: state: ") and "delta = 0.05" in err and "GiB per complex array" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_non_finite_amplitude_refused():
@@ -453,8 +452,6 @@ alpha_mags = 1, 10, 100
 deltas = 0.01, 0.050000000000000003, 0.10000000000000001
 
 [numerics]
-grid_points = auto
-grid_half_extent = auto
 dt_factor = 0.0155
 rk_step_factor = 0.0001
 
@@ -478,8 +475,6 @@ _ECHO_CA40 = """
 mass_kg = 6.6421562664000002e-26
 omega_rad_s = 1000000
 separation_m = 1e-10
-grav_constant = 6.6742999999999994e-11
-hbar = 1.054571817e-34
 """
 
 
@@ -491,11 +486,9 @@ hbar = 1.054571817e-34
             _ECHO_RUN.format(kind="swap") + "\n[params]" + _ECHO_CA40 + _ECHO_DEFAULTS,
         ),
         (
-            "[run]\nkind = swap\n[params]\nmass_kg = 1e-6\nomega_rad_s = 2e4\nseparation_m = 1e-3\n"
-            "grav_constant = 7e-11\nhbar = 1.1e-34\n",
+            "[run]\nkind = swap\n[params]\nmass_kg = 1e-6\nomega_rad_s = 2e4\nseparation_m = 1e-3\n",
             _ECHO_RUN.format(kind="swap")
             + "\n[params]\nmass_kg = 9.9999999999999995e-07\nomega_rad_s = 20000\nseparation_m = 0.001\n"
-            "grav_constant = 7.0000000000000004e-11\nhbar = 1.0999999999999999e-34\n"
             + _ECHO_DEFAULTS,
         ),
         (
@@ -518,11 +511,15 @@ def test_echo_bytes_pinned(text, echo):
 
 
 def test_platform_block_the_kind_never_reads_is_refused():
-    # a [params] block would have no effect on a feasibility report, nor a
-    # platform ladder on any other: each is refused by its key and the kind
+    # a [params] block would have no effect on a feasibility or rwa_validity
+    # report, nor a platform ladder on any other kind but feasibility: each
+    # is refused by its key and the kind
     ladder = "[run]\nkind = feasibility\nplatforms = ca40_ion\n"
     with pytest.raises(ConfigError, match=r"params\.delta: a feasibility run never reads \[params\]"):
         parse_config_text(ladder + "[params]\ndelta = 0.1\n")
+    with pytest.raises(ConfigError, match=r"params\.omega: a rwa_validity run never reads \[params\]; .* sweep\.deltas"):
+        parse_config_text("[run]\nkind = rwa_validity\n[params]\nomega = 7\ndelta = 0.3\n")
+    assert "[params]" not in format_config(ExperimentConfig(kind="rwa_validity"))
     for kind in ("swap", "cat_state", "rwa_validity"):
         with pytest.raises(ConfigError, match=f"run.platforms: a {kind} run never reads a platform ladder"):
             parse_config_text(f"[run]\nkind = {kind}\nplatforms = bench\n[platform:bench]\ndelta = 0.01\n")

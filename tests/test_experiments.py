@@ -7,7 +7,6 @@ from gravswap import (
     ConfigError,
     DimensionlessParams,
     ExperimentConfig,
-    GridSpec,
     ModelKind,
     PLATFORM_PRESETS,
     Platform,
@@ -100,19 +99,11 @@ def _run_grid_spec(cfg, monkeypatch):
 
 def test_grid_size_from_config(monkeypatch):
     # sizes only, no array: the swap and cat-state inputs of the benchmark get
-    # 96^2 and 108^2 by default; a given box or n is sized by the same rule
+    # 96^2 and 108^2, the boxes auto_grid_spec sizes from state and coupling
     swap = ExperimentConfig(kind="swap", platform=Platform(delta=0.1), alpha=2 + 0j, beta=-1 + 0j, oracle="grid")
     cat = ExperimentConfig(kind="cat_state", platform=Platform(delta=0.2), cat_alpha=2 + 0j, beta=0j)
     assert _run_grid_spec(swap, monkeypatch).n == 96
     assert _run_grid_spec(cat, monkeypatch).n == 108
-    boxed = ExperimentConfig(kind="swap", grid_half_extent=12.0, oracle="grid")
-    assert _run_grid_spec(boxed, monkeypatch).n == 120
-    fixed = ExperimentConfig(kind="swap", grid_points=512, oracle="grid")
-    assert _run_grid_spec(fixed, monkeypatch).n == 512
-    # alpha = 6 on a given +-30 box needs 289 points for its resolution: the
-    # run gets the next fast length, 300
-    wide = ExperimentConfig(kind="swap", alpha=6 + 0j, grid_half_extent=30.0, oracle="grid")
-    assert _run_grid_spec(wide, monkeypatch) == GridSpec(n=300, half_extent=30.0)
 
 
 def test_default_grid_swap_meets_grid_agreement():
@@ -147,8 +138,6 @@ def test_swap_model_method_matrix():
         beta=0j,
         samples=15,
         oracle="all",
-        grid_points=128,
-        grid_half_extent=12.0,
     )
     report = run_swap(cfg)
     assert report.passed

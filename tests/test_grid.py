@@ -102,26 +102,22 @@ def test_cat_grid_structure():
 
 def test_sizing_errors_and_auto_spec():
     # alpha = 6 at the default coupling needs a half extent of 14.67
-    with pytest.raises(GridSizingError, match=r"numerics.grid_half_extent: 9.0 .* need half_extent >= 14.67"):
-        auto_grid_spec(CoherentProduct(6 + 0j, 0j), delta=0.05, n=128, half_extent=9.0)
-    with pytest.raises(GridSizingError, match="numerics.grid_points"):
-        auto_grid_spec(CoherentProduct(20 + 0j, 0j), delta=DELTA_WARN_LIMIT, n=256)
+    assert auto_grid_spec(CoherentProduct(6 + 0j, 0j), delta=0.05).half_extent == pytest.approx(14.67, abs=5e-3)
     spec = auto_grid_spec(CoherentProduct(20 + 0j, 0j), delta=DELTA_WARN_LIMIT)
     assert spec.n >= 1024  # large displacement demands momentum range and extent
-    # a given half extent is sized by the same rule as an automatic one: the
-    # default state on +-12 needs 116 points for its resolution, so 120
-    assert auto_grid_spec(CoherentProduct(1 + 0j), delta=0.05, half_extent=12.0) == GridSpec(n=120, half_extent=12.0)
-    assert auto_grid_spec(CoherentProduct(1 + 0j), delta=0.05, n=256, half_extent=12.0).n == 256
+    # a box built by hand is refused by the GridSpec field at fault
+    with pytest.raises(GridSizingError, match="GridSpec.n: must be an even integer"):
+        GridSpec(n=256.0, half_extent=12.0)
+    with pytest.raises(GridSizingError, match="GridSpec.half_extent: must be positive"):
+        GridSpec(n=128, half_extent=math.inf)
 
 
 def test_grid_memory_budget():
     # refused from the sizes alone: neither call allocates an array
-    with pytest.raises(GridSizingError, match=r"numerics.grid_points: .* 64 GiB per complex array"):
+    with pytest.raises(GridSizingError, match=r"GridSpec.n: .* 64 GiB per complex array"):
         GridSpec(n=65536, half_extent=12.0)
-    with pytest.raises(GridSizingError, match=r"numerics.grid_points: a half extent of 1.633e\+06 \(the state requires 1.633e\+06\)"):
+    with pytest.raises(GridSizingError, match=r"state: .* at delta = 0.2, a half extent of 1.633e\+06, needs n ="):
         auto_grid_spec(CatProduct(1e6 + 0j), delta=DELTA_WARN_LIMIT)
-    with pytest.raises(GridSizingError, match="numerics.grid_points: a half extent of"):
-        auto_grid_spec(CatProduct(1e6 + 0j), delta=DELTA_WARN_LIMIT, n=256)
     assert GridSpec(n=MAX_GRID_POINTS, half_extent=12.0).n == 4096
 
 
@@ -217,20 +213,13 @@ def test_rwa_grid_matches_lab_displacement():
     assert p2 == pytest.approx(SQRT2 * want_beta.imag, abs=1e-5)
 
 
-def _splitting_error(model, factor, order):
+def _splitting_error(model, factor):
     params = DimensionlessParams(0.1)
     alpha, beta = 1 + 0.5j, -0.3 + 0.2j
     pair0 = coherent_pair_moments(*to_normal_modes(alpha, beta))
     w = build_initial_grid(CoherentProduct(alpha, beta), GridSpec(n=128, half_extent=12.0))
-    evo = split_step_evolve(
-        w, model, 2 * math.pi, params, IntegratorConfig(dt_factor=factor), n_samples=3, order=order
-    )
+    evo = split_step_evolve(w, model, 2 * math.pi, params, IntegratorConfig(dt_factor=factor), n_samples=3)
     return _mean_error(model, evo, pair0, params)
-
-
-def test_strang_convergence_order():
-    e1, e2 = (_splitting_error(ModelKind.QG_FULL, f, order=2) for f in (1e-3, 5e-4))
-    assert math.log2(e1 / e2) == pytest.approx(2.0, abs=0.2)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
@@ -238,7 +227,7 @@ def test_near_integrable_convergence_order(model):
     # SBAB2 with its corrector is order 4 up to the dt_factor cap; the
     # mean-field kick leaves |psi|^2 alone, so SCEG keeps order 4 too, and
     # QG_RWA runs the same table on its coupling alone
-    e8, e4, e2, e1 = (_splitting_error(model, f, order=4) for f in (8e-2, 4e-2, 2e-2, 1e-2))
+    e8, e4, e2, e1 = (_splitting_error(model, f) for f in (8e-2, 4e-2, 2e-2, 1e-2))
     assert math.log2(e2 / e1) == pytest.approx(4.0, abs=0.3)
     assert math.log2(e4 / e2) == pytest.approx(4.0, abs=0.3)
     assert math.log2(e8 / e4) == pytest.approx(4.0, abs=0.3)
@@ -248,9 +237,9 @@ def test_near_integrable_convergence_order(model):
 def test_corrector_sign_is_what_makes_order_four(model, monkeypatch):
     # with the corrector's sign flipped the double bracket is doubled, not
     # cancelled, and the step falls back to order 2
-    kicks, flows, corrector = grid._SPLITTINGS[4]
-    monkeypatch.setitem(grid._SPLITTINGS, 4, (kicks, flows, -corrector))
-    e2, e1 = (_splitting_error(model, f, order=4) for f in (2e-2, 1e-2))
+    kicks, flows, corrector = grid._SBAB2
+    monkeypatch.setattr(grid, "_SBAB2", (kicks, flows, -corrector))
+    e2, e1 = (_splitting_error(model, f) for f in (2e-2, 1e-2))
     assert math.log2(e2 / e1) == pytest.approx(2.0, abs=0.3)
 
 
@@ -316,12 +305,6 @@ def test_every_fft_goes_through_the_module_handle(monkeypatch):
     steps = IntegratorConfig().grid_steps(t_final * params.omega, params)
     assert len(evo.times) == records and steps > records
     assert counting.calls == {"fft2": 2 * steps + records, "ifft2": 2 * steps, "fft": 2 * records, "ifft": 2 * records}
-
-
-def test_unknown_splitting_order_rejected():
-    w = build_initial_grid(CoherentProduct(0j, 0j), GridSpec(n=64, half_extent=6.0))
-    with pytest.raises(ParameterError, match="order"):
-        split_step_evolve(w, ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), order=3)
 
 
 def test_grid_step_budget_refuses_physical_scale():
@@ -395,11 +378,9 @@ def _gaussian_product(spec, x0=0.0, p0=0.0):
 
 
 def test_box_too_small_in_x_refused():
-    # a state beyond the box is refused before any array exists ...
-    with pytest.raises(GridSizingError, match="numerics.grid_half_extent"):
-        auto_grid_spec(CoherentProduct(6 + 0j, 0j), delta=0.05, n=128, half_extent=10.0)
-    # ... and one built past that check is refused at the first record, on
-    # the edge rows (oscillator 1) and on the edge columns (oscillator 2)
+    # a state that reaches the edge of a box built by hand is refused at the
+    # first record, on the edge rows (oscillator 1) and on the edge columns
+    # (oscillator 2)
     spec = GridSpec(n=128, half_extent=10.0)
     w = _gaussian_product(spec, x0=spec.half_extent - 1.0)
     for psi in (w.psi, w.psi.T):
@@ -410,12 +391,9 @@ def test_box_too_small_in_x_refused():
 
 
 def test_box_too_small_in_p_refused():
-    # a state that fits this box in x but not its p_max = 15.5 is refused
-    # before any array exists ...
-    with pytest.raises(GridSizingError, match="numerics.grid_points: n = 256 cannot hold the state"):
-        auto_grid_spec(CoherentProduct(8.5 + 0j, 0j), delta=0.05, n=256, half_extent=26.0)
-    # ... and one built past that check is refused at the first record: the
-    # momentum edge is the band around n // 2 of the fftfreq order
+    # a state that fits a box built by hand in x but not its p_max = 20.1 is
+    # refused at the first record: the momentum edge is the band around
+    # n // 2 of the fftfreq order
     spec = GridSpec(n=128, half_extent=10.0)
     w = _gaussian_product(spec, p0=spec.p_max - 1.0)
     assert w.boundary_fraction() < 1e-20  # nothing near the position edge

@@ -26,7 +26,9 @@ def _env() -> dict[str, str]:
     return env
 
 
-def _run_without(module: str, args: list[str], cwd: Path) -> None:
+def _run_without(module: str, args: list[str], cwd: Path, rc: int = 0) -> str:
+    """Runs the CLI with `module` blocked, checks its exit status, and
+    returns its stderr."""
     code = (
         "import sys\n"
         f"sys.modules[{module!r}] = None\n"
@@ -35,7 +37,8 @@ def _run_without(module: str, args: list[str], cwd: Path) -> None:
         "sys.exit(rc)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env(), cwd=cwd)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == rc, done.stderr
+    return done.stderr
 
 
 def _run_without_scipy(args: list[str], cwd: Path) -> None:
@@ -115,6 +118,17 @@ def test_config_and_help_need_no_numpy(tmp_path):
     assert usage.startswith("usage: gravswap swap")
 
 
+@pytest.mark.parametrize("command", ["swap", "rwa-validity", "cat-state", "feasibility"])
+def test_step_factor_refused_before_numpy_loads(tmp_path, command):
+    # the [numerics] keys are checked at the parse for every kind, so a bad
+    # step factor never reaches the runners that import numpy
+    kind = command.replace("-", "_")
+    (tmp_path / "c.cfg").write_text(f"[run]\nkind = {kind}\n[numerics]\ndt_factor = 5\n")
+    err = _run_without("numpy", [command, "--config", "c.cfg", "--out", "r"], tmp_path, rc=2)
+    assert err.startswith("error: numerics.dt_factor: must be in (0, 8e-2]") and "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 # today's exported names, each with the module that defines it
 EXPORTS = {
     "params": [
@@ -135,7 +149,7 @@ EXPORTS = {
     "analytic": [
         "CoherenceResult", "CorrectedDisplacement", "QuadraticHamiltonian", "coherence_check",
         "mode_hamiltonians", "phase_corrected_pair", "propagate_corrected_displacement", "propagate_moments",
-        "propagate_rwa_displacement", "propagate_rwa_lab_displacement", "template_moment_rhs",
+        "propagate_rwa_lab_displacement", "template_moment_rhs",
     ],
     "moments_ode": ["IntegrationError", "MomentSeries", "StepUnderflowError", "ToleranceError", "integrate_moments"],
     "grid": [
