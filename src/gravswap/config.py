@@ -2,12 +2,12 @@
 with parsing, validation and a canonical echo.
 
 This module holds the schema of a run's inputs, `ExperimentConfig` with its
-`Platform` and `Tolerances` and the budgets of its counts; `params` holds the
-model names and the integrator settings it reads.  Neither imports numpy, so
-a config is parsed, echoed, digested or refused, and `--help` answers, before
-any numeric module loads; the CLI imports the experiments only once a run
-starts.  The imports run one way: params, config, the numeric modules,
-experiments, report, cli.
+`Platform` and the budgets of its counts; `params` holds the model names and
+the integrator settings it reads.  The verdict thresholds are not inputs but
+constants of `experiments`.  Neither imports numpy, so a config is parsed,
+echoed, digested or refused, and `--help` answers, before any numeric module
+loads; the CLI imports the experiments only once a run starts.  The imports
+run one way: params, config, the numeric modules, experiments, report, cli.
 
 Format: `key = value` lines grouped under `[section]` headers, `#` comments.
 Each key is declared once: `CONFIG_KEYS` drives the parse and echo of the
@@ -54,26 +54,6 @@ KINDS = ("swap", "rwa_validity", "cat_state", "feasibility")
 ORACLES = ("none", "ode", "grid", "all")
 
 DEFAULT_MODELS = (ModelKind.QG_RWA, ModelKind.QG_FULL, ModelKind.SCEG)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Every threshold any verdict uses; echoed verbatim into manifests."""
-
-    swap_fidelity: float = 1e-12
-    first_moment: float = 1e-12
-    width_closed: float = 1e-12
-    width_grid: float = 5e-6
-    ode_agreement: float = 1e-8
-    grid_agreement: float = 1e-5
-    deviation_law_rel: float = 0.10
-    linear_scaling_rel: float = 0.05
-    entropy_oracle: float = 1e-2
-    entropy_min: float = 0.5
-    product_entropy_max: float = 1e-6
-    sceg_mean_max: float = 1e-6
-    sceg_purity_defect: float = 1e-4
-    impractical_swap_seconds: float = 1e9
 
 
 @dataclass(frozen=True)
@@ -127,7 +107,6 @@ class ExperimentConfig:
     timestamp: str | None = None
     out_dir: str | None = None
     platforms: tuple[Platform, ...] = (preset_platform("ca40_ion"),)
-    tolerances: Tolerances = field(default_factory=Tolerances)
     source_digest: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -151,6 +130,11 @@ class ExperimentConfig:
         for name in ("alpha", "beta", "cat_alpha"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ConfigError(f"state.{name}: must be finite, got {getattr(self, name)!r}")
+        # the photon number |alpha|^2 + |beta|^2 must be finite (abs() and ** would raise OverflowError)
+        mags = {name: math.hypot(z.real, z.imag) for name, z in (("alpha", self.alpha), ("beta", self.beta))}
+        if not sum(m * m for m in mags.values()) < math.inf:
+            name = max(mags, key=mags.get)
+            raise ConfigError(f"state.{name}: |alpha|^2 + |beta|^2 overflows a float, got {getattr(self, name)!r}")
         if not all(0 < d < DELTA_HARD_LIMIT and math.pi / d < math.inf for d in self.deltas):  # each sweeps pi/delta
             raise ConfigError(f"sweep.deltas: couplings must be in (0, 1/2), with a finite pi/delta, got {self.deltas}")
         if not all(0 < m < math.inf for m in self.alpha_mags):
@@ -223,8 +207,7 @@ def _fmt_text(v: str | None) -> str | None:
 # section, its name, the ExperimentConfig field it sets, the parser of its
 # text and the echo of its value (an echo of None leaves the line out).  This
 # is the one place such a key is declared; the coupling blocks are declared by
-# SI_FIELDS and _DIRECT_FIELDS, the tolerances by the Tolerances fields, and
-# run.platforms is the platform ladder.
+# SI_FIELDS and _DIRECT_FIELDS, and run.platforms is the platform ladder.
 CONFIG_KEYS = (
     ("run", "kind", "kind", _parse_text, str),
     ("run", "seed", "seed", _parse_int, str),
@@ -260,7 +243,6 @@ _COUPLING_ELSEWHERE = {
 _SECTION_KEYS: dict[str, set[str]] = {"run": {"platforms"}, "params": _PARAMS_KEYS}
 for _section, _key, *_ in CONFIG_KEYS:
     _SECTION_KEYS.setdefault(_section, set()).add(_key)
-_SECTION_KEYS["tolerances"] = {f.name for f in dataclasses.fields(Tolerances)}
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -323,10 +305,6 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         raise ConfigError(f"run.platforms: a {kind} run never reads a platform ladder; give its coupling in [params]")
     if sections.get("params"):
         blocks["platform"] = _build_platform("params", sections["params"])
-
-    if "tolerances" in sections:
-        tolerances = sections["tolerances"].items()
-        blocks["tolerances"] = Tolerances(**{key: _parse_float(raw, f"tolerances.{key}") for key, raw in tolerances})
 
     defined = sorted(s.removeprefix("platform:") for s in sections if s.startswith("platform:"))
     if "platforms" in run:
@@ -421,9 +399,6 @@ def format_config(cfg: ExperimentConfig) -> str:
         blocks["run"].append("platforms = " + ", ".join(p.name for p in cfg.platforms))
     elif cfg.kind not in _COUPLING_ELSEWHERE:
         blocks["params"] = _platform_lines(cfg.platform)
-    blocks["tolerances"] = [
-        f"{f.name} = {_fmt_float(getattr(cfg.tolerances, f.name))}" for f in dataclasses.fields(Tolerances)
-    ]
     sections = [(section, lines) for section, lines in blocks.items() if lines]
     sections += [(f"platform:{p.name}", _platform_lines(p)) for p in (cfg.platforms if ladder else ())]
     return "\n\n".join("\n".join([f"[{section}]", *lines]) for section, lines in sections) + "\n"

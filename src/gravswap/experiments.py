@@ -52,6 +52,24 @@ from .states import (
 )
 
 
+# The thresholds of the verdicts.  They are fixed, not config keys, so no run
+# can loosen them; each report's manifest lists the ones its verdicts used.
+SWAP_FIDELITY = 1e-12
+FIRST_MOMENT = 1e-12
+WIDTH_CLOSED = 1e-12
+WIDTH_GRID = 5e-6
+ODE_AGREEMENT = 1e-8
+GRID_AGREEMENT = 1e-5
+DEVIATION_LAW_REL = 0.10
+LINEAR_SCALING_REL = 0.05
+ENTROPY_ORACLE = 1e-2
+ENTROPY_MIN = 0.5
+PRODUCT_ENTROPY_MAX = 1e-6
+SCEG_MEAN_MAX = 1e-6
+SCEG_PURITY_DEFECT = 1e-4
+IMPRACTICAL_SWAP_SECONDS = 1e9
+
+
 @dataclass
 class Verdict:
     name: str
@@ -218,7 +236,6 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
     params = cfg.platform.dimensionless()
     if params.delta <= 0:
         raise ConfigError("params.delta: the swap experiment needs a positive coupling")
-    tol = cfg.tolerances
     report = _report(cfg)
     T = swap_time(params)
     d = params.delta
@@ -265,10 +282,10 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
             yield "grid", evo.times, evo.moments
 
     # an oracle's means must match the closed form; mean-field widths must stay coherent
-    mean_tol = {"ode": tol.ode_agreement, "grid": tol.grid_agreement}
+    mean_tol = {"ode": ODE_AGREEMENT, "grid": GRID_AGREEMENT}
     width_check = {
-        "closed": (tol.width_closed, "closed-form mean-field widths stay at the coherent value"),
-        "grid": (tol.width_grid, ""),
+        "closed": (WIDTH_CLOSED, "closed-form mean-field widths stay at the coherent value"),
+        "grid": (WIDTH_GRID, ""),
     }
     closed_means: dict[ModelKind, np.ndarray] = {}
     corrected_fid: dict[tuple[ModelKind, str], float] = {}
@@ -333,7 +350,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
                 "qg_rwa_phase_corrected_swap",
                 corrected_fid[ModelKind.QG_RWA, "closed"],
                 ">=",
-                1.0 - tol.swap_fidelity,
+                1.0 - SWAP_FIDELITY,
                 "number-conserving model swaps exactly up to the carrier phase",
             )
         )
@@ -344,7 +361,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
                 "first_moment_identity_full_vs_sceg",
                 diff,
                 "<=",
-                tol.first_moment,
+                FIRST_MOMENT,
                 "mean trajectories of the exact and mean-field models coincide",
             )
         )
@@ -389,7 +406,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         fid = two_mode_overlap(phase_corrected_pair(final, T, params), (be, al))
         rnd_table.add(np.arange(cfg.random_pairs), *draws.T, fid)
         report.verdicts.append(
-            _check("random_pair_swap_fidelity", fid.min(), ">=", 1.0 - tol.swap_fidelity)
+            _check("random_pair_swap_fidelity", fid.min(), ">=", 1.0 - SWAP_FIDELITY)
         )
 
     report.figures = [
@@ -424,7 +441,6 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
     """Map where the number-conserving truncation fails: the dropped
     correction grows as delta * amplitude, crossing one vacuum width near
     delta |alpha| ~ 1."""
-    tol = cfg.tolerances
     report = _report(cfg)
     table = _add_table(
         report,
@@ -459,7 +475,7 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
                     f"deviation_law_delta_{d:g}_alpha_{mag:g}",
                     abs(ratio - 1.0),
                     "<=",
-                    tol.deviation_law_rel,
+                    DEVIATION_LAW_REL,
                     "max deviation equals delta times the amplitude envelope",
                 )
             )
@@ -483,7 +499,7 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
                     f"linear_scaling_delta_{d:g}",
                     spread,
                     "<=",
-                    tol.linear_scaling_rel,
+                    LINEAR_SCALING_REL,
                     f"deviation grows linearly with |alpha| at fixed delta (|alpha| in {scaling_mags})",
                 )
             )
@@ -515,7 +531,6 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
     params = cfg.platform.dimensionless()
     if params.delta <= 0:
         raise ConfigError("params.delta: the cat-state experiment needs a positive coupling")
-    tol = cfg.tolerances
     report = _report(cfg)
 
     quantum = next((m for m in cfg.models if m in (ModelKind.QG_RWA, ModelKind.QG_FULL)), ModelKind.QG_RWA)
@@ -574,12 +589,12 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
             f"max boundary fraction {evo.max_boundary_fraction:.3e} (x), {evo.max_p_boundary_fraction:.3e} (p)"
         )
         report.verdicts.append(
-            _check(f"{model.value}_initial_product_entropy", float(evo.entropies[0]), "<=", tol.product_entropy_max)
+            _check(f"{model.value}_initial_product_entropy", float(evo.entropies[0]), "<=", PRODUCT_ENTROPY_MAX)
         )
 
     q = results[quantum]
     report.verdicts.append(
-        _check(f"{quantum.value}_final_entropy", float(q["entropies"][-1]), ">=", tol.entropy_min)
+        _check(f"{quantum.value}_final_entropy", float(q["entropies"][-1]), ">=", ENTROPY_MIN)
     )
     if quantum is ModelKind.QG_RWA:
         report.verdicts.append(
@@ -587,7 +602,7 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
                 "entropy_matches_branch_oracle",
                 float(abs(q["entropies"][-1] - q["oracle"][-1])),
                 "<=",
-                tol.entropy_oracle,
+                ENTROPY_ORACLE,
                 "grid entropy vs exact two-branch Schmidt value",
             )
         )
@@ -597,11 +612,11 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
         )
     s = results[ModelKind.SCEG]
     report.verdicts.append(
-        _check("sceg_first_moments_frozen", float(np.max(s["max_mean"])), "<=", tol.sceg_mean_max,
+        _check("sceg_first_moments_frozen", float(np.max(s["max_mean"])), "<=", SCEG_MEAN_MAX,
                "zero means kill every mean-field interaction term")
     )
     report.verdicts.append(
-        _check("sceg_purity", float(np.min(s["purities"])), ">=", 1.0 - tol.sceg_purity_defect)
+        _check("sceg_purity", float(np.min(s["purities"])), ">=", 1.0 - SCEG_PURITY_DEFECT)
     )
     report.notes.append(
         "entropy/purity thresholds are desk-scale choices; the tested claim is the qualitative "
@@ -635,7 +650,6 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
 def run_feasibility(cfg: ExperimentConfig) -> ExperimentReport:
     """Tabulate the coupling ladder and swap time per platform; flag swap
     times beyond the practicality cutoff."""
-    tol = cfg.tolerances
     report = _report(cfg)
     table = _add_table(
         report,
@@ -671,7 +685,7 @@ def run_feasibility(cfg: ExperimentConfig) -> ExperimentReport:
                 T,
                 osc_len,
                 math.sqrt(2.0) * osc_len * abs(complex(cfg.alpha)),
-                int(T > tol.impractical_swap_seconds),
+                int(T > IMPRACTICAL_SWAP_SECONDS),
             )
         else:
             row = (
@@ -685,7 +699,7 @@ def run_feasibility(cfg: ExperimentConfig) -> ExperimentReport:
                 T,
                 math.nan,
                 math.nan,
-                int(T > tol.impractical_swap_seconds),
+                int(T > IMPRACTICAL_SWAP_SECONDS),
             )
         table.add_row(*row)
         if platform.name == "ca40_ion":
@@ -697,7 +711,7 @@ def run_feasibility(cfg: ExperimentConfig) -> ExperimentReport:
                 _check("ca40_ion_swap_time_impractical", T, ">=", 1e10, "swap needs > 1e10 s")
             )
     report.notes.append(
-        f"platforms with swap time > {tol.impractical_swap_seconds:g} s are flagged impractical"
+        f"platforms with swap time > {IMPRACTICAL_SWAP_SECONDS:g} s are flagged impractical"
     )
     return report
 

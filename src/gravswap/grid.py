@@ -462,7 +462,6 @@ def _bare_kinetic(p_sq: np.ndarray, s: float) -> np.ndarray:
 class GridEvolution:
     """Sampled observables of one split-operator run."""
 
-    model: ModelKind
     times: np.ndarray
     moments: np.ndarray  # (n, 2, 5) normal-mode records
     entropies: np.ndarray | None
@@ -632,7 +631,6 @@ def split_step_evolve(
             record(float(i1) * h)
 
     return GridEvolution(
-        model=model,
         times=np.array(times),
         moments=np.array(moments),
         entropies=np.array(entropies) if record_entropy else None,

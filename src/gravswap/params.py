@@ -185,10 +185,10 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.dt_factor <= 8e-2):
             raise ParameterError(f"numerics.dt_factor: must be in (0, 8e-2] periods, got {self.dt_factor!r}")
-        if not (0.0 < self.rk_step_factor):
-            raise ParameterError("numerics.rk_step_factor: must be positive")
+        if not (0.0 < self.rk_step_factor < math.inf):
+            raise ParameterError(f"numerics.rk_step_factor: must be finite and positive, got {self.rk_step_factor!r}")
         if not (self.rk_tol > 0):
-            raise ParameterError("numerics.rk_tol: must be positive")
+            raise ParameterError("IntegratorConfig.rk_tol: must be positive")
 
     def grid_step(self, params: DimensionlessParams) -> float:
         """Split-operator step in scaled time (omega t)."""

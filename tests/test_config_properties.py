@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gravswap import ConfigError, ExperimentConfig, ModelKind, PhysicalParams, Platform, Tolerances, format_config, parse_config_text
+from gravswap import ConfigError, ExperimentConfig, ModelKind, PhysicalParams, Platform, format_config, parse_config_text
 from gravswap.cli import main as cli_main
 from gravswap.experiments import KINDS, ORACLES
 from gravswap.params import DELTA_WARN_LIMIT, GRAVITATIONAL_CONSTANT, PLATFORM_PRESETS
@@ -67,10 +67,6 @@ def platforms(draw):
 
 @st.composite
 def configs(draw):
-    tolerances = dataclasses.replace(
-        Tolerances(),
-        **{f.name: draw(positive) for f in dataclasses.fields(Tolerances) if draw(st.booleans())},
-    )
     return ExperimentConfig(
         kind=draw(st.sampled_from(KINDS)),
         models=draw(st.sampled_from(model_orders)),
@@ -89,7 +85,6 @@ def configs(draw):
         timestamp=draw(st.one_of(st.none(), stamps)),
         out_dir=draw(st.one_of(st.none(), paths)),
         platforms=draw(platforms()),
-        tolerances=tolerances,
     )
 
 

@@ -12,7 +12,6 @@ from gravswap import (
     PhysicalParams,
     Platform,
     ReplayMismatchError,
-    Tolerances,
     config_digest,
     derive_dimensionless,
     emit_report,
@@ -84,9 +83,26 @@ def test_unknown_key_rejected():
 
 
 def test_removed_width_flag_tolerance_rejected():
-    # width_flag_rel gated nothing and is no longer a tolerance key
-    with pytest.raises(ConfigError, match=r"tolerances\.width_flag_rel: unknown key"):
+    # width_flag_rel was a tolerance key; the verdict thresholds are now
+    # constants, and the whole [tolerances] section is unknown
+    with pytest.raises(ConfigError, match=r"<string>:\d+: unknown section \[tolerances\]"):
         parse_config_text(MINIMAL + "\n[tolerances]\nwidth_flag_rel = 1e-6\n")
+
+
+def test_cli_refuses_tolerances_section(tmp_path, capsys):
+    # the grid verdicts of this run fail at the fixed 1e-5; a section that
+    # would loosen them to inf is refused before anything runs
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text(
+        "[run]\nkind = swap\noracle = grid\nmodels = qg_full, sceg\n[params]\ndelta = 0.1\n"
+        "[state]\nalpha = 2\nbeta = -1\n[numerics]\ndt_factor = 0.08\n"
+        "[tolerances]\ngrid_agreement = inf\nwidth_grid = inf\n"
+    )
+    rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg_path}:12: unknown section [tolerances]\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_malformed_lines_rejected():
@@ -365,6 +381,13 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         ("cat-state", "[run]\nkind = cat_state\n[numerics]\ngrid_half_extent = 12\n", "numerics.grid_half_extent"),
         ("swap", "[run]\nkind = swap\n[params]\n" + _SI_KEYS_TEXT + "grav_constant = 7e-11\n", "params.grav_constant"),
         ("feasibility", _LADDER_B + _SI_KEYS_TEXT + "hbar = 1.1e-34\n", "platform:b.hbar"),
+        # a pair whose photon number |alpha|^2 + |beta|^2 overflows: rows of
+        # nan, or an OverflowError in the fidelity bound; the larger is named
+        ("swap", "[run]\nkind = swap\nmodels = qg_full\n[state]\nalpha = 1.7e308\n", "state.alpha"),
+        ("swap", "[run]\nkind = swap\n[state]\nalpha = 1e200\n", "state.alpha"),
+        ("swap", "[run]\nkind = swap\n[state]\nalpha = 1\nbeta = 1e200\n", "state.beta"),
+        # an infinite RK step is refused at the parse, before any oracle steps
+        ("swap", "[run]\nkind = swap\noracle = ode\n[numerics]\nrk_step_factor = inf\n", "numerics.rk_step_factor"),
     ],
     ids=[
         "samples",
@@ -392,6 +415,10 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         "grid_half_extent",
         "grav_constant",
         "platform_hbar",
+        "alpha_overflow_qg_full",
+        "alpha_overflow",
+        "beta_overflow",
+        "rk_step_factor_inf",
     ],
 )
 def test_cli_refuses_unrunnable_input_by_key(tmp_path, capsys, command, text, key):
@@ -404,6 +431,21 @@ def test_cli_refuses_unrunnable_input_by_key(tmp_path, capsys, command, text, ke
     assert re.match(rf"error: ({re.escape(str(cfg_path))}:\d+: )?{re.escape(key)}: ", err)
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+def test_cli_runs_largest_finite_pair(tmp_path, capsys):
+    # |alpha|^2 + |beta|^2 = 2e300 is still finite: the pair runs to a
+    # report with no nan cell (verdicts this near the float limit may fail
+    # from rounding, so only the run itself is checked)
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text("[run]\nkind = swap\n[state]\nalpha = 1e150\nbeta = -1e150\n")
+    rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "none"])
+    assert rc in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    csvs = sorted((tmp_path / "r").glob("*.csv"))
+    assert csvs and (tmp_path / "r" / "manifest.txt").exists()
+    for csv in csvs:
+        assert "nan" not in csv.read_text().lower(), csv.name
 
 
 def _refuse_allocation(*args, **kwargs):
@@ -454,22 +496,6 @@ deltas = 0.01, 0.050000000000000003, 0.10000000000000001
 [numerics]
 dt_factor = 0.0155
 rk_step_factor = 0.0001
-
-[tolerances]
-swap_fidelity = 9.9999999999999998e-13
-first_moment = 9.9999999999999998e-13
-width_closed = 9.9999999999999998e-13
-width_grid = 5.0000000000000004e-06
-ode_agreement = 1e-08
-grid_agreement = 1.0000000000000001e-05
-deviation_law_rel = 0.10000000000000001
-linear_scaling_rel = 0.050000000000000003
-entropy_oracle = 0.01
-entropy_min = 0.5
-product_entropy_max = 9.9999999999999995e-07
-sceg_mean_max = 9.9999999999999995e-07
-sceg_purity_defect = 0.0001
-impractical_swap_seconds = 1000000000
 """
 _ECHO_CA40 = """
 mass_kg = 6.6421562664000002e-26
@@ -576,13 +602,12 @@ def test_repeated_model_is_refused():
 
 
 def test_key_table_covers_the_schema():
-    # every config field but the coupling blocks and the tolerances has one
-    # row of the key table, and the echo writes each row's key in its section,
-    # every tolerance and every SI field; a field left out of parse or echo
-    # fails here
+    # every config field but the coupling blocks has one row of the key
+    # table, and the echo writes each row's key in its section and every SI
+    # field; a field left out of parse or echo fails here
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     rows = [name for _, _, name, _, _ in CONFIG_KEYS]
-    assert sorted(rows) == sorted(fields - {"platform", "platforms", "tolerances", "source_digest"})
+    assert sorted(rows) == sorted(fields - {"platform", "platforms", "source_digest"})
     assert set(SI_FIELDS.values()) == {f.name for f in dataclasses.fields(PhysicalParams)}
     ca40 = Platform(physical=PLATFORM_PRESETS["ca40_ion"])
     cfg = ExperimentConfig(kind="swap", out_dir="o", timestamp="t", platform=ca40)
@@ -590,7 +615,6 @@ def test_key_table_covers_the_schema():
     for block in format_config(cfg).split("\n\n"):
         head, *lines = block.strip().split("\n")
         echoed[head.strip("[]")] = [line.split(" = ")[0] for line in lines]
-    assert echoed["tolerances"] == [f.name for f in dataclasses.fields(Tolerances)]
     assert echoed["params"] == list(SI_FIELDS)
     for section, key, *_ in CONFIG_KEYS:
         assert key in echoed[section]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gravswap import experiments
 from gravswap import (
     ConfigError,
     DimensionlessParams,
@@ -119,7 +120,7 @@ def test_default_grid_swap_meets_grid_agreement():
         oracle="grid",
         models=(ModelKind.QG_FULL, ModelKind.SCEG),
     )
-    assert cfg.tolerances.grid_agreement == 1e-5
+    assert experiments.GRID_AGREEMENT == 1e-5
     report = run_swap(cfg)
     for model in ("qg_full", "sceg"):
         verdict = _verdict(report, f"{model}_grid_mean_agreement")

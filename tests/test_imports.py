@@ -137,8 +137,8 @@ EXPORTS = {
         "derive_dimensionless", "swap_time",
     ],
     "config": [
-        "ExperimentConfig", "Platform", "Tolerances", "config_digest", "format_config", "parse_config",
-        "parse_config_text", "preset_platform",
+        "ExperimentConfig", "Platform", "config_digest", "format_config", "parse_config", "parse_config_text",
+        "preset_platform",
     ],
     "states": [
         "MOMENT_FIELDS", "DisplacementEstimate", "MomentError", "branch_schmidt_entropy", "check_moments",
