@@ -139,6 +139,9 @@ class ExperimentConfig:
             raise ConfigError(f"sweep.deltas: couplings must be in (0, 1/2), with a finite pi/delta, got {self.deltas}")
         if not all(0 < m < math.inf for m in self.alpha_mags):
             raise ConfigError(f"sweep.alpha_mags: magnitudes must be finite and positive, got {self.alpha_mags}")
+        # each magnitude is swept against beta, and its photon number must be finite too
+        if not all(m * m + mags["beta"] * mags["beta"] < math.inf for m in self.alpha_mags):
+            raise ConfigError(f"sweep.alpha_mags: mag^2 + |beta|^2 overflows a float, got {self.alpha_mags}")
         self.integrator()  # checks the [numerics] step factors
 
     def integrator(self) -> IntegratorConfig:

@@ -90,6 +90,13 @@ def _check(name: str, observed: float, comparison: str, threshold: float, note: 
     return Verdict(name=name, passed=bool(ok), observed=float(observed), threshold=float(threshold), comparison=comparison, note=note)
 
 
+def _decided(name: str, passed: bool, observed: float, comparison: str, threshold: float, note: str = "") -> Verdict:
+    """A verdict whose outcome the caller decided; it FAILs on a non-finite
+    observation, which no outcome can rest on."""
+    return Verdict(name=name, passed=bool(passed) and math.isfinite(observed), observed=float(observed),
+                   threshold=float(threshold), comparison=comparison, note=note)
+
+
 @dataclass
 class Table:
     """A header and a list of column blocks.  A block holds one column per
@@ -483,13 +490,13 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
             if not 0.9 * threshold < measured < 1.1 * threshold:
                 expect_crossed = d * mag * ratio >= threshold
                 report.verdicts.append(
-                    Verdict(
-                        name=f"threshold_crossing_delta_{d:g}_alpha_{mag:g}",
-                        passed=crossed == expect_crossed,
-                        observed=float(measured),
-                        threshold=threshold,
-                        comparison=">=" if expect_crossed else "<=",
-                        note="crossing point follows the delta*|alpha| law",
+                    _decided(
+                        f"threshold_crossing_delta_{d:g}_alpha_{mag:g}",
+                        crossed == expect_crossed,
+                        measured,
+                        ">=" if expect_crossed else "<=",
+                        threshold,
+                        "crossing point follows the delta*|alpha| law",
                     )
                 )
         if len(ratios) >= 2:

@@ -386,6 +386,10 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         ("swap", "[run]\nkind = swap\nmodels = qg_full\n[state]\nalpha = 1.7e308\n", "state.alpha"),
         ("swap", "[run]\nkind = swap\n[state]\nalpha = 1e200\n", "state.alpha"),
         ("swap", "[run]\nkind = swap\n[state]\nalpha = 1\nbeta = 1e200\n", "state.beta"),
+        # a swept magnitude whose photon number mag^2 + |beta|^2 overflows: rows of nan
+        ("rwa-validity", "[run]\nkind = rwa_validity\n[sweep]\nalpha_mags = 1, 1.7e308\n", "sweep.alpha_mags"),
+        ("rwa-validity", "[run]\nkind = rwa_validity\n[state]\nbeta = 1e154\n[sweep]\nalpha_mags = 1e154\n",
+         "sweep.alpha_mags"),
         # an infinite RK step is refused at the parse, before any oracle steps
         ("swap", "[run]\nkind = swap\noracle = ode\n[numerics]\nrk_step_factor = inf\n", "numerics.rk_step_factor"),
     ],
@@ -418,6 +422,8 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         "alpha_overflow_qg_full",
         "alpha_overflow",
         "beta_overflow",
+        "alpha_mags_overflow",
+        "alpha_mags_overflow_with_beta",
         "rk_step_factor_inf",
     ],
 )
@@ -446,6 +452,15 @@ def test_cli_runs_largest_finite_pair(tmp_path, capsys):
     assert csvs and (tmp_path / "r" / "manifest.txt").exists()
     for csv in csvs:
         assert "nan" not in csv.read_text().lower(), csv.name
+
+
+def test_cli_sweeps_largest_finite_magnitude(tmp_path, capsys):
+    # 1.34e154^2 = 1.8e308 is still finite: the sweep runs clean, no nan cell
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text("[run]\nkind = rwa_validity\n[sweep]\nalpha_mags = 1, 1.34e154\n")
+    assert cli_main(["rwa-validity", "--config", str(cfg_path), "--out", str(tmp_path / "r")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert "nan" not in (tmp_path / "r" / "validity.csv").read_text().lower()
 
 
 def _refuse_allocation(*args, **kwargs):

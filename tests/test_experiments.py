@@ -216,6 +216,27 @@ def test_rwa_validity_sweeps_past_the_corrected_form_limit():
     assert _verdict(report, "deviation_law_delta_0.3_alpha_2").passed
 
 
+@pytest.mark.parametrize("observed", [math.nan, math.inf, -math.inf])
+def test_decided_verdict_fails_on_a_non_finite_observation(observed):
+    v = experiments._decided("threshold_crossing", True, observed, "<=", 1.0, "note")
+    assert not v.passed
+    assert (v.comparison, v.threshold, v.note) == ("<=", 1.0, "note")
+    assert experiments._decided("threshold_crossing", True, 0.5, "<=", 1.0).passed
+
+
+def test_threshold_crossing_fails_on_a_nan_deviation(monkeypatch):
+    # a nan deviation is neither crossed nor expected to cross: the outcome
+    # agrees, yet nothing was measured
+    def nan_terms(a0, b0, tau, params):
+        return np.full(len(tau), math.nan), np.full(len(tau), math.nan)
+
+    monkeypatch.setattr(experiments, "counter_rotating_terms", nan_terms)
+    report = run_rwa_validity(ExperimentConfig(kind="rwa_validity", deltas=(0.01,), alpha_mags=(1.0,)))
+    v = _verdict(report, "threshold_crossing_delta_0.01_alpha_1")
+    assert not v.passed and math.isnan(v.observed)
+    assert (v.comparison, v.threshold) == ("<=", 1.0)
+
+
 def test_feasibility_presets_and_synthetic():
     cfg = ExperimentConfig(
         kind="feasibility",

@@ -1,5 +1,5 @@
 """fork_map runs the independent parts of an experiment in forked processes:
-the grid run of each model, and each group of report CSV files.  The
+the grid run of each model, and each process's rows of the report CSV files.  The
 reports, errors and exit codes are the same as when every part runs in one
 process, and no child outlives the call."""
 
@@ -14,7 +14,7 @@ import gravswap.report
 from gravswap import EvolutionError, ExperimentConfig, Platform, emit_report, run_swap
 from gravswap.cli import main as cli_main
 from gravswap.experiments import cpu_count, fork_map
-from gravswap.report import csv_groups
+from gravswap.report import CSV_CHUNK_ROWS, csv_spans
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux" or not hasattr(os, "fork"), reason="needs os.fork on Linux")
 
@@ -103,33 +103,53 @@ def test_parent_item_failure_kills_and_reaps_children(monkeypatch):
 @pytest.mark.parametrize(
     "argv, forks",
     [
-        (["cat-state"], 1),  # the quantum and mean-field runs; entropy.csv is one group
-        (["swap", "--oracle", "all"], 3),  # three models' grid runs, and two CSV groups
+        (["cat-state"], 1),  # the quantum and mean-field runs; entropy.csv's 122 rows are one chunk
+        (["swap", "--oracle", "all"], 3),  # three models' grid runs, and one CSV child: moments.csv spans three chunks
     ],
 )
 def test_forked_report_is_byte_identical(tmp_path, monkeypatch, argv, forks):
+    csv_forks = {"cat-state": 0, "swap": 1}[argv[0]]
     _cpus(monkeypatch, 1)
     assert cli_main(argv + ["--out", str(tmp_path / "serial")]) == 0
     _cpus(monkeypatch, 2)
     counted = _count_forks(monkeypatch)
+    csv_workers = []
+
+    def fork_map_csv(fn, workers):
+        csv_workers.extend(workers)
+        return fork_map(fn, workers)
+
+    monkeypatch.setattr(gravswap.report, "fork_map", fork_map_csv)
     assert cli_main(argv + ["--out", str(tmp_path / "forked")]) == 0
     assert len(counted) == forks
+    assert len(csv_workers) - 1 == csv_forks
     assert _files(tmp_path / "forked") == _files(tmp_path / "serial")
 
 
-def test_forked_emission_spans_both_groups(tmp_path, monkeypatch):
-    report = run_swap(ExperimentConfig(kind="swap", platform=Platform(delta=0.05), samples=12, random_pairs=5))
-    groups = csv_groups(report.tables, 2)
-    assert len(groups) == 2 and sorted(sum(groups, [])) == sorted(report.tables)
-    assert groups[0] == ["moments"]  # the largest table is balanced against the rest
+def _part_files(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.startswith("."))
+
+
+def test_csv_spans_split_chunks_in_order():
+    c = CSV_CHUNK_ROWS
+    assert csv_spans(0, 2) == [range(0, 0), range(0, 0)]
+    assert csv_spans(c, 3) == [range(0, c), range(c, c), range(c, c)]  # one chunk stays whole
+    assert csv_spans(3 * c - 5, 2) == [range(0, 2 * c), range(2 * c, 3 * c - 5)]
+    assert csv_spans(4 * c + 1, 3) == [range(0, 2 * c), range(2 * c, 4 * c), range(4 * c, 4 * c + 1)]
+
+
+def test_forked_emission_splits_each_table_by_rows(tmp_path, monkeypatch):
+    # moments.csv holds 3 models x (400 closed + 402 ode) rows, three chunks
+    report = run_swap(ExperimentConfig(kind="swap", platform=Platform(delta=0.05), oracle="ode", random_pairs=5))
     _cpus(monkeypatch, 1)
     serial = emit_report(report, tmp_path / "serial")
     _cpus(monkeypatch, 2)
     counted = _count_forks(monkeypatch)
     forked = emit_report(report, tmp_path / "forked")
     assert len(counted) == 1
-    assert [p.name for p in forked] == [p.name for p in serial]
+    assert forked == [tmp_path / "forked" / p.name for p in serial]
     assert _files(tmp_path / "forked") == _files(tmp_path / "serial")
+    assert _part_files(tmp_path / "forked") == []
 
 
 @pytest.mark.parametrize("argv", [["swap", "--oracle", "grid"], ["cat-state"]])
@@ -157,21 +177,40 @@ def test_second_model_failure_exits_2_with_the_same_error(tmp_path, monkeypatch,
     assert errors[0] == errors[1] == "error: refused the run of sceg\n"
 
 
-def test_child_write_failure_leaves_no_manifest(tmp_path, monkeypatch):
-    report = run_swap(ExperimentConfig(kind="swap", platform=Platform(delta=0.05), samples=12))
-    out = tmp_path / "out"
-    emit_report(report, out)
-    child_table = csv_groups(report.tables, 2)[1][0]
+def _failing_write_csv(monkeypatch, in_child: bool):
+    """write_csv that raises OSError after writing its rows of moments.csv,
+    in a forked child or in this process."""
+    parent = os.getpid()
     real = gravswap.report.write_csv
 
-    def write_csv(table, fh, *args):
-        if table.name == child_table:
+    def write_csv(table, fh, lo, hi):
+        real(table, fh, lo, hi)
+        if table.name == "moments" and (os.getpid() != parent) == in_child:
             raise OSError(f"No space left on device (pid {os.getpid()})")
-        real(table, fh, *args)
 
     monkeypatch.setattr(gravswap.report, "write_csv", write_csv)
+
+
+def _emitted_then_failing(tmp_path, monkeypatch, in_child: bool):
+    # 3 models x 2 modes x 1000 samples: moments.csv spans six chunks, three per process
+    report = run_swap(ExperimentConfig(kind="swap", platform=Platform(delta=0.05), samples=1000))
+    out = tmp_path / "out"
+    emit_report(report, out)
+    _failing_write_csv(monkeypatch, in_child)
     _cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="No space left on device") as failure:
         emit_report(report, out)
-    assert f"(pid {os.getpid()})" not in str(failure.value)  # raised in the child
     assert not (out / "manifest.txt").exists()
+    assert _part_files(out) == []
+    return str(failure.value)
+
+
+def test_child_write_failure_leaves_no_manifest(tmp_path, monkeypatch):
+    error = _emitted_then_failing(tmp_path, monkeypatch, in_child=True)
+    assert f"(pid {os.getpid()})" not in error  # raised in the child
+
+
+def test_parent_write_failure_leaves_no_part(tmp_path, monkeypatch):
+    # the child is killed, and the part it wrote is deleted
+    error = _emitted_then_failing(tmp_path, monkeypatch, in_child=False)
+    assert f"(pid {os.getpid()})" in error

@@ -1,21 +1,27 @@
 """write_csv streams a table block by block, a fixed number of rows at a
-time, through one %-format per block derived from its column dtypes; over
+time, through one %-format per chunk derived from its column dtypes; over
 generated tables that span several chunks that must give exactly the
-per-value `_fmt` text.  A block that does not fit the header is refused when
-it is added, and emission of the largest benchmark report holds only a chunk
-of text at a time."""
+per-value `_fmt` text.  emit_report splits every table by rows between the
+CPUs and writes the same bytes as one write_csv per table, leaving no part
+file.  A block that does not fit the header is refused when it is added, and
+emission of the largest benchmark report holds only a chunk of text at a
+time."""
 
 import io
 import math
+import os
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gravswap.report
 from gravswap import ExperimentConfig, Platform, run_swap
-from gravswap.experiments import Table
+from gravswap.experiments import ExperimentReport, Table
 from gravswap.report import _fmt, emit_report, write_csv
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
@@ -58,20 +64,64 @@ def chunked_tables(draw):
     return table, chunk_rows, "\n".join(lines) + "\n"
 
 
-def _streamed(table, *chunk_rows):
+def _streamed(table, lo=0, hi=None):
     out = io.StringIO()
-    write_csv(table, out, *chunk_rows)
+    write_csv(table, out, lo, hi)
     return out.getvalue()
 
 
 @PROPERTY_SETTINGS
-@given(chunked_tables())
-def test_render_csv_matches_per_value_text(case):
+@given(chunked_tables(), st.data())
+def test_render_csv_matches_per_value_text(case, data):
     table, chunk_rows, expected = case
-    assert _streamed(table, chunk_rows) == expected
+    n_rows = len(table.rows)
+    cut = data.draw(st.integers(min_value=1, max_value=n_rows))  # the header goes with row 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gravswap.report, "CSV_CHUNK_ROWS", chunk_rows)
+        assert _streamed(table) == expected
+        # any two runs of rows, end to end, make the whole
+        assert _streamed(table, 0, cut) + _streamed(table, cut, n_rows) == expected
     # the row tuples hold the values the text was made from
     rows = [",".join(table.columns)] + [",".join(_fmt(v) for v in row) for row in table.rows]
     assert "\n".join(rows) + "\n" == expected
+
+
+@st.composite
+def split_reports(draw):
+    """A chunk size and a report of one to three generated tables whose blocks
+    (empty, one-value and mixed-dtype ones) total around multiples of the
+    chunk size."""
+    chunk_rows = draw(st.integers(min_value=1, max_value=4))
+    # k chunks and one row less, none or one more: 0 for an empty block
+    lengths = st.builds(lambda k, e: max(0, k * chunk_rows + e), st.integers(0, 4), st.sampled_from([-1, 0, 1]))
+    report = ExperimentReport(kind="swap", config=ExperimentConfig(), version="test", tables={}, verdicts=[],
+                              notes=[], figures=[])
+    for t in range(draw(st.integers(min_value=1, max_value=3))):
+        width = draw(st.integers(min_value=1, max_value=3))
+        table = report.tables[f"t{t}"] = Table(name=f"t{t}", columns=tuple(f"c{i}" for i in range(width)))
+        for n in draw(st.lists(lengths, max_size=3)):
+            kinds = [draw(st.sampled_from(COLUMN_KINDS)) for _ in range(width)]
+            values = [draw(st.lists(strategy, min_size=n, max_size=n)) for strategy, _ in kinds]
+            table.add(*(build(vs) for (_, build), vs in zip(kinds, values)))
+        if draw(st.booleans()):
+            table.add_row(*(draw(draw(st.sampled_from(COLUMN_KINDS))[0]) for _ in range(width)))
+    return chunk_rows, report
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_reports())
+def test_split_emission_writes_each_table_whole(case):
+    chunk_rows, report = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gravswap.report, "CSV_CHUNK_ROWS", chunk_rows)
+        whole = {f"{name}.csv": _streamed(table).encode("utf-8") for name, table in report.tables.items()}
+        for n in (1, 2, 3):
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            with tempfile.TemporaryDirectory() as out:
+                emit_report(report, out)
+                files = {p.name: p for p in Path(out).iterdir()}
+                assert set(files) == set(whole) | {"config.echo.txt", "plots.json", "summary.txt", "manifest.txt"}
+                assert {name: files[name].read_bytes() for name in whole} == whole
 
 
 def test_table_refuses_a_block_that_does_not_fit():
