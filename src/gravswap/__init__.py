@@ -43,9 +43,9 @@ _EXPORTS = {
         "uncertainty_product",
     ),
     "analytic": (
-        "CoherenceResult", "CorrectedDisplacement", "QuadraticHamiltonian", "coherence_check",
-        "mode_hamiltonians", "phase_corrected_pair", "propagate_corrected_displacement", "propagate_moments",
-        "propagate_rwa_lab_displacement", "template_moment_rhs",
+        "CorrectedDisplacement", "QuadraticHamiltonian", "mode_hamiltonians", "phase_corrected_pair",
+        "propagate_corrected_displacement", "propagate_moments", "propagate_rwa_lab_displacement",
+        "template_moment_rhs",
     ),
     "moments_ode": ("IntegrationError", "MomentSeries", "StepUnderflowError", "ToleranceError", "integrate_moments"),
     "grid": (

@@ -2,19 +2,21 @@
 
 Models (all quadratic, all separable in the normal modes x_pm):
 
-    QG_FULL   exact expanded pair potential: per-mode frequency Omega_pm =
-              omega K_pm with K_pm = sqrt(1 +/- 2 delta); the momentum term
-              keeps the bare mass, so widths breathe at 2 Omega_pm.
+    QG_FULL   exact expanded pair potential: per-mode frequency K_pm =
+              sqrt(1 +/- 2 delta); the momentum term keeps the bare mass,
+              so widths breathe at 2 K_pm.
     QG_RWA    number-conserving truncation: both quadratures scale with
-              k_pm = 1 +/- delta, giving per-mode frequency omega k_pm and
+              k_pm = 1 +/- delta, giving per-mode frequency k_pm and
               exactly constant widths (coherent states stay coherent).
     SCEG      mean-field (Schroedinger-Newton) coupling: first moments obey
               the same equations as QG_FULL, but the mean-field term is
               linear in x so the widths evolve under the bare oscillator
               and stay constant for coherent inputs.
 
-Every per-mode Hamiltonian fits the template H = A p^2 + B x^2 + C <x> x
-(dimensionless, hbar = m = 1, time scaled by omega), whose moment equations
+Frequencies are in units of omega and every time argument is the scaled
+time tau = omega t.  Every per-mode Hamiltonian fits the template
+H = A p^2 + B x^2 + C <x> x (dimensionless, hbar = m = omega = 1), whose
+moment equations
 
     d<x>/dt = 2A<p>          dV_xx/dt = 4A V_xp
     d<p>/dt = -2B<x> - C<x>_mf   dV_pp/dt = -4B V_xp
@@ -23,11 +25,6 @@ Every per-mode Hamiltonian fits the template H = A p^2 + B x^2 + C <x> x
 are independent of the linear coefficient C; that independence is why the
 mean-field model cannot touch second moments.  Closed forms below are the
 symplectic rotation generated by those equations.
-
-A quadratic Hamiltonian preserves coherence of coherent states when its
-counter-rotating (two-quantum) ladder coefficient vanishes, i.e. when the
-position and momentum quadratic terms are balanced against the reference
-mode frequency; `coherence_check` measures exactly that coefficient.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ import numpy as np
 from .params import DimensionlessParams, ModelKind, ParameterError
 from .states import SQRT2, check_moments, from_normal_modes, to_normal_modes
 
-COHERENCE_RESIDUAL_TOL = 1e-12
 CORRECTED_DELTA_LIMIT = 0.2
 
 
@@ -85,27 +81,6 @@ def mode_hamiltonians(
     raise ParameterError(f"unknown model {model!r}")
 
 
-@dataclass(frozen=True)
-class CoherenceResult:
-    preserved: bool
-    residual: float
-
-
-def coherence_check(h: QuadraticHamiltonian, reference_frequency: float = 1.0) -> CoherenceResult:
-    """Coefficient of the two-quantum (counter-rotating) ladder term of h,
-    normalized by the number-operator coefficient, both in the ladder basis of
-    an oscillator at `reference_frequency`.  Zero residual means coherent
-    states stay coherent under h; the linear mean-field term never
-    contributes."""
-    w = reference_frequency
-    if not (math.isfinite(w) and w > 0):
-        raise ParameterError(f"reference_frequency must be positive, got {w!r}")
-    counter_rotating = h.B / (2.0 * w) - h.A * w / 2.0
-    number_coeff = h.B / w + h.A * w
-    residual = counter_rotating / number_coeff
-    return CoherenceResult(preserved=abs(residual) <= COHERENCE_RESIDUAL_TOL, residual=residual)
-
-
 def template_moment_rhs(h: QuadraticHamiltonian, m, mean_field_x: float = 0.0) -> tuple:
     """Moment equations of the template Hamiltonian: the time derivative of
     one mode's record (mean_x, mean_p, v_xx, v_pp, v_xp), as a 5-tuple.
@@ -123,14 +98,14 @@ def template_moment_rhs(h: QuadraticHamiltonian, m, mean_field_x: float = 0.0) -
 
 
 def propagate_rwa_lab_displacement(alpha, beta, t, params: DimensionlessParams) -> tuple:
-    """Lab amplitudes under the number-conserving model: a carrier rotation at
-    omega times a beat at omega_g that feeds each oscillator's amplitude into
-    the other.  Identical to the lab means of the QG_RWA normal modes of
-    `propagate_moments`, each a pure phase rotation at omega k_pm, but keeps
-    the fast and slow phases separate so the beat survives float rounding
-    even at extreme fast-phase values.  Amplitudes and times broadcast
-    against each other as arrays."""
-    tau = params.omega * np.asarray(t, dtype=np.float64)
+    """Lab amplitudes at scaled times `t` under the number-conserving
+    model: a carrier rotation at the trap frequency times a beat at delta that
+    feeds each oscillator's amplitude into the other.  Identical to the lab means of the
+    QG_RWA normal modes of `propagate_moments`, each a pure phase rotation at
+    k_pm, but keeps the fast and slow phases separate so the beat survives
+    float rounding even at extreme fast-phase values.  Amplitudes and times
+    broadcast against each other as arrays."""
+    tau = np.asarray(t, dtype=np.float64)
     theta_g = params.delta * tau
     carrier = np.exp(-1j * tau)
     cg = np.cos(theta_g)
@@ -161,7 +136,7 @@ class CorrectedDisplacement:
 
 def counter_rotating_terms(a, b, tau, params: DimensionlessParams) -> tuple:
     """The lab-frame amplitude terms (corr_1, corr_2) the number-conserving
-    truncation drops, at scaled times `tau` = omega t, for normal-mode
+    truncation drops, at scaled times `tau`, for normal-mode
     amplitudes (a, b) at t = 0; arrays broadcast:
 
         corr_1 = i (conj(a) sin(k_+ tau) - conj(b) sin(k_- tau)) / sqrt(2)
@@ -179,12 +154,12 @@ def counter_rotating_terms(a, b, tau, params: DimensionlessParams) -> tuple:
 def propagate_corrected_displacement(
     a: complex, b: complex, t, params: DimensionlessParams
 ) -> CorrectedDisplacement:
-    """Displacement evolution at the time(s) `t` (any array shape), keeping
-    the first-order amplitude corrections that the number-conserving
+    """Displacement evolution at the scaled time(s) `t` (any array shape),
+    keeping the first-order amplitude corrections that the number-conserving
     truncation drops:
 
-        a(t) = a e^{-i omega_+ t} - i delta conj(a) sin(omega_+ t)
-        b(t) = b e^{-i omega_- t} + i delta conj(b) sin(omega_- t)
+        a(t) = a e^{-i k_+ t} - i delta conj(a) sin(k_+ t)
+        b(t) = b e^{-i k_- t} + i delta conj(b) sin(k_- t)
 
     Valid for delta < 0.2 (first order in delta)."""
     d = params.delta
@@ -192,7 +167,7 @@ def propagate_corrected_displacement(
         raise ParameterError(
             f"corrected displacement is a first-order-in-delta form; delta = {d!r} >= {CORRECTED_DELTA_LIMIT}"
         )
-    tau = params.omega * np.asarray(t, dtype=np.float64)
+    tau = np.asarray(t, dtype=np.float64)
     corr_1, corr_2 = counter_rotating_terms(a, b, tau, params)
     # normal-mode image of the corrections: i conj(a) sin(k_+ tau), -i conj(b) sin(k_- tau)
     da, db = to_normal_modes(corr_1, corr_2)
@@ -235,18 +210,18 @@ def _evolve_mode(
 
 
 def propagate_moments(model: ModelKind, init, times, params: DimensionlessParams) -> np.ndarray:
-    """Closed-form moment records (n, 2, 5) at each of the n `times`, from the
-    record `init` (2, 5).
+    """Closed-form moment records (n, 2, 5) at each of the n scaled `times`,
+    from the record `init` (2, 5).
 
-    QG_RWA rotates means and covariance at omega k_pm with the bare
-    impedance.  QG_FULL rotates both at Omega_pm with impedance K_pm, which
+    QG_RWA rotates means and covariance at k_pm with the bare
+    impedance.  QG_FULL rotates both at K_pm with impedance K_pm, which
     makes initially coherent widths breathe between 1/2 and 1/(2 K_pm^2).
     SCEG shares QG_FULL's mean map but rotates the covariance at the bare
     frequency, leaving coherent widths constant."""
     init = check_moments(init)
     if init.shape != (2, 5):
         raise ParameterError(f"init: need one pair record of shape (2, 5), got {init.shape}")
-    tau = params.omega * np.atleast_1d(np.asarray(times, dtype=np.float64))
+    tau = np.atleast_1d(np.asarray(times, dtype=np.float64))
     if model is ModelKind.QG_RWA:
         kp, km = params.k_plus, params.k_minus
         plus = _evolve_mode(init[0], kp * tau, 1.0, kp * tau, 1.0)
@@ -264,15 +239,9 @@ def propagate_moments(model: ModelKind, init, times, params: DimensionlessParams
     return check_moments(np.stack((plus, minus), axis=-2))
 
 
-def swap_phase_factor(t: float, params: DimensionlessParams) -> complex:
-    """Phase i e^{i omega t} that undoes the carrier rotation and the beat's
-    quarter-cycle phase; at the swap time it maps the evolved pair exactly
-    onto the swapped input pair."""
-    return 1j * cmath.exp(1j * params.omega * t)
-
-
-def phase_corrected_pair(
-    pair: tuple[complex, complex], t: float, params: DimensionlessParams
-) -> tuple[complex, complex]:
-    f = swap_phase_factor(t, params)
+def phase_corrected_pair(pair: tuple[complex, complex], t: float) -> tuple[complex, complex]:
+    """The pair times the phase i e^{i t} that undoes the carrier rotation and
+    the beat's quarter-cycle phase; at the swap time t it maps the evolved
+    pair exactly onto the swapped input pair."""
+    f = 1j * cmath.exp(1j * t)
     return (f * pair[0], f * pair[1])

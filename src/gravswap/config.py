@@ -40,7 +40,6 @@ from .params import (
     PhysicalParams,
     PLATFORM_PRESETS,
     derive_dimensionless,
-    swap_time,
 )
 
 # Budgets of the two sampled counts.  A swap sample costs about 0.8 kB of
@@ -64,21 +63,24 @@ class Platform:
     name: str = "params"
     physical: PhysicalParams | None = None
     delta: float | None = None
-    omega: float = 1.0
 
     def __post_init__(self) -> None:
         if (self.physical is None) == (self.delta is None):
             raise ConfigError(f"platform {self.name!r}: give SI parameters or a direct delta, not both")
 
     def dimensionless(self) -> DimensionlessParams:
-        """The platform's coupling; a positive one must give a finite swap time."""
-        if self.physical is not None:
-            params = derive_dimensionless(self.physical)
+        """The platform's coupling.  A positive one must give a finite swap
+        time pi/(2 delta), and SI parameters one in seconds too."""
+        if self.physical is None:
+            params, omega = DimensionlessParams(delta=self.delta), 1.0
         else:
-            params = DimensionlessParams(delta=self.delta, omega=self.omega)
-        # a direct delta may be zero (no coupling); the SI keys give zero only by underflow
-        if (params.delta > 0 or self.physical is not None) and swap_time(params) == math.inf:
-            raise ParameterError(f"params.delta: {params.delta!r} is too small: swap time pi/(2 delta omega) is inf")
+            params, omega = derive_dimensionless(self.physical), self.physical.omega
+        # pi/(2 rate) is the longer of pi/(2 delta) and the seconds pi/(2 delta
+        # omega); a direct delta may be zero (no coupling), the SI keys give
+        # zero only by underflow
+        rate = params.delta * min(omega, 1.0)
+        if (params.delta > 0 or self.physical is not None) and not (rate > 0 and math.pi / (2.0 * rate) < math.inf):
+            raise ParameterError(f"params.delta: {params.delta!r} is too small: the swap time overflows a float")
         return params
 
 
@@ -233,7 +235,7 @@ CONFIG_KEYS = (
 # the field it sets, in echo order: the SI keys set a PhysicalParams, the
 # direct keys the coupling of a Platform.
 SI_FIELDS = {"mass_kg": "mass", "omega_rad_s": "omega", "separation_m": "separation"}
-_DIRECT_FIELDS = {"delta": "delta", "omega": "omega"}
+_DIRECT_FIELDS = {"delta": "delta"}
 _PARAMS_KEYS = {"preset", *SI_FIELDS, *_DIRECT_FIELDS}
 
 # the kinds that read no [params] block, each with where its couplings come from
@@ -340,7 +342,7 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
 def _build_platform(path: str, keys: dict[str, str]) -> Platform:
     """The Platform of the [params] block or of a [platform:NAME] section,
     with its coupling checked.  It takes one of three parameterizations:
-    `preset`; the SI keys; or `delta`, with optional `omega`.  A key of any
+    `preset`; the SI keys; or `delta`.  A key of any
     other parameterization is refused by name, and so is a value out of
     range."""
     if "preset" in keys:

@@ -314,7 +314,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
 
             alpha_T, beta_T, width_dev = _amplitudes_from_pair(records[-1])
             raw = two_mode_overlap((alpha_T, beta_T), target)
-            corrected_pair = phase_corrected_pair((alpha_T, beta_T), T, params)
+            corrected_pair = phase_corrected_pair((alpha_T, beta_T), T)
             corrected = two_mode_overlap(corrected_pair, target)
             deviation = math.hypot(abs(corrected_pair[0] - target[0]), abs(corrected_pair[1] - target[1]))
             fidelity_table.add_row(model.value, method, raw, corrected, deviation, width_dev)
@@ -387,8 +387,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         diff_t = np.max(
             np.abs(closed_means[ModelKind.QG_RWA] - closed_means[ModelKind.QG_FULL]), axis=(1, 2)
         )
-        taus = times * params.omega
-        budget = math.sqrt(2.0) * (abs(a0) + abs(b0)) * (1.5 * d + 1.5 * d * d * taus) + 1e-12
+        budget = math.sqrt(2.0) * (abs(a0) + abs(b0)) * (1.5 * d + 1.5 * d * d * times) + 1e-12
         excess = float(np.max(diff_t / budget))
         report.verdicts.append(
             _check(
@@ -410,7 +409,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         draws = np.random.default_rng(cfg.seed).uniform(-3.0, 3.0, size=(cfg.random_pairs, 4))
         al, be = draws.view(np.complex128).T
         final = propagate_rwa_lab_displacement(al, be, T, params)
-        fid = two_mode_overlap(phase_corrected_pair(final, T, params), (be, al))
+        fid = two_mode_overlap(phase_corrected_pair(final, T), (be, al))
         rnd_table.add(np.arange(cfg.random_pairs), *draws.T, fid)
         report.verdicts.append(
             _check("random_pair_swap_fidelity", fid.min(), ">=", 1.0 - SWAP_FIDELITY)
@@ -656,7 +655,9 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_feasibility(cfg: ExperimentConfig) -> ExperimentReport:
     """Tabulate the coupling ladder and swap time per platform; flag swap
-    times beyond the practicality cutoff."""
+    times beyond the practicality cutoff.  The one report in seconds: the
+    trap frequency comes from the SI parameters, or is 1 rad/s for a direct
+    delta."""
     report = _report(cfg)
     table = _add_table(
         report,
@@ -677,41 +678,27 @@ def run_feasibility(cfg: ExperimentConfig) -> ExperimentReport:
     )
     for platform in cfg.platforms:
         dp = platform.dimensionless()
-        T = swap_time(dp)
-        if platform.physical is not None:
-            p = platform.physical
-            osc_len = p.oscillator_length
-            row = (
-                platform.name,
-                p.mass,
-                p.omega,
-                p.separation,
-                p.lam,
-                p.omega_g,
-                dp.delta,
-                T,
-                osc_len,
-                math.sqrt(2.0) * osc_len * abs(complex(cfg.alpha)),
-                int(T > IMPRACTICAL_SWAP_SECONDS),
-            )
-        else:
-            row = (
-                platform.name,
-                math.nan,
-                dp.omega,
-                math.nan,
-                math.nan,
-                dp.omega_g,
-                dp.delta,
-                T,
-                math.nan,
-                math.nan,
-                int(T > IMPRACTICAL_SWAP_SECONDS),
-            )
-        table.add_row(*row)
+        p = platform.physical
+        omega = p.omega if p else 1.0  # rad/s; a direct delta is taken at 1 rad/s
+        rate = dp.delta * omega  # omega_g
+        T = math.pi / (2.0 * rate) if rate else math.inf  # swap time in seconds
+        osc_len = p.oscillator_length if p else math.nan
+        table.add_row(
+            platform.name,
+            p.mass if p else math.nan,
+            omega,
+            p.separation if p else math.nan,
+            p.lam if p else math.nan,
+            p.omega_g if p else rate,
+            dp.delta,
+            T,
+            osc_len,
+            math.sqrt(2.0) * osc_len * abs(complex(cfg.alpha)),
+            int(T > IMPRACTICAL_SWAP_SECONDS),
+        )
         if platform.name == "ca40_ion":
             report.verdicts.append(
-                _check("ca40_ion_omega_g_order_of_magnitude", abs(math.log10(dp.omega_g / 1e-12)), "<=", 1.0,
+                _check("ca40_ion_omega_g_order_of_magnitude", abs(math.log10(rate / 1e-12)), "<=", 1.0,
                        "exchange rate within one decade of 1e-12 Hz")
             )
             report.verdicts.append(

@@ -482,8 +482,9 @@ def split_step_evolve(
     n_samples: int = 50,
     record_entropy: bool = False,
 ) -> GridEvolution:
-    """Split-operator evolution of `w` (not mutated) under `model`, in SBAB2
-    steps with their corrector (two kinetic FFT round trips per step).
+    """Split-operator evolution of `w` (not mutated) under `model` over
+    [0, t_final], in units of 1/omega, in SBAB2 steps with their corrector
+    (two kinetic FFT round trips per step).
 
     Observables are recorded at n_samples step boundaries including both
     endpoints; a run takes at least n_samples - 1 steps, so no two records
@@ -499,8 +500,7 @@ def split_step_evolve(
     kicks, flows, corrector = _SBAB2
     n_samples = max(2, n_samples)
     spec = w.spec
-    tau_final = t_final * params.omega
-    steps = max(cfg.grid_steps(tau_final, params), n_samples - 1) if tau_final > 0.0 else 0
+    steps = max(cfg.grid_steps(t_final, params), n_samples - 1) if t_final > 0.0 else 0
     x = spec.x_axis()
     delta = params.delta
     rwa = model is ModelKind.QG_RWA
@@ -541,7 +541,7 @@ def split_step_evolve(
             )
         state["max_boundary"] = max(state["max_boundary"], frac)
         state["max_p_boundary"] = max(state["max_p_boundary"], p_frac)
-        times.append(tau / params.omega)
+        times.append(tau)
         moments.append(pair)
         if record_entropy:
             sr = schmidt_entropy(cur)
@@ -559,7 +559,7 @@ def split_step_evolve(
     record(0.0)
 
     if steps:
-        h = tau_final / steps
+        h = t_final / steps
         x1, x2 = x.reshape((-1, 1)), x.reshape((1, -1))
         p = spec.p_axis()
         p1, p2 = p.reshape((-1, 1)), p.reshape((1, -1))

@@ -25,6 +25,9 @@ from .params import DimensionlessParams, IntegratorConfig, ParameterError
 from .states import check_moments
 
 MAX_STEPS = 100_000_000
+# The bound on the accumulated error that the step-doubling estimate at the
+# start point projects over the run.
+RK_TOL = 1e-8
 # A matrix step and a direct step from the same record agree to rounding (at
 # most 2.3e-16 relative over random records, delta 0.01 to 0.2); a nonlinear
 # right-hand side misses by far more.
@@ -46,7 +49,7 @@ class ToleranceError(IntegrationError):
 @dataclass
 class MomentSeries:
     """Sampled trajectory of per-mode moments: records (n, 2, 5) at the
-    physical `times` (n,)."""
+    scaled `times` (n,)."""
 
     times: np.ndarray
     moments: np.ndarray
@@ -92,11 +95,11 @@ def integrate_moments(
     n_samples: int = 200,
 ) -> MomentSeries:
     """Integrate the per-mode moment equations from the record `init` (2, 5)
-    over [0, t_final].
+    over [0, t_final], in units of 1/omega.
 
     Samples are taken at integer step boundaries closest to a uniform grid of
     `n_samples` points (endpoints always included).  Raises ToleranceError if
-    a step-doubling estimate of the accumulated error exceeds cfg.rk_tol,
+    a step-doubling estimate of the accumulated error exceeds RK_TOL,
     StepUnderflowError if the requested span needs an absurd step count, and
     IntegrationError if the equations turn out not to be linear.
     """
@@ -106,28 +109,27 @@ def integrate_moments(
     rhs = _make_rhs(model, params)
     y0 = check_moments(init).reshape(10)
     y = tuple(y0.tolist())
-    tau_final = t_final * params.omega
-    if tau_final == 0.0:
+    if t_final == 0.0:
         return MomentSeries(times=np.array([0.0]), moments=y0.reshape((1, 2, 5)).copy())
 
     h_target = cfg.rk_step(params)
-    steps = max(1, math.ceil(tau_final / h_target))
+    steps = max(1, math.ceil(t_final / h_target))
     if steps > MAX_STEPS:
         raise StepUnderflowError(
             f"numerics.rk_step_factor: step size {h_target!r} implies {steps} steps over span "
-            f"{tau_final!r}, beyond the budget of {MAX_STEPS}"
+            f"{t_final!r}, beyond the budget of {MAX_STEPS}"
         )
-    h = tau_final / steps
-    if tau_final + h == tau_final:
+    h = t_final / steps
+    if t_final + h == t_final:
         raise StepUnderflowError("numerics.rk_step_factor: step size underflows the time span")
 
     # One-off accumulated-error estimate by step doubling at the start point.
     coarse = _rk4_step(rhs, y, h)
     fine = _rk4_step(rhs, _rk4_step(rhs, y, 0.5 * h), 0.5 * h)
     local_err = max(abs(c - f) for c, f in zip(coarse, fine)) / 15.0
-    if local_err * steps > cfg.rk_tol:
+    if local_err * steps > RK_TOL:
         raise ToleranceError(
-            f"estimated accumulated error {local_err * steps:.3e} exceeds rk_tol {cfg.rk_tol:.3e}; "
+            f"estimated accumulated error {local_err * steps:.3e} exceeds the RK4 tolerance {RK_TOL:.3e}; "
             "reduce numerics.rk_step_factor"
         )
 
@@ -148,6 +150,6 @@ def integrate_moments(
             jumps[gap] = np.linalg.matrix_power(step, gap)
         records.append(jumps[gap] @ records[-1])
     return MomentSeries(
-        times=sample_idx * h / params.omega,
+        times=sample_idx * h,
         moments=check_moments(np.array(records).reshape((-1, 2, 5))),
     )

@@ -7,12 +7,15 @@ single dimensionless coupling ratio
 
     delta = omega_g / omega,    omega_g = lam / (m omega),  lam = G m^2 / d^3
 
-Everything downstream works in oscillator units (hbar = m = 1, lengths in
-sqrt(hbar/(m omega)), momenta in sqrt(hbar m omega)) and takes time arguments
-in units of 1/omega, so SI values enter the library only through this module.
+The claims are identities in (delta, omega t), so delta is the one physics
+input of the library.  Everything downstream works in oscillator units
+(hbar = m = omega = 1, lengths in sqrt(hbar/(m omega)), momenta in
+sqrt(hbar m omega)) and takes and returns times tau = omega t, in units of
+1/omega.  SI values enter only through `PhysicalParams`, and only the
+feasibility table turns a time back into seconds.
 
 The derived frequency factors of the symmetric (+) and antisymmetric (-)
-normal modes, whose frequencies are omega * k_pm and omega * K_pm:
+normal modes, whose frequencies are k_pm and K_pm in units of omega:
 
     k_pm     = 1 +/- delta            number-conserving (RWA) factors
     K_pm     = sqrt(1 +/- 2 delta)    exact normal-mode factors
@@ -87,11 +90,10 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class DimensionlessParams:
-    """The coupling ratio delta plus the reference frequency needed to restore
-    SI units.  All derived frequency factors hang off this record."""
+    """The coupling ratio delta, the one physics input of the library.  All
+    derived frequency factors, in units of omega, hang off this record."""
 
     delta: float
-    omega: float = 1.0
 
     def __post_init__(self) -> None:
         if not (isinstance(self.delta, (int, float)) and math.isfinite(self.delta)):
@@ -104,7 +106,6 @@ class DimensionlessParams:
                 "the quadratic expansion of the pair potential assumes the separation "
                 "dominates the oscillation amplitudes"
             )
-        _require_positive("params", "omega", self.omega)
         if self.delta > DELTA_WARN_LIMIT:
             warnings.warn(
                 f"coupling ratio delta = {self.delta:.3g} exceeds {DELTA_WARN_LIMIT}; "
@@ -113,10 +114,6 @@ class DimensionlessParams:
                 UserWarning,
                 stacklevel=2,
             )
-
-    @property
-    def omega_g(self) -> float:
-        return self.delta * self.omega
 
     @property
     def k_plus(self) -> float:
@@ -137,16 +134,16 @@ class DimensionlessParams:
 
 def derive_dimensionless(p: PhysicalParams) -> DimensionlessParams:
     """Reduce SI inputs to the coupling ratio; rejects delta >= 1/2."""
-    return DimensionlessParams(delta=p.omega_g / p.omega, omega=p.omega)
+    return DimensionlessParams(delta=p.omega_g / p.omega)
 
 
 def swap_time(p: DimensionlessParams) -> float:
-    """Time at which the gravitational beat exchanges the two oscillators'
-    states, pi / (2 omega_g).  Unbounded (inf) for zero coupling, and for a
-    coupling so small that the quotient overflows."""
-    if p.omega_g == 0.0:
+    """Scaled time omega t at which the gravitational beat exchanges the two
+    oscillators' states, pi / (2 delta).  Unbounded (inf) for zero coupling,
+    and for a coupling so small that the quotient overflows."""
+    if p.delta == 0.0:
         return math.inf
-    return math.pi / (2.0 * p.omega_g)
+    return math.pi / (2.0 * p.delta)
 
 
 class ModelKind(enum.Enum):
@@ -166,29 +163,26 @@ MAX_GRID_STEPS = 10_000_000
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step sizes of the two numerical oracles and the RK4 error tolerance.
+    """Step sizes of the two numerical oracles.
 
-    Both step factors are in units of one exact-plus-mode period 2 pi /
-    (omega K_plus).  The grid factor is the length of one fourth-order step (two
-    kinetic FFT round trips) and is capped at 8e-2 of a period: the measured
-    order of the grid error is still 4.0 to 4.2 between 8e-2 and 4e-2, at
-    couplings 0.1 and 0.2, so up to the cap the error is in the asymptotic
-    regime (from 1.6e-1 down to 8e-2 it strays to 3.4 to 4.5).  The
-    default 1.55e-2 leaves a grid mean error of 6.6e-8 over a full swap of
-    (2, -1) at coupling 0.1.
+    Both step factors are in units of one exact-plus-mode period, 2 pi /
+    K_plus in scaled time.  The grid factor is the length of one
+    fourth-order step (two kinetic FFT round trips) and is capped at 8e-2
+    of a period: the measured order of the grid error is still 4.0 to 4.2
+    between 8e-2 and 4e-2, at couplings 0.1 and 0.2, so up to the cap the
+    error is in the asymptotic regime (from 1.6e-1 down to 8e-2 it strays
+    to 3.4 to 4.5).  The default 1.55e-2 leaves a grid mean error of 6.6e-8
+    over a full swap of (2, -1) at coupling 0.1.
     """
 
     dt_factor: float = 1.55e-2
     rk_step_factor: float = 1e-4
-    rk_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not (0.0 < self.dt_factor <= 8e-2):
             raise ParameterError(f"numerics.dt_factor: must be in (0, 8e-2] periods, got {self.dt_factor!r}")
         if not (0.0 < self.rk_step_factor < math.inf):
             raise ParameterError(f"numerics.rk_step_factor: must be finite and positive, got {self.rk_step_factor!r}")
-        if not (self.rk_tol > 0):
-            raise ParameterError("IntegratorConfig.rk_tol: must be positive")
 
     def grid_step(self, params: DimensionlessParams) -> float:
         """Split-operator step in scaled time (omega t)."""

@@ -9,7 +9,6 @@ from gravswap import (
     ModelKind,
     ParameterError,
     QuadraticHamiltonian,
-    coherence_check,
     coherent_pair_moments,
     displacement_from_moments,
     mode_hamiltonians,
@@ -53,9 +52,9 @@ def test_rwa_lab_swap_and_half_swap():
     alpha, beta = 1 + 0j, 0j
     m1, m2 = propagate_rwa_lab_displacement(alpha, beta, T, P005)
     assert abs(m1) < 1e-12
-    assert m2 == pytest.approx(-1j * cmath.exp(-1j * P005.omega * T), abs=1e-12)
+    assert m2 == pytest.approx(-1j * cmath.exp(-1j * T), abs=1e-12)
     m1, m2 = propagate_rwa_lab_displacement(alpha, beta, T / 2, P005)
-    carrier = cmath.exp(-1j * P005.omega * T / 2)
+    carrier = cmath.exp(-1j * T / 2)
     assert m1 == pytest.approx(carrier / math.sqrt(2), abs=1e-12)
     assert m2 == pytest.approx(-1j * carrier / math.sqrt(2), abs=1e-12)
 
@@ -79,7 +78,7 @@ def test_swap_property_random_pairs():
         for _ in range(20):
             alpha, beta = (complex(*rng.uniform(-3, 3, 2)) for _ in range(2))
             final = propagate_rwa_lab_displacement(alpha, beta, T, params)
-            corrected = phase_corrected_pair(final, T, params)
+            corrected = phase_corrected_pair(final, T)
             assert abs(corrected[0] - beta) < 1e-12
             assert abs(corrected[1] - alpha) < 1e-12
             assert two_mode_overlap(corrected, (beta, alpha)) >= 1 - 1e-12
@@ -100,7 +99,7 @@ def test_free_oscillator_period_recovers_state(model):
 def test_full_width_at_quarter_period():
     params = DimensionlessParams(0.1)
     init = coherent_pair_moments(1 + 0j, 0j)
-    t_star = (math.pi / 2) / (params.omega * params.K_plus)
+    t_star = (math.pi / 2) / params.K_plus
     (out,) = propagate_moments(ModelKind.QG_FULL, init, [t_star], params)
     assert out[0, 2] == pytest.approx(0.5 / 1.2, abs=1e-12)
     # momentum width inflates by the inverse factor, keeping the product minimal
@@ -121,7 +120,7 @@ def test_first_moment_identity_full_vs_sceg():
 def test_width_dichotomy():
     params = DimensionlessParams(0.1)
     init = coherent_pair_moments(0.5 + 0.5j, -0.25j)
-    period_plus = math.pi / (params.omega * params.K_plus)
+    period_plus = math.pi / params.K_plus
     times = np.linspace(0, 30, 60)
     sceg = propagate_moments(ModelKind.SCEG, init, times, params)
     assert np.max(np.abs(sceg[..., 2] - 0.5)) < 1e-12
@@ -238,35 +237,46 @@ def test_corrected_rejects_large_delta():
 # ---------------------------------------------------------------- coherence
 
 
+def _two_quantum_residual(h):
+    """The two-quantum (counter-rotating) ladder coefficient of h over its
+    number-operator coefficient, both in the ladder basis of the bare
+    oscillator: (B/2 - A/2) / (B + A).  Zero means coherent states stay
+    coherent; the linear mean-field coefficient C has no ladder term of that
+    kind."""
+    return (h.B / 2 - h.A / 2) / (h.B + h.A)
+
+
 def test_coherence_check_cases():
     params = DimensionlessParams(0.1)
     hp_rwa, hm_rwa = mode_hamiltonians(ModelKind.QG_RWA, params)
-    assert coherence_check(hp_rwa).preserved
-    assert coherence_check(hm_rwa).preserved
+    assert abs(_two_quantum_residual(hp_rwa)) <= 1e-12
+    assert abs(_two_quantum_residual(hm_rwa)) <= 1e-12
 
     free = QuadraticHamiltonian(A=0.5, B=0.5)
-    assert coherence_check(free).preserved
+    assert _two_quantum_residual(free) == 0.0
 
     hp_full, _ = mode_hamiltonians(ModelKind.QG_FULL, params)
-    res = coherence_check(hp_full)
-    assert not res.preserved
-    assert res.residual == pytest.approx(params.delta / (2 * (1 + params.delta)), rel=1e-12)
+    residual = _two_quantum_residual(hp_full)
+    assert abs(residual) > 1e-12
+    assert residual == pytest.approx(params.delta / (2 * (1 + params.delta)), rel=1e-12)
 
 
 def test_coherence_residual_monotone_in_delta():
     residuals = []
     for delta in (0.01, 0.05, 0.1, 0.2):
         hp, _ = mode_hamiltonians(ModelKind.QG_FULL, DimensionlessParams(delta))
-        residuals.append(abs(coherence_check(hp).residual))
+        residuals.append(abs(_two_quantum_residual(hp)))
     assert residuals == sorted(residuals)
     assert residuals[0] > 0
 
 
 def test_coherence_unaffected_by_mean_field_term():
-    a, b = 0.5, 0.5
-    bare = coherence_check(QuadraticHamiltonian(A=a, B=b))
-    driven = coherence_check(QuadraticHamiltonian(A=a, B=b, C=3.7))
-    assert bare.residual == driven.residual
+    # the mean-field modes add a linear term C = +/- 2 delta to the bare
+    # oscillator's A and B, so their two-quantum coefficient is the free one, zero
+    for delta in (0.01, 0.1, 0.2):
+        hp, hm = mode_hamiltonians(ModelKind.SCEG, DimensionlessParams(delta))
+        assert (hp.C, hm.C) == (2 * delta, -2 * delta)
+        assert _two_quantum_residual(hp) == _two_quantum_residual(hm) == 0.0
 
 
 def test_coherence_rejects_nonpositive_kinetic():
@@ -306,7 +316,7 @@ def test_template_rhs_full_model_mixes_widths():
     params = DimensionlessParams(0.1)
     hp, _ = mode_hamiltonians(ModelKind.QG_FULL, params)
     init = coherent_pair_moments(1 + 0j, 0j)
-    (mid,) = propagate_moments(ModelKind.QG_FULL, init, [(math.pi / 8) / (params.omega * params.K_plus)], params)
+    (mid,) = propagate_moments(ModelKind.QG_FULL, init, [(math.pi / 8) / params.K_plus], params)
     plus = mid[0]
     assert plus[3] / plus[2] != pytest.approx(params.K_plus**2, rel=1e-3)
     *_, d_v_xp = template_moment_rhs(hp, plus)

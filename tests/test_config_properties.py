@@ -49,9 +49,9 @@ physicals = st.one_of(st.sampled_from(list(PLATFORM_PRESETS.values())), si_param
 
 
 def couplings(name: str = Platform.name):
-    """A direct delta (with omega), a preset or free SI parameters."""
+    """A direct delta, a preset or free SI parameters."""
     return st.one_of(
-        st.builds(Platform, name=st.just(name), delta=deltas, omega=positive),
+        st.builds(Platform, name=st.just(name), delta=deltas),
         st.builds(Platform, name=st.just(name), physical=physicals),
     )
 

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import re
 
 import pytest
@@ -147,11 +149,10 @@ platforms = ca40_ion, bench
 
 [platform:bench]
 delta = 0.01
-omega = 1
 """
     cfg = parse_config_text(text)
     assert cfg.platforms[0].physical == PLATFORM_PRESETS["ca40_ion"]
-    assert cfg.platforms[1] == Platform("bench", delta=0.01, omega=1.0)
+    assert cfg.platforms[1] == Platform("bench", delta=0.01)
     assert parse_config_text(format_config(cfg)) == cfg
     with pytest.raises(ConfigError, match="platforms"):
         parse_config_text(text.replace("platforms = ca40_ion, bench", "platforms = ca40_ion"))
@@ -362,10 +363,14 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         ("swap", "[run]\nkind = swap\n[params]\n" + _SI_KEYS_TEXT.replace("1e-3", "-1"), "params.separation_m"),
         ("rwa-validity", "[run]\nkind = rwa_validity\n[sweep]\ndeltas = 0.01, 0.6\n", "sweep.deltas"),
         ("feasibility", _LADDER_B + "delta = 0.6\n", "platform:b.delta"),
-        ("feasibility", _LADDER_B + "delta = 0.1\nomega = 0\n", "platform:b.omega"),
         # a coupling the SI keys derive has no key: its block is named
         ("swap", "[run]\nkind = swap\n[params]\n" + _SI_DELTA_66743, "params"),
         ("feasibility", _LADDER_B + _SI_DELTA_66743, "platform:b"),
+        # SI keys whose swap time overflows in seconds (delta omega = 4.3e-309),
+        # or in 1/omega (delta = 9.7e-311), though the other is finite
+        ("feasibility", _LADDER_B + "mass_kg = 1e6\nomega_rad_s = 1e-3\nseparation_m = 2.5e102\n", "platform:b"),
+        ("swap", "[run]\nkind = swap\n[params]\nmass_kg = 1e-30\nomega_rad_s = 1e10\nseparation_m = 1.9e83\n",
+         "params"),
         # a model listed twice would run every series twice
         ("swap", "[run]\nkind = swap\nmodels = sceg, sceg\n", "run.models"),
         # the step factors are checked for every kind, even one that never steps
@@ -374,9 +379,13 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         ("feasibility", "[run]\nkind = feasibility\n[numerics]\ndt_factor = 5\n", "numerics.dt_factor"),
         ("cat-state", "[run]\nkind = cat_state\n[numerics]\ndt_factor = 0\n", "numerics.dt_factor"),
         # rwa_validity sweeps sweep.deltas: a [params] block would have no effect
-        ("rwa-validity", "[run]\nkind = rwa_validity\n[params]\ndelta = 0.3\nomega = 7\n", "params.delta"),
+        ("rwa-validity", "[run]\nkind = rwa_validity\n[params]\ndelta = 0.3\n", "params.delta"),
         # keys that no longer exist: the box is sized from the state, G and
-        # hbar are constants; each is refused by name, wherever it is given
+        # hbar are constants, and a direct delta needs no trap frequency since
+        # every time but feasibility's is in 1/omega; each is refused by name,
+        # wherever it is given
+        ("swap", "[run]\nkind = swap\n[params]\ndelta = 0.1\nomega = 1\n", "params.omega"),
+        ("feasibility", _LADDER_B + "delta = 0.1\nomega = 1\n", "platform:b.omega"),
         ("swap", "[run]\nkind = swap\n[numerics]\ngrid_points = 512\n", "numerics.grid_points"),
         ("cat-state", "[run]\nkind = cat_state\n[numerics]\ngrid_half_extent = 12\n", "numerics.grid_half_extent"),
         ("swap", "[run]\nkind = swap\n[params]\n" + _SI_KEYS_TEXT + "grav_constant = 7e-11\n", "params.grav_constant"),
@@ -406,15 +415,18 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         "separation_m",
         "sweep_delta",
         "platform_delta",
-        "platform_omega",
         "si_delta",
         "platform_si_delta",
+        "platform_si_swap_seconds",
+        "si_swap_time",
         "repeated_model",
         "rwa_dt_factor",
         "rwa_rk_step_factor",
         "feasibility_dt_factor",
         "cat_dt_factor",
         "rwa_params",
+        "params_omega",
+        "platform_omega",
         "grid_points",
         "grid_half_extent",
         "grav_constant",
@@ -437,6 +449,21 @@ def test_cli_refuses_unrunnable_input_by_key(tmp_path, capsys, command, text, ke
     assert re.match(rf"error: ({re.escape(str(cfg_path))}:\d+: )?{re.escape(key)}: ", err)
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+def test_swap_report_time_is_scaled_at_physical_scale(tmp_path):
+    # moments.csv writes time in 1/omega, the unit plots.json labels it
+    # with, for SI parameters too: a ca40 swap ends at pi/(2 delta), not at
+    # that time in seconds
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text("[run]\nkind = swap\n[params]\npreset = ca40_ion\n")
+    rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "none"])
+    assert rc in (0, 1)  # the closed forms lose the beat to rounding at this delta
+    delta = derive_dimensionless(PLATFORM_PRESETS["ca40_ion"]).delta
+    last = (tmp_path / "r" / "moments.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == math.pi / (2.0 * delta)
+    figure = json.loads((tmp_path / "r" / "plots.json").read_text())["figures"][0]
+    assert (figure["csv"], figure["x"], figure["xlabel"]) == ("moments.csv", "t", "t (1/omega)")
 
 
 def test_cli_runs_largest_finite_pair(tmp_path, capsys):
@@ -534,13 +561,13 @@ separation_m = 1e-10
         ),
         (
             # feasibility reads the platform ladder, not [params]
-            "[run]\nkind = feasibility\nplatforms = ca40_ion, bench\n[platform:bench]\ndelta = 0.01\nomega = 2.5\n",
+            "[run]\nkind = feasibility\nplatforms = ca40_ion, bench\n[platform:bench]\ndelta = 0.01\n",
             _ECHO_RUN.format(kind="feasibility")
             + "platforms = ca40_ion, bench\n"
             + _ECHO_DEFAULTS
             + "\n[platform:ca40_ion]"
             + _ECHO_CA40
-            + "\n[platform:bench]\ndelta = 0.01\nomega = 2.5\n",
+            + "\n[platform:bench]\ndelta = 0.01\n",
         ),
     ],
     ids=["preset", "si", "feasibility"],
@@ -558,8 +585,8 @@ def test_platform_block_the_kind_never_reads_is_refused():
     ladder = "[run]\nkind = feasibility\nplatforms = ca40_ion\n"
     with pytest.raises(ConfigError, match=r"params\.delta: a feasibility run never reads \[params\]"):
         parse_config_text(ladder + "[params]\ndelta = 0.1\n")
-    with pytest.raises(ConfigError, match=r"params\.omega: a rwa_validity run never reads \[params\]; .* sweep\.deltas"):
-        parse_config_text("[run]\nkind = rwa_validity\n[params]\nomega = 7\ndelta = 0.3\n")
+    with pytest.raises(ConfigError, match=r"params\.delta: a rwa_validity run never reads \[params\]; .* sweep\.deltas"):
+        parse_config_text("[run]\nkind = rwa_validity\n[params]\ndelta = 0.3\n")
     assert "[params]" not in format_config(ExperimentConfig(kind="rwa_validity"))
     for kind in ("swap", "cat_state", "rwa_validity"):
         with pytest.raises(ConfigError, match=f"run.platforms: a {kind} run never reads a platform ladder"):

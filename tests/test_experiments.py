@@ -242,8 +242,8 @@ def test_feasibility_presets_and_synthetic():
         kind="feasibility",
         platforms=(
             preset_platform("ca40_ion"),
-            Platform("bench", delta=0.01, omega=1.0),
-            Platform("decoupled", delta=0.0, omega=1.0),
+            Platform("bench", delta=0.01),
+            Platform("decoupled", delta=0.0),
         ),
     )
     report = run_feasibility(cfg)
@@ -253,6 +253,7 @@ def test_feasibility_presets_and_synthetic():
     assert 1e-13 < ca[5] < 1e-11  # omega_g within a decade of 1e-12
     assert ca[7] > 1e10 and ca[10] == 1  # flagged impractical
     bench = rows["bench"]
+    assert bench[2] == 1.0  # a direct delta is taken at 1 rad/s
     assert bench[7] == pytest.approx(50 * math.pi, rel=1e-12)
     assert bench[10] == 0
     decoupled = rows["decoupled"]

@@ -268,7 +268,7 @@ def test_cat_state_run_keeps_every_record():
     # record instead
     params = DimensionlessParams(0.2)
     t_final = swap_time(params) / 2.0
-    assert IntegratorConfig().grid_steps(t_final * params.omega, params) < 60
+    assert IntegratorConfig().grid_steps(t_final, params) < 60
     w = build_initial_grid(CatProduct(2 + 0j))
     evo = split_step_evolve(w, ModelKind.QG_RWA, t_final, params, n_samples=61, record_entropy=True)
     assert len(evo.times) == len(evo.entropies) == 61
@@ -302,7 +302,7 @@ def test_every_fft_goes_through_the_module_handle(monkeypatch):
     records, t_final = 4, 2.0
     w = build_initial_grid(CoherentProduct(1 + 0j, 0j))
     evo = split_step_evolve(w, ModelKind.QG_FULL, t_final, params, n_samples=records)
-    steps = IntegratorConfig().grid_steps(t_final * params.omega, params)
+    steps = IntegratorConfig().grid_steps(t_final, params)
     assert len(evo.times) == records and steps > records
     assert counting.calls == {"fft2": 2 * steps + records, "ifft2": 2 * steps, "fft": 2 * records, "ifft": 2 * records}
 
@@ -310,9 +310,8 @@ def test_every_fft_goes_through_the_module_handle(monkeypatch):
 def test_grid_step_budget_refuses_physical_scale():
     # the ca40 swap takes ~1e20 steps; refused by count, before any array exists
     params = derive_dimensionless(PLATFORM_PRESETS["ca40_ion"])
-    tau = swap_time(params) * params.omega
     with pytest.raises(ConfigError, match="numerics.dt_factor"):
-        IntegratorConfig().grid_steps(tau, params)
+        IntegratorConfig().grid_steps(swap_time(params), params)
     with pytest.raises(ConfigError, match="numerics.dt_factor"):
         IntegratorConfig().grid_steps(math.inf, params)
     assert IntegratorConfig().grid_steps(1e-9, DimensionlessParams(0.1)) == 1

@@ -131,7 +131,7 @@ def test_farthest_mean_bounds_every_model(g, p, delta, swaps):
     for branch in (g, -g):
         for model in (ModelKind.QG_FULL, ModelKind.QG_RWA):
             _within(_lab_means(model, branch, p, times, params), bound)
-        free = SQRT2 * branch * np.exp(-1j * params.omega * times)
+        free = SQRT2 * branch * np.exp(-1j * times)
         zero = np.zeros_like(times)
         rotation = np.stack((free.real, free.imag, zero, zero), axis=-1)
         _within(_lab_means(ModelKind.SCEG, 0j, p, times, params) + rotation, bound)

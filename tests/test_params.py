@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -19,13 +20,16 @@ def test_ca40_preset_coupling_order_of_magnitude():
     # exchange rate lands within a decade of 1e-12 Hz
     assert 1e-13 < p.omega_g < 1e-11
     dp = derive_dimensionless(p)
-    assert dp.omega == p.omega
+    assert dp.delta == p.omega_g / p.omega
     assert 0 < dp.delta < 1e-17
+
+
+def test_delta_is_the_one_physics_input():
+    assert [f.name for f in dataclasses.fields(DimensionlessParams)] == ["delta"]
 
 
 def test_decoupled_limit():
     dp = DimensionlessParams(delta=0.0)
-    assert dp.omega_g == 0.0
     assert dp.k_plus == dp.k_minus == 1.0
     assert dp.K_plus == dp.K_minus == 1.0
     assert swap_time(dp) == math.inf
@@ -39,12 +43,10 @@ def test_frequency_factors_delta_002():
     assert abs(dp.K_minus - dp.k_minus) < 4e-4
 
 
-@pytest.mark.parametrize(
-    "delta,omega,expected",
-    [(0.01, 1.0, 50 * math.pi), (0.1, 2.0, math.pi / 0.4)],
-)
-def test_swap_time_values(delta, omega, expected):
-    assert swap_time(DimensionlessParams(delta, omega)) == pytest.approx(expected, rel=1e-15)
+@pytest.mark.parametrize("delta,expected", [(0.01, 50 * math.pi), (0.1, 5 * math.pi)])
+def test_swap_time_values(delta, expected):
+    # in units of 1/omega
+    assert swap_time(DimensionlessParams(delta)) == pytest.approx(expected, rel=1e-15)
 
 
 def test_delta_hard_limit():
@@ -89,8 +91,7 @@ def test_separation_scaling_general():
 def test_si_round_trip():
     p = PhysicalParams(mass=1e-6, omega=2.3e4, separation=1e-3)
     dp = derive_dimensionless(p)
-    assert dp.omega == p.omega
-    assert dp.omega_g == pytest.approx(p.omega_g, rel=1e-15)
+    assert dp.delta * p.omega == pytest.approx(p.omega_g, rel=1e-15)
 
 
 def test_exact_vs_rwa_frequency_ratio_band():
