@@ -43,9 +43,8 @@ _EXPORTS = {
         "uncertainty_product",
     ),
     "analytic": (
-        "CorrectedDisplacement", "QuadraticHamiltonian", "mode_hamiltonians", "phase_corrected_pair",
-        "propagate_corrected_displacement", "propagate_moments", "propagate_rwa_lab_displacement",
-        "template_moment_rhs",
+        "QuadraticHamiltonian", "mode_hamiltonians", "phase_corrected_pair", "propagate_corrected_displacement",
+        "propagate_moments", "propagate_rwa_lab_displacement", "template_moment_rhs",
     ),
     "moments_ode": ("IntegrationError", "MomentSeries", "StepUnderflowError", "ToleranceError", "integrate_moments"),
     "grid": (

@@ -36,9 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import DimensionlessParams, ModelKind, ParameterError
-from .states import SQRT2, check_moments, from_normal_modes, to_normal_modes
-
-CORRECTED_DELTA_LIMIT = 0.2
+from .states import SQRT2, check_moments, coherent_pair_moments, from_normal_modes
 
 
 @dataclass(frozen=True)
@@ -116,69 +114,6 @@ def propagate_rwa_lab_displacement(alpha, beta, t, params: DimensionlessParams) 
     )
 
 
-@dataclass(frozen=True)
-class CorrectedDisplacement:
-    """First-order-in-delta displacement evolution at the time(s) `t`; every
-    field has the shape of `t`.
-
-    a_t, b_t include the counter-rotating correction; alpha_t, beta_t are
-    their exact lab-frame images, equal to the uncorrected lab evolution minus
-    delta * corr_1 / delta * corr_2 (see `counter_rotating_terms`)."""
-
-    t: float | np.ndarray
-    a_t: complex | np.ndarray
-    b_t: complex | np.ndarray
-    alpha_t: complex | np.ndarray
-    beta_t: complex | np.ndarray
-    corr_1: complex | np.ndarray
-    corr_2: complex | np.ndarray
-
-
-def counter_rotating_terms(a, b, tau, params: DimensionlessParams) -> tuple:
-    """The lab-frame amplitude terms (corr_1, corr_2) the number-conserving
-    truncation drops, at scaled times `tau`, for normal-mode
-    amplitudes (a, b) at t = 0; arrays broadcast:
-
-        corr_1 = i (conj(a) sin(k_+ tau) - conj(b) sin(k_- tau)) / sqrt(2)
-        corr_2 = i (conj(a) sin(k_+ tau) + conj(b) sin(k_- tau)) / sqrt(2)
-
-    delta * corr_1 and delta * corr_2 are the first-order corrections to the
-    lab amplitudes.  Both terms vanish at tau = 0 and are bounded by
-    (|a| + |b|)/sqrt(2).  They take any coupling; the delta < 0.2 limit
-    belongs to `propagate_corrected_displacement`."""
-    sp = np.conj(a) * np.sin(params.k_plus * tau)
-    sm = np.conj(b) * np.sin(params.k_minus * tau)
-    return 1j * (sp - sm) / SQRT2, 1j * (sp + sm) / SQRT2
-
-
-def propagate_corrected_displacement(
-    a: complex, b: complex, t, params: DimensionlessParams
-) -> CorrectedDisplacement:
-    """Displacement evolution at the scaled time(s) `t` (any array shape),
-    keeping the first-order amplitude corrections that the number-conserving
-    truncation drops:
-
-        a(t) = a e^{-i k_+ t} - i delta conj(a) sin(k_+ t)
-        b(t) = b e^{-i k_- t} + i delta conj(b) sin(k_- t)
-
-    Valid for delta < 0.2 (first order in delta)."""
-    d = params.delta
-    if d >= CORRECTED_DELTA_LIMIT:
-        raise ParameterError(
-            f"corrected displacement is a first-order-in-delta form; delta = {d!r} >= {CORRECTED_DELTA_LIMIT}"
-        )
-    tau = np.asarray(t, dtype=np.float64)
-    corr_1, corr_2 = counter_rotating_terms(a, b, tau, params)
-    # normal-mode image of the corrections: i conj(a) sin(k_+ tau), -i conj(b) sin(k_- tau)
-    da, db = to_normal_modes(corr_1, corr_2)
-    a_t = a * np.exp(-1j * params.k_plus * tau) - d * da
-    b_t = b * np.exp(-1j * params.k_minus * tau) - d * db
-    alpha_t, beta_t = from_normal_modes(a_t, b_t)
-    return CorrectedDisplacement(
-        t=t, a_t=a_t, b_t=b_t, alpha_t=alpha_t, beta_t=beta_t, corr_1=corr_1, corr_2=corr_2
-    )
-
-
 def _evolve_mode(
     m: np.ndarray,
     mean_angle: np.ndarray,
@@ -237,6 +172,24 @@ def propagate_moments(model: ModelKind, init, times, params: DimensionlessParams
     else:
         raise ParameterError(f"unknown model {model!r}")
     return check_moments(np.stack((plus, minus), axis=-2))
+
+
+def propagate_corrected_displacement(a: complex, b: complex, t, params: DimensionlessParams) -> tuple:
+    """The exact (QG_FULL) displacement of the coherent normal-mode pair
+    (a, b) at the scaled time(s) `t`, as (records, corr_1, corr_2).
+    `records` are the QG_FULL moment records of `propagate_moments`, which
+    hold the exact amplitudes and the breathing widths.  corr_1 and corr_2,
+    of the shape of `t`, are the counter-rotating parts of the two lab
+    amplitudes: the exact amplitudes minus the rotating-wave evolution
+    a e^{-i K_+ t}, b e^{-i K_- t} at the exact mode frequencies, taken to
+    the lab frame.  They vanish at t = 0 and at zero coupling."""
+    tau = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    records = propagate_moments(ModelKind.QG_FULL, coherent_pair_moments(a, b), tau, params)
+    modes = (records[..., 0] + 1j * records[..., 1]) / SQRT2  # exact (a_t, b_t) on the last axis
+    modes[..., 0] -= a * np.exp(-1j * params.K_plus * tau)
+    modes[..., 1] -= b * np.exp(-1j * params.K_minus * tau)
+    corr_1, corr_2 = from_normal_modes(modes[..., 0], modes[..., 1])
+    return records, corr_1, corr_2
 
 
 def phase_corrected_pair(pair: tuple[complex, complex], t: float) -> tuple[complex, complex]:

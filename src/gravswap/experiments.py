@@ -21,9 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
-    CORRECTED_DELTA_LIMIT,
     ModelKind,
-    counter_rotating_terms,
     phase_corrected_pair,
     propagate_corrected_displacement,
     propagate_moments,
@@ -41,6 +39,7 @@ from .moments_ode import integrate_moments
 from .params import ConfigError, DimensionlessParams, swap_time
 from .states import (
     MOMENT_FIELDS,
+    SQRT2,
     V_XX,
     branch_schmidt_entropy,
     coherent_pair_moments,
@@ -63,6 +62,7 @@ GRID_AGREEMENT = 1e-5
 DEVIATION_LAW_REL = 0.10
 LINEAR_SCALING_REL = 0.05
 ENTROPY_ORACLE = 1e-2
+ENTROPY_ORACLE_SERIES = 1e-9
 ENTROPY_MIN = 0.5
 PRODUCT_ENTROPY_MAX = 1e-6
 SCEG_MEAN_MAX = 1e-6
@@ -288,8 +288,8 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
             )
             yield "grid", evo.times, evo.moments
 
-    # an oracle's means must match the closed form; mean-field widths must stay coherent
-    mean_tol = {"ode": ODE_AGREEMENT, "grid": GRID_AGREEMENT}
+    # an oracle's means and covariance must match the closed form; mean-field widths must stay coherent
+    agreement = {"ode": ODE_AGREEMENT, "grid": GRID_AGREEMENT}
     width_check = {
         "closed": (WIDTH_CLOSED, "closed-form mean-field widths stay at the coherent value"),
         "grid": (WIDTH_GRID, ""),
@@ -303,7 +303,9 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
             else:
                 ref = propagate_moments(model, pair0, ts, params)
                 err = np.max(np.abs(records[..., :2] - ref[..., :2]))
-                report.verdicts.append(_check(f"{model.value}_{method}_mean_agreement", err, "<=", mean_tol[method]))
+                report.verdicts.append(_check(f"{model.value}_{method}_mean_agreement", err, "<=", agreement[method]))
+                err = np.max(np.abs(records[..., 2:] - ref[..., 2:]))
+                report.verdicts.append(_check(f"{model.value}_{method}_cov_agreement", err, "<=", agreement[method]))
             if model is ModelKind.SCEG and method in width_check:
                 bound, why = width_check[method]
                 width_err = np.max(np.abs(records[..., V_XX] - 0.5))
@@ -320,36 +322,21 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
             fidelity_table.add_row(model.value, method, raw, corrected, deviation, width_dev)
             corrected_fid[model, method] = corrected
 
-    # corrected displacement trajectory with the exact-model width envelope
-    if d < CORRECTED_DELTA_LIMIT:
-        c = propagate_corrected_displacement(a0, b0, times, params)
-        full_widths = propagate_moments(ModelKind.QG_FULL, pair0, times, params)[..., V_XX]
-        columns = {
-            "t": times,
-            "re_a": c.a_t.real,
-            "im_a": c.a_t.imag,
-            "re_b": c.b_t.real,
-            "im_b": c.b_t.imag,
-            "re_alpha": c.alpha_t.real,
-            "im_alpha": c.alpha_t.imag,
-            "re_beta": c.beta_t.real,
-            "im_beta": c.beta_t.imag,
-            "v_xx_plus": full_widths[:, 0],
-            "v_xx_minus": full_widths[:, 1],
-            "corr_mag_1": d * np.abs(c.corr_1),
-            "corr_mag_2": d * np.abs(c.corr_2),
-        }
-        disp_table = _add_table(report, "displacement", tuple(columns))
-        disp_table.add(*columns.values())
-        report.notes.append(
-            f"first-order correction magnitudes at the swap time: "
-            f"|dA| = {d * abs(c.corr_1[-1]):.6e}, |dB| = {d * abs(c.corr_2[-1]):.6e}"
-        )
-    else:
-        report.notes.append(
-            f"first-order corrected displacement omitted: delta = {d:g} is outside "
-            f"its validity range (< {CORRECTED_DELTA_LIMIT})"
-        )
+    # the exact displacement, its breathing widths and its counter-rotating part
+    exact, corr_1, corr_2 = propagate_corrected_displacement(a0, b0, times, params)
+    modes = exact[..., :2].reshape(-1, 4) / SQRT2  # re_a, im_a, re_b, im_b
+    lab = lab_means(exact) / SQRT2  # re_alpha, im_alpha, re_beta, im_beta
+    disp_table = _add_table(
+        report,
+        "displacement",
+        ("t", "re_a", "im_a", "re_b", "im_b", "re_alpha", "im_alpha", "re_beta", "im_beta",
+         "v_xx_plus", "v_xx_minus", "corr_mag_1", "corr_mag_2"),
+    )
+    corr_mag_1, corr_mag_2 = np.abs(corr_1), np.abs(corr_2)
+    disp_table.add(times, *modes.T, *lab.T, exact[:, 0, V_XX], exact[:, 1, V_XX], corr_mag_1, corr_mag_2)
+    report.notes.append(
+        f"correction magnitudes at the swap time: |dA| = {corr_mag_1[-1]:.6e}, |dB| = {corr_mag_2[-1]:.6e}"
+    )
 
     if ModelKind.QG_RWA in cfg.models:
         report.verdicts.append(
@@ -426,27 +413,24 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
             "ylabel": "mean (oscillator units)",
             "title": "normal-mode first moments under each model and method",
         },
+        {
+            "name": "correction_magnitudes",
+            "csv": "displacement.csv",
+            "x": "t",
+            "y": ["corr_mag_1", "corr_mag_2"],
+            "group_by": [],
+            "xlabel": "t (1/omega)",
+            "ylabel": "|exact - rotating wave|",
+            "title": "displacement corrections dropped by the RWA",
+        },
     ]
-    if "displacement" in report.tables:
-        report.figures.append(
-            {
-                "name": "correction_magnitudes",
-                "csv": "displacement.csv",
-                "x": "t",
-                "y": ["corr_mag_1", "corr_mag_2"],
-                "group_by": [],
-                "xlabel": "t (1/omega)",
-                "ylabel": "|delta corr|",
-                "title": "first-order displacement corrections dropped by the RWA",
-            }
-        )
     return report
 
 
 def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
-    """Map where the number-conserving truncation fails: the dropped
-    correction grows as delta * amplitude, crossing one vacuum width near
-    delta |alpha| ~ 1."""
+    """Map where the number-conserving truncation fails: the counter-rotating
+    part of the exact dynamics grows as delta * amplitude, crossing one
+    vacuum width near delta |alpha| ~ 1."""
     report = _report(cfg)
     table = _add_table(
         report,
@@ -458,17 +442,19 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
 
     for d in cfg.deltas:
         params = DimensionlessParams(delta=float(d))
+        tau = np.linspace(0.0, math.pi / d, n_dense)
         ratios = []
         scaling_mags = []
         for mag in cfg.alpha_mags:
             alpha = complex(mag)
             beta = complex(cfg.beta)
             a0, b0 = to_normal_modes(alpha, beta)
-            tau = np.linspace(0.0, math.pi / d, n_dense)
-            corr_1, corr_2 = counter_rotating_terms(a0, b0, tau, params)
-            measured = d * float(max(np.abs(corr_1).max(), np.abs(corr_2).max()))
-            # the two sine factors visit every sign corner over one relative
-            # beat, so the envelope is max(|a -/+ b|)/sqrt(2) = max(|alpha|, |beta|)
+            _, corr_1, corr_2 = propagate_corrected_displacement(a0, b0, tau, params)
+            measured = float(max(np.abs(corr_1).max(), np.abs(corr_2).max()))
+            # to first order in delta the counter-rotating parts are delta times
+            # (conj(a) sin(K_+ tau) -/+ conj(b) sin(K_- tau))/sqrt(2); the two sines
+            # visit every sign corner over one relative beat, so the envelope is
+            # delta max(|a -/+ b|)/sqrt(2) = delta max(|alpha|, |beta|)
             predicted = d * max(abs(alpha), abs(beta))
             ratio = measured / predicted
             if mag >= abs(beta):  # below this the envelope saturates at delta |beta|
@@ -487,7 +473,7 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
             )
             # crossing consistency, skipped in a 10% dead zone around the threshold
             if not 0.9 * threshold < measured < 1.1 * threshold:
-                expect_crossed = d * mag * ratio >= threshold
+                expect_crossed = predicted >= threshold
                 report.verdicts.append(
                     _decided(
                         f"threshold_crossing_delta_{d:g}_alpha_{mag:g}",
@@ -610,6 +596,15 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
                 "<=",
                 ENTROPY_ORACLE,
                 "grid entropy vs exact two-branch Schmidt value",
+            )
+        )
+        report.verdicts.append(
+            _check(
+                "entropy_matches_branch_oracle_series",
+                float(np.max(np.abs(np.subtract(q["entropies"], q["oracle"])))),
+                "<=",
+                ENTROPY_ORACLE_SERIES,
+                "the same at every record",
             )
         )
     else:

@@ -19,7 +19,6 @@ so a replay can never silently mix artifacts from two runs.
 from __future__ import annotations
 
 import json
-import math
 import shutil
 from pathlib import Path
 from typing import TextIO
@@ -35,18 +34,11 @@ class ReplayMismatchError(RuntimeError):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
+    """The text of an int (a bool as 1 or 0) or a float; "%.17g" prints nan
+    and inf as nan and inf."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        return "%.17g" % v
-    if isinstance(value, complex):
-        return "%.17g%+.17gj" % (value.real, value.imag)
-    return str(value)
+    return "%.17g" % value
 
 
 # rows formatted per write, which bounds the text held at once, and the unit
@@ -64,7 +56,7 @@ _KIND_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 
 def _column_format(column) -> str | None:
     """The %-conversion of every value of a column chunk, or None when each
-    value needs `_fmt` (complex and object arrays, non-string sequences)."""
+    value needs `_fmt` (object arrays, non-string sequences)."""
     if isinstance(column, np.ndarray):
         return _KIND_FORMATS.get(column.dtype.kind)
     return "%s" if all(type(v) is str for v in column) else None

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from gravswap import (
     ParameterError,
     QuadraticHamiltonian,
     coherent_pair_moments,
-    displacement_from_moments,
     mode_hamiltonians,
     phase_corrected_pair,
     propagate_corrected_displacement,
@@ -149,49 +149,60 @@ def test_uncertainty_preserved_under_all_models():
 # ---------------------------------------------------------------- corrections
 
 
+def _exact_counter_rotating(a, K, tau):
+    """a(t) - a e^{-i K t} for one QG_FULL mode of frequency K, from its
+    closed-form solution x cos(Kt) + p sin(Kt)/K, p cos(Kt) - x K sin(Kt)."""
+    return -1j * (np.conj(a) * (K - 1 / K) / 2 + a * ((K + 1 / K) / 2 - 1)) * np.sin(K * tau)
+
+
 def test_corrected_reduces_to_rwa_at_zero_delta():
-    params = DimensionlessParams(0.0)
+    # the counter-rotating part is 0 at t = 0, and at every t without coupling
     a, b = 1.5 - 0.5j, 0.25 + 1j
-    for t in (0.0, 1.0, 7.3):
-        c = propagate_corrected_displacement(a, b, t, params)
-        alpha_t, beta_t = _rwa_lab(a, b, t, params)
-        assert abs(c.alpha_t - alpha_t) < 1e-15
-        assert abs(c.beta_t - beta_t) < 1e-15
-        assert c.corr_1 == c.corr_1 * 0 + c.corr_1  # finite
-    c0 = propagate_corrected_displacement(a, b, 0.0, DimensionlessParams(0.05))
-    assert c0.corr_1 == 0 and c0.corr_2 == 0
-    assert c0.a_t == a and c0.b_t == b
+    _, c1, c2 = propagate_corrected_displacement(a, b, 0.0, P005)
+    assert abs(c1[0]) < 1e-15 and abs(c2[0]) < 1e-15
+    times = np.linspace(0.0, 40.0, 101)
+    records, c1, c2 = propagate_corrected_displacement(a, b, times, DimensionlessParams(0.0))
+    assert np.max(np.abs(c1)) < 1e-14 and np.max(np.abs(c2)) < 1e-14
+    assert np.max(np.abs(records[..., 2] - 0.5)) < 1e-15  # no coupling, no breathing
 
 
 def test_corrections_vanish_at_commensurate_time():
-    # delta = 0.1: both sin((1 +/- 0.1) tau) vanish at tau = 10 pi
-    params = DimensionlessParams(0.1)
-    c = propagate_corrected_displacement(1 + 1j, 2 - 1j, 10 * math.pi, params)
-    assert abs(c.corr_1) < 1e-12
-    assert abs(c.corr_2) < 1e-12
+    # delta = 10/101: K_pm = 11/sqrt(101), 9/sqrt(101), so both mode phases
+    # are multiples of pi at t = pi sqrt(101), where the exact map is the rotating wave
+    params = DimensionlessParams(10 / 101)
+    _, c1, c2 = propagate_corrected_displacement(1 + 1j, 2 - 1j, math.pi * math.sqrt(101), params)
+    assert abs(c1[0]) < 1e-12
+    assert abs(c2[0]) < 1e-12
 
 
 def test_corrected_direct_value():
+    # a quarter cycle of the plus mode from (x, p) = (2 sqrt 2, 0): x = 0 and
+    # p = -2 sqrt(2) K_+, so a(t) = -2i K_+ against the rotating wave's -2i
     params = DimensionlessParams(0.01)
-    t = (math.pi / 2) / params.k_plus  # quarter cycle of the plus mode
-    c = propagate_corrected_displacement(2 + 0j, 0j, t, params)
-    assert c.a_t == pytest.approx(2 * cmath.exp(-1j * math.pi / 2) - 0.02j, abs=1e-14)
+    t = (math.pi / 2) / params.K_plus
+    (record,), (c1,), (c2,) = propagate_corrected_displacement(2 + 0j, 0j, t, params)
+    assert record[0, :2] == pytest.approx([0.0, -2 * SQRT2 * params.K_plus], abs=1e-14)
+    assert c1 == pytest.approx(-SQRT2 * 1j * (params.K_plus - 1), abs=1e-14)
+    assert c2 == pytest.approx(c1, abs=1e-14)
 
 
 def test_corrected_lab_frame_is_exact_transform():
-    rng = np.random.default_rng(17)
-    params = DimensionlessParams(0.05)
-    for _ in range(50):
-        a, b = (complex(*rng.uniform(-2, 2, 2)) for _ in range(2))
-        t = rng.uniform(0, 40)
-        c = propagate_corrected_displacement(a, b, t, params)
-        lab = from_normal_modes(c.a_t, c.b_t)
-        assert abs(lab[0] - c.alpha_t) < 1e-14
-        assert abs(lab[1] - c.beta_t) < 1e-14
-        # the corrections are exactly the difference to the uncorrected evolution
-        plain = _rwa_lab(a, b, t, params)
-        assert abs((plain[0] - params.delta * c.corr_1) - c.alpha_t) < 1e-13
-        assert abs((plain[1] - params.delta * c.corr_2) - c.beta_t) < 1e-13
+    # one propagate_moments(QG_FULL) call: its records are the function's
+    # amplitudes and widths, and its counter-rotating part is the exact
+    # per-mode solution minus the rotating wave at K_pm, taken to the lab frame
+    a, b = to_normal_modes(2 - 1j, 0.5 + 1j)
+    for delta in (0.05, 0.3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # delta = 0.3 exceeds the warning limit
+            params = DimensionlessParams(delta)
+        times = np.linspace(0.0, swap_time(params), 301)
+        records, corr_1, corr_2 = propagate_corrected_displacement(a, b, times, params)
+        assert np.array_equal(records, propagate_moments(ModelKind.QG_FULL, coherent_pair_moments(a, b), times, params))
+        want = from_normal_modes(
+            _exact_counter_rotating(a, params.K_plus, times), _exact_counter_rotating(b, params.K_minus, times)
+        )
+        assert np.max(np.abs(corr_1 - want[0])) < 1e-12
+        assert np.max(np.abs(corr_2 - want[1])) < 1e-12
 
 
 def test_correction_magnitude_bound():
@@ -201,37 +212,29 @@ def test_correction_magnitude_bound():
     for _ in range(100):
         a, b = (complex(*rng.uniform(-radius / 2, radius / 2, 2)) * math.sqrt(2) for _ in range(2))
         t = rng.uniform(0, 100)
-        c = propagate_corrected_displacement(a, b, t, params)
-        plain = _rwa_lab(a, b, t, params)
+        _, (c1,), (c2,) = propagate_corrected_displacement(a, b, t, params)
         bound = 2 * params.delta * max(abs(a), abs(b), radius)
-        assert abs(c.alpha_t - plain[0]) <= bound + 1e-12
-        assert abs(c.beta_t - plain[1]) <= bound + 1e-12
+        assert abs(c1) <= bound + 1e-12
+        assert abs(c2) <= bound + 1e-12
 
 
 def test_corrected_matches_exact_first_moments_to_second_order():
-    # the corrected closed form approximates the exact-model displacement with
-    # an error that shrinks by ~4x when delta halves
+    # the first-order form of the counter-rotating parts, -i delta (conj(a)
+    # sin(K_+ t) -/+ conj(b) sin(K_- t)) / sqrt(2), approximates the exact ones
+    # with an error that shrinks by ~4x when delta halves
     a, b = 1.2 - 0.4j, -0.6 + 0.9j
-    init = coherent_pair_moments(a, b)
 
     def max_err(delta):
         params = DimensionlessParams(delta)
-        errs = []
         times = np.linspace(0, 4 * math.pi, 40)
-        for t, exact in zip(times, propagate_moments(ModelKind.QG_FULL, init, times, params)):
-            c = propagate_corrected_displacement(a, b, float(t), params)
-            ea = displacement_from_moments(exact[0]).amplitude
-            eb = displacement_from_moments(exact[1]).amplitude
-            errs.append(max(abs(c.a_t - ea), abs(c.b_t - eb)))
-        return max(errs)
+        _, c1, c2 = propagate_corrected_displacement(a, b, times, params)
+        sp = np.conj(a) * np.sin(params.K_plus * times)
+        sm = np.conj(b) * np.sin(params.K_minus * times)
+        first_1, first_2 = (-1j * delta * (sp - sm) / SQRT2, -1j * delta * (sp + sm) / SQRT2)
+        return max(np.max(np.abs(c1 - first_1)), np.max(np.abs(c2 - first_2)))
 
     e1, e2 = max_err(0.04), max_err(0.02)
     assert e1 / e2 == pytest.approx(4.0, rel=0.3)
-
-
-def test_corrected_rejects_large_delta():
-    with pytest.raises(ParameterError):
-        propagate_corrected_displacement(1 + 0j, 0j, 1.0, DimensionlessParams(0.2))
 
 
 # ---------------------------------------------------------------- coherence

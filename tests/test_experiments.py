@@ -11,6 +11,8 @@ from gravswap import (
     ModelKind,
     PLATFORM_PRESETS,
     Platform,
+    emit_report,
+    lab_means,
     preset_platform,
     propagate_corrected_displacement,
     run_cat_state,
@@ -166,17 +168,27 @@ def test_swap_determinism():
 
 def test_displacement_rows_match_scalar_closed_form():
     # the table is one call over every sample time; each row must be the
-    # scalar closed form at its time
+    # exact map at its time: normal-mode and lab amplitudes, widths and the
+    # magnitudes of the counter-rotating parts
     params = DimensionlessParams(delta=0.05)
     cfg = ExperimentConfig(kind="swap", platform=Platform(delta=0.05), alpha=2 - 1j, beta=0.5 + 1j, samples=200)
     rows = run_swap(cfg).tables["displacement"].rows
     a0, b0 = to_normal_modes(cfg.alpha, cfg.beta)
     for row in rows[::23] + rows[-1:]:
-        c = propagate_corrected_displacement(a0, b0, row[0], params)
-        values = (c.a_t, c.b_t, c.alpha_t, c.beta_t)
-        want = [part for z in values for part in (z.real, z.imag)] + [0.05 * abs(c.corr_1), 0.05 * abs(c.corr_2)]
-        got = list(row[1:9]) + list(row[11:13])
-        assert np.max(np.abs(np.subtract(got, want))) <= 1e-13
+        (record,), (c1,), (c2,) = propagate_corrected_displacement(a0, b0, row[0], params)
+        (x_plus, p_plus, v_plus, _, _), (x_minus, p_minus, v_minus, _, _) = record
+        amplitudes = [x_plus, p_plus, x_minus, p_minus, *lab_means(record)]
+        want = [v / math.sqrt(2.0) for v in amplitudes] + [v_plus, v_minus, abs(c1), abs(c2)]
+        assert np.max(np.abs(np.subtract(row[1:], want))) <= 1e-13
+
+
+def test_swap_writes_the_displacement_table_past_delta_0_2(tmp_path):
+    # the exact map holds up to the expansion limit delta < 1/2
+    with pytest.warns(UserWarning, match="exceeds"):
+        report = run_swap(ExperimentConfig(kind="swap", platform=Platform(delta=0.3), samples=50))
+    emit_report(report, tmp_path)
+    lines = (tmp_path / "displacement.csv").read_text().splitlines()
+    assert len(lines) == 51 and lines[0].endswith("v_xx_plus,v_xx_minus,corr_mag_1,corr_mag_2")
 
 
 def test_random_pairs_follow_the_seed_stream():
@@ -207,8 +219,8 @@ def test_rwa_validity_law():
 
 
 def test_rwa_validity_sweeps_past_the_corrected_form_limit():
-    # the sweep shares the counter-rotating terms of the corrected
-    # displacement, not its delta < 0.2 validity limit
+    # the exact map holds past delta = 0.2, where the counter-rotating part
+    # falls to 0.917 of the first-order law at delta = 0.3
     cfg = ExperimentConfig(kind="rwa_validity", deltas=(0.2, 0.3), alpha_mags=(1.0, 2.0))
     with pytest.warns(UserWarning, match="exceeds"):
         report = run_rwa_validity(cfg)
@@ -227,10 +239,11 @@ def test_decided_verdict_fails_on_a_non_finite_observation(observed):
 def test_threshold_crossing_fails_on_a_nan_deviation(monkeypatch):
     # a nan deviation is neither crossed nor expected to cross: the outcome
     # agrees, yet nothing was measured
-    def nan_terms(a0, b0, tau, params):
-        return np.full(len(tau), math.nan), np.full(len(tau), math.nan)
+    def nan_displacement(a0, b0, tau, params):
+        nan = np.full(len(tau), complex(math.nan))
+        return None, nan, nan
 
-    monkeypatch.setattr(experiments, "counter_rotating_terms", nan_terms)
+    monkeypatch.setattr(experiments, "propagate_corrected_displacement", nan_displacement)
     report = run_rwa_validity(ExperimentConfig(kind="rwa_validity", deltas=(0.01,), alpha_mags=(1.0,)))
     v = _verdict(report, "threshold_crossing_delta_0.01_alpha_1")
     assert not v.passed and math.isnan(v.observed)

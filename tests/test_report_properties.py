@@ -41,8 +41,12 @@ COLUMN_KINDS = (
     (texts, list),
     (floats, list),
     (st.integers(min_value=-(2**80), max_value=2**80), list),
-    (st.complex_numbers(allow_subnormal=True), lambda vs: np.array(vs, dtype=complex)),
 )
+
+
+def _text(value) -> str:
+    """A cell's text: a string as it is, a number as `_fmt` writes it."""
+    return value if isinstance(value, str) else _fmt(value)
 
 
 @st.composite
@@ -60,7 +64,7 @@ def chunked_tables(draw):
         kinds = [draw(st.sampled_from(COLUMN_KINDS)) for _ in range(width)]
         values = [draw(st.lists(strategy, min_size=n, max_size=n)) for strategy, _ in kinds]
         table.add(*(build(vs) for (_, build), vs in zip(kinds, values)))
-        lines += [",".join(_fmt(v) for v in row) for row in zip(*values)]
+        lines += [",".join(_text(v) for v in row) for row in zip(*values)]
     return table, chunk_rows, "\n".join(lines) + "\n"
 
 
@@ -82,7 +86,7 @@ def test_render_csv_matches_per_value_text(case, data):
         # any two runs of rows, end to end, make the whole
         assert _streamed(table, 0, cut) + _streamed(table, cut, n_rows) == expected
     # the row tuples hold the values the text was made from
-    rows = [",".join(table.columns)] + [",".join(_fmt(v) for v in row) for row in table.rows]
+    rows = [",".join(table.columns)] + [",".join(_text(v) for v in row) for row in table.rows]
     assert "\n".join(rows) + "\n" == expected
 
 
@@ -144,7 +148,7 @@ def test_render_csv_edge_values(value):
     table = Table(name="edge", columns=("a", "b"))
     table.add_row(value, 1.5)
     table.add(np.array([value, value]), np.array([1.5, 1.5]))
-    assert _streamed(table) == "a,b\n" + f"{_fmt(value)},1.5\n" * 3
+    assert _streamed(table) == "a,b\n" + f"{_text(value)},1.5\n" * 3
 
 
 def test_emit_report_streams_the_largest_report(tmp_path):
