@@ -251,6 +251,8 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
     target = (beta0, alpha0)
     a0, b0 = to_normal_modes(alpha0, beta0)
     pair0 = coherent_pair_moments(a0, b0)
+    # the exact displacement, its breathing widths and its counter-rotating part
+    exact, corr_1, corr_2 = propagate_corrected_displacement(a0, b0, times, params)
     amp_scale = max(abs(a0), abs(b0))
 
     moments_table = _add_table(report, "moments", ("t", "model", "method", "mode", *MOMENT_FIELDS))
@@ -274,9 +276,10 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
 
     def series(model):
         """(method, times, records) of each enabled method for `model`; the
-        closed and ode series are computed when drawn, the grid run is the
-        model's one from `grid_runs`."""
-        yield "closed", times, propagate_moments(model, pair0, times, params)
+        closed (but qg_full's, `exact`) and ode series are computed when
+        drawn, the grid run is the model's one from `grid_runs`."""
+        closed = exact if model is ModelKind.QG_FULL else propagate_moments(model, pair0, times, params)
+        yield "closed", times, closed
         if cfg.uses_ode():
             ode = integrate_moments(model, pair0, T, params, icfg, n_samples=min(cfg.samples, 201))
             yield "ode", ode.times, ode.moments
@@ -322,8 +325,6 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
             fidelity_table.add_row(model.value, method, raw, corrected, deviation, width_dev)
             corrected_fid[model, method] = corrected
 
-    # the exact displacement, its breathing widths and its counter-rotating part
-    exact, corr_1, corr_2 = propagate_corrected_displacement(a0, b0, times, params)
     modes = exact[..., :2].reshape(-1, 4) / SQRT2  # re_a, im_a, re_b, im_b
     lab = lab_means(exact) / SQRT2  # re_alpha, im_alpha, re_beta, im_beta
     disp_table = _add_table(

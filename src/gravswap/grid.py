@@ -58,8 +58,6 @@ from .params import DELTA_WARN_LIMIT, DimensionlessParams, IntegratorConfig, Mod
 from .states import SQRT2, check_moments, lab_means
 
 GROUND_SIGMA = math.sqrt(0.5)
-GROUND_FWHM = 2.0 * math.sqrt(2.0 * math.log(2.0)) * GROUND_SIGMA
-RESOLUTION_POINTS = 8.0  # grid points across one ground-state FWHM
 # Points per grid axis: one complex128 array of n^2 amplitudes takes
 # 16 n^2 bytes, 256 MiB at this cap.
 MAX_GRID_POINTS = 4096
@@ -94,8 +92,8 @@ class EvolutionError(GridError):
 class GridSpec:
     """Square grid geometry: n points per axis, n even, over [-half_extent,
     half_extent).  Checks only the structure (n, memory budget, a positive
-    extent, resolution of the ground state); whether the box holds a state is
-    decided by `auto_grid_spec`."""
+    extent, a momentum grid that holds the ground state's tail beyond its
+    edge ring); whether the box holds a state is decided by `auto_grid_spec`."""
 
     n: int
     half_extent: float
@@ -106,11 +104,11 @@ class GridSpec:
         _check_memory(self.n, "GridSpec.n: the grid")
         if not (math.isfinite(self.half_extent) and self.half_extent > 0):
             raise GridSizingError(f"GridSpec.half_extent: must be positive, got {self.half_extent!r}")
-        if self.dx > GROUND_FWHM / RESOLUTION_POINTS:
+        reach = _tail(0.0) + EDGE_RING * math.pi / self.half_extent
+        if self.p_max < reach:
             raise GridSizingError(
-                f"GridSpec.n: dx = {self.dx:.4g} does not resolve the ground-state width "
-                f"({RESOLUTION_POINTS:g} points per FWHM needs dx <= {GROUND_FWHM / RESOLUTION_POINTS:.4g}); "
-                f"increase n to >= {_fft_length(math.ceil(2 * self.half_extent * RESOLUTION_POINTS / GROUND_FWHM))}"
+                f"GridSpec.n: p_max = {self.p_max:.4g} does not hold the ground state's momentum tail, which needs "
+                f"{reach:.4g}; increase n to >= {_fft_length(math.ceil(2 * self.half_extent * reach / math.pi))}"
             )
 
     @property
@@ -240,30 +238,31 @@ def _farthest_mean(state: InitialState, delta: float) -> float:
     return max(SQRT2 * math.hypot(g, p) * f, SQRT2 * (g + p * f))
 
 
+def _tail(delta: float) -> float:
+    """Distance at which a Gaussian of the widest width the dynamics reach at
+    coupling `delta`, the ground width times (1 - 2 delta)^(-1/2) of the exact
+    minus mode, falls to LEAKAGE_LIMIT of its peak."""
+    return GROUND_SIGMA * math.sqrt(-2.0 * math.log(LEAKAGE_LIMIT) / (1.0 - 2.0 * delta))
+
+
 def auto_grid_spec(state: InitialState, *, delta: float) -> GridSpec:
     """The grid of `state` under the swap dynamics at coupling `delta`; the
     one rule that sizes every box, before anything is allocated.
 
-    Half extent H: the farthest mean any model reaches (`_farthest_mean`),
-    plus the tail distance at which a Gaussian of the widest width the
-    dynamics reach falls to LEAKAGE_LIMIT of its peak, plus the EDGE_RING
-    points the edge guards of `split_step_evolve` count as the edge (at the
-    coarsest dx the resolution rule allows).  The widest width is the ground
-    width stretched by the exact minus mode, (1 - 2 delta)^(-1/2).  Momentum
-    means stay within the same bound and momentum widths grow by
-    (1 + 2 delta)^(1/2) at most, which is less, so the momentum grid must hold
-    the same extent: p_max = pi / dx >= H.
-
-    n: the shortest even FFT length >= 64 with no prime factor above 5
-    (`_fft_length`) that meets this momentum rule and RESOLUTION_POINTS per
-    ground-state FWHM over H.  A box beyond MAX_GRID_POINTS per axis is
-    refused.  The edge guards of `split_step_evolve` catch a state that
-    outgrows the estimate."""
-    dx_resolution = GROUND_FWHM / RESOLUTION_POINTS
-    tail = GROUND_SIGMA * math.sqrt(-2.0 * math.log(LEAKAGE_LIMIT) / (1.0 - 2.0 * delta))
-    half_extent = _farthest_mean(state, delta) + tail + EDGE_RING * dx_resolution
-    dx = min(dx_resolution, math.pi / half_extent)  # 0 where an amplitude near the float limit makes H inf
-    points = 2.0 * half_extent / dx if dx > 0 else math.inf
+    The reach R is the farthest mean any model reaches (`_farthest_mean`)
+    plus `_tail(delta)`.  Momentum means stay within the same bound and
+    momentum widths grow by (1 + 2 delta)^(1/2) at most, which is less, so
+    both the position box and the momentum grid must hold R beyond the
+    EDGE_RING points the edge guards of `split_step_evolve` count as the edge.
+    The half extent is H = R + EDGE_RING pi / R, and n the shortest even FFT
+    length >= 64 with no prime factor above 5 (`_fft_length`) that gives
+    p_max = pi / dx >= H.  Then dx <= pi / H and the momentum spacing is
+    pi / H, so on either axis the edge ring fits in the margin H - R.  A box
+    beyond MAX_GRID_POINTS per axis is refused.  The edge guards of
+    `split_step_evolve` catch a state that outgrows the estimate."""
+    reach = _farthest_mean(state, delta) + _tail(delta)
+    half_extent = reach + EDGE_RING * math.pi / reach
+    points = 2.0 * half_extent * half_extent / math.pi  # inf where an amplitude near the float limit makes H inf
     _check_memory(points, f"state: the box that holds it at delta = {delta!r}, a half extent of {half_extent:.4g},")
     return GridSpec(n=_fft_length(math.ceil(points)), half_extent=half_extent)
 
@@ -422,12 +421,12 @@ def _openblas_threads():
 def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
     """Entanglement entropy (nats) between the two lab oscillators from the
     singular values of the amplitude matrix.  The SVD runs on one OpenBLAS
-    thread: at grid sizes a second thread only adds CPU time (about 3 ms wall
-    and 6 ms CPU per call at 108^2 on a 2-vCPU machine, against under 2 ms
-    of each on one), and it changes the result: on the records of the
+    thread: at grid sizes a second thread only adds CPU time (about 1.2 ms
+    wall and 2.5 ms CPU per call at 80^2 on a 2-vCPU machine, against 0.7 ms
+    of each on one), and it can change the result: on the records of the
     benchmark's cat state the singular values differ by up to 3.3e-16
-    between one and two threads, and the report prints the entropy to 17
-    significant digits.
+    between one and two threads at 108^2 (5.8e-18 at 80^2), and the report
+    prints the entropy to 17 significant digits.
 
     Importing gravswap sets OPENBLAS_NUM_THREADS to 1 unless it is set, but
     a caller that loads numpy first (a library user, pytest) gets OpenBLAS's

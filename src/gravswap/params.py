@@ -156,8 +156,8 @@ MODEL_BY_NAME = {m.value: m for m in ModelKind}
 
 
 # Grid steps per run: a fourth-order step is two kinetic FFT round trips on
-# numpy.fft, about 0.56 ms on a 96^2 grid, 0.70 ms on 108^2, 1.05 ms on 128^2
-# and 4.6 ms on 256^2 on a 2-vCPU machine, so the budget is 1.5 to 13 hours.
+# numpy.fft, 0.21 ms on a 64^2 grid, 0.29 ms on 80^2, 0.76 ms on 128^2 and 4.2
+# ms on 256^2 (best of 11 swaps, 2-vCPU machine): a budget of 0.6 to 12 hours.
 MAX_GRID_STEPS = 10_000_000
 
 

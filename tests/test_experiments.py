@@ -102,16 +102,16 @@ def _run_grid_spec(cfg, monkeypatch):
 
 def test_grid_size_from_config(monkeypatch):
     # sizes only, no array: the swap and cat-state inputs of the benchmark get
-    # 96^2 and 108^2, the boxes auto_grid_spec sizes from state and coupling
+    # 64^2 and 80^2, the boxes auto_grid_spec sizes from state and coupling
     swap = ExperimentConfig(kind="swap", platform=Platform(delta=0.1), alpha=2 + 0j, beta=-1 + 0j, oracle="grid")
     cat = ExperimentConfig(kind="cat_state", platform=Platform(delta=0.2), cat_alpha=2 + 0j, beta=0j)
-    assert _run_grid_spec(swap, monkeypatch).n == 96
-    assert _run_grid_spec(cat, monkeypatch).n == 108
+    assert _run_grid_spec(swap, monkeypatch).n == 64
+    assert _run_grid_spec(cat, monkeypatch).n == 80
 
 
 def test_default_grid_swap_meets_grid_agreement():
     # the default numerics must pass their own grid verdicts at the stock
-    # tolerance over a full swap, on the grid sized from the state (96^2),
+    # tolerance over a full swap, on the grid sized from the state (64^2),
     # and stay within the errors of the previous default (Yoshida's triple
     # jump at dt_factor 5e-3), so a longer default step costs no accuracy
     cfg = ExperimentConfig(

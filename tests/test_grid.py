@@ -54,8 +54,8 @@ def test_grid_spec_validation():
         GridSpec(n=101, half_extent=8.0)  # odd
     with pytest.raises(GridSizingError):
         GridSpec(n=32, half_extent=8.0)  # too small
-    with pytest.raises(GridSizingError, match="resolve"):
-        GridSpec(n=64, half_extent=16.0)  # too coarse for the ground state
+    with pytest.raises(GridSizingError, match="GridSpec.n: .* momentum tail"):
+        GridSpec(n=64, half_extent=20.0)  # too coarse for the ground state
     spec = GridSpec(n=128, half_extent=10.0)
     assert spec.dx == pytest.approx(20.0 / 128)
     assert GridSpec(n=96, half_extent=9.0).n == 96  # any even n, not only powers of two
@@ -101,10 +101,11 @@ def test_cat_grid_structure():
 
 
 def test_sizing_errors_and_auto_spec():
-    # alpha = 6 at the default coupling needs a half extent of 14.67
-    assert auto_grid_spec(CoherentProduct(6 + 0j, 0j), delta=0.05).half_extent == pytest.approx(14.67, abs=5e-3)
+    # alpha = 6 at the default coupling needs a half extent of 14.70
+    assert auto_grid_spec(CoherentProduct(6 + 0j, 0j), delta=0.05).half_extent == pytest.approx(14.70, abs=5e-3)
     spec = auto_grid_spec(CoherentProduct(20 + 0j, 0j), delta=DELTA_WARN_LIMIT)
-    assert spec.n >= 1024  # large displacement demands momentum range and extent
+    # large displacement demands momentum range and extent: p_max >= 39.61
+    assert spec.n == 1000 and spec.p_max >= spec.half_extent > 39.6
     # a box built by hand is refused by the GridSpec field at fault
     with pytest.raises(GridSizingError, match="GridSpec.n: must be an even integer"):
         GridSpec(n=256.0, half_extent=12.0)
@@ -363,6 +364,44 @@ def test_auto_box_holds_a_momentum_swap(model, state):
     if state == CoherentProduct(3j):
         # the run reached past the resonant envelope, so the widened mean is what held it
         assert np.max(np.abs(lab_means(evo.moments)[:, 2])) > SQRT2 * abs(state.alpha)
+
+
+# the benchmark's swap and cat inputs: (state, coupling, run length in swap
+# times, records, models); each runs with the default numerics
+_BENCH_INPUTS = {
+    "swap_": (CoherentProduct(2 + 0j, -1 + 0j), 0.1, 1.0, 51, tuple(ModelKind)),
+    "cat_": (CatProduct(2 + 0j, 0j), 0.2, 0.5, 61, (ModelKind.QG_RWA, ModelKind.SCEG)),
+}
+
+
+@pytest.mark.parametrize(
+    "inputs,model",
+    [
+        pytest.param(inputs, model, id=f"{prefix}{model}")
+        for prefix, inputs in _BENCH_INPUTS.items()
+        for model in inputs[-1]
+    ],
+)
+def test_auto_spec_agrees_with_a_finer_grid(inputs, model):
+    # the momentum rule alone sets n: a grid 3/2 as fine over the same box
+    # moves no record by more than 1e-12 and no entropy by more than 1e-13,
+    # since the time step, not the spacing, sets the grid error
+    state, delta, swaps, n_samples, _ = inputs
+    params = DimensionlessParams(delta)
+    coarse = auto_grid_spec(state, delta=delta)
+    fine = GridSpec(n=grid._fft_length(3 * coarse.n // 2), half_extent=coarse.half_extent)
+    cat = isinstance(state, CatProduct)
+    a, b = (
+        split_step_evolve(
+            build_initial_grid(state, spec), model, swaps * swap_time(params), params,
+            n_samples=n_samples, record_entropy=cat,
+        )
+        for spec in (coarse, fine)
+    )
+    assert np.array_equal(a.times, b.times)
+    assert np.max(np.abs(a.moments - b.moments)) <= 1e-12
+    if cat:
+        assert np.max(np.abs(a.entropies - b.entropies)) <= 1e-13
 
 
 def _gaussian_product(spec, x0=0.0, p0=0.0):

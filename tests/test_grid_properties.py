@@ -27,11 +27,9 @@ from gravswap import (
 )
 from gravswap.grid import (
     EDGE_RING,
-    GROUND_FWHM,
     GROUND_SIGMA,
     LEAKAGE_LIMIT,
     MAX_GRID_POINTS,
-    RESOLUTION_POINTS,
     _farthest_mean,
 )
 from gravswap.params import DELTA_WARN_LIMIT
@@ -58,14 +56,14 @@ def _five_smooth(n: int) -> bool:
 FAST_LENGTHS = [n for n in range(64, MAX_GRID_POINTS + 1, 2) if _five_smooth(n)]
 
 
-def _holds(n: int, half_extent: float, reach: float) -> bool:
-    """n points over +-half_extent meet the resolution floor of GridSpec and
-    the momentum rule p_max >= reach."""
+def _holds(n: int, half_extent: float, p_range: float) -> bool:
+    """n points over +-half_extent meet the momentum floor of GridSpec and
+    the momentum rule p_max >= p_range."""
     try:
         spec = GridSpec(n=n, half_extent=half_extent)
     except GridSizingError:
         return False
-    return spec.p_max >= reach
+    return spec.p_max >= p_range
 
 
 REL = 1e-12
@@ -74,13 +72,14 @@ REL = 1e-12
 @PROPERTY_SETTINGS
 @given(states, couplings)
 def test_auto_spec_holds_the_state_and_is_smallest(state, delta):
-    # the required half extent: a Gaussian of the widest width, centred on the
-    # farthest mean, has fallen to the leakage limit where the edge ring of
-    # the guard starts, at the coarsest dx the resolution rule allows; the
-    # minus mode stretches the width by (1 - 2 delta)^(-1/2)
+    # the reach: a Gaussian of the widest width, centred on the farthest
+    # mean, has fallen to the leakage limit there; the minus mode stretches
+    # the width by (1 - 2 delta)^(-1/2).  The required half extent adds the
+    # edge ring of the guard at the coarsest spacing the momentum rule allows
     widest = GROUND_SIGMA / math.sqrt(1.0 - 2.0 * delta)
     farthest = _farthest_mean(state, delta)
-    required = farthest + widest * math.sqrt(-2.0 * math.log(LEAKAGE_LIMIT)) + EDGE_RING * GROUND_FWHM / RESOLUTION_POINTS
+    reach = farthest + widest * math.sqrt(-2.0 * math.log(LEAKAGE_LIMIT))
+    required = reach + EDGE_RING * math.pi / reach
     spec = auto_grid_spec(state, delta=delta)
     # the box is exactly the required one
     assert spec.half_extent == pytest.approx(required, rel=REL)
@@ -93,8 +92,8 @@ def test_auto_spec_holds_the_state_and_is_smallest(state, delta):
     # at most, less than positions do)
     p_gap = spec.p_max - EDGE_RING * math.pi / spec.half_extent - farthest
     assert math.exp(-0.5 * (p_gap / widest) ** 2) <= LEAKAGE_LIMIT * (1.0 + 1e-9)
-    # n is the shortest fast FFT length that meets both rules on this box:
-    # the next shorter one breaks the resolution rule or the momentum rule
+    # n is the shortest fast FFT length that meets the rule on this box: the
+    # next shorter one breaks the momentum rule p_max >= half extent
     assert spec.n in FAST_LENGTHS
     shorter = [m for m in FAST_LENGTHS if m < spec.n]
     assert not shorter or not _holds(shorter[-1], spec.half_extent, required * (1.0 + REL))

@@ -7,8 +7,9 @@ a fault reaches the grid runs and the report writers too."""
 import re
 
 import numpy as np
+import pytest
 
-from gravswap import ModelKind, analytic, experiments
+from gravswap import DimensionlessParams, ModelKind, analytic, experiments
 from gravswap.cli import main as cli_main
 
 _FAIL = re.compile(r"^\s+\[FAIL\] (\S+):", re.M)
@@ -65,3 +66,21 @@ def test_exact_map_without_counter_rotating_terms(tmp_path, capsys, monkeypatch)
     _replace_propagate_moments(monkeypatch, mutant)
     failed = _failed_verdicts(capsys, tmp_path, ["rwa-validity"])
     assert any(name.startswith("deviation_law_") for name in failed)
+
+
+@pytest.mark.parametrize(("model", "scale"), [(ModelKind.SCEG, 1.0 + 1e-4), (ModelKind.QG_FULL, 1.0 + 1e-5)])
+def test_grid_coupling_scaled(tmp_path, capsys, monkeypatch, model, scale):
+    # one model's grid run evolves at a coupling off by 1e-4 (sceg) or 1e-5
+    # (qg_full); its means drift from the closed form by about that much
+    # (1.654e-4 and 1.653e-5 on the default swap), well past the grid's own
+    # error on the box auto_grid_spec sizes
+    evolve = experiments.split_step_evolve
+
+    def mutant(w, kind, t_final, params, *args, **kwargs):
+        if kind is model:
+            params = DimensionlessParams(params.delta * scale)
+        return evolve(w, kind, t_final, params, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "split_step_evolve", mutant)
+    failed = _failed_verdicts(capsys, tmp_path, ["swap", "--oracle", "grid"])
+    assert f"{model.value}_grid_mean_agreement" in failed
