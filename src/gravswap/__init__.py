@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "params": (
         "ATOMIC_MASS", "ConfigError", "DimensionlessParams", "GRAVITATIONAL_CONSTANT", "HBAR",
-        "IntegratorConfig", "ModelKind", "ParameterError", "PhysicalParams", "PLATFORM_PRESETS",
+        "ModelKind", "ParameterError", "PhysicalParams", "PLATFORM_PRESETS",
         "derive_dimensionless", "swap_time",
     ),
     "config": (
@@ -55,7 +55,7 @@ _EXPORTS = {
     "experiments": (
         "ExperimentReport", "Verdict", "run_cat_state", "run_feasibility", "run_rwa_validity", "run_swap",
     ),
-    "report": ("ReplayMismatchError", "emit_report"),
+    "report": ("ReplayMismatchError", "ReportError", "emit_report"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

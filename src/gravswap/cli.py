@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     from .experiments import RUNNERS
     from .grid import GridError
     from .moments_ode import IntegrationError
-    from .report import ReplayMismatchError, render_summary
+    from .report import ReportError, render_summary
 
     try:
         report = RUNNERS[kind](cfg)
@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError, IntegrationError, GridError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except ReplayMismatchError as exc:
+    except ReportError as exc:  # the output directory is at fault
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

@@ -2,12 +2,13 @@
 with parsing, validation and a canonical echo.
 
 This module holds the schema of a run's inputs, `ExperimentConfig` with its
-`Platform` and the budgets of its counts; `params` holds the model names and
-the integrator settings it reads.  The verdict thresholds are not inputs but
-constants of `experiments`.  Neither imports numpy, so a config is parsed,
-echoed, digested or refused, and `--help` answers, before any numeric module
-loads; the CLI imports the experiments only once a run starts.  The imports
-run one way: params, config, the numeric modules, experiments, report, cli.
+`Platform` and the budgets of its counts; `params` holds the model names it
+reads.  The verdict thresholds and the integrators' step sizes are not
+inputs but constants of `experiments`, `grid` and `moments_ode`.  Neither
+this module nor `params` imports numpy, so a config is parsed, echoed,
+digested or refused, and `--help` answers, before any numeric module loads;
+the CLI imports the experiments only once a run starts.  The imports run one
+way: params, config, the numeric modules, experiments, report, cli.
 
 Format: `key = value` lines grouped under `[section]` headers, `#` comments.
 Each key is declared once: `CONFIG_KEYS` drives the parse and echo of the
@@ -34,7 +35,6 @@ from .params import (
     MODEL_BY_NAME,
     ConfigError,
     DimensionlessParams,
-    IntegratorConfig,
     ModelKind,
     ParameterError,
     PhysicalParams,
@@ -103,8 +103,6 @@ class ExperimentConfig:
     deltas: tuple[float, ...] = (0.01, 0.05, 0.1)
     samples: int = 200
     oracle: str | None = None  # None: grid for a cat state, which needs it, else none
-    dt_factor: float = IntegratorConfig.dt_factor
-    rk_step_factor: float = IntegratorConfig.rk_step_factor
     seed: int = 0
     timestamp: str | None = None
     out_dir: str | None = None
@@ -144,10 +142,6 @@ class ExperimentConfig:
         # each magnitude is swept against beta, and its photon number must be finite too
         if not all(m * m + mags["beta"] * mags["beta"] < math.inf for m in self.alpha_mags):
             raise ConfigError(f"sweep.alpha_mags: mag^2 + |beta|^2 overflows a float, got {self.alpha_mags}")
-        self.integrator()  # checks the [numerics] step factors
-
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(dt_factor=self.dt_factor, rk_step_factor=self.rk_step_factor)
 
     def uses_ode(self) -> bool:
         return self.oracle in ("ode", "all")
@@ -208,7 +202,7 @@ def _fmt_text(v: str | None) -> str | None:
     return v
 
 
-# Every key of [run], [state], [sweep] and [numerics], in echo order: its
+# Every key of [run], [state] and [sweep], in echo order: its
 # section, its name, the ExperimentConfig field it sets, the parser of its
 # text and the echo of its value (an echo of None leaves the line out).  This
 # is the one place such a key is declared; the coupling blocks are declared by
@@ -227,8 +221,6 @@ CONFIG_KEYS = (
     ("state", "random_pairs", "random_pairs", _parse_int, str),
     ("sweep", "alpha_mags", "alpha_mags", _parse_float_list, _fmt_floats),
     ("sweep", "deltas", "deltas", _parse_float_list, _fmt_floats),
-    ("numerics", "dt_factor", "dt_factor", _parse_float, _fmt_float),
-    ("numerics", "rk_step_factor", "rk_step_factor", _parse_float, _fmt_float),
 )
 
 # The keys of a [params] or [platform:NAME] block besides `preset`, each with

@@ -81,19 +81,15 @@ class Verdict:
 
 
 def _check(name: str, observed: float, comparison: str, threshold: float, note: str = "") -> Verdict:
+    """The verdict `observed <comparison> threshold`; it FAILs on a
+    non-finite observation, which no outcome can rest on."""
     if comparison == "<=":
         ok = observed <= threshold
     elif comparison == ">=":
         ok = observed >= threshold
     else:
         raise ValueError(f"bad comparison {comparison!r}")
-    return Verdict(name=name, passed=bool(ok), observed=float(observed), threshold=float(threshold), comparison=comparison, note=note)
-
-
-def _decided(name: str, passed: bool, observed: float, comparison: str, threshold: float, note: str = "") -> Verdict:
-    """A verdict whose outcome the caller decided; it FAILs on a non-finite
-    observation, which no outcome can rest on."""
-    return Verdict(name=name, passed=bool(passed) and math.isfinite(observed), observed=float(observed),
+    return Verdict(name=name, passed=bool(ok) and math.isfinite(observed), observed=float(observed),
                    threshold=float(threshold), comparison=comparison, note=note)
 
 
@@ -228,6 +224,27 @@ def _run_child(fn, item, fd: int) -> None:
         os._exit(0)
 
 
+def _grid_runs(report: ExperimentReport, label: str, state, models, t_final: float, params: DimensionlessParams,
+               n_samples: int, record_entropy: bool = False) -> dict:
+    """The grid run of `state` under each of `models` over [0, t_final], on
+    the box `auto_grid_spec` sizes, one process each (`fork_map`), as
+    {model: GridEvolution}.  Each run's norm drift and edge fractions go
+    into a note headed `label`."""
+    spec = auto_grid_spec(state, delta=params.delta)
+
+    def run(model):
+        w0 = build_initial_grid(state, spec)
+        return split_step_evolve(w0, model, t_final, params, n_samples=n_samples, record_entropy=record_entropy)
+
+    runs = dict(zip(models, fork_map(run, models)))
+    for model, evo in runs.items():
+        report.notes.append(
+            f"{label} [{model.value}]: max per-step norm drift {evo.max_step_norm_drift:.3e}, "
+            f"max boundary fraction {evo.max_boundary_fraction:.3e} (x), {evo.max_p_boundary_fraction:.3e} (p)"
+        )
+    return runs
+
+
 def _amplitudes_from_pair(pair: np.ndarray) -> tuple[complex, complex, float]:
     """Lab amplitudes reconstructed from the normal-mode first moments of a
     record (2, 5), plus the worst width deviation of the two modes."""
@@ -262,17 +279,10 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         ("model", "method", "fidelity_raw", "fidelity_corrected", "deviation_from_target", "width_deviation"),
     )
 
-    grid_state = CoherentProduct(alpha0, beta0)
+    grid_runs = {}
     if cfg.uses_grid():
-        spec = auto_grid_spec(grid_state, delta=d)
-    icfg = cfg.integrator()
-
-    def grid_run(model):
-        w0 = build_initial_grid(grid_state, spec)
-        return split_step_evolve(w0, model, T, params, icfg, n_samples=min(cfg.samples, 51))
-
-    # the grid runs of the models are independent: one process each
-    grid_runs = dict(zip(cfg.models, fork_map(grid_run, cfg.models))) if cfg.uses_grid() else {}
+        grid_state = CoherentProduct(alpha0, beta0)
+        grid_runs = _grid_runs(report, "grid oracle", grid_state, cfg.models, T, params, min(cfg.samples, 51))
 
     def series(model):
         """(method, times, records) of each enabled method for `model`; the
@@ -281,15 +291,10 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         closed = exact if model is ModelKind.QG_FULL else propagate_moments(model, pair0, times, params)
         yield "closed", times, closed
         if cfg.uses_ode():
-            ode = integrate_moments(model, pair0, T, params, icfg, n_samples=min(cfg.samples, 201))
+            ode = integrate_moments(model, pair0, T, params, n_samples=min(cfg.samples, 201))
             yield "ode", ode.times, ode.moments
         if cfg.uses_grid():
-            evo = grid_runs[model]
-            report.notes.append(
-                f"grid oracle [{model.value}]: max per-step norm drift {evo.max_step_norm_drift:.3e}, "
-                f"max boundary fraction {evo.max_boundary_fraction:.3e} (x), {evo.max_p_boundary_fraction:.3e} (p)"
-            )
-            yield "grid", evo.times, evo.moments
+            yield "grid", grid_runs[model].times, grid_runs[model].moments
 
     # an oracle's means and covariance must match the closed form; mean-field widths must stay coherent
     agreement = {"ode": ODE_AGREEMENT, "grid": GRID_AGREEMENT}
@@ -476,9 +481,8 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
             if not 0.9 * threshold < measured < 1.1 * threshold:
                 expect_crossed = predicted >= threshold
                 report.verdicts.append(
-                    _decided(
+                    _check(
                         f"threshold_crossing_delta_{d:g}_alpha_{mag:g}",
-                        crossed == expect_crossed,
                         measured,
                         ">=" if expect_crossed else "<=",
                         threshold,
@@ -516,22 +520,23 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
-    """Evolve a superposed-amplitude state against the vacuum partner under a
-    quantum model and the mean-field model; the former entangles, the latter
-    freezes (all first moments vanish, so the mean-field force is zero)."""
+    """Evolve a superposed-amplitude state against the vacuum partner under
+    each listed quantum model and the mean-field model; the former entangle,
+    the latter freezes (all first moments vanish, so the mean-field force is
+    zero)."""
     if not cfg.uses_grid():
         raise ConfigError("run.oracle: the cat-state experiment needs the grid oracle (grid or all)")
+    quantum = [m for m in cfg.models if m is not ModelKind.SCEG]
+    if not quantum or ModelKind.SCEG not in cfg.models:
+        names = ", ".join(m.value for m in cfg.models)
+        raise ConfigError(f"run.models: the cat-state experiment compares sceg with a quantum model; got {names}")
     params = cfg.platform.dimensionless()
     if params.delta <= 0:
         raise ConfigError("params.delta: the cat-state experiment needs a positive coupling")
     report = _report(cfg)
 
-    quantum = next((m for m in cfg.models if m in (ModelKind.QG_RWA, ModelKind.QG_FULL)), ModelKind.QG_RWA)
     t_final = swap_time(params) / 2.0  # quarter beat: maximally split branches
     state = CatProduct(cat_amp=complex(cfg.cat_alpha), partner=complex(cfg.beta))
-    spec = auto_grid_spec(state, delta=params.delta)
-    icfg = cfg.integrator()
-    n_samples = min(cfg.samples, 61)
 
     table = _add_table(
         report,
@@ -553,72 +558,50 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
             for branch1, branch2 in zip(zip(plus1, minus1), zip(plus2, minus2))
         ]
 
-    def grid_run(model):
-        w0 = build_initial_grid(state, spec)
-        evo = split_step_evolve(
-            w0, model, t_final, params, icfg, n_samples=n_samples, record_entropy=True
-        )
-        max_mean = np.max(np.abs(lab_means(evo.moments)), axis=1)
-        oracle_vals = (
-            oracle_entropies(evo.times)
-            if model is ModelKind.QG_RWA
-            else [math.nan] * len(evo.times)
-        )
-        return evo, max_mean, oracle_vals
-
-    # the quantum and mean-field runs are independent: one process each
-    models = (quantum, ModelKind.SCEG)
-    results: dict[ModelKind, dict] = {}
-    for model, (evo, max_mean, oracle_vals) in zip(models, fork_map(grid_run, models)):
-        table.add(evo.times, [model.value] * len(evo.times), evo.entropies, oracle_vals, evo.purities, max_mean)
-        results[model] = {
-            "entropies": evo.entropies,
-            "oracle": oracle_vals,
-            "purities": evo.purities,
-            "max_mean": max_mean,
-        }
-        report.notes.append(
-            f"grid [{model.value}]: max per-step norm drift {evo.max_step_norm_drift:.3e}, "
-            f"max boundary fraction {evo.max_boundary_fraction:.3e} (x), {evo.max_p_boundary_fraction:.3e} (p)"
-        )
+    runs = _grid_runs(report, "grid", state, cfg.models, t_final, params, min(cfg.samples, 61), record_entropy=True)
+    oracle: dict[ModelKind, list[float]] = {}
+    max_mean: dict[ModelKind, np.ndarray] = {}
+    for model, evo in runs.items():
+        n = len(evo.times)
+        oracle[model] = oracle_entropies(evo.times) if model is ModelKind.QG_RWA else [math.nan] * n
+        max_mean[model] = np.max(np.abs(lab_means(evo.moments)), axis=1)
+        table.add(evo.times, [model.value] * n, evo.entropies, oracle[model], evo.purities, max_mean[model])
         report.verdicts.append(
             _check(f"{model.value}_initial_product_entropy", float(evo.entropies[0]), "<=", PRODUCT_ENTROPY_MAX)
         )
 
-    q = results[quantum]
-    report.verdicts.append(
-        _check(f"{quantum.value}_final_entropy", float(q["entropies"][-1]), ">=", ENTROPY_MIN)
-    )
-    if quantum is ModelKind.QG_RWA:
-        report.verdicts.append(
-            _check(
-                "entropy_matches_branch_oracle",
-                float(abs(q["entropies"][-1] - q["oracle"][-1])),
-                "<=",
-                ENTROPY_ORACLE,
-                "grid entropy vs exact two-branch Schmidt value",
+    for model in quantum:
+        entropies = runs[model].entropies
+        report.verdicts.append(_check(f"{model.value}_final_entropy", float(entropies[-1]), ">=", ENTROPY_MIN))
+        if model is ModelKind.QG_RWA:
+            report.verdicts.append(
+                _check(
+                    "entropy_matches_branch_oracle",
+                    float(abs(entropies[-1] - oracle[model][-1])),
+                    "<=",
+                    ENTROPY_ORACLE,
+                    "grid entropy vs exact two-branch Schmidt value",
+                )
             )
-        )
-        report.verdicts.append(
-            _check(
-                "entropy_matches_branch_oracle_series",
-                float(np.max(np.abs(np.subtract(q["entropies"], q["oracle"])))),
-                "<=",
-                ENTROPY_ORACLE_SERIES,
-                "the same at every record",
+            report.verdicts.append(
+                _check(
+                    "entropy_matches_branch_oracle_series",
+                    float(np.max(np.abs(np.subtract(entropies, oracle[model])))),
+                    "<=",
+                    ENTROPY_ORACLE_SERIES,
+                    "the same at every record",
+                )
             )
-        )
-    else:
-        report.notes.append(
-            "no closed-form entropy oracle for the exact quadratic model; entropy reported as-is"
-        )
-    s = results[ModelKind.SCEG]
+        else:
+            report.notes.append(
+                "no closed-form entropy oracle for the exact quadratic model; entropy reported as-is"
+            )
     report.verdicts.append(
-        _check("sceg_first_moments_frozen", float(np.max(s["max_mean"])), "<=", SCEG_MEAN_MAX,
+        _check("sceg_first_moments_frozen", float(np.max(max_mean[ModelKind.SCEG])), "<=", SCEG_MEAN_MAX,
                "zero means kill every mean-field interaction term")
     )
     report.verdicts.append(
-        _check("sceg_purity", float(np.min(s["purities"])), ">=", 1.0 - SCEG_PURITY_DEFECT)
+        _check("sceg_purity", float(np.min(runs[ModelKind.SCEG].purities)), ">=", 1.0 - SCEG_PURITY_DEFECT)
     )
     report.notes.append(
         "entropy/purity thresholds are desk-scale choices; the tested claim is the qualitative "

@@ -25,7 +25,9 @@ merges with the first of the next, so a step costs two round trips; over a
 full swap of (2, -1) at d = 0.1 it reaches a mean error of 6.6e-8 in 177
 steps (354 round trips), where Blanes and Moan's S6 on the kinetic/potential
 split needed 137 (822).  A step starts and ends on a kick, so every record
-is taken in position space.
+is taken in position space.  The step length is a constant,
+GRID_STEP_PERIODS of a period of the exact plus mode; counting the steps
+(`grid_steps`) is the one place the grid reads a mode frequency.
 
 QG_RWA: [H0, B] = 0, so exp(-i tau H) = exp(-i tau H0) exp(-i tau d B)
 exactly.  The same step runs on d B alone, kicks d x1 x2 and drifts d p1 p2,
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments_ode import record_bounds
-from .params import DELTA_WARN_LIMIT, DimensionlessParams, IntegratorConfig, ModelKind, ParameterError
+from .params import DELTA_WARN_LIMIT, ConfigError, DimensionlessParams, ModelKind, ParameterError
 from .states import SQRT2, check_moments, lab_means
 
 GROUND_SIGMA = math.sqrt(0.5)
@@ -66,6 +68,17 @@ EDGE_RING = 2  # rows and columns on each side counted as the edge of a grid
 # at any record; `auto_grid_spec` sizes every box to keep the state below it.
 LEAKAGE_LIMIT = 1e-12
 NORM_DRIFT_LIMIT = 1e-8  # largest norm change per unit scaled time
+# The length of one step, in periods 2 pi / K_plus of the exact plus mode.
+# The measured order of the grid error is 4.0 to 4.2 between 8e-2 and 4e-2
+# of a period, at couplings 0.1 and 0.2, so up to 8e-2 the error is in the
+# asymptotic regime (from 1.6e-1 down to 8e-2 it strays to 3.4 to 4.5).
+# This step leaves a grid mean error of 6.6e-8 over a full swap of (2, -1)
+# at coupling 0.1.
+GRID_STEP_PERIODS = 1.55e-2
+# Grid steps per run: a fourth-order step is two kinetic FFT round trips on
+# numpy.fft, 0.21 ms on a 64^2 grid, 0.29 ms on 80^2, 0.76 ms on 128^2 and 4.2
+# ms on 256^2 (best of 11 swaps, 2-vCPU machine): a budget of 0.6 to 12 hours.
+MAX_GRID_STEPS = 10_000_000
 
 
 sfft = np.fft  # the FFT module, wrapped by name by the benchmark tracer
@@ -471,12 +484,27 @@ class GridEvolution:
     final: GridWavefunction
 
 
+def grid_steps(tau_final: float, params: DimensionlessParams) -> int:
+    """Steps of GRID_STEP_PERIODS periods over `tau_final` (scaled time),
+    rounded up.
+
+    Refuses a span beyond MAX_GRID_STEPS steps, so an unrunnable grid run
+    fails before any array is allocated.  A run's span is a multiple of
+    the swap time pi / (2 delta), so the refusal names the coupling."""
+    steps = tau_final / (GRID_STEP_PERIODS * 2.0 * math.pi / params.K_plus)
+    if not steps <= MAX_GRID_STEPS:
+        raise ConfigError(
+            f"params.delta: {params.delta!r} gives {steps:.3g} grid steps of {GRID_STEP_PERIODS:g} periods "
+            f"over scaled time {tau_final:.3g}, beyond the budget of {MAX_GRID_STEPS}"
+        )
+    return max(1, math.ceil(steps))
+
+
 def split_step_evolve(
     w: GridWavefunction,
     model: ModelKind,
     t_final: float,
     params: DimensionlessParams,
-    cfg: IntegratorConfig | None = None,
     *,
     n_samples: int = 50,
     record_entropy: bool = False,
@@ -493,13 +521,12 @@ def split_step_evolve(
     beyond LEAKAGE_LIMIT on the edge of the position box or of the
     momentum grid.
     """
-    cfg = cfg or IntegratorConfig()
     if t_final < 0:
         raise ParameterError("t_final must be non-negative")
     kicks, flows, corrector = _SBAB2
     n_samples = max(2, n_samples)
     spec = w.spec
-    steps = max(cfg.grid_steps(t_final, params), n_samples - 1) if t_final > 0.0 else 0
+    steps = max(grid_steps(t_final, params), n_samples - 1) if t_final > 0.0 else 0
     x = spec.x_axis()
     delta = params.delta
     rwa = model is ModelKind.QG_RWA

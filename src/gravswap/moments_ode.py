@@ -21,9 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ModelKind, mode_hamiltonians, template_moment_rhs
-from .params import DimensionlessParams, IntegratorConfig, ParameterError
+from .params import DimensionlessParams, ParameterError
 from .states import check_moments
 
+# The RK4 step, in periods 2 pi / K_plus of the exact plus mode, and the
+# budget of steps per run.
+RK_STEP_PERIODS = 1e-4
 MAX_STEPS = 100_000_000
 # The bound on the accumulated error that the step-doubling estimate at the
 # start point projects over the run.
@@ -91,19 +94,19 @@ def integrate_moments(
     init,
     t_final: float,
     params: DimensionlessParams,
-    cfg: IntegratorConfig | None = None,
     n_samples: int = 200,
 ) -> MomentSeries:
     """Integrate the per-mode moment equations from the record `init` (2, 5)
-    over [0, t_final], in units of 1/omega.
+    over [0, t_final], in units of 1/omega, in steps of at most
+    RK_STEP_PERIODS periods.
 
     Samples are taken at integer step boundaries closest to a uniform grid of
     `n_samples` points (endpoints always included).  Raises ToleranceError if
     a step-doubling estimate of the accumulated error exceeds RK_TOL,
-    StepUnderflowError if the requested span needs an absurd step count, and
+    StepUnderflowError if the span needs more than MAX_STEPS steps (a span
+    that follows the swap time pi / (2 delta) names the coupling), and
     IntegrationError if the equations turn out not to be linear.
     """
-    cfg = cfg or IntegratorConfig()
     if t_final < 0:
         raise ParameterError("t_final must be non-negative")
     rhs = _make_rhs(model, params)
@@ -112,16 +115,14 @@ def integrate_moments(
     if t_final == 0.0:
         return MomentSeries(times=np.array([0.0]), moments=y0.reshape((1, 2, 5)).copy())
 
-    h_target = cfg.rk_step(params)
-    steps = max(1, math.ceil(t_final / h_target))
-    if steps > MAX_STEPS:
+    steps = t_final / (RK_STEP_PERIODS * 2.0 * math.pi / params.K_plus)
+    if not steps <= MAX_STEPS:
         raise StepUnderflowError(
-            f"numerics.rk_step_factor: step size {h_target!r} implies {steps} steps over span "
-            f"{t_final!r}, beyond the budget of {MAX_STEPS}"
+            f"params.delta: {params.delta!r} gives {steps:.3g} RK4 steps of {RK_STEP_PERIODS:g} periods "
+            f"over scaled time {t_final:.3g}, beyond the budget of {MAX_STEPS}"
         )
+    steps = max(1, math.ceil(steps))
     h = t_final / steps
-    if t_final + h == t_final:
-        raise StepUnderflowError("numerics.rk_step_factor: step size underflows the time span")
 
     # One-off accumulated-error estimate by step doubling at the start point.
     coarse = _rk4_step(rhs, y, h)
@@ -129,8 +130,8 @@ def integrate_moments(
     local_err = max(abs(c - f) for c, f in zip(coarse, fine)) / 15.0
     if local_err * steps > RK_TOL:
         raise ToleranceError(
-            f"estimated accumulated error {local_err * steps:.3e} exceeds the RK4 tolerance {RK_TOL:.3e}; "
-            "reduce numerics.rk_step_factor"
+            f"estimated accumulated error {local_err * steps:.3e} of {steps} RK4 steps exceeds the "
+            f"tolerance {RK_TOL:.3e}"
         )
 
     step = np.array([_rk4_step(rhs, tuple(col), h) for col in np.eye(10).tolist()]).T

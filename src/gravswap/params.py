@@ -25,9 +25,9 @@ potential is long dead by then, so delta >= 1/2 is rejected outright.  Values
 above 0.2 draw a warning instead of an error because numerical verification
 deliberately exaggerates the coupling far beyond any physical setting.
 
-The model names and the integrators' step settings live here too, with the
-rest of what a config holds, so that parsing and checking a config imports
-no numpy.
+The model names live here too, with the rest of what a config holds, so
+that parsing and checking a config imports no numpy.  The integrators' step
+sizes are not inputs but constants of `grid` and `moments_ode`.
 """
 
 from __future__ import annotations
@@ -153,57 +153,6 @@ class ModelKind(enum.Enum):
 
 
 MODEL_BY_NAME = {m.value: m for m in ModelKind}
-
-
-# Grid steps per run: a fourth-order step is two kinetic FFT round trips on
-# numpy.fft, 0.21 ms on a 64^2 grid, 0.29 ms on 80^2, 0.76 ms on 128^2 and 4.2
-# ms on 256^2 (best of 11 swaps, 2-vCPU machine): a budget of 0.6 to 12 hours.
-MAX_GRID_STEPS = 10_000_000
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Step sizes of the two numerical oracles.
-
-    Both step factors are in units of one exact-plus-mode period, 2 pi /
-    K_plus in scaled time.  The grid factor is the length of one
-    fourth-order step (two kinetic FFT round trips) and is capped at 8e-2
-    of a period: the measured order of the grid error is still 4.0 to 4.2
-    between 8e-2 and 4e-2, at couplings 0.1 and 0.2, so up to the cap the
-    error is in the asymptotic regime (from 1.6e-1 down to 8e-2 it strays
-    to 3.4 to 4.5).  The default 1.55e-2 leaves a grid mean error of 6.6e-8
-    over a full swap of (2, -1) at coupling 0.1.
-    """
-
-    dt_factor: float = 1.55e-2
-    rk_step_factor: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.dt_factor <= 8e-2):
-            raise ParameterError(f"numerics.dt_factor: must be in (0, 8e-2] periods, got {self.dt_factor!r}")
-        if not (0.0 < self.rk_step_factor < math.inf):
-            raise ParameterError(f"numerics.rk_step_factor: must be finite and positive, got {self.rk_step_factor!r}")
-
-    def grid_step(self, params: DimensionlessParams) -> float:
-        """Split-operator step in scaled time (omega t)."""
-        return self.dt_factor * 2.0 * math.pi / params.K_plus
-
-    def grid_steps(self, tau_final: float, params: DimensionlessParams) -> int:
-        """Composite split-operator steps over `tau_final` (scaled time).
-
-        Refuses a span beyond MAX_GRID_STEPS steps, so an unrunnable grid run
-        fails before any array is allocated."""
-        steps = tau_final / self.grid_step(params)
-        if not steps <= MAX_GRID_STEPS:
-            raise ConfigError(
-                f"numerics.dt_factor: {self.dt_factor!r} periods gives {steps:.3g} grid steps "
-                f"over scaled time {tau_final:.3g}, beyond the budget of {MAX_GRID_STEPS}"
-            )
-        return max(1, math.ceil(steps))
-
-    def rk_step(self, params: DimensionlessParams) -> float:
-        """Runge-Kutta step in scaled time (omega t)."""
-        return self.rk_step_factor * 2.0 * math.pi / params.K_plus
 
 
 # Order-of-magnitude feasibility presets.  The ion separation is taken at the

@@ -29,7 +29,11 @@ from .config import config_digest, format_config
 from .experiments import ExperimentReport, Table, cpu_count, fork_map
 
 
-class ReplayMismatchError(RuntimeError):
+class ReportError(RuntimeError):
+    """Raised when a report cannot be written to its directory."""
+
+
+class ReplayMismatchError(ReportError):
     pass
 
 
@@ -156,18 +160,19 @@ def _existing_digest(manifest_path: Path) -> str | None:
 def emit_report(report: ExperimentReport, out_dir: str | Path, force: bool = False) -> list[Path]:
     """Write the report's file set into out_dir; idempotent for identical
     reports, refuses (ReplayMismatchError) to overwrite a directory holding a
-    different configuration's artifacts unless `force`."""
+    different configuration's artifacts unless `force`, and raises
+    ReportError where the directory or a file cannot be written."""
     out = Path(out_dir)
     manifest_path = out / "manifest.txt"
     new_digest = config_digest(report.config)
-    if manifest_path.exists() and not force:
-        old = _existing_digest(manifest_path)
-        if old is not None and old != new_digest:
-            raise ReplayMismatchError(
-                f"{out}: existing manifest was produced by config {old}, "
-                f"refusing to overwrite with {new_digest} (use force)"
-            )
     try:
+        if manifest_path.exists() and not force:
+            old = _existing_digest(manifest_path)
+            if old is not None and old != new_digest:
+                raise ReplayMismatchError(
+                    f"{out}: existing manifest was produced by config {old}, "
+                    f"refusing to overwrite with {new_digest} (use force)"
+                )
         out.mkdir(parents=True, exist_ok=True)
         manifest_path.unlink(missing_ok=True)  # written last: a manifest implies a complete report
 
@@ -210,6 +215,6 @@ def emit_report(report: ExperimentReport, out_dir: str | Path, force: bool = Fal
             path.write_text(text, encoding="utf-8", newline="\n")
             written.append(path)
     except OSError as exc:
-        raise RuntimeError(f"failed to emit report into {out}: {exc}") from exc
+        raise ReportError(f"failed to emit report into {out}: {exc}") from exc
     return written
 

@@ -16,7 +16,6 @@ import pytest
 from gravswap import (
     DimensionlessParams,
     ExperimentConfig,
-    IntegratorConfig,
     ModelKind,
     Platform,
     CoherentProduct,
@@ -36,7 +35,7 @@ from gravswap import (
     two_mode_overlap,
     QuadraticHamiltonian,
 )
-from gravswap import moments_ode
+from gravswap import grid, moments_ode
 
 STACK_DELTA = 0.05
 STACK_ALPHA = 2 + 0j
@@ -73,10 +72,11 @@ def stack_grid_runs():
     params = DimensionlessParams(STACK_DELTA)
     T = swap_time(params)
     w0 = build_initial_grid(CoherentProduct(STACK_ALPHA, STACK_BETA))
-    cfg = IntegratorConfig(dt_factor=STACK_GRID_DT)
     runs = {}
-    for model in ModelKind:
-        runs[model] = split_step_evolve(w0, model, T, params, cfg, n_samples=41)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "GRID_STEP_PERIODS", STACK_GRID_DT)
+        for model in ModelKind:
+            runs[model] = split_step_evolve(w0, model, T, params, n_samples=41)
     return params, runs
 
 
@@ -241,8 +241,8 @@ def test_criterion_8_numerical_hygiene(stack_grid_runs, monkeypatch):
     monkeypatch.setattr(moments_ode, "RK_TOL", 1.0)  # the coarse steps measure the order
 
     def rk_err(factor):
-        cfg = IntegratorConfig(rk_step_factor=factor)
-        s = integrate_moments(ModelKind.QG_FULL, init, t_final, params, cfg, n_samples=9)
+        monkeypatch.setattr(moments_ode, "RK_STEP_PERIODS", factor)
+        s = integrate_moments(ModelKind.QG_FULL, init, t_final, params, n_samples=9)
         return _mean_error(ModelKind.QG_FULL, init, s.times, s.moments, params)
 
     rk_order = math.log2(rk_err(2e-2) / rk_err(1e-2))
@@ -250,7 +250,8 @@ def test_criterion_8_numerical_hygiene(stack_grid_runs, monkeypatch):
     w0 = build_initial_grid(CoherentProduct(1 + 0.5j, -0.3 + 0.2j))
 
     def grid_err(factor):
-        evo = split_step_evolve(w0, ModelKind.QG_FULL, t_final, params, IntegratorConfig(dt_factor=factor), n_samples=3)
+        monkeypatch.setattr(grid, "GRID_STEP_PERIODS", factor)
+        evo = split_step_evolve(w0, ModelKind.QG_FULL, t_final, params, n_samples=3)
         return _mean_error(ModelKind.QG_FULL, init, evo.times, evo.moments, params)
 
     grid_order = math.log2(grid_err(2e-2) / grid_err(1e-2))

@@ -79,8 +79,6 @@ def configs(draw):
         deltas=tuple(draw(st.lists(deltas, min_size=1, max_size=4))),
         samples=draw(st.integers(2, 10**6)),
         oracle=draw(st.sampled_from(ORACLES)),
-        dt_factor=draw(st.floats(min_value=1e-12, max_value=8e-2)),
-        rk_step_factor=draw(positive),
         seed=draw(st.integers(0, 2**63)),
         timestamp=draw(st.one_of(st.none(), stamps)),
         out_dir=draw(st.one_of(st.none(), paths)),

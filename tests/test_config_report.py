@@ -1,7 +1,9 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -97,13 +99,13 @@ def test_cli_refuses_tolerances_section(tmp_path, capsys):
     cfg_path = tmp_path / "c.txt"
     cfg_path.write_text(
         "[run]\nkind = swap\noracle = grid\nmodels = qg_full, sceg\n[params]\ndelta = 0.1\n"
-        "[state]\nalpha = 2\nbeta = -1\n[numerics]\ndt_factor = 0.08\n"
+        "[state]\nalpha = 2\nbeta = -1\n"
         "[tolerances]\ngrid_agreement = inf\nwidth_grid = inf\n"
     )
     rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == f"error: {cfg_path}:12: unknown section [tolerances]\n"
+    assert err == f"error: {cfg_path}:10: unknown section [tolerances]\n"
     assert not (tmp_path / "r").exists()
 
 
@@ -209,6 +211,18 @@ def test_manifest_is_written_last(tmp_path, monkeypatch):
     assert not (out / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub", "other"])
+def test_cli_refuses_unwritable_out(tmp_path, capsys, out):
+    # a regular file, a path below one, and a directory holding another
+    # config's report: each is refused with an error line and the status of
+    # an output directory at fault, not a traceback
+    (tmp_path / "file").write_text("")
+    assert cli_main(["feasibility", "--out", str(tmp_path / "other"), "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert cli_main(["feasibility", "--out", str(tmp_path / out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_source_digest_recorded(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text(MINIMAL)
@@ -222,7 +236,7 @@ def test_cat_report_has_entropy_csv(tmp_path):
     from gravswap import run_cat_state
 
     cfg = ExperimentConfig(
-        kind="cat_state", platform=Platform(delta=0.1), cat_alpha=1.2 + 0j, oracle="grid", samples=4, dt_factor=1e-2
+        kind="cat_state", platform=Platform(delta=0.1), cat_alpha=1.2 + 0j, oracle="grid", samples=4
     )
     report = run_cat_state(cfg)
     paths = emit_report(report, tmp_path)
@@ -297,24 +311,23 @@ def test_cli_seed_override(tmp_path):
 
 
 def test_cli_refuses_physical_scale_grid_run(tmp_path, capsys):
-    # a ca40 swap needs ~1e20 grid steps: refused as a config error naming
-    # the step key, not a numpy traceback
+    # a ca40 swap needs ~1e18 grid steps: refused as a config error naming
+    # the coupling, not a numpy traceback
     cfg_path = tmp_path / "c.txt"
     cfg_path.write_text("[run]\nkind = swap\nmodels = qg_full\n[params]\npreset = ca40_ion\n")
     rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
     assert rc == 2
-    assert "numerics.dt_factor" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: params.delta: ")
 
 
 def test_cli_refuses_physical_scale_ode_run(tmp_path, capsys):
-    # a ca40 swap needs ~1e20 RK4 steps: refused naming the step key, with the
-    # config-error status rather than a traceback
+    # a ca40 swap needs ~1e20 RK4 steps: refused naming the coupling, with
+    # the config-error status rather than a traceback
     cfg_path = tmp_path / "c.txt"
     cfg_path.write_text("[run]\nkind = swap\nmodels = qg_full\n[params]\npreset = ca40_ion\n")
     rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "ode"])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "numerics.rk_step_factor" in err
+    assert capsys.readouterr().err.startswith("error: params.delta: ")
 
 
 @pytest.mark.parametrize(
@@ -327,15 +340,16 @@ def test_cli_refuses_physical_scale_ode_run(tmp_path, capsys):
     ],
 )
 def test_cli_refuses_bad_grid_size(tmp_path, capsys, numerics, key):
-    # the box is sized from the state alone: a config that still gives a
-    # grid size is refused naming the key, with the config-error status
-    # rather than a traceback, whether or not that size could hold the state
+    # the box is sized from the state alone and the step is a constant: a
+    # config that still gives a grid size is refused with the config-error
+    # status rather than a traceback, whether or not that size could hold
+    # the state, by the section that held the key
     cfg_path = tmp_path / "c.txt"
     cfg_path.write_text(f"[run]\nkind = swap\nmodels = qg_full\n[state]\nalpha = 6\n[numerics]\n{numerics}\n")
     rc = cli_main(["swap", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--oracle", "grid"])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    section = key.split(".")[0]
+    assert capsys.readouterr().err == f"error: {cfg_path}:6: unknown section [{section}]\n"
 
 
 _SI_KEYS_TEXT = "mass_kg = 1e-6\nomega_rad_s = 2e4\nseparation_m = 1e-3\n"
@@ -373,21 +387,16 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
          "params"),
         # a model listed twice would run every series twice
         ("swap", "[run]\nkind = swap\nmodels = sceg, sceg\n", "run.models"),
-        # the step factors are checked for every kind, even one that never steps
-        ("rwa-validity", "[run]\nkind = rwa_validity\n[numerics]\ndt_factor = 5\n", "numerics.dt_factor"),
-        ("rwa-validity", "[run]\nkind = rwa_validity\n[numerics]\nrk_step_factor = -1\n", "numerics.rk_step_factor"),
-        ("feasibility", "[run]\nkind = feasibility\n[numerics]\ndt_factor = 5\n", "numerics.dt_factor"),
-        ("cat-state", "[run]\nkind = cat_state\n[numerics]\ndt_factor = 0\n", "numerics.dt_factor"),
+        # a cat state compares a quantum model with the mean-field one
+        ("cat-state", "[run]\nkind = cat_state\nmodels = sceg\n", "run.models"),
+        ("cat-state", "[run]\nkind = cat_state\nmodels = qg_full, qg_rwa\n", "run.models"),
         # rwa_validity sweeps sweep.deltas: a [params] block would have no effect
         ("rwa-validity", "[run]\nkind = rwa_validity\n[params]\ndelta = 0.3\n", "params.delta"),
-        # keys that no longer exist: the box is sized from the state, G and
-        # hbar are constants, and a direct delta needs no trap frequency since
-        # every time but feasibility's is in 1/omega; each is refused by name,
-        # wherever it is given
+        # keys that no longer exist: G and hbar are constants, and a direct
+        # delta needs no trap frequency since every time but feasibility's is
+        # in 1/omega; each is refused by name, wherever it is given
         ("swap", "[run]\nkind = swap\n[params]\ndelta = 0.1\nomega = 1\n", "params.omega"),
         ("feasibility", _LADDER_B + "delta = 0.1\nomega = 1\n", "platform:b.omega"),
-        ("swap", "[run]\nkind = swap\n[numerics]\ngrid_points = 512\n", "numerics.grid_points"),
-        ("cat-state", "[run]\nkind = cat_state\n[numerics]\ngrid_half_extent = 12\n", "numerics.grid_half_extent"),
         ("swap", "[run]\nkind = swap\n[params]\n" + _SI_KEYS_TEXT + "grav_constant = 7e-11\n", "params.grav_constant"),
         ("feasibility", _LADDER_B + _SI_KEYS_TEXT + "hbar = 1.1e-34\n", "platform:b.hbar"),
         # a pair whose photon number |alpha|^2 + |beta|^2 overflows: rows of
@@ -399,8 +408,6 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         ("rwa-validity", "[run]\nkind = rwa_validity\n[sweep]\nalpha_mags = 1, 1.7e308\n", "sweep.alpha_mags"),
         ("rwa-validity", "[run]\nkind = rwa_validity\n[state]\nbeta = 1e154\n[sweep]\nalpha_mags = 1e154\n",
          "sweep.alpha_mags"),
-        # an infinite RK step is refused at the parse, before any oracle steps
-        ("swap", "[run]\nkind = swap\noracle = ode\n[numerics]\nrk_step_factor = inf\n", "numerics.rk_step_factor"),
     ],
     ids=[
         "samples",
@@ -420,15 +427,11 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         "platform_si_swap_seconds",
         "si_swap_time",
         "repeated_model",
-        "rwa_dt_factor",
-        "rwa_rk_step_factor",
-        "feasibility_dt_factor",
-        "cat_dt_factor",
+        "cat_models_without_quantum",
+        "cat_models_without_sceg",
         "rwa_params",
         "params_omega",
         "platform_omega",
-        "grid_points",
-        "grid_half_extent",
         "grav_constant",
         "platform_hbar",
         "alpha_overflow_qg_full",
@@ -436,7 +439,6 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         "beta_overflow",
         "alpha_mags_overflow",
         "alpha_mags_overflow_with_beta",
-        "rk_step_factor_inf",
     ],
 )
 def test_cli_refuses_unrunnable_input_by_key(tmp_path, capsys, command, text, key):
@@ -534,10 +536,6 @@ random_pairs = 0
 [sweep]
 alpha_mags = 1, 10, 100
 deltas = 0.01, 0.050000000000000003, 0.10000000000000001
-
-[numerics]
-dt_factor = 0.0155
-rk_step_factor = 0.0001
 """
 _ECHO_CA40 = """
 mass_kg = 6.6421562664000002e-26
@@ -660,3 +658,25 @@ def test_key_table_covers_the_schema():
     assert echoed["params"] == list(SI_FIELDS)
     for section, key, *_ in CONFIG_KEYS:
         assert key in echoed[section]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a backticked `section.key`; a file name (`manifest.txt`) or a dotted name
+# under an importable module (`gravswap.config`, `numpy.fft`) is no key
+_KEY_MENTION = re.compile(r"`([a-z]+)\.([a-z][a-z_]*)(?=[` ])")
+
+
+def test_readme_keys_match_the_parser():
+    # every key the README names is one the parser knows, and every key of
+    # the key table is named in the README
+    mentions = {
+        (section, key)
+        for section, key in _KEY_MENTION.findall(README.read_text(encoding="utf-8"))
+        if key not in ("csv", "json", "txt") and importlib.util.find_spec(section) is None
+    }
+    for section, key in sorted(mentions):
+        try:
+            parse_config_text(f"[{section}]\n{key} = 0\n")
+        except ConfigError as exc:
+            assert not re.search("unknown (key|section)", str(exc)), f"README names `{section}.{key}`: {exc}"
+    assert {(section, key) for section, key, *_ in CONFIG_KEYS} <= mentions

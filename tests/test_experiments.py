@@ -110,10 +110,10 @@ def test_grid_size_from_config(monkeypatch):
 
 
 def test_default_grid_swap_meets_grid_agreement():
-    # the default numerics must pass their own grid verdicts at the stock
+    # the program's grid step must pass its own grid verdicts at the stock
     # tolerance over a full swap, on the grid sized from the state (64^2),
-    # and stay within the errors of the previous default (Yoshida's triple
-    # jump at dt_factor 5e-3), so a longer default step costs no accuracy
+    # and stay within the errors of the step it replaced (Yoshida's triple
+    # jump at 5e-3 of a period), so the longer step costs no accuracy
     cfg = ExperimentConfig(
         kind="swap",
         platform=Platform(delta=0.1),
@@ -230,10 +230,13 @@ def test_rwa_validity_sweeps_past_the_corrected_form_limit():
 
 @pytest.mark.parametrize("observed", [math.nan, math.inf, -math.inf])
 def test_decided_verdict_fails_on_a_non_finite_observation(observed):
-    v = experiments._decided("threshold_crossing", True, observed, "<=", 1.0, "note")
-    assert not v.passed
-    assert (v.comparison, v.threshold, v.note) == ("<=", 1.0, "note")
-    assert experiments._decided("threshold_crossing", True, 0.5, "<=", 1.0).passed
+    # every verdict is decided by `_check`, under either comparison
+    for comparison in ("<=", ">="):
+        v = experiments._check("threshold_crossing", observed, comparison, 1.0, "note")
+        assert not v.passed
+        assert (v.comparison, v.threshold, v.note) == (comparison, 1.0, "note")
+    assert experiments._check("threshold_crossing", 0.5, "<=", 1.0).passed
+    assert experiments._check("threshold_crossing", 1.5, ">=", 1.0).passed
 
 
 def test_threshold_crossing_fails_on_a_nan_deviation(monkeypatch):
@@ -281,7 +284,7 @@ def test_cat_state_requires_grid():
 def test_cat_state_smoke():
     # small, fast dichotomy run; the acceptance suite carries the full-size one
     cfg = ExperimentConfig(
-        kind="cat_state", platform=Platform(delta=0.1), cat_alpha=1.5 + 0j, oracle="grid", samples=5, dt_factor=1e-2
+        kind="cat_state", platform=Platform(delta=0.1), cat_alpha=1.5 + 0j, oracle="grid", samples=5
     )
     report = run_cat_state(cfg)
     assert report.passed
@@ -291,6 +294,19 @@ def test_cat_state_smoke():
     assert _verdict(report, "sceg_first_moments_frozen").observed <= 1e-6
     assert _verdict(report, "sceg_purity").observed >= 1 - 1e-4
     assert "entropy" in report.tables
+
+
+@pytest.mark.parametrize("models", [tuple(ModelKind), (ModelKind.QG_FULL, ModelKind.SCEG)], ids=["all", "qg_full"])
+def test_cat_state_runs_the_listed_models(models):
+    # one grid run per listed model, in the listed order, and a final
+    # entropy verdict for each quantum one
+    cfg = ExperimentConfig(kind="cat_state", models=models, platform=Platform(delta=0.1), cat_alpha=1.5 + 0j, samples=5)
+    report = run_cat_state(cfg)
+    assert report.passed
+    assert list(dict.fromkeys(row[1] for row in report.tables["entropy"].rows)) == [m.value for m in models]
+    for model in models:
+        if model is not ModelKind.SCEG:
+            assert _verdict(report, f"{model.value}_final_entropy").observed > 0.5
 
 
 def test_config_validation():

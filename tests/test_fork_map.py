@@ -103,7 +103,7 @@ def test_parent_item_failure_kills_and_reaps_children(monkeypatch):
 @pytest.mark.parametrize(
     "argv, forks",
     [
-        (["cat-state"], 1),  # the quantum and mean-field runs; entropy.csv's 122 rows are one chunk
+        (["cat-state"], 2),  # the runs of the three models; entropy.csv's 183 rows are one chunk
         (["swap", "--oracle", "all"], 3),  # three models' grid runs, and one CSV child: moments.csv spans three chunks
     ],
 )

@@ -15,9 +15,7 @@ from gravswap import (
     GridSizingError,
     GridSpec,
     GridWavefunction,
-    IntegratorConfig,
     ModelKind,
-    ParameterError,
     auto_grid_spec,
     build_initial_grid,
     coherent_inner,
@@ -38,7 +36,6 @@ from gravswap.grid import LEAKAGE_LIMIT, MAX_GRID_POINTS
 from gravswap.params import DELTA_WARN_LIMIT
 
 SQRT2 = math.sqrt(2.0)
-FAST = IntegratorConfig(dt_factor=1e-2)
 
 
 def _mean_error(model, evo, pair0, params):
@@ -181,7 +178,7 @@ def test_schmidt_entropy_two_branch_state():
 def test_free_oscillator_revival():
     params = DimensionlessParams(0.0)
     w = build_initial_grid(CoherentProduct(1 + 0j, 0j), GridSpec(n=128, half_extent=10.0))
-    evo = split_step_evolve(w, ModelKind.QG_FULL, 2 * math.pi, params, FAST, n_samples=3)
+    evo = split_step_evolve(w, ModelKind.QG_FULL, 2 * math.pi, params, n_samples=3)
     ov = abs(np.vdot(w.psi, evo.final.psi) * w.spec.dx**2)
     assert ov >= 1 - 1e-6
     assert evo.max_step_norm_drift < 1e-12
@@ -214,21 +211,22 @@ def test_rwa_grid_matches_lab_displacement():
     assert p2 == pytest.approx(SQRT2 * want_beta.imag, abs=1e-5)
 
 
-def _splitting_error(model, factor):
+def _splitting_error(model, factor, monkeypatch):
+    monkeypatch.setattr(grid, "GRID_STEP_PERIODS", factor)
     params = DimensionlessParams(0.1)
     alpha, beta = 1 + 0.5j, -0.3 + 0.2j
     pair0 = coherent_pair_moments(*to_normal_modes(alpha, beta))
     w = build_initial_grid(CoherentProduct(alpha, beta), GridSpec(n=128, half_extent=12.0))
-    evo = split_step_evolve(w, model, 2 * math.pi, params, IntegratorConfig(dt_factor=factor), n_samples=3)
+    evo = split_step_evolve(w, model, 2 * math.pi, params, n_samples=3)
     return _mean_error(model, evo, pair0, params)
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
-def test_near_integrable_convergence_order(model):
-    # SBAB2 with its corrector is order 4 up to the dt_factor cap; the
-    # mean-field kick leaves |psi|^2 alone, so SCEG keeps order 4 too, and
-    # QG_RWA runs the same table on its coupling alone
-    e8, e4, e2, e1 = (_splitting_error(model, f) for f in (8e-2, 4e-2, 2e-2, 1e-2))
+def test_near_integrable_convergence_order(model, monkeypatch):
+    # SBAB2 with its corrector is order 4 for steps up to 8e-2 of a period;
+    # the mean-field kick leaves |psi|^2 alone, so SCEG keeps order 4 too,
+    # and QG_RWA runs the same table on its coupling alone
+    e8, e4, e2, e1 = (_splitting_error(model, f, monkeypatch) for f in (8e-2, 4e-2, 2e-2, 1e-2))
     assert math.log2(e2 / e1) == pytest.approx(4.0, abs=0.3)
     assert math.log2(e4 / e2) == pytest.approx(4.0, abs=0.3)
     assert math.log2(e8 / e4) == pytest.approx(4.0, abs=0.3)
@@ -240,7 +238,7 @@ def test_corrector_sign_is_what_makes_order_four(model, monkeypatch):
     # cancelled, and the step falls back to order 2
     kicks, flows, corrector = grid._SBAB2
     monkeypatch.setattr(grid, "_SBAB2", (kicks, flows, -corrector))
-    e2, e1 = (_splitting_error(model, f) for f in (2e-2, 1e-2))
+    e2, e1 = (_splitting_error(model, f, monkeypatch) for f in (2e-2, 1e-2))
     assert math.log2(e2 / e1) == pytest.approx(2.0, abs=0.3)
 
 
@@ -257,19 +255,13 @@ def test_rwa_bare_flow_over_a_long_record_gap():
     assert np.max(np.abs(lab_means(evo.moments[-1]) - want)) < 1e-5
 
 
-def test_dt_factor_cap():
-    assert IntegratorConfig(dt_factor=8e-2).dt_factor == 8e-2
-    with pytest.raises(ParameterError, match="numerics.dt_factor"):
-        IntegratorConfig(dt_factor=8.01e-2)
-
-
 def test_cat_state_run_keeps_every_record():
     # the cat-state inputs of the benchmark: a quarter beat is 48 default
     # steps, fewer than the 60 record gaps, so the run steps once per
     # record instead
     params = DimensionlessParams(0.2)
     t_final = swap_time(params) / 2.0
-    assert IntegratorConfig().grid_steps(t_final, params) < 60
+    assert grid.grid_steps(t_final, params) < 60
     w = build_initial_grid(CatProduct(2 + 0j))
     evo = split_step_evolve(w, ModelKind.QG_RWA, t_final, params, n_samples=61, record_entropy=True)
     assert len(evo.times) == len(evo.entropies) == 61
@@ -303,7 +295,7 @@ def test_every_fft_goes_through_the_module_handle(monkeypatch):
     records, t_final = 4, 2.0
     w = build_initial_grid(CoherentProduct(1 + 0j, 0j))
     evo = split_step_evolve(w, ModelKind.QG_FULL, t_final, params, n_samples=records)
-    steps = IntegratorConfig().grid_steps(t_final, params)
+    steps = grid.grid_steps(t_final, params)
     assert len(evo.times) == records and steps > records
     assert counting.calls == {"fft2": 2 * steps + records, "ifft2": 2 * steps, "fft": 2 * records, "ifft": 2 * records}
 
@@ -311,11 +303,11 @@ def test_every_fft_goes_through_the_module_handle(monkeypatch):
 def test_grid_step_budget_refuses_physical_scale():
     # the ca40 swap takes ~1e20 steps; refused by count, before any array exists
     params = derive_dimensionless(PLATFORM_PRESETS["ca40_ion"])
-    with pytest.raises(ConfigError, match="numerics.dt_factor"):
-        IntegratorConfig().grid_steps(swap_time(params), params)
-    with pytest.raises(ConfigError, match="numerics.dt_factor"):
-        IntegratorConfig().grid_steps(math.inf, params)
-    assert IntegratorConfig().grid_steps(1e-9, DimensionlessParams(0.1)) == 1
+    with pytest.raises(ConfigError, match=r"params\.delta: .* gives 3\.64e\+18 grid steps"):
+        grid.grid_steps(swap_time(params), params)
+    with pytest.raises(ConfigError, match="params.delta"):
+        grid.grid_steps(math.inf, params)
+    assert grid.grid_steps(1e-9, DimensionlessParams(0.1)) == 1
 
 
 def test_sceg_evolution_uses_current_means():
@@ -354,7 +346,7 @@ def test_auto_box_holds_a_momentum_swap(model, state):
     # rotates +-g freely on top of the mean of (0, p)
     params = DimensionlessParams(0.2)
     w = build_initial_grid(state, auto_grid_spec(state, delta=0.2))
-    evo = split_step_evolve(w, model, swap_time(params), params, FAST, n_samples=49)
+    evo = split_step_evolve(w, model, swap_time(params), params, n_samples=49)
     assert evo.max_boundary_fraction < LEAKAGE_LIMIT
     assert evo.max_p_boundary_fraction < LEAKAGE_LIMIT
     # the means of a cat are those of (0, p), the mean of its two branches
@@ -367,7 +359,7 @@ def test_auto_box_holds_a_momentum_swap(model, state):
 
 
 # the benchmark's swap and cat inputs: (state, coupling, run length in swap
-# times, records, models); each runs with the default numerics
+# times, records, models); each runs at the program's own step
 _BENCH_INPUTS = {
     "swap_": (CoherentProduct(2 + 0j, -1 + 0j), 0.1, 1.0, 51, tuple(ModelKind)),
     "cat_": (CatProduct(2 + 0j, 0j), 0.2, 0.5, 61, (ModelKind.QG_RWA, ModelKind.SCEG)),
@@ -424,7 +416,7 @@ def test_box_too_small_in_x_refused():
     for psi in (w.psi, w.psi.T):
         with pytest.raises(EvolutionError, match=r"position axis leaked: .* at t = 0\.0"):
             split_step_evolve(
-                GridWavefunction(spec, psi), ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), FAST, n_samples=3
+                GridWavefunction(spec, psi), ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), n_samples=3
             )
 
 
@@ -436,10 +428,10 @@ def test_box_too_small_in_p_refused():
     w = _gaussian_product(spec, p0=spec.p_max - 1.0)
     assert w.boundary_fraction() < 1e-20  # nothing near the position edge
     with pytest.raises(EvolutionError, match=r"momentum axis leaked: .* at t = 0\.0"):
-        split_step_evolve(w, ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), FAST, n_samples=3)
+        split_step_evolve(w, ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), n_samples=3)
     # well inside the momentum grid the same run passes and reports its edge mass
     w = _gaussian_product(spec, p0=4.0)
-    evo = split_step_evolve(w, ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), FAST, n_samples=3)
+    evo = split_step_evolve(w, ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), n_samples=3)
     assert 0.0 <= evo.max_p_boundary_fraction < LEAKAGE_LIMIT
 
 
@@ -447,7 +439,7 @@ def test_evolution_does_not_mutate_input():
     params = DimensionlessParams(0.05)
     w = build_initial_grid(CoherentProduct(1 + 0j, 0j), GridSpec(n=128, half_extent=10.0))
     before = w.psi.copy()
-    split_step_evolve(w, ModelKind.QG_FULL, 1.0, params, FAST, n_samples=2)
+    split_step_evolve(w, ModelKind.QG_FULL, 1.0, params, n_samples=2)
     assert np.array_equal(w.psi, before)
 
 
@@ -459,17 +451,23 @@ _CLOSED_FORM_NAMES = {"K_plus", "K_minus", "k_plus", "k_minus", "to_normal_modes
 def test_grid_step_never_sees_the_closed_forms():
     # the grid is an oracle for the closed forms only while it evolves the
     # lab-frame H0 and coupling alone: it may learn the plus-mode frequency
-    # only through IntegratorConfig.grid_step, and no normal-mode transform,
-    # mode frequency or propagate_* series at all
+    # only where `grid_steps` sizes the step, and no normal-mode transform,
+    # other mode frequency or propagate_* series at all
     tree = ast.parse(Path(grid.__file__).read_text(encoding="utf-8"))
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.asname or node.name)
-            names.add(node.name)
-    banned = {name for name in names if name in _CLOSED_FORM_NAMES or name.startswith("propagate_")}
-    assert not banned
+    step_count = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "grid_steps")
+
+    def banned(nodes):
+        names = set()
+        for node in nodes:
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+                names.add(node.name)
+        return {name for name in names if name in _CLOSED_FORM_NAMES or name.startswith("propagate_")}
+
+    inside = set(ast.walk(step_count))
+    assert banned(inside) == {"K_plus"}
+    assert not banned(node for node in ast.walk(tree) if node not in inside)

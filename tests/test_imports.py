@@ -120,12 +120,16 @@ def test_config_and_help_need_no_numpy(tmp_path):
 
 @pytest.mark.parametrize("command", ["swap", "rwa-validity", "cat-state", "feasibility"])
 def test_step_factor_refused_before_numpy_loads(tmp_path, command):
-    # the [numerics] keys are checked at the parse for every kind, so a bad
-    # step factor never reaches the runners that import numpy
+    # the step sizes are constants, so a step factor is refused with its
+    # whole section; it and an out-of-range key are refused at the parse for
+    # every kind, before the runners that import numpy
     kind = command.replace("-", "_")
     (tmp_path / "c.cfg").write_text(f"[run]\nkind = {kind}\n[numerics]\ndt_factor = 5\n")
     err = _run_without("numpy", [command, "--config", "c.cfg", "--out", "r"], tmp_path, rc=2)
-    assert err.startswith("error: numerics.dt_factor: must be in (0, 8e-2]") and "Traceback" not in err
+    assert err == "error: c.cfg:3: unknown section [numerics]\n"
+    (tmp_path / "c.cfg").write_text(f"[run]\nkind = {kind}\nsamples = 1\n")
+    err = _run_without("numpy", [command, "--config", "c.cfg", "--out", "r"], tmp_path, rc=2)
+    assert err.startswith("error: run.samples: need 2 to ") and "Traceback" not in err
     assert not (tmp_path / "r").exists()
 
 
@@ -133,7 +137,7 @@ def test_step_factor_refused_before_numpy_loads(tmp_path, command):
 EXPORTS = {
     "params": [
         "ATOMIC_MASS", "ConfigError", "DimensionlessParams", "GRAVITATIONAL_CONSTANT", "HBAR",
-        "IntegratorConfig", "ModelKind", "ParameterError", "PhysicalParams", "PLATFORM_PRESETS",
+        "ModelKind", "ParameterError", "PhysicalParams", "PLATFORM_PRESETS",
         "derive_dimensionless", "swap_time",
     ],
     "config": [
@@ -157,7 +161,7 @@ EXPORTS = {
         "moments_from_grid", "schmidt_entropy", "split_step_evolve",
     ],
     "experiments": ["ExperimentReport", "Verdict", "run_cat_state", "run_feasibility", "run_rwa_validity", "run_swap"],
-    "report": ["ReplayMismatchError", "emit_report"],
+    "report": ["ReplayMismatchError", "ReportError", "emit_report"],
 }
 
 

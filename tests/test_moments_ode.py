@@ -6,7 +6,6 @@ import pytest
 from gravswap import (
     DimensionlessParams,
     IntegrationError,
-    IntegratorConfig,
     ModelKind,
     StepUnderflowError,
     ToleranceError,
@@ -71,8 +70,8 @@ def test_rk4_convergence_order(monkeypatch):
     monkeypatch.setattr(moments_ode, "RK_TOL", 1.0)
 
     def err(factor):
-        cfg = IntegratorConfig(rk_step_factor=factor)
-        series = integrate_moments(ModelKind.QG_FULL, PAIR0, t_final, P, cfg, n_samples=9)
+        monkeypatch.setattr(moments_ode, "RK_STEP_PERIODS", factor)
+        series = integrate_moments(ModelKind.QG_FULL, PAIR0, t_final, P, n_samples=9)
         return _mean_error(ModelKind.QG_FULL, series, PAIR0, P)
 
     e1, e2 = err(2e-2), err(1e-2)
@@ -82,9 +81,9 @@ def test_rk4_convergence_order(monkeypatch):
 
 def test_tolerance_failure_raises(monkeypatch):
     monkeypatch.setattr(moments_ode, "RK_TOL", 1e-14)
-    cfg = IntegratorConfig(rk_step_factor=5e-2)
+    monkeypatch.setattr(moments_ode, "RK_STEP_PERIODS", 5e-2)
     with pytest.raises(ToleranceError):
-        integrate_moments(ModelKind.QG_FULL, PAIR0, 50.0, P, cfg)
+        integrate_moments(ModelKind.QG_FULL, PAIR0, 50.0, P)
 
 
 def test_oracle_agreement_random_sweep():
@@ -117,16 +116,16 @@ def test_sample_times_include_endpoints():
 
 
 @pytest.mark.parametrize("model", list(ModelKind))
-def test_matrix_path_matches_stepwise_rk4(model):
+def test_matrix_path_matches_stepwise_rk4(model, monkeypatch):
     # the jumps between samples are powers of one step matrix; they must give
     # what stepping the right-hand side one step at a time gives
     from gravswap.moments_ode import _make_rhs, _rk4_step
 
     params = DimensionlessParams(0.1)
     init = np.array([[0.5, -0.3, 0.4, 0.8, 0.1], [1.2, 0.7, 0.5, 0.5, 0.0]])
-    cfg = IntegratorConfig(rk_step_factor=1e-3)
-    series = integrate_moments(model, init, 20.0, params, cfg, n_samples=13)
-    steps = math.ceil(20.0 / cfg.rk_step(params))
+    monkeypatch.setattr(moments_ode, "RK_STEP_PERIODS", 1e-3)
+    series = integrate_moments(model, init, 20.0, params, n_samples=13)
+    steps = math.ceil(20.0 / (1e-3 * 2.0 * math.pi / params.K_plus))
     h = 20.0 / steps
     sample_steps = np.round(series.times / h).astype(int)
     assert sample_steps[-1] == steps
@@ -158,5 +157,7 @@ def test_nonlinear_rhs_refused(monkeypatch):
 
 def test_step_budget_names_key():
     params = DimensionlessParams(1e-12)
-    with pytest.raises(StepUnderflowError, match="numerics.rk_step_factor"):
+    with pytest.raises(StepUnderflowError, match=r"params\.delta: 1e-12 gives .* RK4 steps"):
         integrate_moments(ModelKind.QG_FULL, PAIR0, swap_time(params), params)
+    with pytest.raises(StepUnderflowError, match="params.delta"):
+        integrate_moments(ModelKind.QG_FULL, PAIR0, math.inf, params)
