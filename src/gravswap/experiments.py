@@ -226,14 +226,13 @@ def _run_child(fn, item, fd: int) -> None:
 
 def _grid_runs(report: ExperimentReport, label: str, state, models, t_final: float, params: DimensionlessParams,
                n_samples: int, record_entropy: bool = False) -> dict:
-    """The grid run of `state` under each of `models` over [0, t_final], on
-    the box `auto_grid_spec` sizes, one process each (`fork_map`), as
-    {model: GridEvolution}.  Each run's norm drift and edge fractions go
-    into a note headed `label`."""
-    spec = auto_grid_spec(state, delta=params.delta)
+    """The grid run of `state` under each of `models` over [0, t_final], each
+    on the box `auto_grid_spec` sizes for its model, one process each
+    (`fork_map`), as {model: GridEvolution}.  Each run's norm drift and edge
+    fractions go into a note headed `label`."""
 
     def run(model):
-        w0 = build_initial_grid(state, spec)
+        w0 = build_initial_grid(state, auto_grid_spec(state, model, delta=params.delta))
         return split_step_evolve(w0, model, t_final, params, n_samples=n_samples, record_entropy=record_entropy)
 
     runs = dict(zip(models, fork_map(run, models)))

@@ -32,7 +32,9 @@ GRID_STEP_PERIODS of a period of the exact plus mode; counting the steps
 QG_RWA: [H0, B] = 0, so exp(-i tau H) = exp(-i tau H0) exp(-i tau d B)
 exactly.  The same step runs on d B alone, kicks d x1 x2 and drifts d p1 p2,
 with W = 2 d^3 x1 x2, and the exact H0 flow runs once per record gap, in
-pieces of at most pi/2 so that tan stays clear of its pole.
+pieces short enough for the box (`_gap_piece`): the chirp of a piece s
+shifts the momentum at x by tan(s/2) x, which must keep the state within
+p_max.
 
 A mean-field kick is two 1-D phase factors, with the means measured right
 before it.  A kick changes only the phase of psi, not |psi|^2, so the means
@@ -76,8 +78,9 @@ NORM_DRIFT_LIMIT = 1e-8  # largest norm change per unit scaled time
 # at coupling 0.1.
 GRID_STEP_PERIODS = 1.55e-2
 # Grid steps per run: a fourth-order step is two kinetic FFT round trips on
-# numpy.fft, 0.21 ms on a 64^2 grid, 0.29 ms on 80^2, 0.76 ms on 128^2 and 4.2
-# ms on 256^2 (best of 11 swaps, 2-vCPU machine): a budget of 0.6 to 12 hours.
+# numpy.fft, 0.12 ms on a 40^2 grid, 0.17 ms on 50^2, 0.19 ms on 64^2, 0.29 ms
+# on 80^2, 0.69 ms on 128^2 and 3.0 ms on 256^2 (best of 11 swaps, 2-vCPU
+# machine): a budget of 0.3 to 8 hours.
 MAX_GRID_STEPS = 10_000_000
 
 
@@ -105,15 +108,16 @@ class EvolutionError(GridError):
 class GridSpec:
     """Square grid geometry: n points per axis, n even, over [-half_extent,
     half_extent).  Checks only the structure (n, memory budget, a positive
-    extent, a momentum grid that holds the ground state's tail beyond its
-    edge ring); whether the box holds a state is decided by `auto_grid_spec`."""
+    extent, and the floor on n: a momentum grid that holds the ground
+    state's tail beyond its edge ring); whether the box holds a state is
+    decided by `auto_grid_spec`."""
 
     n: int
     half_extent: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 64 and self.n % 2 == 0):
-            raise GridSizingError(f"GridSpec.n: must be an even integer >= 64, got {self.n!r}")
+        if not (isinstance(self.n, int) and self.n > 0 and self.n % 2 == 0):
+            raise GridSizingError(f"GridSpec.n: must be a positive even integer, got {self.n!r}")
         _check_memory(self.n, "GridSpec.n: the grid")
         if not (math.isfinite(self.half_extent) and self.half_extent > 0):
             raise GridSizingError(f"GridSpec.half_extent: must be positive, got {self.half_extent!r}")
@@ -222,10 +226,9 @@ def _check_memory(n: float, cause: str) -> None:
 
 
 def _fft_length(m: int) -> int:
-    """Smallest even n >= max(m, 64) of the form 2^a 3^b 5^c, a length the FFT
+    """Smallest even n >= m >= 2 of the form 2^a 3^b 5^c, a length the FFT
     transforms with native radices: each odd 3^b 5^c, times the least power
     of two that reaches m, against the next power of two."""
-    m = max(m, 64)
     best = 1 << (m - 1).bit_length()
     p5 = 1
     while p5 < best:
@@ -237,43 +240,55 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _farthest_mean(state: InitialState, delta: float) -> float:
-    """Bound on |<x>| and |<p>| on either axis, at any time and under every
-    model at coupling `delta`, of a coherent pair or of each branch of a cat:
-    by Cauchy-Schwarz over the normal modes, whose means stay within rho_+ and
-    rho_- / K_- with rho_+^2 + rho_-^2 = 2 (|alpha|^2 + |beta|^2).  The
-    mean-field model rotates a cat branch's +-g freely, on top of the mean of
-    (0, p); the quantized models move the branch (+-g, p) as a pair."""
-    f = math.sqrt(0.5 * (1.0 + 1.0 / (1.0 - 2.0 * delta)))
+def _farthest_mean(state: InitialState, model: ModelKind, delta: float) -> float:
+    """Bound on |<x>| and |<p>| on either axis, at any time under `model` at
+    coupling `delta`, of a coherent pair or of each branch of a cat: by
+    Cauchy-Schwarz over the normal modes, whose means stay within rho_+ and
+    rho_- / K_- with rho_+^2 + rho_-^2 = 2 (|alpha|^2 + |beta|^2).  QG_RWA
+    conserves |alpha|^2 + |beta|^2, so its bound drops the stretch K_-.
+    The quantized models move a cat branch (+-g, p) as a pair; the
+    mean-field model rotates +-g freely, on top of the mean of (0, p).
+    QG_FULL's bound takes both, so its box holds a run of any model."""
+    f = 1.0 if model is ModelKind.QG_RWA else math.sqrt(0.5 * (1.0 + 1.0 / (1.0 - 2.0 * delta)))
     if isinstance(state, CoherentProduct):
         return SQRT2 * math.hypot(abs(state.alpha), abs(state.beta)) * f
     g, p = abs(state.cat_amp), abs(state.partner)
-    return max(SQRT2 * math.hypot(g, p) * f, SQRT2 * (g + p * f))
+    pair, mean_field = SQRT2 * math.hypot(g, p) * f, SQRT2 * (g + p * f)
+    if model is ModelKind.QG_RWA:
+        return pair
+    if model is ModelKind.SCEG:
+        return mean_field
+    return max(pair, mean_field)
 
 
 def _tail(delta: float) -> float:
-    """Distance at which a Gaussian of the widest width the dynamics reach at
-    coupling `delta`, the ground width times (1 - 2 delta)^(-1/2) of the exact
-    minus mode, falls to LEAKAGE_LIMIT of its peak."""
+    """Distance at which a Gaussian of the widest width QG_FULL reaches at
+    coupling `delta`, the ground width times (1 - 2 delta)^(-1/2) of the
+    exact minus mode, falls to LEAKAGE_LIMIT of its peak; at delta = 0 that
+    of the ground width, which QG_RWA and SCEG keep."""
     return GROUND_SIGMA * math.sqrt(-2.0 * math.log(LEAKAGE_LIMIT) / (1.0 - 2.0 * delta))
 
 
-def auto_grid_spec(state: InitialState, *, delta: float) -> GridSpec:
-    """The grid of `state` under the swap dynamics at coupling `delta`; the
-    one rule that sizes every box, before anything is allocated.
+def auto_grid_spec(state: InitialState, model: ModelKind, *, delta: float) -> GridSpec:
+    """The grid of `state` under `model` at coupling `delta`; the one rule
+    that sizes every box, before anything is allocated.
 
-    The reach R is the farthest mean any model reaches (`_farthest_mean`)
-    plus `_tail(delta)`.  Momentum means stay within the same bound and
-    momentum widths grow by (1 + 2 delta)^(1/2) at most, which is less, so
-    both the position box and the momentum grid must hold R beyond the
-    EDGE_RING points the edge guards of `split_step_evolve` count as the edge.
-    The half extent is H = R + EDGE_RING pi / R, and n the shortest even FFT
-    length >= 64 with no prime factor above 5 (`_fft_length`) that gives
-    p_max = pi / dx >= H.  Then dx <= pi / H and the momentum spacing is
-    pi / H, so on either axis the edge ring fits in the margin H - R.  A box
-    beyond MAX_GRID_POINTS per axis is refused.  The edge guards of
-    `split_step_evolve` catch a state that outgrows the estimate."""
-    reach = _farthest_mean(state, delta) + _tail(delta)
+    The reach R is the farthest mean of the model (`_farthest_mean`) plus
+    the tail of its widest width (`_tail`).  QG_RWA is a passive beam
+    splitter and SCEG adds only linear forces, so both keep a coherent
+    input, and each branch of a cat, at the ground width: their tail is
+    `_tail(0)`.  QG_FULL stretches the width by (1 - 2 delta)^(-1/2) in
+    position and by (1 + 2 delta)^(1/2), which is less, in momentum; momentum
+    means stay within the same bound.  So both the position box and the
+    momentum grid must hold R beyond the EDGE_RING points the edge guards of
+    `split_step_evolve` count as the edge.  The half extent is
+    H = R + EDGE_RING pi / R, and n the shortest even FFT length with no
+    prime factor above 5 (`_fft_length`) that gives p_max = pi / dx >= H.
+    Then dx <= pi / H and the momentum spacing is pi / H, so on either axis
+    the edge ring fits in the margin H - R.  A box beyond MAX_GRID_POINTS
+    per axis is refused.  The edge guards of `split_step_evolve` catch a
+    state that outgrows the estimate."""
+    reach = _farthest_mean(state, model, delta) + _tail(delta if model is ModelKind.QG_FULL else 0.0)
     half_extent = reach + EDGE_RING * math.pi / reach
     points = 2.0 * half_extent * half_extent / math.pi  # inf where an amplitude near the float limit makes H inf
     _check_memory(points, f"state: the box that holds it at delta = {delta!r}, a half extent of {half_extent:.4g},")
@@ -288,11 +303,12 @@ def _coherent_1d(x: np.ndarray, g: complex) -> np.ndarray:
 
 def build_initial_grid(state: InitialState, spec: GridSpec | None = None) -> GridWavefunction:
     """Discretize a coherent product or a cat-state product on `spec`, by
-    default the box `auto_grid_spec` gives at every coupling up to the warning
-    limit.  The result is normalized on the grid; a discretization defect in
-    the norm beyond 1e-8 is refused first."""
+    default the QG_FULL box of `auto_grid_spec` at the warning limit, which
+    holds a run of any model at any coupling up to it.  The result is
+    normalized on the grid; a discretization defect in the norm beyond 1e-8
+    is refused first."""
     if spec is None:
-        spec = auto_grid_spec(state, delta=DELTA_WARN_LIMIT)
+        spec = auto_grid_spec(state, ModelKind.QG_FULL, delta=DELTA_WARN_LIMIT)
     x = spec.x_axis()
     if isinstance(state, CoherentProduct):
         one = _coherent_1d(x, complex(state.alpha))
@@ -434,12 +450,14 @@ def _openblas_threads():
 def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
     """Entanglement entropy (nats) between the two lab oscillators from the
     singular values of the amplitude matrix.  The SVD runs on one OpenBLAS
-    thread: at grid sizes a second thread only adds CPU time (about 1.2 ms
-    wall and 2.5 ms CPU per call at 80^2 on a 2-vCPU machine, against 0.7 ms
-    of each on one), and it can change the result: on the records of the
-    benchmark's cat state the singular values differ by up to 3.3e-16
-    between one and two threads at 108^2 (5.8e-18 at 80^2), and the report
-    prints the entropy to 17 significant digits.
+    thread: at grid sizes a second thread only adds CPU time (about 1.0 ms
+    wall and 2.1 ms CPU per call at 80^2 on a 2-vCPU machine, against 0.6 ms
+    of each on one; at the 50^2 of the benchmark's cat state, 0.18 ms, OpenBLAS
+    keeps to one thread anyway), and it can change the result: on the
+    records of that cat state, taken on finer grids over the same box, the
+    singular values differ by up to 1.1e-16 between one and two threads at
+    80^2 and 3.3e-16 at 108^2, and the report prints the entropy to 17
+    significant digits.
 
     Importing gravswap sets OPENBLAS_NUM_THREADS to 1 unless it is set, but
     a caller that loads numpy first (a library user, pytest) gets OpenBLAS's
@@ -462,6 +480,18 @@ def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
     entropy = float(-np.sum(nz * np.log(nz)))
     purity = float(np.sum(probs**2))
     return SchmidtResult(entropy=entropy, purity=purity)
+
+
+def _gap_piece(spec: GridSpec) -> float:
+    """Longest piece s of the exact bare flow C K C that keeps a QG_RWA state
+    on the momentum grid of `spec`.  A state the box holds on either axis at
+    every phase of the bare rotation lies within r of the origin in phase
+    space, r the inner edge of the edge ring on either axis.  The chirp C
+    turns the momentum p at x into p - tan(s/2) x, which then reaches
+    sec(s/2) r, so cos(s/2) >= r / p_max keeps it within p_max.  At most
+    pi/2, clear of the pole of tan."""
+    reach = min(spec.half_extent - EDGE_RING * spec.dx, spec.p_max - EDGE_RING * math.pi / spec.half_extent)
+    return min(0.5 * math.pi, 2.0 * math.acos(reach / spec.p_max))
 
 
 def _bare_kinetic(p_sq: np.ndarray, s: float) -> np.ndarray:
@@ -556,14 +586,14 @@ def split_step_evolve(
         frac = cur.boundary_fraction(prob=prob)
         if frac > LEAKAGE_LIMIT:
             raise EvolutionError(
-                f"position axis leaked: boundary probability {frac:.3e} exceeds leakage limit "
-                f"{LEAKAGE_LIMIT:.1e} at t = {tau!r}; widen GridSpec.half_extent"
+                f"state: position axis leaked: boundary probability {frac:.3e} exceeds leakage limit "
+                f"{LEAKAGE_LIMIT:.1e} at t = {tau!r} under {model.value} at delta = {delta!r}"
             )
         pair, p_frac = moments_from_grid(cur, prob, return_p_edge=True)
         if p_frac > LEAKAGE_LIMIT:
             raise EvolutionError(
-                f"momentum axis leaked: probability {p_frac:.3e} on the momentum-grid edge exceeds leakage "
-                f"limit {LEAKAGE_LIMIT:.1e} at t = {tau!r}; decrease dx (raise GridSpec.n)"
+                f"state: momentum axis leaked: probability {p_frac:.3e} on the momentum-grid edge exceeds "
+                f"leakage limit {LEAKAGE_LIMIT:.1e} at t = {tau!r} under {model.value} at delta = {delta!r}"
             )
         state["max_boundary"] = max(state["max_boundary"], frac)
         state["max_p_boundary"] = max(state["max_p_boundary"], p_frac)
@@ -644,9 +674,9 @@ def split_step_evolve(
                 track_norm()
             if rwa:
                 # H0 commutes with B: its exact flow over the gap, in pieces
-                # of at most pi/2 so the chirp stays clear of the pole of tan
+                # that keep the state on the momentum grid
                 if chunk not in bare_flow:
-                    pieces = math.ceil(chunk * h / (0.5 * math.pi))
+                    pieces = math.ceil(chunk * h / _gap_piece(spec))
                     s = chunk * h / pieces
                     bare_flow[chunk] = (pieces, np.exp(-0.5j * math.tan(0.5 * s) * x_sq), _bare_kinetic(p_sq, s))
                 pieces, gap_chirp, gap_kinetic = bare_flow[chunk]

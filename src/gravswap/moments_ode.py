@@ -102,7 +102,8 @@ def integrate_moments(
 
     Samples are taken at integer step boundaries closest to a uniform grid of
     `n_samples` points (endpoints always included).  Raises ToleranceError if
-    a step-doubling estimate of the accumulated error exceeds RK_TOL,
+    a step-doubling estimate of the accumulated error exceeds RK_TOL (an
+    absolute bound, so it refuses means that are too large),
     StepUnderflowError if the span needs more than MAX_STEPS steps (a span
     that follows the swap time pi / (2 delta) names the coupling), and
     IntegrationError if the equations turn out not to be linear.
@@ -130,8 +131,9 @@ def integrate_moments(
     local_err = max(abs(c - f) for c, f in zip(coarse, fine)) / 15.0
     if local_err * steps > RK_TOL:
         raise ToleranceError(
-            f"estimated accumulated error {local_err * steps:.3e} of {steps} RK4 steps exceeds the "
-            f"tolerance {RK_TOL:.3e}"
+            f"state.alpha, state.beta: means of size {np.max(np.abs(y0)):.3g} at params.delta = "
+            f"{params.delta!r} give an estimated accumulated error {local_err * steps:.3e} of {steps} RK4 "
+            f"steps, beyond the tolerance {RK_TOL:.3e}"
         )
 
     step = np.array([_rk4_step(rhs, tuple(col), h) for col in np.eye(10).tolist()]).T

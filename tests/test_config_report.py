@@ -408,6 +408,9 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         ("rwa-validity", "[run]\nkind = rwa_validity\n[sweep]\nalpha_mags = 1, 1.7e308\n", "sweep.alpha_mags"),
         ("rwa-validity", "[run]\nkind = rwa_validity\n[state]\nbeta = 1e154\n[sweep]\nalpha_mags = 1e154\n",
          "sweep.alpha_mags"),
+        # means so large that the RK4 oracle's absolute error bound fails
+        ("swap", "[run]\nkind = swap\noracle = ode\nmodels = qg_full\n[state]\nalpha = 1e6\n",
+         "state.alpha, state.beta"),
     ],
     ids=[
         "samples",
@@ -439,6 +442,7 @@ _LADDER_B = "[run]\nkind = feasibility\nplatforms = b\n[platform:b]\n"
         "beta_overflow",
         "alpha_mags_overflow",
         "alpha_mags_overflow_with_beta",
+        "ode_tolerance",
     ],
 )
 def test_cli_refuses_unrunnable_input_by_key(tmp_path, capsys, command, text, key):

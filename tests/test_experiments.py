@@ -85,35 +85,91 @@ class _GridBuilt(Exception):
     pass
 
 
-def _run_grid_spec(cfg, monkeypatch):
-    """The box a run of `cfg` builds its grid on; the run stops there, before
-    any grid array exists."""
+def _run_grid_specs(cfg, monkeypatch):
+    """The box each model's run of `cfg` builds its grid on, as {model name:
+    n}; every run stops there, before any grid array exists."""
     specs = []
 
     def capture(state, spec):
-        specs.append(spec)
+        specs.append(spec.n)
+        raise _GridBuilt
+
+    def each(fn, items):
+        # every model's run in this process, in order, each stopped at its grid
+        for item in items:
+            with pytest.raises(_GridBuilt):
+                fn(item)
         raise _GridBuilt
 
     monkeypatch.setattr("gravswap.experiments.build_initial_grid", capture)
+    monkeypatch.setattr("gravswap.experiments.fork_map", each)
     with pytest.raises(_GridBuilt):
         (run_cat_state if cfg.kind == "cat_state" else run_swap)(cfg)
-    return specs[0]
+    return dict(zip((m.value for m in cfg.models), specs))
 
 
 def test_grid_size_from_config(monkeypatch):
-    # sizes only, no array: the swap and cat-state inputs of the benchmark get
-    # 64^2 and 80^2, the boxes auto_grid_spec sizes from state and coupling
+    # sizes only, no array: auto_grid_spec sizes each model's box from state,
+    # coupling and model.  QG_FULL's box holds the widest state any model
+    # reaches; QG_RWA and SCEG keep the ground width, and QG_RWA conserves
+    # the photon number, so their boxes are smaller
     swap = ExperimentConfig(kind="swap", platform=Platform(delta=0.1), alpha=2 + 0j, beta=-1 + 0j, oracle="grid")
     cat = ExperimentConfig(kind="cat_state", platform=Platform(delta=0.2), cat_alpha=2 + 0j, beta=0j)
-    assert _run_grid_spec(swap, monkeypatch).n == 64
-    assert _run_grid_spec(cat, monkeypatch).n == 80
+    assert _run_grid_specs(swap, monkeypatch) == {"qg_rwa": 54, "qg_full": 64, "sceg": 60}
+    assert _run_grid_specs(cat, monkeypatch) == {"qg_rwa": 50, "qg_full": 80, "sceg": 50}
+    # the defaults: a coherent (1, 0) at 0.05 and a cat of amplitude 2 at 0.05
+    assert _run_grid_specs(ExperimentConfig(kind="swap", oracle="grid"), monkeypatch) == dict.fromkeys(
+        ("qg_rwa", "qg_full", "sceg"), 40
+    )
+    assert _run_grid_specs(ExperimentConfig(kind="cat_state"), monkeypatch) == {"qg_rwa": 50, "qg_full": 54, "sceg": 50}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param(
+            ExperimentConfig(kind="cat_state", platform=Platform(delta=0.05), cat_alpha=4 + 0j, samples=13), id="cat"
+        ),
+        pytest.param(
+            ExperimentConfig(
+                kind="swap",
+                platform=Platform(delta=0.01),
+                alpha=4 + 0j,
+                beta=complex(-2.0, 1.3333333333333333),
+                samples=13,
+                oracle="grid",
+                models=(ModelKind.QG_RWA,),
+            ),
+            id="swap",
+        ),
+        pytest.param(
+            ExperimentConfig(
+                kind="cat_state",
+                platform=Platform(delta=0.05),
+                cat_alpha=12 + 0j,
+                samples=13,
+                models=(ModelKind.QG_RWA, ModelKind.SCEG),
+            ),
+            id="large_cat",
+        ),
+    ],
+)
+def test_rwa_record_gap_flow_stays_in_the_box(cfg):
+    # few records leave long gaps, over which qg_rwa runs the exact bare flow
+    # as chirp-FFT-chirp pieces; the chirp tan(s/2) x of a piece shifts the
+    # momenta, and pieces too long for the box leak the run through the
+    # position edge: pieces of up to pi/2 leak all three runs, pieces of up
+    # to pi/4 the large cat
+    report = (run_cat_state if cfg.kind == "cat_state" else run_swap)(cfg)
+    assert report.passed
 
 
 def test_default_grid_swap_meets_grid_agreement():
     # the program's grid step must pass its own grid verdicts at the stock
-    # tolerance over a full swap, on the grid sized from the state (64^2),
-    # and stay within the errors of the step it replaced (Yoshida's triple
-    # jump at 5e-3 of a period), so the longer step costs no accuracy
+    # tolerance over a full swap, on the grids sized from the state (64^2 for
+    # qg_full, 60^2 for sceg), and stay within the errors of the step it
+    # replaced (Yoshida's triple jump at 5e-3 of a period), so the longer
+    # step costs no accuracy
     cfg = ExperimentConfig(
         kind="swap",
         platform=Platform(delta=0.1),

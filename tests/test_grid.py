@@ -49,8 +49,11 @@ def _mean_error(model, evo, pair0, params):
 def test_grid_spec_validation():
     with pytest.raises(GridSizingError):
         GridSpec(n=101, half_extent=8.0)  # odd
-    with pytest.raises(GridSizingError):
-        GridSpec(n=32, half_extent=8.0)  # too small
+    with pytest.raises(GridSizingError, match="GridSpec.n: must be a positive even integer"):
+        GridSpec(n=0, half_extent=8.0)
+    with pytest.raises(GridSizingError, match="GridSpec.n: .* momentum tail"):
+        GridSpec(n=30, half_extent=8.0)  # too small: p_max = 5.89 < 6.04
+    assert GridSpec(n=32, half_extent=8.0).p_max == pytest.approx(2.0 * math.pi)  # the floor is the tail alone
     with pytest.raises(GridSizingError, match="GridSpec.n: .* momentum tail"):
         GridSpec(n=64, half_extent=20.0)  # too coarse for the ground state
     spec = GridSpec(n=128, half_extent=10.0)
@@ -98,13 +101,16 @@ def test_cat_grid_structure():
 
 
 def test_sizing_errors_and_auto_spec():
-    # alpha = 6 at the default coupling needs a half extent of 14.70
-    assert auto_grid_spec(CoherentProduct(6 + 0j, 0j), delta=0.05).half_extent == pytest.approx(14.70, abs=5e-3)
-    spec = auto_grid_spec(CoherentProduct(20 + 0j, 0j), delta=DELTA_WARN_LIMIT)
+    # alpha = 6 at the default coupling needs a half extent of 14.70 under
+    # qg_full, 14.20 under qg_rwa (no stretch of the mean or the width) and
+    # 14.42 under sceg (the stretched mean at the ground width)
+    widths = {model.value: auto_grid_spec(CoherentProduct(6 + 0j), model, delta=0.05).half_extent for model in ModelKind}
+    assert widths == pytest.approx({"qg_full": 14.70, "qg_rwa": 14.20, "sceg": 14.42}, abs=5e-3)
+    spec = auto_grid_spec(CoherentProduct(20 + 0j, 0j), ModelKind.QG_FULL, delta=DELTA_WARN_LIMIT)
     # large displacement demands momentum range and extent: p_max >= 39.61
     assert spec.n == 1000 and spec.p_max >= spec.half_extent > 39.6
     # a box built by hand is refused by the GridSpec field at fault
-    with pytest.raises(GridSizingError, match="GridSpec.n: must be an even integer"):
+    with pytest.raises(GridSizingError, match="GridSpec.n: must be a positive even integer"):
         GridSpec(n=256.0, half_extent=12.0)
     with pytest.raises(GridSizingError, match="GridSpec.half_extent: must be positive"):
         GridSpec(n=128, half_extent=math.inf)
@@ -115,7 +121,7 @@ def test_grid_memory_budget():
     with pytest.raises(GridSizingError, match=r"GridSpec.n: .* 64 GiB per complex array"):
         GridSpec(n=65536, half_extent=12.0)
     with pytest.raises(GridSizingError, match=r"state: .* at delta = 0.2, a half extent of 1.633e\+06, needs n ="):
-        auto_grid_spec(CatProduct(1e6 + 0j), delta=DELTA_WARN_LIMIT)
+        auto_grid_spec(CatProduct(1e6 + 0j), ModelKind.QG_FULL, delta=DELTA_WARN_LIMIT)
     assert GridSpec(n=MAX_GRID_POINTS, half_extent=12.0).n == 4096
 
 
@@ -334,18 +340,19 @@ _SWAP_STATES = {"": CoherentProduct(3j), "pair-": CoherentProduct(2 + 0j, -2j), 
     [
         pytest.param(model, state, id=f"{prefix}{model}")
         for prefix, state in _SWAP_STATES.items()
-        for model in (ModelKind.QG_FULL, ModelKind.SCEG)
+        for model in (ModelKind.QG_FULL, ModelKind.SCEG, ModelKind.QG_RWA)
     ],
 )
 def test_auto_box_holds_a_momentum_swap(model, state):
-    # the automatic box must hold the whole swap at the warning-limit
-    # coupling, where it is sized from the farthest reachable mean: a
-    # momentum-borne amplitude swings out to p0 / K_minus in x under the
-    # exact dynamics, beyond the resonant envelope sqrt(2) |alpha|; a pair
-    # of equal amplitudes piles into one oscillator; a mean-field cat branch
-    # rotates +-g freely on top of the mean of (0, p)
+    # each model's automatic box must hold the whole swap at the
+    # warning-limit coupling, where it is sized from the farthest mean the
+    # model reaches: a momentum-borne amplitude swings out to p0 / K_minus in
+    # x under the exact dynamics and the mean-field model, beyond the
+    # resonant envelope sqrt(2) |alpha| that bounds qg_rwa; a pair of equal
+    # amplitudes piles into one oscillator; a mean-field cat branch rotates
+    # +-g freely on top of the mean of (0, p)
     params = DimensionlessParams(0.2)
-    w = build_initial_grid(state, auto_grid_spec(state, delta=0.2))
+    w = build_initial_grid(state, auto_grid_spec(state, model, delta=0.2))
     evo = split_step_evolve(w, model, swap_time(params), params, n_samples=49)
     assert evo.max_boundary_fraction < LEAKAGE_LIMIT
     assert evo.max_p_boundary_fraction < LEAKAGE_LIMIT
@@ -353,7 +360,7 @@ def test_auto_box_holds_a_momentum_swap(model, state):
     pair = (state.alpha, state.beta) if isinstance(state, CoherentProduct) else (0j, state.partner)
     pair0 = coherent_pair_moments(*to_normal_modes(*pair))
     assert _mean_error(model, evo, pair0, params) < 1e-3
-    if state == CoherentProduct(3j):
+    if state == CoherentProduct(3j) and model is not ModelKind.QG_RWA:
         # the run reached past the resonant envelope, so the widened mean is what held it
         assert np.max(np.abs(lab_means(evo.moments)[:, 2])) > SQRT2 * abs(state.alpha)
 
@@ -380,7 +387,7 @@ def test_auto_spec_agrees_with_a_finer_grid(inputs, model):
     # since the time step, not the spacing, sets the grid error
     state, delta, swaps, n_samples, _ = inputs
     params = DimensionlessParams(delta)
-    coarse = auto_grid_spec(state, delta=delta)
+    coarse = auto_grid_spec(state, model, delta=delta)
     fine = GridSpec(n=grid._fft_length(3 * coarse.n // 2), half_extent=coarse.half_extent)
     cat = isinstance(state, CatProduct)
     a, b = (
@@ -414,7 +421,7 @@ def test_box_too_small_in_x_refused():
     spec = GridSpec(n=128, half_extent=10.0)
     w = _gaussian_product(spec, x0=spec.half_extent - 1.0)
     for psi in (w.psi, w.psi.T):
-        with pytest.raises(EvolutionError, match=r"position axis leaked: .* at t = 0\.0"):
+        with pytest.raises(EvolutionError, match=r"^state: position axis leaked: .* at t = 0\.0 under qg_full at delta = 0\.05$"):
             split_step_evolve(
                 GridWavefunction(spec, psi), ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), n_samples=3
             )
@@ -427,7 +434,7 @@ def test_box_too_small_in_p_refused():
     spec = GridSpec(n=128, half_extent=10.0)
     w = _gaussian_product(spec, p0=spec.p_max - 1.0)
     assert w.boundary_fraction() < 1e-20  # nothing near the position edge
-    with pytest.raises(EvolutionError, match=r"momentum axis leaked: .* at t = 0\.0"):
+    with pytest.raises(EvolutionError, match=r"^state: momentum axis leaked: .* at t = 0\.0 under qg_full at delta = 0\.05$"):
         split_step_evolve(w, ModelKind.QG_FULL, 1.0, DimensionlessParams(0.05), n_samples=3)
     # well inside the momentum grid the same run passes and reports its edge mass
     w = _gaussian_product(spec, p0=4.0)
