@@ -37,16 +37,15 @@ _EXPORTS = {
         "preset_platform",
     ),
     "states": (
-        "MOMENT_FIELDS", "DisplacementEstimate", "MomentError", "branch_schmidt_entropy", "check_moments",
-        "coherent_inner", "coherent_overlap", "coherent_pair_moments", "displacement_from_moments",
-        "from_normal_modes", "lab_means", "moments_of_coherent", "to_normal_modes", "two_mode_overlap",
-        "uncertainty_product",
+        "MOMENT_FIELDS", "MomentError", "branch_schmidt_entropy", "check_moments", "coherent_inner",
+        "coherent_overlap", "coherent_pair_moments", "from_normal_modes", "lab_means", "moments_of_coherent",
+        "to_normal_modes", "two_mode_overlap", "uncertainty_product",
     ),
     "analytic": (
         "QuadraticHamiltonian", "mode_hamiltonians", "phase_corrected_pair", "propagate_corrected_displacement",
         "propagate_moments", "propagate_rwa_lab_displacement", "template_moment_rhs",
     ),
-    "moments_ode": ("IntegrationError", "MomentSeries", "StepUnderflowError", "ToleranceError", "integrate_moments"),
+    "moments_ode": ("IntegrationError", "MomentSeries", "ToleranceError", "integrate_moments"),
     "grid": (
         "CatProduct", "CoherentProduct", "EvolutionError", "GridError", "GridEvolution", "GridSizingError",
         "GridSpec", "GridWavefunction", "auto_grid_spec", "build_initial_grid", "lab_means_from_grid",

@@ -17,15 +17,10 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import ORACLES, ExperimentConfig, parse_config
+from .config import KINDS, ORACLES, ExperimentConfig, parse_config
 from .params import ConfigError, ParameterError
 
-_COMMANDS = {
-    "swap": "swap",
-    "rwa-validity": "rwa_validity",
-    "cat-state": "cat_state",
-    "feasibility": "feasibility",
-}
+_COMMANDS = {kind.replace("_", "-"): kind for kind in KINDS}  # subcommand -> experiment kind
 
 
 def _build_parser() -> argparse.ArgumentParser:

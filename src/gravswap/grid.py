@@ -26,8 +26,9 @@ full swap of (2, -1) at d = 0.1 it reaches a mean error of 6.6e-8 in 177
 steps (354 round trips), where Blanes and Moan's S6 on the kinetic/potential
 split needed 137 (822).  A step starts and ends on a kick, so every record
 is taken in position space.  The step length is a constant,
-GRID_STEP_PERIODS of a period of the exact plus mode; counting the steps
-(`grid_steps`) is the one place the grid reads a mode frequency.
+GRID_STEP_PERIODS of a period of the exact plus mode, counted by the
+schedule the RK4 oracle shares (`moments_ode.step_schedule`), so the grid
+itself names no mode frequency.
 
 QG_RWA: [H0, B] = 0, so exp(-i tau H) = exp(-i tau H0) exp(-i tau d B)
 exactly.  The same step runs on d B alone, kicks d x1 x2 and drifts d p1 p2,
@@ -46,7 +47,9 @@ the closed forms.
 Norm is never renormalized during evolution; drift is tracked every step and
 the run aborts if it exceeds NORM_DRIFT_LIMIT per unit time.  Probability
 beyond LEAKAGE_LIMIT on the edge of the position box or of the momentum grid
-also aborts (wrap-around would silently corrupt everything after).
+also aborts (wrap-around would silently corrupt everything after).  Each run
+has a box of its own, sized for its state, model and coupling by
+`auto_grid_spec` so that the state stays below that limit.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments_ode import record_bounds
-from .params import DELTA_WARN_LIMIT, ConfigError, DimensionlessParams, ModelKind, ParameterError
+from .moments_ode import step_schedule
+from .params import DimensionlessParams, ModelKind, ParameterError
 from .states import SQRT2, check_moments, lab_means
 
 GROUND_SIGMA = math.sqrt(0.5)
@@ -157,12 +160,13 @@ class GridWavefunction:
     def norm_squared(self) -> float:
         return _norm_squared(self.psi, self.spec.dx)
 
-    def boundary_fraction(self, ring: int = EDGE_RING, prob: np.ndarray | None = None) -> float:
-        """Share of the position density on the outer `ring` rows and columns
-        of the box; `prob`, the density |psi|^2, is computed if not given."""
+    def boundary_fraction(self, prob: np.ndarray | None = None) -> float:
+        """Share of the position density on the outer EDGE_RING rows and
+        columns of the box; `prob`, the density |psi|^2, is computed if not
+        given."""
         if prob is None:
             prob = _density(self.psi)
-        return _edge_fraction(prob, _edge_mask(self.spec.n, ring))
+        return _edge_fraction(prob, _edge_mask(self.spec.n))
 
 
 @dataclass(frozen=True)
@@ -197,12 +201,12 @@ def _density(psi: np.ndarray) -> np.ndarray:
     return psi.real**2 + psi.imag**2
 
 
-def _edge_mask(n: int, ring: int) -> np.ndarray:
-    """Axis mask of the outer `ring` points on each side, in centred order
+def _edge_mask(n: int) -> np.ndarray:
+    """Axis mask of the outer EDGE_RING points on each side, in centred order
     (that of `x_axis`); `np.fft.ifftshift` of it is the mask in the fftfreq
     order of `p_axis`, where the momentum edge is the band around n // 2."""
     edge = np.zeros(n, dtype=bool)
-    edge[:ring] = edge[n - ring :] = True
+    edge[:EDGE_RING] = edge[n - EDGE_RING :] = True
     return edge
 
 
@@ -246,19 +250,16 @@ def _farthest_mean(state: InitialState, model: ModelKind, delta: float) -> float
     Cauchy-Schwarz over the normal modes, whose means stay within rho_+ and
     rho_- / K_- with rho_+^2 + rho_-^2 = 2 (|alpha|^2 + |beta|^2).  QG_RWA
     conserves |alpha|^2 + |beta|^2, so its bound drops the stretch K_-.
-    The quantized models move a cat branch (+-g, p) as a pair; the
-    mean-field model rotates +-g freely, on top of the mean of (0, p).
-    QG_FULL's bound takes both, so its box holds a run of any model."""
+    The quantized models move each cat branch (+-g, p) as that coherent
+    pair, within the pair's bound; the mean-field model rotates +-g freely,
+    on top of the mean of (0, p), so its bound adds the two."""
     f = 1.0 if model is ModelKind.QG_RWA else math.sqrt(0.5 * (1.0 + 1.0 / (1.0 - 2.0 * delta)))
     if isinstance(state, CoherentProduct):
         return SQRT2 * math.hypot(abs(state.alpha), abs(state.beta)) * f
     g, p = abs(state.cat_amp), abs(state.partner)
-    pair, mean_field = SQRT2 * math.hypot(g, p) * f, SQRT2 * (g + p * f)
-    if model is ModelKind.QG_RWA:
-        return pair
     if model is ModelKind.SCEG:
-        return mean_field
-    return max(pair, mean_field)
+        return SQRT2 * (g + p * f)
+    return SQRT2 * math.hypot(g, p) * f
 
 
 def _tail(delta: float) -> float:
@@ -301,14 +302,11 @@ def _coherent_1d(x: np.ndarray, g: complex) -> np.ndarray:
     return np.pi**-0.25 * np.exp(-0.5 * (x - x0) ** 2 + 1j * (p0 * x - 0.5 * x0 * p0))
 
 
-def build_initial_grid(state: InitialState, spec: GridSpec | None = None) -> GridWavefunction:
-    """Discretize a coherent product or a cat-state product on `spec`, by
-    default the QG_FULL box of `auto_grid_spec` at the warning limit, which
-    holds a run of any model at any coupling up to it.  The result is
+def build_initial_grid(state: InitialState, spec: GridSpec) -> GridWavefunction:
+    """Discretize a coherent product or a cat-state product on `spec`, the
+    box of the model that will run it (`auto_grid_spec`).  The result is
     normalized on the grid; a discretization defect in the norm beyond 1e-8
     is refused first."""
-    if spec is None:
-        spec = auto_grid_spec(state, ModelKind.QG_FULL, delta=DELTA_WARN_LIMIT)
     x = spec.x_axis()
     if isinstance(state, CoherentProduct):
         one = _coherent_1d(x, complex(state.alpha))
@@ -413,7 +411,7 @@ def moments_from_grid(w: GridWavefunction, prob: np.ndarray | None = None, *, re
 
     record = check_moments((mode(+1.0), mode(-1.0)))
     if return_p_edge:
-        return record, _edge_fraction(pp, np.fft.ifftshift(_edge_mask(spec.n, EDGE_RING)))
+        return record, _edge_fraction(pp, np.fft.ifftshift(_edge_mask(spec.n)))
     return record
 
 
@@ -514,22 +512,6 @@ class GridEvolution:
     final: GridWavefunction
 
 
-def grid_steps(tau_final: float, params: DimensionlessParams) -> int:
-    """Steps of GRID_STEP_PERIODS periods over `tau_final` (scaled time),
-    rounded up.
-
-    Refuses a span beyond MAX_GRID_STEPS steps, so an unrunnable grid run
-    fails before any array is allocated.  A run's span is a multiple of
-    the swap time pi / (2 delta), so the refusal names the coupling."""
-    steps = tau_final / (GRID_STEP_PERIODS * 2.0 * math.pi / params.K_plus)
-    if not steps <= MAX_GRID_STEPS:
-        raise ConfigError(
-            f"params.delta: {params.delta!r} gives {steps:.3g} grid steps of {GRID_STEP_PERIODS:g} periods "
-            f"over scaled time {tau_final:.3g}, beyond the budget of {MAX_GRID_STEPS}"
-        )
-    return max(1, math.ceil(steps))
-
-
 def split_step_evolve(
     w: GridWavefunction,
     model: ModelKind,
@@ -543,20 +525,20 @@ def split_step_evolve(
     [0, t_final], in units of 1/omega, in SBAB2 steps with their corrector
     (two kinetic FFT round trips per step).
 
-    Observables are recorded at n_samples step boundaries including both
-    endpoints; a run takes at least n_samples - 1 steps, so no two records
-    fall on the same boundary.  Refuses (ConfigError) a run beyond the grid
-    step budget before allocating anything.  Aborts (EvolutionError) on norm
-    drift beyond NORM_DRIFT_LIMIT per unit scaled time, or on probability
-    beyond LEAKAGE_LIMIT on the edge of the position box or of the
-    momentum grid.
+    Observables are recorded at the step boundaries of `step_schedule`:
+    n_samples of them including both endpoints, each on its own.  Refuses
+    (ConfigError) a run beyond MAX_GRID_STEPS steps before allocating
+    anything.  Aborts (EvolutionError) on norm drift beyond NORM_DRIFT_LIMIT
+    per unit scaled time, or on probability beyond LEAKAGE_LIMIT on the edge
+    of the position box or of the momentum grid.
     """
     if t_final < 0:
         raise ParameterError("t_final must be non-negative")
     kicks, flows, corrector = _SBAB2
-    n_samples = max(2, n_samples)
+    h, bounds = step_schedule(
+        t_final, params, n_samples, periods=GRID_STEP_PERIODS, budget=MAX_GRID_STEPS, name="grid"
+    )
     spec = w.spec
-    steps = max(grid_steps(t_final, params), n_samples - 1) if t_final > 0.0 else 0
     x = spec.x_axis()
     delta = params.delta
     rwa = model is ModelKind.QG_RWA
@@ -614,8 +596,7 @@ def split_step_evolve(
     track_norm()
     record(0.0)
 
-    if steps:
-        h = t_final / steps
+    if h:
         x1, x2 = x.reshape((-1, 1)), x.reshape((1, -1))
         p = spec.p_axis()
         p1, p2 = p.reshape((-1, 1)), p.reshape((1, -1))
@@ -663,7 +644,6 @@ def split_step_evolve(
                 a *= phases[c, g, t]
 
         bare_flow = {}
-        bounds = record_bounds(steps, n_samples)
         for i0, i1 in zip(bounds[:-1], bounds[1:]):
             chunk = int(i1 - i0)
             kick(psi, *edge)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ModelKind, mode_hamiltonians, template_moment_rhs
-from .params import DimensionlessParams, ParameterError
+from .params import ConfigError, DimensionlessParams, ParameterError
 from .states import check_moments
 
 # The RK4 step, in periods 2 pi / K_plus of the exact plus mode, and the
@@ -39,10 +39,6 @@ _LINEARITY_TOL = 1e-12
 
 class IntegrationError(RuntimeError):
     """Raised when an integrator cannot meet its contract."""
-
-
-class StepUnderflowError(IntegrationError):
-    pass
 
 
 class ToleranceError(IntegrationError):
@@ -66,6 +62,31 @@ def record_bounds(steps: int, n_samples: int) -> np.ndarray:
     numpy.ma (about 12 ms)."""
     b = np.round(np.linspace(0, steps, n_samples)).astype(int)
     return b[np.r_[True, b[1:] != b[:-1]]]
+
+
+def step_schedule(
+    t_final: float, params: DimensionlessParams, n_samples: int, *, periods: float, budget: int, name: str
+) -> tuple[float, np.ndarray]:
+    """The steps of a run over [0, t_final] (scaled time): their length h and
+    the step indices of the run's max(2, n_samples) records, endpoints
+    included (`record_bounds`); h = 0 and the one record 0 over a span of 0.
+
+    The run counts steps of `periods` periods 2 pi / K_plus of the exact plus
+    mode, rounded up, and takes at least n_samples - 1, so each record falls
+    on a boundary of its own.  A span beyond `budget` steps is refused before
+    anything is allocated; a run's span follows the swap time pi / (2 delta),
+    so the refusal names the coupling, and `name` the integrator."""
+    steps = t_final / (periods * 2.0 * math.pi / params.K_plus)
+    if not steps <= budget:
+        raise ConfigError(
+            f"params.delta: {params.delta!r} gives {steps:.3g} {name} steps of {periods:g} periods "
+            f"over scaled time {t_final:.3g}, beyond the budget of {budget}"
+        )
+    if t_final == 0.0:
+        return 0.0, np.zeros(1, dtype=int)
+    n_samples = max(2, n_samples)
+    steps = max(math.ceil(steps), n_samples - 1)
+    return t_final / steps, record_bounds(steps, n_samples)
 
 
 def _make_rhs(model: ModelKind, params: DimensionlessParams):
@@ -100,30 +121,19 @@ def integrate_moments(
     over [0, t_final], in units of 1/omega, in steps of at most
     RK_STEP_PERIODS periods.
 
-    Samples are taken at integer step boundaries closest to a uniform grid of
-    `n_samples` points (endpoints always included).  Raises ToleranceError if
-    a step-doubling estimate of the accumulated error exceeds RK_TOL (an
-    absolute bound, so it refuses means that are too large),
-    StepUnderflowError if the span needs more than MAX_STEPS steps (a span
-    that follows the swap time pi / (2 delta) names the coupling), and
-    IntegrationError if the equations turn out not to be linear.
+    Samples are taken at the step boundaries of `step_schedule`, at least
+    one step apart.  Raises ToleranceError if a step-doubling estimate of the
+    accumulated error exceeds RK_TOL (an absolute bound, so it refuses means
+    that are too large), ConfigError if the span needs more than MAX_STEPS
+    steps, and IntegrationError if the equations turn out not to be linear.
     """
     if t_final < 0:
         raise ParameterError("t_final must be non-negative")
     rhs = _make_rhs(model, params)
     y0 = check_moments(init).reshape(10)
     y = tuple(y0.tolist())
-    if t_final == 0.0:
-        return MomentSeries(times=np.array([0.0]), moments=y0.reshape((1, 2, 5)).copy())
-
-    steps = t_final / (RK_STEP_PERIODS * 2.0 * math.pi / params.K_plus)
-    if not steps <= MAX_STEPS:
-        raise StepUnderflowError(
-            f"params.delta: {params.delta!r} gives {steps:.3g} RK4 steps of {RK_STEP_PERIODS:g} periods "
-            f"over scaled time {t_final:.3g}, beyond the budget of {MAX_STEPS}"
-        )
-    steps = max(1, math.ceil(steps))
-    h = t_final / steps
+    h, sample_idx = step_schedule(t_final, params, n_samples, periods=RK_STEP_PERIODS, budget=MAX_STEPS, name="RK4")
+    steps = int(sample_idx[-1])
 
     # One-off accumulated-error estimate by step doubling at the start point.
     coarse = _rk4_step(rhs, y, h)
@@ -144,8 +154,6 @@ def integrate_moments(
             f"RK4 step by {mismatch:.3e}"
         )
 
-    n_samples = max(2, n_samples)
-    sample_idx = record_bounds(steps, n_samples)
     jumps: dict[int, np.ndarray] = {}
     records = [y0]
     for gap in np.diff(sample_idx).tolist():

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,30 +98,6 @@ def moments_of_coherent(g: complex) -> np.ndarray:
 def coherent_pair_moments(a: complex, b: complex) -> np.ndarray:
     """Moments (2, 5) of the normal-mode coherent product |a>_+ |b>_-."""
     return np.array([moments_of_coherent(a), moments_of_coherent(b)])
-
-
-@dataclass(frozen=True)
-class DisplacementEstimate:
-    """Coherent amplitude read off a moment record.  `width_deviation` is the
-    largest relative deviation of the second moments from the coherent values;
-    it is reported, never used to reject the record, because a drifting width
-    is itself a physics signal (coherence loss)."""
-
-    amplitude: complex
-    width_deviation: float
-
-
-def displacement_from_moments(m) -> DisplacementEstimate:
-    """Invert moments_of_coherent on the first moments of one mode's record
-    (5,); measure how far its widths are from coherent."""
-    mean_x, mean_p, v_xx, v_pp, v_xp = (float(v) for v in m)
-    amplitude = complex(mean_x / SQRT2, mean_p / SQRT2)
-    deviation = max(
-        abs(v_xx / GROUND_VARIANCE - 1.0),
-        abs(v_pp / GROUND_VARIANCE - 1.0),
-        abs(v_xp) / GROUND_VARIANCE,
-    )
-    return DisplacementEstimate(amplitude=amplitude, width_deviation=deviation)
 
 
 def coherent_inner(g: complex, m: complex) -> complex:

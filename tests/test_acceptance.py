@@ -19,6 +19,7 @@ from gravswap import (
     ModelKind,
     Platform,
     CoherentProduct,
+    auto_grid_spec,
     build_initial_grid,
     coherent_pair_moments,
     integrate_moments,
@@ -41,6 +42,11 @@ STACK_DELTA = 0.05
 STACK_ALPHA = 2 + 0j
 STACK_BETA = 0j
 STACK_GRID_DT = 5e-3  # periods; full-swap grid mean error about 9e-10 against the 1e-5 limit
+
+
+def _grid(state, model, params):
+    """`state` on the box `auto_grid_spec` sizes for `model` at the coupling of `params`."""
+    return build_initial_grid(state, auto_grid_spec(state, model, delta=params.delta))
 
 
 def _announce(num, name, ok, detail=""):
@@ -71,12 +77,12 @@ def stack_grid_runs():
     swap, shared between the oracle-stack and hygiene criteria."""
     params = DimensionlessParams(STACK_DELTA)
     T = swap_time(params)
-    w0 = build_initial_grid(CoherentProduct(STACK_ALPHA, STACK_BETA))
+    state = CoherentProduct(STACK_ALPHA, STACK_BETA)
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grid, "GRID_STEP_PERIODS", STACK_GRID_DT)
         for model in ModelKind:
-            runs[model] = split_step_evolve(w0, model, T, params, n_samples=41)
+            runs[model] = split_step_evolve(_grid(state, model, params), model, T, params, n_samples=41)
     return params, runs
 
 
@@ -123,10 +129,12 @@ def test_criterion_3_width_dichotomy():
     closed_ok = sceg_dev <= 1e-12 and abs(full_quarter - 0.5 / params.K_plus**2) <= 1e-12
 
     # grid oracle
-    w0 = build_initial_grid(CoherentProduct(STACK_ALPHA, STACK_BETA))
-    sceg_evo = split_step_evolve(w0, ModelKind.SCEG, swap_time(params) / 2, params, n_samples=21)
+    state = CoherentProduct(STACK_ALPHA, STACK_BETA)
+    sceg_evo = split_step_evolve(_grid(state, ModelKind.SCEG, params), ModelKind.SCEG, swap_time(params) / 2,
+                                 params, n_samples=21)
     sceg_grid_dev = float(np.max(np.abs(sceg_evo.moments[..., 2] - 0.5)))
-    full_evo = split_step_evolve(w0, ModelKind.QG_FULL, t_star, params, n_samples=3)
+    full_evo = split_step_evolve(_grid(state, ModelKind.QG_FULL, params), ModelKind.QG_FULL, t_star, params,
+                                 n_samples=3)
     full_grid_err = abs(full_evo.moments[-1, 0, 2] - 0.5 / params.K_plus**2)
     grid_ok = sceg_grid_dev <= 5e-6 and full_grid_err <= 1e-5
 
@@ -247,7 +255,7 @@ def test_criterion_8_numerical_hygiene(stack_grid_runs, monkeypatch):
 
     rk_order = math.log2(rk_err(2e-2) / rk_err(1e-2))
 
-    w0 = build_initial_grid(CoherentProduct(1 + 0.5j, -0.3 + 0.2j))
+    w0 = _grid(CoherentProduct(1 + 0.5j, -0.3 + 0.2j), ModelKind.QG_FULL, params)
 
     def grid_err(factor):
         monkeypatch.setattr(grid, "GRID_STEP_PERIODS", factor)

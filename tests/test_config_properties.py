@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gravswap import ConfigError, ExperimentConfig, ModelKind, PhysicalParams, Platform, format_config, parse_config_text
 from gravswap.cli import main as cli_main
-from gravswap.experiments import KINDS, ORACLES
+from gravswap.config import KINDS, ORACLES
 from gravswap.params import DELTA_WARN_LIMIT, GRAVITATIONAL_CONSTANT, PLATFORM_PRESETS
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,13 +6,17 @@ import pytest
 
 from gravswap import experiments
 from gravswap import (
+    CatProduct,
     ConfigError,
     DimensionlessParams,
     ExperimentConfig,
     ModelKind,
     PLATFORM_PRESETS,
     Platform,
+    auto_grid_spec,
+    coherent_pair_moments,
     emit_report,
+    from_normal_modes,
     lab_means,
     preset_platform,
     propagate_corrected_displacement,
@@ -21,6 +26,8 @@ from gravswap import (
     run_swap,
     to_normal_modes,
 )
+from gravswap.cli import main as cli_main
+from gravswap.config import KINDS
 
 
 def _verdict(report, name):
@@ -110,13 +117,20 @@ def _run_grid_specs(cfg, monkeypatch):
 
 def test_grid_size_from_config(monkeypatch):
     # sizes only, no array: auto_grid_spec sizes each model's box from state,
-    # coupling and model.  QG_FULL's box holds the widest state any model
-    # reaches; QG_RWA and SCEG keep the ground width, and QG_RWA conserves
-    # the photon number, so their boxes are smaller
+    # coupling and model.  QG_FULL stretches the width; QG_RWA and SCEG keep
+    # the ground width, and QG_RWA conserves the photon number, so their
+    # boxes are smaller.  A cat with a partner reaches farthest under SCEG,
+    # which rotates its branches on top of the partner's mean, yet QG_FULL's
+    # box holds only what QG_FULL reaches: 72^2 over a half extent of 10.30,
+    # not SCEG's 90^2 over 11.83
     swap = ExperimentConfig(kind="swap", platform=Platform(delta=0.1), alpha=2 + 0j, beta=-1 + 0j, oracle="grid")
     cat = ExperimentConfig(kind="cat_state", platform=Platform(delta=0.2), cat_alpha=2 + 0j, beta=0j)
+    partner = ExperimentConfig(kind="cat_state", models=tuple(ModelKind), cat_alpha=2 + 0j, beta=2 + 0j)
     assert _run_grid_specs(swap, monkeypatch) == {"qg_rwa": 54, "qg_full": 64, "sceg": 60}
     assert _run_grid_specs(cat, monkeypatch) == {"qg_rwa": 50, "qg_full": 80, "sceg": 50}
+    assert _run_grid_specs(partner, monkeypatch) == {"qg_rwa": 64, "qg_full": 72, "sceg": 90}
+    spec = auto_grid_spec(CatProduct(2 + 0j, 2 + 0j), ModelKind.QG_FULL, delta=0.05)
+    assert spec.half_extent == pytest.approx(10.30, abs=5e-3)
     # the defaults: a coherent (1, 0) at 0.05 and a cat of amplitude 2 at 0.05
     assert _run_grid_specs(ExperimentConfig(kind="swap", oracle="grid"), monkeypatch) == dict.fromkeys(
         ("qg_rwa", "qg_full", "sceg"), 40
@@ -330,6 +344,46 @@ def test_feasibility_presets_and_synthetic():
     assert bench[10] == 0
     decoupled = rows["decoupled"]
     assert math.isinf(decoupled[7]) and decoupled[10] == 1
+
+
+@pytest.mark.parametrize("delta,beta", [("0.05", "2"), ("0.2", "1+1j")])
+def test_cat_state_with_a_partner_passes(delta, beta, tmp_path):
+    # a coherent partner moves the mean of the whole state, (0, beta), so
+    # the mean-field run keeps that pair's closed-form means, which reach
+    # past 1, not zero; the grid keeps them to 5.8e-8 and 4.6e-8
+    config = tmp_path / "cat.txt"
+    config.write_text(f"[run]\nkind = cat_state\n[params]\ndelta = {delta}\n[state]\ncat_alpha = 2\nbeta = {beta}\n")
+    assert cli_main(["cat-state", "--config", str(config), "--out", str(tmp_path / "r")]) == 0
+    summary = (tmp_path / "r" / "summary.txt").read_text(encoding="utf-8")
+    assert "[PASS] sceg_first_moments_frozen" in summary
+    with (tmp_path / "r" / "entropy.csv").open(encoding="utf-8") as fh:
+        means = [float(row["max_abs_first_moment"]) for row in csv.DictReader(fh) if row["model"] == "sceg"]
+    assert max(means) > 1.0
+
+
+def test_amplitudes_read_off_a_record():
+    # each mode's amplitude is (x + ip) / sqrt(2), bit for bit the scalar
+    # reading the fidelity table has always printed
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        pair = coherent_pair_moments(*(complex(*rng.uniform(-4, 4, 2)) for _ in range(2)))
+        alpha, beta, width = experiments._amplitudes_from_pair(pair)
+        modes = (complex(x / math.sqrt(2.0), p / math.sqrt(2.0)) for x, p in pair[:, :2].tolist())
+        assert (alpha, beta) == from_normal_modes(*modes)
+        assert width == 0.0
+    # a coherent record gives back its amplitudes exactly
+    alpha, beta, width = experiments._amplitudes_from_pair(coherent_pair_moments(2 - 3j, 1 + 0.5j))
+    assert (alpha, beta) == from_normal_modes(2 - 3j, 1 + 0.5j)
+    # the width deviation is the largest relative one over both modes and
+    # all three second moments
+    inflated = np.array([[1.0, 0.0, 0.6, 0.6, 0.0], [0.0, 0.0, 0.5, 0.5, 0.0]])
+    assert experiments._amplitudes_from_pair(inflated)[2] == pytest.approx(0.2, rel=1e-12)
+    correlated = np.array([[0.0, 0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.5, 0.5, -0.15]])
+    assert experiments._amplitudes_from_pair(correlated)[2] == pytest.approx(0.3, rel=1e-12)
+
+
+def test_every_kind_has_a_runner():
+    assert set(experiments.RUNNERS) == set(KINDS)
 
 
 def test_cat_state_requires_grid():

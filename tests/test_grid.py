@@ -33,9 +33,23 @@ from gravswap import (
 )
 from gravswap import grid
 from gravswap.grid import LEAKAGE_LIMIT, MAX_GRID_POINTS
+from gravswap.moments_ode import step_schedule
 from gravswap.params import DELTA_WARN_LIMIT
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _grid(state, model=ModelKind.QG_FULL, delta=DELTA_WARN_LIMIT):
+    """`state` on the box `auto_grid_spec` sizes for `model` at `delta`."""
+    return build_initial_grid(state, auto_grid_spec(state, model, delta=delta))
+
+
+def _grid_steps(t_final, params):
+    """The grid's own step count over `t_final`, with no record to space."""
+    _, bounds = step_schedule(
+        t_final, params, 2, periods=grid.GRID_STEP_PERIODS, budget=grid.MAX_GRID_STEPS, name="grid"
+    )
+    return int(bounds[-1])
 
 
 def _mean_error(model, evo, pair0, params):
@@ -71,14 +85,14 @@ def test_vacuum_grid_moments():
 
 def test_coherent_grid_moments_match_analytic():
     alpha, beta = 1 + 1j, 0j
-    w = build_initial_grid(CoherentProduct(alpha, beta))
+    w = _grid(CoherentProduct(alpha, beta))
     x1, p1, x2, p2 = lab_means_from_grid(w)
     assert x1 == pytest.approx(SQRT2, abs=1e-8)
     assert p1 == pytest.approx(SQRT2, abs=1e-8)
     assert abs(x2) < 1e-8 and abs(p2) < 1e-8
 
     alpha, beta = 2 + 0j, -1 + 0j
-    w = build_initial_grid(CoherentProduct(alpha, beta))
+    w = _grid(CoherentProduct(alpha, beta))
     want = coherent_pair_moments(*to_normal_modes(alpha, beta))
     got = moments_from_grid(w)
     assert np.max(np.abs(got[:, :2] - want[:, :2])) < 1e-8
@@ -87,7 +101,7 @@ def test_coherent_grid_moments_match_analytic():
 
 def test_cat_grid_structure():
     g = 2.0
-    w = build_initial_grid(CatProduct(g + 0j, 0j))
+    w = _grid(CatProduct(g + 0j, 0j))
     assert w.norm_squared() == pytest.approx(1.0, abs=1e-12)
     x1, p1, x2, p2 = lab_means_from_grid(w)
     assert abs(x1) < 1e-8 and abs(p1) < 1e-8 and abs(x2) < 1e-8
@@ -149,7 +163,7 @@ def test_grid_overlap_cases():
 
 
 def test_schmidt_entropy_product_state():
-    w = build_initial_grid(CoherentProduct(1 + 0.5j, -0.5j))
+    w = _grid(CoherentProduct(1 + 0.5j, -0.5j))
     res = schmidt_entropy(w)
     assert res.entropy < 1e-6
     assert res.purity == pytest.approx(1.0, abs=1e-10)
@@ -159,7 +173,7 @@ def test_schmidt_entropy_restores_the_blas_thread_count():
     # the SVD runs on one OpenBLAS thread; the caller's count comes back
     get, _ = grid._openblas_threads()
     before = get()
-    schmidt_entropy(build_initial_grid(CoherentProduct(1 + 0.5j, -0.5j)))
+    schmidt_entropy(_grid(CoherentProduct(1 + 0.5j, -0.5j)))
     assert get() == before
 
 
@@ -195,7 +209,7 @@ def test_grid_tracks_closed_moments_short_run(model):
     params = DimensionlessParams(0.1)
     alpha, beta = 1 + 0j, -0.5 + 0.5j
     pair0 = coherent_pair_moments(*to_normal_modes(alpha, beta))
-    w = build_initial_grid(CoherentProduct(alpha, beta))
+    w = _grid(CoherentProduct(alpha, beta), model, params.delta)
     evo = split_step_evolve(w, model, 4.0, params, n_samples=5)
     assert evo.moments.shape == (len(evo.times), 2, 5)
     assert _mean_error(model, evo, pair0, params) < 1e-5
@@ -206,7 +220,7 @@ def test_grid_tracks_closed_moments_short_run(model):
 def test_rwa_grid_matches_lab_displacement():
     params = DimensionlessParams(0.1)
     alpha, beta = 1 + 0j, 0j
-    w = build_initial_grid(CoherentProduct(alpha, beta))
+    w = _grid(CoherentProduct(alpha, beta), ModelKind.QG_RWA, params.delta)
     t_final = 3.0
     evo = split_step_evolve(w, ModelKind.QG_RWA, t_final, params, n_samples=3)
     want_alpha, want_beta = propagate_rwa_lab_displacement(alpha, beta, t_final, params)
@@ -253,7 +267,7 @@ def test_rwa_bare_flow_over_a_long_record_gap():
     # in pieces of at most pi/2, clear of the pole of tan
     params = DimensionlessParams(0.1)
     alpha, beta = 1 + 0.5j, -0.5j
-    w = build_initial_grid(CoherentProduct(alpha, beta))
+    w = _grid(CoherentProduct(alpha, beta), ModelKind.QG_RWA, params.delta)
     t_final = 5.0
     evo = split_step_evolve(w, ModelKind.QG_RWA, t_final, params, n_samples=2)
     want_alpha, want_beta = propagate_rwa_lab_displacement(alpha, beta, t_final, params)
@@ -267,8 +281,8 @@ def test_cat_state_run_keeps_every_record():
     # record instead
     params = DimensionlessParams(0.2)
     t_final = swap_time(params) / 2.0
-    assert grid.grid_steps(t_final, params) < 60
-    w = build_initial_grid(CatProduct(2 + 0j))
+    assert _grid_steps(t_final, params) == 48
+    w = _grid(CatProduct(2 + 0j), ModelKind.QG_RWA, params.delta)
     evo = split_step_evolve(w, ModelKind.QG_RWA, t_final, params, n_samples=61, record_entropy=True)
     assert len(evo.times) == len(evo.entropies) == 61
     assert evo.times[-1] == pytest.approx(t_final, rel=1e-12)
@@ -299,21 +313,23 @@ def test_every_fft_goes_through_the_module_handle(monkeypatch):
     monkeypatch.setattr(grid, "sfft", counting)
     params = DimensionlessParams(0.1)
     records, t_final = 4, 2.0
-    w = build_initial_grid(CoherentProduct(1 + 0j, 0j))
+    w = _grid(CoherentProduct(1 + 0j, 0j), ModelKind.QG_FULL, params.delta)
     evo = split_step_evolve(w, ModelKind.QG_FULL, t_final, params, n_samples=records)
-    steps = grid.grid_steps(t_final, params)
+    steps = _grid_steps(t_final, params)
     assert len(evo.times) == records and steps > records
     assert counting.calls == {"fft2": 2 * steps + records, "ifft2": 2 * steps, "fft": 2 * records, "ifft": 2 * records}
 
 
 def test_grid_step_budget_refuses_physical_scale():
-    # the ca40 swap takes ~1e20 steps; refused by count, before any array exists
+    # the ca40 swap takes ~4e18 steps; refused by count, before the run
+    # allocates anything
     params = derive_dimensionless(PLATFORM_PRESETS["ca40_ion"])
+    w = _grid(CoherentProduct(1 + 0j, 0j), ModelKind.QG_FULL, params.delta)
     with pytest.raises(ConfigError, match=r"params\.delta: .* gives 3\.64e\+18 grid steps"):
-        grid.grid_steps(swap_time(params), params)
+        split_step_evolve(w, ModelKind.QG_FULL, swap_time(params), params)
     with pytest.raises(ConfigError, match="params.delta"):
-        grid.grid_steps(math.inf, params)
-    assert grid.grid_steps(1e-9, DimensionlessParams(0.1)) == 1
+        split_step_evolve(w, ModelKind.QG_FULL, math.inf, params)
+    assert _grid_steps(1e-9, DimensionlessParams(0.1)) == 1
 
 
 def test_sceg_evolution_uses_current_means():
@@ -322,7 +338,7 @@ def test_sceg_evolution_uses_current_means():
     params = DimensionlessParams(0.1)
     alpha, beta = 1.5 + 0j, -1.5 + 0j  # pure minus-mode excitation
     pair0 = coherent_pair_moments(*to_normal_modes(alpha, beta))
-    w = build_initial_grid(CoherentProduct(alpha, beta))
+    w = _grid(CoherentProduct(alpha, beta), ModelKind.SCEG, params.delta)
     t_final = 4.0
     evo = split_step_evolve(w, ModelKind.SCEG, t_final, params, n_samples=3)
     got = evo.moments[-1, :, :2]
@@ -457,24 +473,16 @@ _CLOSED_FORM_NAMES = {"K_plus", "K_minus", "k_plus", "k_minus", "to_normal_modes
 
 def test_grid_step_never_sees_the_closed_forms():
     # the grid is an oracle for the closed forms only while it evolves the
-    # lab-frame H0 and coupling alone: it may learn the plus-mode frequency
-    # only where `grid_steps` sizes the step, and no normal-mode transform,
-    # other mode frequency or propagate_* series at all
-    tree = ast.parse(Path(grid.__file__).read_text(encoding="utf-8"))
-    step_count = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "grid_steps")
-
-    def banned(nodes):
-        names = set()
-        for node in nodes:
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.asname or node.name)
-                names.add(node.name)
-        return {name for name in names if name in _CLOSED_FORM_NAMES or name.startswith("propagate_")}
-
-    inside = set(ast.walk(step_count))
-    assert banned(inside) == {"K_plus"}
-    assert not banned(node for node in ast.walk(tree) if node not in inside)
+    # lab-frame H0 and coupling alone: it names no mode frequency (the step
+    # schedule it shares with the RK4 oracle counts the steps), no
+    # normal-mode transform and no propagate_* series
+    names = set()
+    for node in ast.walk(ast.parse(Path(grid.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+            names.add(node.name)
+    assert not {name for name in names if name in _CLOSED_FORM_NAMES or name.startswith("propagate_")}

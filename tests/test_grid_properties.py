@@ -136,10 +136,12 @@ def test_farthest_mean_bounds_every_model(g, p, delta, swaps):
         rotation = np.stack((free.real, free.imag, zero, zero), axis=-1)
         bound = _farthest_mean(cat, ModelKind.SCEG, delta)
         _within(_lab_means(ModelKind.SCEG, 0j, p, times, params) + rotation, bound)
-    # the QG_FULL box is the widest: it holds a run of any model
+    # QG_FULL sizes a pair, and a cat as its branch pairs, by the normal-mode
+    # bound alone, stretched by f: never by the mean-field bound, which only
+    # SCEG's box needs
+    f = math.sqrt(0.5 * (1.0 + 1.0 / (1.0 - 2.0 * delta)))
     for state in (CoherentProduct(g, p), cat):
-        for model in ModelKind:
-            assert _farthest_mean(state, model, delta) <= _farthest_mean(state, ModelKind.QG_FULL, delta)
+        assert _farthest_mean(state, ModelKind.QG_FULL, delta) == SQRT2 * math.hypot(abs(g), abs(p)) * f
 
 
 @PROPERTY_SETTINGS

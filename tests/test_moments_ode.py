@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gravswap import (
+    ConfigError,
     DimensionlessParams,
     IntegrationError,
     ModelKind,
-    StepUnderflowError,
     ToleranceError,
     coherent_pair_moments,
     integrate_moments,
@@ -115,6 +115,17 @@ def test_sample_times_include_endpoints():
     assert series.times[-1] == pytest.approx(3.0, rel=1e-12)
 
 
+def test_more_samples_than_steps_keeps_every_record():
+    # a span of 3 steps asked for 9 records takes 8 steps, one per record
+    # gap, instead of dropping the records that would share a boundary
+    t_final = 3 * moments_ode.RK_STEP_PERIODS * 2.0 * math.pi / P.K_plus * (1.0 - 1e-9)
+    series = integrate_moments(ModelKind.QG_FULL, PAIR0, t_final, P, n_samples=9)
+    assert len(series.times) == len(series.moments) == 9
+    assert np.allclose(np.diff(series.times), t_final / 8, rtol=1e-12)
+    assert series.times[-1] == pytest.approx(t_final, rel=1e-12)
+    assert _mean_error(ModelKind.QG_FULL, series, PAIR0, P) < 1e-12
+
+
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_matrix_path_matches_stepwise_rk4(model, monkeypatch):
     # the jumps between samples are powers of one step matrix; they must give
@@ -157,7 +168,8 @@ def test_nonlinear_rhs_refused(monkeypatch):
 
 def test_step_budget_names_key():
     params = DimensionlessParams(1e-12)
-    with pytest.raises(StepUnderflowError, match=r"params\.delta: 1e-12 gives .* RK4 steps"):
+    # the same refusal, ConfigError, as the grid's over-budget span
+    with pytest.raises(ConfigError, match=r"params\.delta: 1e-12 gives .* RK4 steps"):
         integrate_moments(ModelKind.QG_FULL, PAIR0, swap_time(params), params)
-    with pytest.raises(StepUnderflowError, match="params.delta"):
+    with pytest.raises(ConfigError, match="params.delta"):
         integrate_moments(ModelKind.QG_FULL, PAIR0, math.inf, params)

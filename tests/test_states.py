@@ -11,7 +11,6 @@ from gravswap import (
     coherent_inner,
     coherent_overlap,
     coherent_pair_moments,
-    displacement_from_moments,
     from_normal_modes,
     lab_means,
     moments_of_coherent,
@@ -64,28 +63,6 @@ def test_moments_of_coherent(g, mean_x, mean_p):
     assert m[1] == pytest.approx(mean_p, abs=1e-15)
     assert m[2] == 0.5 and m[3] == 0.5 and m[4] == 0.0
     assert uncertainty_product(m) == 0.25
-
-
-def test_displacement_round_trip():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        g = complex(*rng.uniform(-4, 4, 2))
-        est = displacement_from_moments(moments_of_coherent(g))
-        assert est.width_deviation == 0.0
-        assert abs(est.amplitude - g) < 1e-15
-
-
-def test_displacement_examples():
-    est = displacement_from_moments(moments_of_coherent(2 - 3j))
-    assert est.amplitude == 2 - 3j
-    est = displacement_from_moments(np.array([SQRT2, SQRT2, 0.5, 0.5, 0.0]))
-    assert est.amplitude == pytest.approx(1 + 1j, abs=1e-15)
-
-
-def test_displacement_flags_inflated_widths():
-    m = np.array([1.0, 0.0, 0.6, 0.6, 0.0])
-    est = displacement_from_moments(m)
-    assert est.width_deviation == pytest.approx(0.2, rel=1e-12)
 
 
 def _pair(mode):
