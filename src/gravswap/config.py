@@ -15,8 +15,10 @@ Each key is declared once: `CONFIG_KEYS` drives the parse and echo of the
 plain keys, `SI_FIELDS` and `_DIRECT_FIELDS` those of the [params] and
 [platform:NAME] blocks.  Unknown keys and sections are refused, so a typo
 never falls back to a physics default; so are a key the block's
-parameterization does not take and a coupling block the run's kind never
-reads.  Every refusal names the key or block at fault.  `format_config`
+parameterization does not take, a coupling block the run's kind never
+reads, and a run its experiment cannot make: a swap or cat state at zero
+coupling, or a cat state without the grid oracle or without sceg and a
+quantum model to compare.  Every refusal names the key or block at fault.  `format_config`
 renders the fully resolved configuration in a canonical order with full float
 precision; parse(format(cfg)) == cfg.
 """
@@ -116,11 +118,21 @@ class ExperimentConfig:
             object.__setattr__(self, "oracle", "grid" if self.kind == "cat_state" else "none")
         if self.oracle not in ORACLES:
             raise ConfigError(f"run.oracle: unknown oracle {self.oracle!r}; expected one of {ORACLES}")
+        cat = self.kind == "cat_state"
+        if cat and not self.uses_grid():
+            raise ConfigError("run.oracle: the cat-state experiment needs the grid oracle (grid or all)")
         if not self.models:
             raise ConfigError("run.models: at least one model required")
         for i, model in enumerate(self.models):
             if model in self.models[:i]:
                 raise ConfigError(f"run.models: {model.value!r} is listed twice")
+        if cat and (ModelKind.SCEG not in self.models or self.models == (ModelKind.SCEG,)):
+            names = ", ".join(m.value for m in self.models)
+            raise ConfigError(f"run.models: the cat-state experiment compares sceg with a quantum model; got {names}")
+        # a direct delta may be zero; a swap or a cat state needs a coupling to evolve under
+        if self.kind in ("swap", "cat_state") and self.platform.delta == 0:
+            experiment = self.kind.replace("_", "-")
+            raise ConfigError(f"params.delta: the {experiment} experiment needs a positive coupling")
         if not 2 <= self.samples <= MAX_SAMPLES:
             raise ConfigError(f"run.samples: need 2 to {MAX_SAMPLES} samples, got {self.samples}")
         if not 0 <= self.random_pairs <= MAX_RANDOM_PAIRS:
@@ -246,7 +258,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
     cfg = parse_config_text(text, source=str(path))

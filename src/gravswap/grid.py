@@ -17,11 +17,12 @@ flow A, with Laskar and Robutel's SBAB2 (Celest. Mech. Dyn. Astron. 80, 39,
 
     B(h/6) A(h/2) B(2h/3) A(h/2) B(h/6)
 
-and a corrector -(h^3/72) W for the double bracket W = {{H0, V1}, V1}, half
-on each outer kick: W = 4 d^2 (x1^2 + x2^2) for QG_FULL and, linearised
-about the means, 8 d^2 (<x1> x1 + <x2> x2) for SCEG.  The step is order 4.
-The chirps of A fold into the kicks beside them and the last kick of a step
-merges with the first of the next, so a step costs two round trips; over a
+and a corrector CORRECTOR h^3 W = -(h^3/72) W for the double bracket
+W = {{H0, V1}, V1}, half on each outer kick: W = 4 d^2 (x1^2 + x2^2) for
+QG_FULL and, linearised about the means, 8 d^2 (<x1> x1 + <x2> x2) for SCEG.
+The step is order 4.  The chirps of A fold into the kicks beside them and
+the last kick of a step merges with the first of the next into the join
+B(h/3), whole corrector included, so a step costs two round trips; over a
 full swap of (2, -1) at d = 0.1 it reaches a mean error of 6.6e-8 in 177
 steps (354 round trips), where Blanes and Moan's S6 on the kinetic/potential
 split needed 137 (822).  A step starts and ends on a kick, so every record
@@ -62,7 +63,7 @@ import numpy as np
 
 from .moments_ode import step_schedule
 from .params import DimensionlessParams, ModelKind, ParameterError
-from .states import SQRT2, check_moments, lab_means
+from .states import SQRT2, check_moments, lab_means, schmidt_spectrum
 
 GROUND_SIGMA = math.sqrt(0.5)
 # Points per grid axis: one complex128 array of n^2 amplitudes takes
@@ -90,9 +91,8 @@ MAX_GRID_STEPS = 10_000_000
 sfft = np.fft  # the FFT module, wrapped by name by the benchmark tracer
 
 
-# The step, SBAB2 with its corrector: (coupling kicks, bare flows, corrector
-# weight), kicks outermost.
-_SBAB2 = ((1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0), (0.5, 0.5), -1.0 / 72.0)
+# The weight of the corrector h^3 W of the SBAB2 step, half on each outer kick.
+CORRECTOR = -1.0 / 72.0
 
 
 class GridError(RuntimeError):
@@ -185,6 +185,11 @@ class CatProduct:
 
     cat_amp: complex
     partner: complex = 0j
+
+    @property
+    def norm_squared(self) -> float:
+        """Squared norm 2 (1 + exp(-2 |g|^2)) of the branch sum |g> + |-g>."""
+        return 2.0 * (1.0 + math.exp(-2.0 * abs(complex(self.cat_amp)) ** 2))
 
 
 InitialState = CoherentProduct | CatProduct
@@ -320,12 +325,8 @@ def build_initial_grid(state: InitialState, spec: GridSpec) -> GridWavefunction:
     psi = np.outer(one, two)
     w = GridWavefunction(spec, psi)
     n2 = w.norm_squared()
-    if isinstance(state, CatProduct):
-        # analytic norm of the unnormalized branch sum, cross term included
-        expected = 2.0 * (1.0 + math.exp(-2.0 * abs(complex(state.cat_amp)) ** 2))
-        defect = abs(n2 / expected - 1.0)
-    else:
-        defect = abs(n2 - 1.0)
+    # the unnormalized branch sum of a cat has its own norm, cross term included
+    defect = abs(n2 / state.norm_squared - 1.0) if isinstance(state, CatProduct) else abs(n2 - 1.0)
     if defect > 1e-8:
         raise GridSizingError(f"discretized state norm off by {defect:.3e}; grid too small or too coarse")
     w.psi /= math.sqrt(n2)
@@ -366,19 +367,19 @@ def _p_density(w: GridWavefunction, axis: int) -> np.ndarray:
 
 def lab_means_from_grid(w: GridWavefunction) -> np.ndarray:
     """Lab-frame means (x1, p1, x2, p2) of a grid state."""
-    return lab_means(moments_from_grid(w))
+    return lab_means(moments_from_grid(w)[0])
 
 
-def moments_from_grid(w: GridWavefunction, prob: np.ndarray | None = None, *, return_p_edge: bool = False):
-    """Quadrature moments of the normal modes, as a record (2, 5).
+def moments_from_grid(w: GridWavefunction, prob: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Quadrature moments of the normal modes, as a record (2, 5), and the
+    share of the momentum density on the edge of the momentum grid, read off
+    the Fourier image the moments use.
 
     Position moments come from grid summation, momentum moments from the
     discrete Fourier image, and the mixed covariances from spectral
     application of each momentum operator (the i = j entry is the symmetrized
     product; the cross entries commute).  `prob`, the position density
-    |psi|^2, is computed if not given.  With `return_p_edge` the result is
-    (record, share of the momentum density on the edge of the momentum grid),
-    read off the Fourier image the moments use."""
+    |psi|^2, is computed if not given."""
     spec = w.spec
     x = spec.x_axis()
     if prob is None:
@@ -410,9 +411,7 @@ def moments_from_grid(w: GridWavefunction, prob: np.ndarray | None = None, *, re
         )
 
     record = check_moments((mode(+1.0), mode(-1.0)))
-    if return_p_edge:
-        return record, _edge_fraction(pp, np.fft.ifftshift(_edge_mask(spec.n)))
-    return record
+    return record, _edge_fraction(pp, np.fft.ifftshift(_edge_mask(spec.n)))
 
 
 @dataclass(frozen=True)
@@ -472,12 +471,8 @@ def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
         svals = np.linalg.svd(w.psi * w.spec.dx, compute_uv=False)
     finally:
         put(before)
-    probs = svals**2
-    probs = probs / probs.sum()
-    nz = probs[probs > 1e-18]
-    entropy = float(-np.sum(nz * np.log(nz)))
-    purity = float(np.sum(probs**2))
-    return SchmidtResult(entropy=entropy, purity=purity)
+    entropy, probs = schmidt_spectrum(svals)
+    return SchmidtResult(entropy=entropy, purity=float(np.sum(probs**2)))
 
 
 def _gap_piece(spec: GridSpec) -> float:
@@ -522,8 +517,12 @@ def split_step_evolve(
     record_entropy: bool = False,
 ) -> GridEvolution:
     """Split-operator evolution of `w` (not mutated) under `model` over
-    [0, t_final], in units of 1/omega, in SBAB2 steps with their corrector
-    (two kinetic FFT round trips per step).
+    [0, t_final], in units of 1/omega, in SBAB2 steps with their corrector.
+    The steps between two records open with the outer kick B(h/6); each
+    step is then A(h/2) B(2h/3) A(h/2) and the join B(h/3) with the next
+    step, or after the last step the closing B(h/6): two kinetic FFT round
+    trips per step.  The corrector CORRECTOR h^3 W rides whole on a join and
+    half on each outer kick.
 
     Observables are recorded at the step boundaries of `step_schedule`:
     n_samples of them including both endpoints, each on its own.  Refuses
@@ -534,7 +533,6 @@ def split_step_evolve(
     """
     if t_final < 0:
         raise ParameterError("t_final must be non-negative")
-    kicks, flows, corrector = _SBAB2
     h, bounds = step_schedule(
         t_final, params, n_samples, periods=GRID_STEP_PERIODS, budget=MAX_GRID_STEPS, name="grid"
     )
@@ -571,7 +569,7 @@ def split_step_evolve(
                 f"state: position axis leaked: boundary probability {frac:.3e} exceeds leakage limit "
                 f"{LEAKAGE_LIMIT:.1e} at t = {tau!r} under {model.value} at delta = {delta!r}"
             )
-        pair, p_frac = moments_from_grid(cur, prob, return_p_edge=True)
+        pair, p_frac = moments_from_grid(cur, prob)
         if p_frac > LEAKAGE_LIMIT:
             raise EvolutionError(
                 f"state: momentum axis leaked: probability {p_frac:.3e} on the momentum-grid edge exceeds "
@@ -601,24 +599,23 @@ def split_step_evolve(
         p = spec.p_axis()
         p1, p2 = p.reshape((-1, 1)), p.reshape((1, -1))
         x_sq, p_sq = x1**2 + x2**2, p1**2 + p2**2
-        # the flow between kicks: the bare flow, whose chirps go into the
-        # kicks on either side, or for QG_RWA the drift d p1 p2 of d B
+        # the flow A(h/2) between kicks: the bare flow, whose chirps go into
+        # the kicks on either side, or for QG_RWA the drift d p1 p2 of d B
         if rwa:
-            chirps = [0.0] * len(flows)
-            flow_phase = {b: np.exp(-1j * b * h * delta * (p1 * p2)) for b in set(flows)}
+            chirp_h = 0.0
+            flow = np.exp(-1j * 0.5 * h * delta * (p1 * p2))
         else:
-            chirps = [math.tan(0.5 * b * h) for b in flows]
-            flow_phase = {b: _bare_kinetic(p_sq, b * h) for b in set(flows)}
-        flow_phases = [flow_phase[b] for b in flows]
+            chirp_h = math.tan(0.25 * h)
+            flow = _bare_kinetic(p_sq, 0.5 * h)
 
         # The position-diagonal factors of a step, each (coupling weight,
-        # corrector weight, chirp) in units of h, h^3 and 1: the outer kick,
-        # which opens and closes a run of steps between records, the kicks
-        # between flows, and the join of one step's last kick with the next
-        # step's first.
-        edge = (kicks[0], 0.5 * corrector, chirps[0])
-        inner = [(kicks[j], 0.0, chirps[j - 1] + chirps[j]) for j in range(1, len(flows))]
-        join = (kicks[0] + kicks[-1], corrector, chirps[-1] + chirps[0])
+        # corrector weight, chirp) in units of h, h^3 and 1: the outer kick
+        # B(h/6), which opens and closes a run of steps between records, the
+        # middle kick B(2h/3), and the join B(h/3) of one step's last kick with
+        # the next step's first.  Each A(h/2) beside a kick hands it a chirp.
+        edge = (1.0 / 6.0, 0.5 * CORRECTOR, chirp_h)
+        middle = (2.0 / 3.0, 0.0, chirp_h + chirp_h)
+        join = (1.0 / 3.0, CORRECTOR, chirp_h + chirp_h)
 
         if model is ModelKind.SCEG:
             half_x_sq = 0.5 * x**2
@@ -638,7 +635,7 @@ def split_step_evolve(
                 v1, w2, chirp = delta * x1 * x2, 2.0 * delta**3 * x1 * x2, 0.0
             else:
                 v1, w2, chirp = 2.0 * delta * x1 * x2, 4.0 * delta**2 * x_sq, 0.5 * x_sq
-            phases = {k: np.exp(-1j * (k[0] * h * v1 + k[1] * h**3 * w2 + k[2] * chirp)) for k in {edge, join, *inner}}
+            phases = {k: np.exp(-1j * (k[0] * h * v1 + k[1] * h**3 * w2 + k[2] * chirp)) for k in (edge, middle, join)}
 
             def kick(a, c, g, t):
                 a *= phases[c, g, t]
@@ -648,9 +645,10 @@ def split_step_evolve(
             chunk = int(i1 - i0)
             kick(psi, *edge)
             for i in range(chunk):
-                for phase, k in zip(flow_phases, [*inner, join if i < chunk - 1 else edge]):
-                    psi = kinetic(psi, phase)
-                    kick(psi, *k)
+                psi = kinetic(psi, flow)
+                kick(psi, *middle)
+                psi = kinetic(psi, flow)
+                kick(psi, *(join if i < chunk - 1 else edge))
                 track_norm()
             if rwa:
                 # H0 commutes with B: its exact flow over the gap, in pieces

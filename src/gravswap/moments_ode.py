@@ -54,28 +54,20 @@ class MomentSeries:
     moments: np.ndarray
 
 
-def record_bounds(steps: int, n_samples: int) -> np.ndarray:
-    """The step indices of the records of a run of `steps` steps: the integer
-    boundaries closest to `n_samples` evenly spaced points, endpoints
-    included, each once.  The rounded points are sorted, so a repeat can only
-    follow its twin; this skips `np.unique`, whose first call imports
-    numpy.ma (about 12 ms)."""
-    b = np.round(np.linspace(0, steps, n_samples)).astype(int)
-    return b[np.r_[True, b[1:] != b[:-1]]]
-
-
 def step_schedule(
     t_final: float, params: DimensionlessParams, n_samples: int, *, periods: float, budget: int, name: str
 ) -> tuple[float, np.ndarray]:
     """The steps of a run over [0, t_final] (scaled time): their length h and
     the step indices of the run's max(2, n_samples) records, endpoints
-    included (`record_bounds`); h = 0 and the one record 0 over a span of 0.
+    included; h = 0 and the one record 0 over a span of 0.
 
     The run counts steps of `periods` periods 2 pi / K_plus of the exact plus
     mode, rounded up, and takes at least n_samples - 1, so each record falls
-    on a boundary of its own.  A span beyond `budget` steps is refused before
-    anything is allocated; a run's span follows the swap time pi / (2 delta),
-    so the refusal names the coupling, and `name` the integrator."""
+    on a boundary of its own: the one closest to its point of n_samples
+    evenly spaced over the span.  A span beyond `budget` steps is refused
+    before anything is allocated; a run's span follows the swap time
+    pi / (2 delta), so the refusal names the coupling, and `name` the
+    integrator."""
     steps = t_final / (periods * 2.0 * math.pi / params.K_plus)
     if not steps <= budget:
         raise ConfigError(
@@ -86,7 +78,10 @@ def step_schedule(
         return 0.0, np.zeros(1, dtype=int)
     n_samples = max(2, n_samples)
     steps = max(math.ceil(steps), n_samples - 1)
-    return t_final / steps, record_bounds(steps, n_samples)
+    # the rounded points are sorted, so a repeat can only follow its twin;
+    # this skips `np.unique`, whose first call imports numpy.ma (about 12 ms)
+    bounds = np.round(np.linspace(0, steps, n_samples)).astype(int)
+    return t_final / steps, bounds[np.r_[True, bounds[1:] != bounds[:-1]]]
 
 
 def _make_rhs(model: ModelKind, params: DimensionlessParams):

@@ -151,7 +151,16 @@ def render_plots(report: ExperimentReport) -> str:
 
 
 def _existing_digest(manifest_path: Path) -> str | None:
-    for line in manifest_path.read_text(encoding="utf-8").splitlines():
+    """The config digest a manifest records, or None if it records none.  A
+    manifest that is not UTF-8 text was not written by this program and is
+    refused like another configuration's."""
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReplayMismatchError(
+            f"{manifest_path.parent}: existing manifest is not UTF-8 ({exc}), refusing to overwrite it (use force)"
+        ) from None
+    for line in text.splitlines():
         if line.startswith("config_digest = "):
             return line.split(" = ", 1)[1].strip()
     return None

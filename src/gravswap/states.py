@@ -117,6 +117,17 @@ def two_mode_overlap(pair_a, pair_b):
     return coherent_overlap(pair_a[0], pair_b[0]) * coherent_overlap(pair_a[1], pair_b[1])
 
 
+def schmidt_spectrum(svals: np.ndarray) -> tuple[float, np.ndarray]:
+    """The Schmidt reduction of singular values: (entropy in nats,
+    normalized Schmidt probabilities).  Probabilities at or below 1e-18
+    are left out of the entropy; 0 - sum makes a product state's entropy +0,
+    where -sum would print it as -0."""
+    probs = svals**2
+    probs = probs / probs.sum()
+    nz = probs[probs > 1e-18]
+    return float(0.0 - np.sum(nz * np.log(nz))), probs
+
+
 def branch_schmidt_entropy(
     coeffs: np.ndarray | list[complex],
     amps_mode1: np.ndarray | list[complex],
@@ -149,9 +160,4 @@ def branch_schmidt_entropy(
         return np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.conj().T
 
     mat = coords(u) @ np.diag(c) @ coords(v).T
-    svals = np.linalg.svd(mat, compute_uv=False)
-    probs = svals**2
-    probs = probs / probs.sum()
-    nz = probs[probs > 1e-18]
-    entropy = float(-np.sum(nz * np.log(nz)))
-    return entropy, probs
+    return schmidt_spectrum(np.linalg.svd(mat, compute_uv=False))

@@ -2,7 +2,8 @@
 parse_config_text(format_config(cfg)) == cfg over generated configurations,
 up to the coupling blocks the kind never reads, with direct, preset and free
 SI parameters in both the [params] block and platform sections.  A negative
-seed is refused, from a config file and from --seed alike."""
+seed is refused, from a config file and from --seed alike, and any bytes in
+a config file parse or are refused as a ConfigError."""
 
 import dataclasses
 import itertools
@@ -11,7 +12,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gravswap import ConfigError, ExperimentConfig, ModelKind, PhysicalParams, Platform, format_config, parse_config_text
+from gravswap import (
+    ConfigError,
+    ExperimentConfig,
+    ModelKind,
+    PhysicalParams,
+    Platform,
+    format_config,
+    parse_config,
+    parse_config_text,
+)
 from gravswap.cli import main as cli_main
 from gravswap.config import KINDS, ORACLES
 from gravswap.params import DELTA_WARN_LIMIT, GRAVITATIONAL_CONSTANT, PLATFORM_PRESETS
@@ -23,6 +33,7 @@ positive = st.floats(min_value=1e-12, max_value=1e6, allow_nan=False)
 deltas = st.floats(min_value=1e-9, max_value=DELTA_WARN_LIMIT)
 amplitudes = st.builds(complex, finite, finite)
 model_orders = [perm for r in (1, 2, 3) for perm in itertools.permutations(ModelKind, r)]
+cat_model_orders = [order for order in model_orders if ModelKind.SCEG in order and len(order) > 1]
 names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8).filter(
     lambda name: name not in PLATFORM_PRESETS
 )
@@ -67,9 +78,13 @@ def platforms(draw):
 
 @st.composite
 def configs(draw):
+    # a cat state runs on the grid and compares sceg with a quantum model;
+    # the configs it refuses are covered by the refusal tests
+    kind = draw(st.sampled_from(KINDS))
+    cat = kind == "cat_state"
     return ExperimentConfig(
-        kind=draw(st.sampled_from(KINDS)),
-        models=draw(st.sampled_from(model_orders)),
+        kind=kind,
+        models=draw(st.sampled_from(cat_model_orders if cat else model_orders)),
         platform=draw(couplings()),
         alpha=draw(amplitudes),
         beta=draw(amplitudes),
@@ -78,7 +93,7 @@ def configs(draw):
         alpha_mags=tuple(draw(st.lists(positive, min_size=1, max_size=4))),
         deltas=tuple(draw(st.lists(deltas, min_size=1, max_size=4))),
         samples=draw(st.integers(2, 10**6)),
-        oracle=draw(st.sampled_from(ORACLES)),
+        oracle=draw(st.sampled_from(("grid", "all") if cat else ORACLES)),
         seed=draw(st.integers(0, 2**63)),
         timestamp=draw(st.one_of(st.none(), stamps)),
         out_dir=draw(st.one_of(st.none(), paths)),
@@ -97,6 +112,24 @@ def test_parse_inverts_format(cfg):
     unread = {"feasibility": ("platform",), "rwa_validity": ("platform", "platforms")}.get(cfg.kind, ("platforms",))
     assert back == dataclasses.replace(cfg, **{name: getattr(ExperimentConfig(), name) for name in unread})
     assert format_config(back) == text
+
+
+# the start of a config that parses, so that the bytes after it reach the
+# sections and keys too
+HEADS = (b"", b"[run]\nkind = swap\n", b"[run]\nkind = cat_state\n[params]\ndelta = ")
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(HEADS), st.binary(max_size=200))
+def test_any_bytes_parse_or_are_refused(tmp_path_factory, head, tail):
+    # undecodable text is refused like any other bad config, never with a
+    # raw UnicodeDecodeError
+    path = tmp_path_factory.getbasetemp() / "bytes.cfg"
+    path.write_bytes(head + tail)
+    try:
+        parse_config(path)
+    except ConfigError:
+        pass
 
 
 @settings(max_examples=50, deadline=None)

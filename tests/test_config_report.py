@@ -247,6 +247,39 @@ def test_cat_report_has_entropy_csv(tmp_path):
     assert "purity" in header
 
 
+def test_default_cat_state_report_prints_no_negative_zero(tmp_path):
+    # a product state's entropy is +0, so no cell or verdict reads -0
+    assert cli_main(["cat-state", "--out", str(tmp_path)]) == 0
+    cells = [cell for line in (tmp_path / "entropy.csv").read_text().splitlines() for cell in line.split(",")]
+    assert "0" in cells and "-0" not in cells
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "initial_product_entropy: observed 0 " in summary and "observed -0" not in summary
+
+
+def test_non_utf8_config_is_refused(tmp_path, capsys):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"[run]\nkind = swap  # \xff\xfe\n")
+    with pytest.raises(ConfigError, match=rf"^cannot read config {re.escape(str(path))}: 'utf-8' codec"):
+        parse_config(path)
+    assert cli_main(["swap", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {path}: ")
+    assert not (tmp_path / "r").exists()
+
+
+def test_non_utf8_manifest_is_refused_unless_forced(tmp_path, capsys):
+    # a manifest that is not UTF-8 was not written by gravswap: refused like
+    # another configuration's, with exit 3, and overwritten under --force
+    out = tmp_path / "r"
+    out.mkdir()
+    (out / "manifest.txt").write_bytes(b"config_digest = \xff\n")
+    with pytest.raises(ReplayMismatchError, match="manifest is not UTF-8"):
+        emit_report(run_feasibility(ExperimentConfig(kind="feasibility")), out)
+    assert cli_main(["feasibility", "--out", str(out)]) == 3
+    assert "existing manifest is not UTF-8" in capsys.readouterr().err
+    assert cli_main(["feasibility", "--out", str(out), "--force"]) == 0
+    assert "config_digest = sha256:" in (out / "manifest.txt").read_text(encoding="utf-8")
+
+
 def test_plot_bundle_references_emitted_data(tmp_path):
     import json
 
@@ -283,7 +316,7 @@ def test_cli_default_config_passes(tmp_path, monkeypatch, command):
 def test_cat_state_oracle_defaults_to_grid():
     # a cat state has only the grid to run on: with no oracle given it uses
     # that, the echo says so and parses back to itself; an explicit none is
-    # kept, for the runner to refuse by name
+    # refused at the parse, by name
     assert ExperimentConfig(kind="cat_state").oracle == "grid"
     assert ExperimentConfig(kind="swap").oracle == "none"
     cfg = parse_config_text("[run]\nkind = cat_state\n")
@@ -291,7 +324,8 @@ def test_cat_state_oracle_defaults_to_grid():
     echo = format_config(cfg)
     assert "oracle = grid\n" in echo
     assert parse_config_text(echo) == cfg and format_config(parse_config_text(echo)) == echo
-    assert parse_config_text("[run]\nkind = cat_state\noracle = none\n").oracle == "none"
+    with pytest.raises(ConfigError, match=r"^run\.oracle: the cat-state experiment needs the grid oracle"):
+        parse_config_text("[run]\nkind = cat_state\noracle = none\n")
 
 
 def test_cli_kind_mismatch(tmp_path):

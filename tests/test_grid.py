@@ -78,8 +78,8 @@ def test_grid_spec_validation():
 def test_vacuum_grid_moments():
     w = build_initial_grid(CoherentProduct(0j, 0j), GridSpec(n=128, half_extent=8.0))
     assert w.norm_squared() == pytest.approx(1.0, abs=1e-12)
-    pm = moments_from_grid(w)
-    assert pm.shape == (2, 5)
+    pm, p_edge = moments_from_grid(w)
+    assert pm.shape == (2, 5) and p_edge < 1e-12
     assert pm == pytest.approx(coherent_pair_moments(0j, 0j), abs=1e-8)
 
 
@@ -94,7 +94,7 @@ def test_coherent_grid_moments_match_analytic():
     alpha, beta = 2 + 0j, -1 + 0j
     w = _grid(CoherentProduct(alpha, beta))
     want = coherent_pair_moments(*to_normal_modes(alpha, beta))
-    got = moments_from_grid(w)
+    got, _ = moments_from_grid(w)
     assert np.max(np.abs(got[:, :2] - want[:, :2])) < 1e-8
     assert got[:, 2:4] == pytest.approx(0.5, abs=1e-8)
 
@@ -167,6 +167,13 @@ def test_schmidt_entropy_product_state():
     res = schmidt_entropy(w)
     assert res.entropy < 1e-6
     assert res.purity == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("state", [CoherentProduct(1 + 0.5j, -0.5j), CatProduct(2 + 0j)], ids=["coherent", "cat"])
+def test_schmidt_entropy_of_a_product_state_is_positive_zero(state):
+    # the report prints the entropy as it is: -0 would read as a sign
+    res = schmidt_entropy(_grid(state))
+    assert res.entropy == 0.0 and math.copysign(1.0, res.entropy) == 1.0
 
 
 def test_schmidt_entropy_restores_the_blas_thread_count():
@@ -256,8 +263,7 @@ def test_near_integrable_convergence_order(model, monkeypatch):
 def test_corrector_sign_is_what_makes_order_four(model, monkeypatch):
     # with the corrector's sign flipped the double bracket is doubled, not
     # cancelled, and the step falls back to order 2
-    kicks, flows, corrector = grid._SBAB2
-    monkeypatch.setattr(grid, "_SBAB2", (kicks, flows, -corrector))
+    monkeypatch.setattr(grid, "CORRECTOR", -grid.CORRECTOR)
     e2, e1 = (_splitting_error(model, f, monkeypatch) for f in (2e-2, 1e-2))
     assert math.log2(e2 / e1) == pytest.approx(2.0, abs=0.3)
 

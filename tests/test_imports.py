@@ -133,6 +133,36 @@ def test_step_factor_refused_before_numpy_loads(tmp_path, command):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, flags, error",
+    [
+        ("swap", "[params]\ndelta = 0\n", [], "params.delta: the swap experiment needs a positive coupling"),
+        ("cat-state", "[params]\ndelta = 0\n", [], "params.delta: the cat-state experiment needs a positive coupling"),
+        ("cat-state", "", ["--oracle", "none"], "run.oracle: the cat-state experiment needs the grid oracle (grid or all)"),
+        (
+            "cat-state",
+            "models = sceg\n",
+            [],
+            "run.models: the cat-state experiment compares sceg with a quantum model; got sceg",
+        ),
+        (
+            "cat-state",
+            "models = qg_rwa, qg_full\n",
+            [],
+            "run.models: the cat-state experiment compares sceg with a quantum model; got qg_rwa, qg_full",
+        ),
+    ],
+    ids=["swap-delta", "cat-delta", "cat-oracle", "cat-sceg-only", "cat-no-sceg"],
+)
+def test_experiment_refusals_come_before_numpy_loads(tmp_path, command, text, flags, error):
+    # what a swap or a cat state needs of its config is checked at the parse,
+    # so these refusals name their key with numpy blocked
+    (tmp_path / "c.cfg").write_text(f"[run]\nkind = {command.replace('-', '_')}\n{text}")
+    err = _run_without("numpy", [command, "--config", "c.cfg", "--out", "r", *flags], tmp_path, rc=2)
+    assert err == f"error: {error}\n"
+    assert not (tmp_path / "r").exists()
+
+
 # today's exported names, each with the module that defines it
 EXPORTS = {
     "params": [

@@ -137,6 +137,12 @@ def test_pair_moments_lab_views():
     assert means[1] == pytest.approx([0.0, 0.0, 0.0, SQRT2], abs=1e-15)
 
 
+def test_branch_entropy_of_a_product_state_is_positive_zero():
+    s, probs = branch_schmidt_entropy([1.0], [2 + 0j], [1j])
+    assert s == 0.0 and math.copysign(1.0, s) == 1.0
+    assert probs.tolist() == [1.0]
+
+
 def test_branch_entropy_limits():
     # a single branch (product state) carries no entropy
     s, _ = branch_schmidt_entropy([1.0], [2 + 0j], [1j])
