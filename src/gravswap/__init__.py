@@ -37,9 +37,9 @@ _EXPORTS = {
         "preset_platform",
     ),
     "states": (
-        "MOMENT_FIELDS", "MomentError", "branch_schmidt_entropy", "check_moments", "coherent_inner",
-        "coherent_overlap", "coherent_pair_moments", "from_normal_modes", "lab_means", "moments_of_coherent",
-        "to_normal_modes", "two_mode_overlap", "uncertainty_product",
+        "MOMENT_FIELDS", "MomentError", "cat_pair_entropy", "check_moments", "coherent_overlap",
+        "coherent_pair_moments", "from_normal_modes", "lab_means", "moments_of_coherent", "to_normal_modes",
+        "two_mode_overlap", "uncertainty_product",
     ),
     "analytic": (
         "QuadraticHamiltonian", "mode_hamiltonians", "phase_corrected_pair", "propagate_corrected_displacement",

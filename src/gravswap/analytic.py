@@ -171,7 +171,11 @@ def propagate_moments(model: ModelKind, init, times, params: DimensionlessParams
         minus = _evolve_mode(init[1], km * tau, km, tau, 1.0)
     else:
         raise ParameterError(f"unknown model {model!r}")
-    return check_moments(np.stack((plus, minus), axis=-2))
+    records = check_moments(np.stack((plus, minus), axis=-2))
+    # a zero that rounding signed -0 (a coherent state's V_xp) becomes +0,
+    # in place, so a report prints no -0
+    records += 0.0
+    return records
 
 
 def propagate_corrected_displacement(a: complex, b: complex, t, params: DimensionlessParams) -> tuple:

@@ -121,8 +121,11 @@ class ExperimentConfig:
         cat = self.kind == "cat_state"
         if cat and not self.uses_grid():
             raise ConfigError("run.oracle: the cat-state experiment needs the grid oracle (grid or all)")
-        if not self.models:
-            raise ConfigError("run.models: at least one model required")
+        # an empty ladder or sweep would pass with no verdicts
+        for key, values in (("run.models", self.models), ("run.platforms", self.platforms),
+                            ("sweep.deltas", self.deltas), ("sweep.alpha_mags", self.alpha_mags)):
+            if not values:
+                raise ConfigError(f"{key}: at least one entry required")
         for i, model in enumerate(self.models):
             if model in self.models[:i]:
                 raise ConfigError(f"run.models: {model.value!r} is listed twice")

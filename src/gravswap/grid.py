@@ -471,7 +471,7 @@ def schmidt_entropy(w: GridWavefunction) -> SchmidtResult:
         svals = np.linalg.svd(w.psi * w.spec.dx, compute_uv=False)
     finally:
         put(before)
-    entropy, probs = schmidt_spectrum(svals)
+    entropy, probs = schmidt_spectrum(svals**2)
     return SchmidtResult(entropy=entropy, purity=float(np.sum(probs**2)))
 
 

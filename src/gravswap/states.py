@@ -19,11 +19,14 @@ assumed uncorrelated, which every propagator here preserves because all
 three Hamiltonians separate in (+, -).  A series of records carries a
 leading time axis, (n, 2, 5); `check_moments` validates any number of
 records at once, at the boundaries of the propagators.
+
+The Schmidt entropy has one reduction, `schmidt_spectrum`, which the grid
+feeds its squared singular values and `cat_pair_entropy` the two Schmidt
+weights of a two-branch cat, written in closed form.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -100,13 +103,6 @@ def coherent_pair_moments(a: complex, b: complex) -> np.ndarray:
     return np.array([moments_of_coherent(a), moments_of_coherent(b)])
 
 
-def coherent_inner(g: complex, m: complex) -> complex:
-    """Complex overlap <g|m> = exp(-(|g|^2 + |m|^2)/2 + conj(g) m)."""
-    g = complex(g)
-    m = complex(m)
-    return cmath.exp(-0.5 * (abs(g) ** 2 + abs(m) ** 2) + g.conjugate() * m)
-
-
 def coherent_overlap(g, m):
     """Fidelity |<g|m>|^2 = exp(-|g - m|^2), elementwise over arrays."""
     return np.exp(-np.abs(np.subtract(g, m)) ** 2)
@@ -117,47 +113,26 @@ def two_mode_overlap(pair_a, pair_b):
     return coherent_overlap(pair_a[0], pair_b[0]) * coherent_overlap(pair_a[1], pair_b[1])
 
 
-def schmidt_spectrum(svals: np.ndarray) -> tuple[float, np.ndarray]:
-    """The Schmidt reduction of singular values: (entropy in nats,
-    normalized Schmidt probabilities).  Probabilities at or below 1e-18
-    are left out of the entropy; 0 - sum makes a product state's entropy +0,
-    where -sum would print it as -0."""
-    probs = svals**2
-    probs = probs / probs.sum()
+def schmidt_spectrum(weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """The Schmidt reduction of unnormalized Schmidt weights (squared
+    singular values): (entropy in nats, normalized Schmidt probabilities).
+    Probabilities at or below 1e-18 are left out of the entropy; 0 - sum
+    makes a product state's entropy +0, where -sum would print it as -0."""
+    probs = weights / weights.sum()
     nz = probs[probs > 1e-18]
     return float(0.0 - np.sum(nz * np.log(nz))), probs
 
 
-def branch_schmidt_entropy(
-    coeffs: np.ndarray | list[complex],
-    amps_mode1: np.ndarray | list[complex],
-    amps_mode2: np.ndarray | list[complex],
-) -> tuple[float, np.ndarray]:
-    """Exact Schmidt entropy of sum_i c_i |u_i>|v_i> with coherent branches.
+def cat_pair_entropy(u_sq, v_sq) -> np.ndarray:
+    """Schmidt entropy (nats) of the two-branch state (|u>|v> + |-u>|-v>)/N,
+    elementwise over |u|^2 and |v|^2.
 
-    The branch vectors are non-orthogonal; each mode's branch set is expressed
-    in an orthonormal basis through the Cholesky factor of its Gram matrix of
-    coherent overlaps, after which an SVD of the resulting small matrix gives
-    the Schmidt coefficients without any grid.  Returns (entropy in nats,
-    normalized Schmidt probabilities).
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    u = np.asarray(amps_mode1, dtype=complex)
-    v = np.asarray(amps_mode2, dtype=complex)
-    if not (len(c) == len(u) == len(v)):
-        raise ValueError("coeffs and branch amplitude lists must have equal length")
-
-    def coords(amps: np.ndarray) -> np.ndarray:
-        n = len(amps)
-        gram = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                gram[i, j] = coherent_inner(amps[i], amps[j])
-        # X^dagger X = G with columns the branch coordinates in an orthonormal
-        # basis; eigen square root rather than Cholesky so coinciding branches
-        # (singular Gram) stay legal
-        vals, vecs = np.linalg.eigh(gram)
-        return np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.conj().T
-
-    mat = coords(u) @ np.diag(c) @ coords(v).T
-    return schmidt_spectrum(np.linalg.svd(mat, compute_uv=False))
+    With the real overlaps x = <u|-u> = e^{-2|u|^2} and y = <v|-v> =
+    e^{-2|v|^2}, the even and odd parts of each mode are orthogonal, of
+    squared norms (1 +- x)/2 and (1 +- y)/2, and the two Schmidt
+    probabilities are (1 + x)(1 + y) and (1 - x)(1 - y), each over
+    2 (1 + x y).  1 - x and 1 - y are taken by expm1, so a small |u| or |v|
+    keeps its digits."""
+    x, y = np.exp(-2.0 * u_sq), np.exp(-2.0 * v_sq)
+    weights = np.stack(((1.0 + x) * (1.0 + y), np.expm1(-2.0 * u_sq) * np.expm1(-2.0 * v_sq)), axis=-1)
+    return np.array([schmidt_spectrum(w)[0] for w in weights.reshape(-1, 2)]).reshape(weights.shape[:-1])

@@ -256,6 +256,20 @@ def test_default_cat_state_report_prints_no_negative_zero(tmp_path):
     assert "initial_product_entropy: observed 0 " in summary and "observed -0" not in summary
 
 
+@pytest.mark.parametrize("flags", [[], ["--oracle", "all"], ["--oracle", "ode"]], ids=["none", "all", "ode"])
+def test_swap_reports_print_no_negative_zero(tmp_path, flags):
+    # a coherent state's closed-form covariance V_xp is 0, which rounding
+    # can sign; every model runs, so each closed, ode and grid row is read
+    assert cli_main(["swap", *flags, "--out", str(tmp_path)]) == 0
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert {path.name for path in tables} >= {"moments.csv", "fidelity.csv", "displacement.csv"}
+    for path in tables:
+        cells = [cell for line in path.read_text().splitlines() for cell in line.split(",")]
+        assert "-0" not in cells, path.name
+        if path.name == "moments.csv":
+            assert "0" in cells  # the zeros are there, unsigned
+
+
 def test_non_utf8_config_is_refused(tmp_path, capsys):
     path = tmp_path / "c.cfg"
     path.write_bytes(b"[run]\nkind = swap  # \xff\xfe\n")

@@ -201,6 +201,19 @@ def test_default_grid_swap_meets_grid_agreement():
     assert report.passed
 
 
+@pytest.mark.filterwarnings("ignore:coupling ratio delta = 0.45 exceeds 0.2:UserWarning")
+@pytest.mark.parametrize("delta, mag", [(1e-3, 1e2), (0.05, 1e4), (0.45, 1e6)])
+def test_ode_oracle_passes_where_its_gate_lets_it_run(delta, mag):
+    # three cells of the input map (beta = -alpha/2) that the RK4 gate lets
+    # run and whose step matrix, rounded next to its diagonal 1, missed
+    # ODE_AGREEMENT by up to 17x; the increment form keeps them at 3.5e-10,
+    # 4.3e-10 and 4.5e-9
+    cfg = ExperimentConfig(kind="swap", platform=Platform(delta=delta), alpha=complex(mag), beta=complex(-mag / 2),
+                           samples=50, oracle="ode")
+    report = run_swap(cfg)
+    assert report.passed, [v.name for v in report.verdicts if not v.passed]
+
+
 def test_swap_model_method_matrix():
     # all oracles on: the moments table carries a 3-model x 3-method grid and
     # every cross-method verdict holds
@@ -419,6 +432,16 @@ def test_cat_state_runs_the_listed_models(models):
             assert _verdict(report, f"{model.value}_final_entropy").observed > 0.5
 
 
+@pytest.mark.parametrize("field, key", [("platforms", "run.platforms"), ("deltas", "sweep.deltas"),
+                                        ("alpha_mags", "sweep.alpha_mags"), ("models", "run.models")])
+@pytest.mark.parametrize("kind", KINDS)
+def test_empty_sweeps_refused(kind, field, key):
+    # an empty ladder or sweep would give a report that passes with no
+    # verdicts; it is refused for every kind, as the range checks are
+    with pytest.raises(ConfigError, match=rf"^{key}: at least one entry required$"):
+        ExperimentConfig(kind=kind, **{field: ()})
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="nope")
@@ -430,3 +453,18 @@ def test_config_validation():
         Platform("bad", physical=None, delta=None)
     with pytest.raises(ConfigError, match="not both"):
         Platform("bad", physical=PLATFORM_PRESETS["ca40_ion"], delta=0.1)
+
+
+def test_cat_oracle_does_not_depend_on_the_partner():
+    # the closed-form oracle reads the cat amplitude alone; a partner moves
+    # the state by a local displacement, which leaves the entropy unchanged
+    def oracle(beta):
+        cfg = ExperimentConfig(kind="cat_state", models=(ModelKind.QG_RWA, ModelKind.SCEG),
+                               platform=Platform(delta=0.2), cat_alpha=2 + 0j, beta=beta, samples=9)
+        report = run_cat_state(cfg)
+        assert report.passed
+        return np.array([row[3] for row in report.tables["entropy"].rows if row[1] == "qg_rwa"])
+
+    free, partnered = oracle(0j), oracle(2 + 0j)
+    assert free.shape == partnered.shape == (9,)
+    assert np.max(np.abs(free - partnered)) <= 1e-15

@@ -18,7 +18,6 @@ from gravswap import (
     ModelKind,
     auto_grid_spec,
     build_initial_grid,
-    coherent_inner,
     coherent_pair_moments,
     derive_dimensionless,
     lab_means,
@@ -155,8 +154,9 @@ def test_grid_overlap_cases():
     one = build_initial_grid(CoherentProduct(1 + 0j, 0j), spec)
     overlap = np.vdot(w.psi, one.psi) * spec.dx**2
     assert abs(overlap) ** 2 == pytest.approx(math.exp(-1), abs=1e-6)
-    # complex value matches the analytic inner product incl. phase
-    assert overlap == pytest.approx(coherent_inner(0j, 1 + 0j), abs=1e-8)
+    # complex value matches the analytic inner product incl. phase:
+    # <0|1> = exp(-(0 + 1)/2 + 0 * 1), real
+    assert overlap == pytest.approx(math.exp(-0.5), abs=1e-8)
 
 
 # ---------------------------------------------------------------- entropy

@@ -175,8 +175,8 @@ EXPORTS = {
         "preset_platform",
     ],
     "states": [
-        "MOMENT_FIELDS", "MomentError", "branch_schmidt_entropy", "check_moments",
-        "coherent_inner", "coherent_overlap", "coherent_pair_moments",
+        "MOMENT_FIELDS", "MomentError", "cat_pair_entropy", "check_moments",
+        "coherent_overlap", "coherent_pair_moments",
         "from_normal_modes", "lab_means", "moments_of_coherent", "to_normal_modes", "two_mode_overlap",
         "uncertainty_product",
     ],
@@ -222,3 +222,11 @@ def test_readme_library_sketch_runs(tmp_path, monkeypatch, capsys):
     exec(compile(sketch, "README.md", "exec"), {})
     assert (tmp_path / "runs" / "swap" / "manifest.txt").is_file()
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_empty_platform_ladder_refused_before_numpy_loads(tmp_path):
+    # an empty ladder would write a header-only table and pass with no verdicts
+    (tmp_path / "c.cfg").write_text("[run]\nkind = feasibility\nplatforms =\n")
+    err = _run_without("numpy", ["feasibility", "--config", "c.cfg", "--out", "r"], tmp_path, rc=2)
+    assert err == "error: run.platforms: at least one entry required\n"
+    assert not (tmp_path / "r").exists()

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravswap import (
     MOMENT_FIELDS,
+    DimensionlessParams,
     MomentError,
-    branch_schmidt_entropy,
+    cat_pair_entropy,
     check_moments,
-    coherent_inner,
     coherent_overlap,
     coherent_pair_moments,
     from_normal_modes,
@@ -16,10 +18,34 @@ from gravswap import (
     moments_of_coherent,
     to_normal_modes,
     two_mode_overlap,
+    propagate_rwa_lab_displacement,
     uncertainty_product,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def coherent_inner(g: complex, m: complex) -> complex:
+    """Complex overlap <g|m> = exp(-(|g|^2 + |m|^2)/2 + conj(g) m)."""
+    return complex(np.exp(-0.5 * (abs(g) ** 2 + abs(m) ** 2) + g.conjugate() * m))
+
+
+def gram_branch_entropy(coeffs, amps_mode1, amps_mode2) -> float:
+    """Schmidt entropy of sum_i c_i |u_i>|v_i> with coherent branches, by
+    the general k-branch path: each mode's branch set is written in an
+    orthonormal basis through the eigen square root of its Gram matrix of
+    coherent overlaps, and an SVD of the resulting small matrix gives the
+    Schmidt coefficients.  The reference for the closed form."""
+
+    def coords(amps):
+        gram = np.array([[coherent_inner(g, m) for m in amps] for g in amps])
+        vals, vecs = np.linalg.eigh(gram)
+        return np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.conj().T
+
+    mat = coords(amps_mode1) @ np.diag(np.asarray(coeffs, dtype=complex)) @ coords(amps_mode2).T
+    probs = np.linalg.svd(mat, compute_uv=False) ** 2
+    probs = probs[probs > 0] / probs.sum()
+    return float(-np.sum(probs * np.log(probs)))
 
 
 @pytest.mark.parametrize(
@@ -137,23 +163,51 @@ def test_pair_moments_lab_views():
     assert means[1] == pytest.approx([0.0, 0.0, 0.0, SQRT2], abs=1e-15)
 
 
-def test_branch_entropy_of_a_product_state_is_positive_zero():
-    s, probs = branch_schmidt_entropy([1.0], [2 + 0j], [1j])
+def test_cat_entropy_of_a_product_state_is_positive_zero():
+    # a partner at the origin (v = 0) leaves the cat unentangled: +0, never -0
+    s = cat_pair_entropy(4.0, 0.0)
     assert s == 0.0 and math.copysign(1.0, s) == 1.0
-    assert probs.tolist() == [1.0]
 
 
-def test_branch_entropy_limits():
-    # a single branch (product state) carries no entropy
-    s, _ = branch_schmidt_entropy([1.0], [2 + 0j], [1j])
-    assert s < 1e-12
-    # two branches orthogonal in both modes: one bit
-    norm = math.sqrt(2 * (1 + math.exp(-32)))
-    s, probs = branch_schmidt_entropy(
-        [1 / norm, 1 / norm], [2 + 0j, -2 + 0j], [2 + 0j, -2 + 0j]
+def test_cat_entropy_limits():
+    # coinciding branches in either mode (u = -u at u = 0): product again
+    assert cat_pair_entropy(0.0, 4.0) == 0.0 and cat_pair_entropy(0.0, 0.0) == 0.0
+    # distant branches in both modes: one bit
+    assert cat_pair_entropy(25.0, 25.0) == pytest.approx(math.log(2), abs=1e-15)
+    # the entropy is symmetric in the modes, and elementwise over arrays
+    got = cat_pair_entropy(np.array([[0.3, 1.0]]), np.array([[1.0, 0.3]]))
+    assert got.shape == (1, 2) and got[0, 0] == got[0, 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 40.0),
+    st.floats(0.0, 40.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+)
+def test_cat_entropy_matches_the_gram_reduction(u_sq, v_sq, u_phase, v_phase):
+    u = math.sqrt(u_sq) * complex(math.cos(u_phase), math.sin(u_phase))
+    v = math.sqrt(v_sq) * complex(math.cos(v_phase), math.sin(v_phase))
+    expected = gram_branch_entropy([1.0, 1.0], [u, -u], [v, -v])
+    assert abs(cat_pair_entropy(u_sq, v_sq) - expected) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(0.01, 0.2),
+    st.complex_numbers(max_magnitude=4.0),
+    st.complex_numbers(max_magnitude=4.0),
+    st.floats(0.0, 50.0),
+)
+def test_cat_entropy_does_not_depend_on_the_partner(delta, g, beta, t):
+    # the branches (+-g, beta) under the number-conserving map carry the
+    # entropy of the cat (+-g, 0) alone: the partner adds a local
+    # displacement and no phase between the branches
+    params = DimensionlessParams(delta=delta)
+    (plus1, plus2), (minus1, minus2) = (
+        propagate_rwa_lab_displacement(sign * g, beta, t, params) for sign in (1.0, -1.0)
     )
-    assert s == pytest.approx(math.log(2), abs=1e-3)
-    assert probs.sum() == pytest.approx(1.0, rel=1e-12)
-    # coinciding branches in one mode: product again
-    s, _ = branch_schmidt_entropy([0.5, 0.5], [1 + 0j, 1 + 0j], [1j, 1j])
-    assert s < 1e-12
+    expected = gram_branch_entropy([1.0, 1.0], [complex(plus1), complex(minus1)], [complex(plus2), complex(minus2)])
+    u, v = propagate_rwa_lab_displacement(g, 0j, t, params)
+    assert abs(cat_pair_entropy(abs(u) ** 2, abs(v) ** 2) - expected) <= 1e-13
