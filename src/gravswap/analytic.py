@@ -24,7 +24,7 @@ moment equations
 
 are independent of the linear coefficient C; that independence is why the
 mean-field model cannot touch second moments.  Closed forms below are the
-symplectic rotation generated by those equations.
+symplectic rotation generated by those equations (`template_generator`).
 """
 
 from __future__ import annotations
@@ -79,20 +79,18 @@ def mode_hamiltonians(
     raise ParameterError(f"unknown model {model!r}")
 
 
-def template_moment_rhs(h: QuadraticHamiltonian, m, mean_field_x: float = 0.0) -> tuple:
-    """Moment equations of the template Hamiltonian: the time derivative of
-    one mode's record (mean_x, mean_p, v_xx, v_pp, v_xp), as a 5-tuple.
-    `mean_field_x` is the <x> entering the C term; self-consistent
-    propagation passes the mode's own current mean, linear models ignore it
-    (C = 0)."""
-    mean_x, mean_p, v_xx, v_pp, v_xp = m
-    return (
-        2.0 * h.A * mean_p,
-        -2.0 * h.B * mean_x - h.C * mean_field_x,
-        4.0 * h.A * v_xp,
-        -4.0 * h.B * v_xp,
-        2.0 * h.A * v_pp - 2.0 * h.B * v_xx,
-    )
+def template_generator(h: QuadraticHamiltonian) -> np.ndarray:
+    """The template moment equations as the matrix G of d/dt m = G m, m one
+    mode's record (mean_x, mean_p, v_xx, v_pp, v_xp), with <x>_mf of the C
+    term the mode's own mean (the self-consistent mean field)."""
+    a, b = 2.0 * h.A, 2.0 * h.B
+    return np.array([
+        [0.0, a, 0.0, 0.0, 0.0],
+        [-b - h.C, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 2.0 * a],
+        [0.0, 0.0, 0.0, 0.0, -2.0 * b],
+        [0.0, 0.0, -b, a, 0.0],
+    ])
 
 
 def propagate_rwa_lab_displacement(alpha, beta, t, params: DimensionlessParams) -> tuple:

@@ -289,6 +289,10 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         yield "closed", times, closed
         if cfg.uses_ode():
             ode = integrate_moments(model, pair0, T, params, n_samples=min(cfg.samples, 201))
+            report.notes.append(
+                f"ode oracle [{model.value}]: estimated accumulated error {ode.error_estimate:.3e} "
+                f"over {ode.steps} RK4 steps"
+            )
             yield "ode", ode.times, ode.moments
         if cfg.uses_grid():
             yield "grid", grid_runs[model].times, grid_runs[model].moments

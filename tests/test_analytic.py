@@ -19,7 +19,7 @@ from gravswap import (
     propagate_moments,
     propagate_rwa_lab_displacement,
     swap_time,
-    template_moment_rhs,
+    template_generator,
     to_normal_modes,
     two_mode_overlap,
     uncertainty_product,
@@ -290,9 +290,14 @@ def test_coherence_rejects_nonpositive_kinetic():
 # ---------------------------------------------------------------- template RHS
 
 
+def _rhs(h, m):
+    """d/dt of one mode's record m under the template equations, as G m."""
+    return tuple(template_generator(h) @ np.asarray(m, dtype=float))
+
+
 def test_template_rhs_coherent_widths_static():
     h = QuadraticHamiltonian(A=0.5, B=0.5)
-    d_mean_x, d_mean_p, d_v_xx, d_v_pp, d_v_xp = template_moment_rhs(h, (1.0, -0.5, 0.5, 0.5, 0.0))
+    d_mean_x, d_mean_p, d_v_xx, d_v_pp, d_v_xp = _rhs(h, (1.0, -0.5, 0.5, 0.5, 0.0))
     assert d_v_xx == 0.0 and d_v_pp == 0.0 and d_v_xp == 0.0
     assert d_mean_x == -0.5
     assert d_mean_p == -1.0
@@ -300,17 +305,18 @@ def test_template_rhs_coherent_widths_static():
 
 def test_template_rhs_hookes_law():
     h = QuadraticHamiltonian(A=0.5, B=0.7)
-    _, d_mean_p, *_ = template_moment_rhs(h, (2.0, 0.0, 0.5, 0.5, 0.0))
+    _, d_mean_p, *_ = _rhs(h, (2.0, 0.0, 0.5, 0.5, 0.0))
     assert d_mean_p == pytest.approx(-2 * 0.7 * 2.0)
 
 
 def test_template_rhs_mean_field_term():
+    # the C term reads the mode's own mean
     h = QuadraticHamiltonian(A=0.5, B=0.5, C=0.2)
-    m = (1.0, 0.0, 0.5, 0.5, 0.0)
-    _, d_mean_p, d_v_xx, d_v_pp, d_v_xp = template_moment_rhs(h, m, mean_field_x=m[0])
+    _, d_mean_p, d_v_xx, d_v_pp, d_v_xp = _rhs(h, (1.0, 0.0, 0.5, 0.5, 0.0))
     assert d_mean_p == pytest.approx(-(1.0 + 0.2))
     # second-moment equations never see the linear coefficient
     assert d_v_xx == 0.0 and d_v_pp == 0.0 and d_v_xp == 0.0
+    assert np.array_equal(template_generator(h)[2:], template_generator(QuadraticHamiltonian(A=0.5, B=0.5))[2:])
 
 
 def test_template_rhs_full_model_mixes_widths():
@@ -322,5 +328,5 @@ def test_template_rhs_full_model_mixes_widths():
     (mid,) = propagate_moments(ModelKind.QG_FULL, init, [(math.pi / 8) / params.K_plus], params)
     plus = mid[0]
     assert plus[3] / plus[2] != pytest.approx(params.K_plus**2, rel=1e-3)
-    *_, d_v_xp = template_moment_rhs(hp, plus)
+    *_, d_v_xp = _rhs(hp, plus)
     assert abs(d_v_xp) > 1e-3

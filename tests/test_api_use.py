@@ -3,13 +3,15 @@ by the program: some line of src/ loads it.  API that no experiment, CLI path
 or module needs is deleted rather than kept for its tests alone."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import gravswap
 
 SRC = Path(gravswap.__file__).parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-# names no line of src/ loads, each with the reason it stays
+# names no line of src/ loads, each one the benchmark tracer wraps by name
 UNUSED_ALLOWED = {
     "lab_means_from_grid": "the benchmark tracer wraps it by name",
 }
@@ -51,3 +53,12 @@ def test_every_top_level_name_is_loaded_by_the_program():
     names = {name for _, name in defined}
     for name in UNUSED_ALLOWED:
         assert name in names and name not in loaded, name
+
+
+def test_every_allowance_names_a_traced_attribute():
+    # an allowance outlives its reason once the tracer stops wrapping the name
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {attribute for _, attribute, _ in tracer.SPANS + tracer.COUNTERS}
+    assert not UNUSED_ALLOWED.keys() - traced

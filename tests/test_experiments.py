@@ -17,6 +17,7 @@ from gravswap import (
     coherent_pair_moments,
     emit_report,
     from_normal_modes,
+    integrate_moments,
     lab_means,
     preset_platform,
     propagate_corrected_displacement,
@@ -24,6 +25,7 @@ from gravswap import (
     run_feasibility,
     run_rwa_validity,
     run_swap,
+    swap_time,
     to_normal_modes,
 )
 from gravswap.cli import main as cli_main
@@ -71,6 +73,21 @@ def test_swap_with_ode_oracle_and_random_pairs():
         assert _verdict(report, f"{model}_ode_mean_agreement").observed <= 1e-8
     assert _verdict(report, "random_pair_swap_fidelity").observed >= 1 - 1e-12
     assert len(report.tables["random_swaps"].rows) == 10
+
+
+def test_swap_notes_the_error_estimate_of_each_ode_run():
+    # one note per ode run, with the estimate and step count the gate read
+    cfg = ExperimentConfig(kind="swap", platform=Platform(delta=0.05), alpha=1 + 0j, samples=30, oracle="ode")
+    report = run_swap(cfg)
+    params = cfg.platform.dimensionless()
+    pair0 = coherent_pair_moments(*to_normal_modes(1 + 0j, 0j))
+    notes = [n for n in report.notes if n.startswith("ode oracle [")]
+    assert len(notes) == 3
+    for model, note in zip(cfg.models, notes):
+        ode = integrate_moments(model, pair0, swap_time(params), params, n_samples=30)
+        assert 0.0 < ode.error_estimate <= 1e-8
+        assert note == (f"ode oracle [{model.value}]: estimated accumulated error {ode.error_estimate:.3e} "
+                        f"over {ode.steps} RK4 steps")
 
 
 def test_swap_grid_oracle_single_model():
@@ -453,6 +470,19 @@ def test_config_validation():
         Platform("bad", physical=None, delta=None)
     with pytest.raises(ConfigError, match="not both"):
         Platform("bad", physical=PLATFORM_PRESETS["ca40_ion"], delta=0.1)
+
+
+@pytest.mark.filterwarnings("ignore:coupling ratio delta = .* exceeds 0.2:UserWarning")
+@pytest.mark.parametrize("delta, samples", [(0.3, 5), (0.4, 3), (0.4, 5), (0.4, 13), (0.45, 3), (0.45, 5), (0.45, 13)])
+def test_strong_coupling_cat_with_few_records_meets_its_oracle(delta, samples):
+    # few records leave the grid's full step, whose QG_RWA error follows
+    # delta h; the sub-steps keep the entropy within half the bound
+    cfg = ExperimentConfig(kind="cat_state", models=(ModelKind.QG_RWA, ModelKind.SCEG),
+                           platform=Platform(delta=delta), samples=samples)
+    report = run_cat_state(cfg)
+    assert report.passed
+    v = _verdict(report, "entropy_matches_branch_oracle_series")
+    assert v.observed <= 0.5 * v.threshold
 
 
 def test_cat_oracle_does_not_depend_on_the_partner():

@@ -239,7 +239,9 @@ def test_rwa_grid_matches_lab_displacement():
 
 
 def _splitting_error(model, factor, monkeypatch):
+    # the bare step: no QG_RWA sub-steps, even at the coarsest factor
     monkeypatch.setattr(grid, "GRID_STEP_PERIODS", factor)
+    monkeypatch.setattr(grid, "RWA_STEP_COUPLING", 1.0)
     params = DimensionlessParams(0.1)
     alpha, beta = 1 + 0.5j, -0.3 + 0.2j
     pair0 = coherent_pair_moments(*to_normal_modes(alpha, beta))

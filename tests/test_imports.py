@@ -182,7 +182,7 @@ EXPORTS = {
     ],
     "analytic": [
         "QuadraticHamiltonian", "mode_hamiltonians", "phase_corrected_pair", "propagate_corrected_displacement",
-        "propagate_moments", "propagate_rwa_lab_displacement", "template_moment_rhs",
+        "propagate_moments", "propagate_rwa_lab_displacement", "template_generator",
     ],
     "moments_ode": ["IntegrationError", "MomentSeries", "ToleranceError", "integrate_moments"],
     "grid": [

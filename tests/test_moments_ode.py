@@ -2,24 +2,73 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gravswap import (
     ConfigError,
     DimensionlessParams,
-    IntegrationError,
     ModelKind,
+    QuadraticHamiltonian,
     ToleranceError,
     coherent_pair_moments,
     integrate_moments,
+    mode_hamiltonians,
     propagate_moments,
     swap_time,
+    template_generator,
     to_normal_modes,
 )
 from gravswap import moments_ode
+from gravswap.experiments import ODE_AGREEMENT
 
 P = DimensionlessParams(0.05)
 A0, B0 = to_normal_modes(1 + 0j, 0j)
 PAIR0 = coherent_pair_moments(A0, B0)
+
+
+def _tuple_rhs(h, m, mean_field_x):
+    """The template moment equations written out term by term: the time
+    derivative of one mode's record (mean_x, mean_p, v_xx, v_pp, v_xp), with
+    `mean_field_x` the <x> of the C term."""
+    mean_x, mean_p, v_xx, v_pp, v_xp = m
+    return (
+        2.0 * h.A * mean_p,
+        -2.0 * h.B * mean_x - h.C * mean_field_x,
+        4.0 * h.A * v_xp,
+        -4.0 * h.B * v_xp,
+        2.0 * h.A * v_pp - 2.0 * h.B * v_xx,
+    )
+
+
+def _tuple_rk4_step(model, params, y, h):
+    """One classic RK4 step of a pair record y (10-tuple), each mode's C term
+    reading that mode's own current mean."""
+    hp, hm = mode_hamiltonians(model, params)
+
+    def rhs(y):
+        return _tuple_rhs(hp, y[:5], y[0]) + _tuple_rhs(hm, y[5:], y[5])
+
+    k1 = rhs(y)
+    k2 = rhs(tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1)))
+    k3 = rhs(tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2)))
+    k4 = rhs(tuple(yi + h * ki for yi, ki in zip(y, k3)))
+    return tuple(yi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+
+
+coefficients = st.floats(min_value=1e-3, max_value=5.0)
+records = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=5, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients, st.floats(min_value=0.0, max_value=5.0), st.floats(min_value=-2.0, max_value=2.0), records)
+def test_generator_is_the_term_by_term_equations(a, b, c, m):
+    # G m, the C term on the mode's own mean, is the right-hand side term by
+    # term, to the rounding of the largest term
+    h = QuadraticHamiltonian(A=a, B=b, C=c)
+    got = template_generator(h) @ np.array(m)
+    want = np.array(_tuple_rhs(h, m, m[0]))
+    assert np.max(np.abs(got - want)) <= 1e-15 * 4.0 * (a + b + abs(c)) * max(1.0, np.max(np.abs(m)))
 
 
 def _mean_error(model, series, init, params):
@@ -129,9 +178,7 @@ def test_more_samples_than_steps_keeps_every_record():
 @pytest.mark.parametrize("model", list(ModelKind))
 def test_matrix_path_matches_stepwise_rk4(model, monkeypatch):
     # the jumps between samples are powers of one step matrix; they must give
-    # what stepping the right-hand side one step at a time gives
-    from gravswap.moments_ode import _make_rhs, _rk4_step
-
+    # what stepping the equations term by term, one step at a time, gives
     params = DimensionlessParams(0.1)
     init = np.array([[0.5, -0.3, 0.4, 0.8, 0.1], [1.2, 0.7, 0.5, 0.5, 0.0]])
     monkeypatch.setattr(moments_ode, "RK_STEP_PERIODS", 1e-3)
@@ -139,12 +186,11 @@ def test_matrix_path_matches_stepwise_rk4(model, monkeypatch):
     steps = math.ceil(20.0 / (1e-3 * 2.0 * math.pi / params.K_plus))
     h = 20.0 / steps
     sample_steps = np.round(series.times / h).astype(int)
-    assert sample_steps[-1] == steps
-    rhs = _make_rhs(model, params)
+    assert sample_steps[-1] == steps == series.steps
     y = tuple(init.reshape(10).tolist())
     stepped = [y]
     for i in range(1, steps + 1):
-        y = _rk4_step(rhs, y, h)
+        y = _tuple_rk4_step(model, params, y, h)
         if i in sample_steps:
             stepped.append(y)
     stepped = np.array(stepped).reshape((-1, 2, 5))
@@ -152,18 +198,25 @@ def test_matrix_path_matches_stepwise_rk4(model, monkeypatch):
     assert np.max(np.abs(series.moments - stepped)) < 1e-11
 
 
-def test_nonlinear_rhs_refused(monkeypatch):
-    import gravswap.moments_ode as ode
-
-    linear = ode._make_rhs
-
-    def make_nonlinear(model, params):
-        rhs = linear(model, params)
-        return lambda y: tuple(r + 1e-3 * v * v for r, v in zip(rhs(y), y))
-
-    monkeypatch.setattr(ode, "_make_rhs", make_nonlinear)
-    with pytest.raises(IntegrationError, match="not linear"):
-        integrate_moments(ModelKind.SCEG, PAIR0, 1.0, P)
+@pytest.mark.filterwarnings("ignore:coupling ratio delta = 0.45 exceeds 0.2:UserWarning")
+@pytest.mark.parametrize("model", list(ModelKind))
+@pytest.mark.parametrize("mag", [1e2, 1e3, 1e4, 1e5, 1e6, 1e7])
+@pytest.mark.parametrize("delta", [1e-3, 0.01, 0.05, 0.2, 0.45])
+def test_gate_refuses_or_the_run_agrees(delta, mag, model):
+    # the swap input map (beta = -alpha/2, 50 records): each cell is refused
+    # by the step-doubling gate, or meets ODE_AGREEMENT on means and
+    # covariance with the gate's estimate within 2x of its true error
+    params = DimensionlessParams(delta)
+    init = coherent_pair_moments(*to_normal_modes(complex(mag), complex(-mag / 2)))
+    try:
+        series = integrate_moments(model, init, swap_time(params), params, n_samples=50)
+    except ToleranceError:
+        return
+    err = np.max(np.abs(series.moments - propagate_moments(model, init, series.times, params)))
+    assert err <= ODE_AGREEMENT
+    assert series.error_estimate <= moments_ode.RK_TOL
+    if err > 1e-12:
+        assert 0.5 <= series.error_estimate / err <= 2.0
 
 
 def test_step_budget_names_key():
