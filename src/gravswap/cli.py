@@ -12,7 +12,10 @@ and numpy are imported, so a refusal or `--help` never waits for them.
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import dataclasses
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -90,8 +93,15 @@ def main(argv: list[str] | None = None) -> int:
         report = RUNNERS[kind](cfg)
         out_dir = args.out or cfg.out_dir or Path("runs") / kind
         emit_report(report, out_dir, force=args.force)
-        sys.stdout.write(render_summary(report))
-        sys.stdout.write(f"report written to {out_dir}\n")
+        try:
+            sys.stdout.write(render_summary(report))
+            sys.stdout.write(f"report written to {out_dir}\n")
+        except BrokenPipeError:
+            # the reader has gone and the report on disk is whole: point fd 1
+            # at os.devnull, so that what stdout still buffers drains there
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 0 if report.passed else 1
     except (ConfigError, ParameterError, IntegrationError, GridError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -102,7 +112,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The process entry point: `main`, then the atexit handlers, a flush of
+    stdout and stderr, and os._exit with main's code.  That skips the
+    interpreter's teardown (its last GC pass, module teardown and C library
+    destructors), about 12 ms once numpy is loaded on a 2-vCPU VM, which
+    nothing here needs: every report file is closed by its `with`,
+    `fork_map` has reaped its children, and gravswap starts no threads.  An
+    exception out of `main` leaves the usual way."""
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(BrokenPipeError):  # its reader has gone
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -26,10 +26,11 @@ B(h/3), whole corrector included, so a step costs two round trips; over a
 full swap of (2, -1) at d = 0.1 it reaches a mean error of 6.6e-8 in 177
 steps (354 round trips), where Blanes and Moan's S6 on the kinetic/potential
 split needed 137 (822).  A step starts and ends on a kick, so every record
-is taken in position space.  The step length is a constant,
-GRID_STEP_PERIODS of a period of the exact plus mode, counted by the
-schedule the RK4 oracle shares (`moments_ode.step_schedule`), so the grid
-itself names no mode frequency.
+is taken in position space, in five one-axis FFT passes that share the
+transform along the second axis (`moments_from_grid`).  The step length is
+a constant, GRID_STEP_PERIODS of a period of the exact plus mode, counted by
+the schedule the RK4 oracle shares (`moments_ode.step_schedule`), so the
+grid itself names no mode frequency.
 
 QG_RWA: [H0, B] = 0, so exp(-i tau H) = exp(-i tau H0) exp(-i tau d B)
 exactly.  The same step runs on d B alone, kicks d x1 x2 and drifts d p1 p2,
@@ -144,11 +145,21 @@ class GridSpec:
     def dx(self) -> float:
         return 2.0 * self.half_extent / self.n
 
+    @functools.cached_property
     def x_axis(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.dx
+        """The position points, centred; read-only, built on first use."""
+        return _read_only((np.arange(self.n) - self.n // 2) * self.dx)
 
+    @functools.cached_property
     def p_axis(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        """The momentum points, in fftfreq order; read-only, built on first
+        use."""
+        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx))
+
+    def __getstate__(self) -> dict:
+        # a pickle carries the fields alone: numpy unpickles an array
+        # writeable, so the axes are built again, read-only, where needed
+        return {"n": self.n, "half_extent": self.half_extent}
 
     @property
     def p_max(self) -> float:
@@ -175,7 +186,7 @@ class GridWavefunction:
         given."""
         if prob is None:
             prob = _density(self.psi)
-        return _edge_fraction(prob, _edge_mask(self.spec.n))
+        return _edge_fraction(prob, _edge_index(self.spec.n, False))
 
 
 @dataclass(frozen=True)
@@ -215,21 +226,34 @@ def _density(psi: np.ndarray) -> np.ndarray:
     return psi.real**2 + psi.imag**2
 
 
-def _edge_mask(n: int) -> np.ndarray:
-    """Axis mask of the outer EDGE_RING points on each side, in centred order
-    (that of `x_axis`); `np.fft.ifftshift` of it is the mask in the fftfreq
-    order of `p_axis`, where the momentum edge is the band around n // 2."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _edge_index(n: int, fft_order: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edge of an n x n grid, as `_edge_fraction` reads it: the axis mask
+    of the outer EDGE_RING points on each side, and the `np.ix_` pair that
+    picks the edge columns of the other rows.  In centred order (that of
+    `x_axis`), or with `fft_order` in the fftfreq order of `p_axis`, where
+    the momentum edge is the band around n // 2.  Built once per n and order,
+    read-only."""
     edge = np.zeros(n, dtype=bool)
     edge[:EDGE_RING] = edge[n - EDGE_RING :] = True
-    return edge
+    if fft_order:
+        edge = np.fft.ifftshift(edge)
+    return tuple(_read_only(a) for a in (edge, *np.ix_(~edge, edge)))
 
 
-def _edge_fraction(prob: np.ndarray, edge: np.ndarray) -> float:
-    """Share of a 2-D density on the rows and columns flagged in `edge`."""
+def _edge_fraction(prob: np.ndarray, index: tuple[np.ndarray, np.ndarray, np.ndarray]) -> float:
+    """Share of a 2-D density on the edge rows and columns of `index`
+    (`_edge_index`)."""
+    edge, rows, cols = index
     total = prob.sum()
     if total == 0.0:
         return 0.0
-    return float((prob[edge].sum() + prob[np.ix_(~edge, edge)].sum()) / total)
+    return float((prob[edge].sum() + prob[rows, cols].sum()) / total)
 
 
 def _check_memory(n: float, cause: str) -> None:
@@ -321,7 +345,7 @@ def build_initial_grid(state: InitialState, spec: GridSpec) -> GridWavefunction:
     box of the model that will run it (`auto_grid_spec`).  The result is
     normalized on the grid; a discretization defect in the norm beyond 1e-8
     is refused first."""
-    x = spec.x_axis()
+    x = spec.x_axis
     if isinstance(state, CoherentProduct):
         one = _coherent_1d(x, complex(state.alpha))
         two = _coherent_1d(x, complex(state.beta))
@@ -361,16 +385,13 @@ def _axis_stats(prob: np.ndarray, coord: np.ndarray) -> tuple[float, float, floa
     return mean1, mean2, var1, var2, cross
 
 
-def _p_density(w: GridWavefunction, axis: int) -> np.ndarray:
+def _p_density(psi: np.ndarray, b: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
     """Re(conj(psi) p psi) for the momentum operator along one axis, applied
-    spectrally; no complex temporary outlives the call."""
-    p = w.spec.p_axis()
-    shape = (-1, 1) if axis == 0 else (1, -1)
-    b = sfft.fft(w.psi, axis=axis)
-    b *= p.reshape(shape)
+    spectrally to `b`, the FFT of psi along that axis, which it overwrites."""
+    b *= p.reshape((-1, 1) if axis == 0 else (1, -1))
     b = sfft.ifft(b, axis=axis)
-    prod = w.psi.real * b.real
-    prod += w.psi.imag * b.imag
+    prod = psi.real * b.real
+    prod += psi.imag * b.imag
     return prod
 
 
@@ -388,24 +409,32 @@ def moments_from_grid(w: GridWavefunction, prob: np.ndarray | None = None) -> tu
     discrete Fourier image, and the mixed covariances from spectral
     application of each momentum operator (the i = j entry is the symmetrized
     product; the cross entries commute).  `prob`, the position density
-    |psi|^2, is computed if not given."""
+    |psi|^2, is computed if not given.
+
+    A record takes five one-axis FFT passes: the transform g1 of psi along
+    axis 1, then g1 along axis 0 for the Fourier image (the same bits as
+    `fft2`, which transforms the last axis first), the inverse of p2 g1
+    along axis 1, and the round trip of p1 along axis 0."""
     spec = w.spec
-    x = spec.x_axis()
+    x = spec.x_axis
     if prob is None:
         prob = _density(w.psi)
     total = prob.sum()
     mx1, mx2, vx1, vx2, cxx = _axis_stats(prob, x)
 
-    pp = _density(sfft.fft2(w.psi))
-    p = spec.p_axis()
+    g1 = sfft.fft(w.psi, axis=1)
+    pp = _density(sfft.fft(g1, axis=0))
+    p = spec.p_axis
     mp1, mp2, vp1, vp2, cpp = _axis_stats(pp, p)
 
-    # cov(x_i, p_j), symmetrized where operators share an axis
+    # cov(x_i, p_j), symmetrized where operators share an axis; p2 psi
+    # spends g1, which is dropped before p1 psi transforms axis 0
     cxp = np.empty((2, 2))
     means_x = (mx1, mx2)
     means_p = (mp1, mp2)
-    for j in range(2):
-        prod = _p_density(w, axis=j)
+    for j in (1, 0):
+        prod = _p_density(w.psi, g1 if j == 1 else sfft.fft(w.psi, axis=0), p, j)
+        g1 = None
         for i in range(2):
             xi = x.reshape((-1, 1)) if i == 0 else x.reshape((1, -1))
             cxp[i, j] = float((xi * prod).sum() / total) - means_x[i] * means_p[j]
@@ -420,7 +449,7 @@ def moments_from_grid(w: GridWavefunction, prob: np.ndarray | None = None) -> tu
         )
 
     record = check_moments((mode(+1.0), mode(-1.0)))
-    return record, _edge_fraction(pp, np.fft.ifftshift(_edge_mask(spec.n)))
+    return record, _edge_fraction(pp, _edge_index(spec.n, True))
 
 
 @dataclass(frozen=True)
@@ -546,7 +575,7 @@ def split_step_evolve(
         t_final, params, n_samples, periods=GRID_STEP_PERIODS, budget=MAX_GRID_STEPS, name="grid"
     )
     spec = w.spec
-    x = spec.x_axis()
+    x = spec.x_axis
     delta = params.delta
     rwa = model is ModelKind.QG_RWA
 
@@ -609,7 +638,7 @@ def split_step_evolve(
         sub = math.ceil(delta * h / RWA_STEP_COUPLING) if rwa else 1
         hs = h / sub
         x1, x2 = x.reshape((-1, 1)), x.reshape((1, -1))
-        p = spec.p_axis()
+        p = spec.p_axis
         p1, p2 = p.reshape((-1, 1)), p.reshape((1, -1))
         x_sq, p_sq = x1**2 + x2**2, p1**2 + p2**2
         # the flow A(h/2) between kicks: the bare flow, whose chirps go into

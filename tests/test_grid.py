@@ -1,5 +1,6 @@
 import ast
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,7 @@ def test_cat_grid_structure():
     # two density peaks at +/- sqrt(2) g on the first axis
     prob = np.abs(w.psi) ** 2
     marg = prob.sum(axis=1)
-    x = w.spec.x_axis()
+    x = w.spec.x_axis
     peaks = x[np.where((marg > np.roll(marg, 1)) & (marg > np.roll(marg, -1)) & (marg > marg.max() / 4))]
     assert len(peaks) == 2
     assert sorted(peaks) == pytest.approx([-SQRT2 * g, SQRT2 * g], abs=w.spec.dx)
@@ -315,8 +316,8 @@ class _CountingFFT:
 
 def test_every_fft_goes_through_the_module_handle(monkeypatch):
     # the benchmark tracer counts FFTs by swapping `grid.sfft`; a call bound
-    # to numpy at import time would escape the count.  A step is two round
-    # trips, a record one 2-D transform and two 1-D round trips.
+    # to numpy at import time would escape the count.  A step is two 2-D
+    # round trips, a record five 1-D passes: three forward, two inverse.
     counting = _CountingFFT()
     monkeypatch.setattr(grid, "sfft", counting)
     params = DimensionlessParams(0.1)
@@ -325,7 +326,72 @@ def test_every_fft_goes_through_the_module_handle(monkeypatch):
     evo = split_step_evolve(w, ModelKind.QG_FULL, t_final, params, n_samples=records)
     steps = _grid_steps(t_final, params)
     assert len(evo.times) == records and steps > records
-    assert counting.calls == {"fft2": 2 * steps + records, "ifft2": 2 * steps, "fft": 2 * records, "ifft": 2 * records}
+    assert counting.calls == {"fft2": 2 * steps, "ifft2": 2 * steps, "fft": 3 * records, "ifft": 2 * records}
+
+
+def _six_pass_record(w):
+    """The record of `moments_from_grid` the long way, as it was taken before
+    it shared a transform: the momentum image from `fft2`, each p_j psi from
+    a round trip of its own, and the edge masks built on the call.  Returns
+    the record and the position and momentum edge shares."""
+    x, p = w.spec.x_axis, w.spec.p_axis
+    prob = w.psi.real**2 + w.psi.imag**2
+    total = prob.sum()
+    mx1, mx2, vx1, vx2, cxx = grid._axis_stats(prob, x)
+    image = np.fft.fft2(w.psi)
+    pp = image.real**2 + image.imag**2
+    mp1, mp2, vp1, vp2, cpp = grid._axis_stats(pp, p)
+    cxp = np.empty((2, 2))
+    for j, shape in enumerate(((-1, 1), (1, -1))):
+        b = np.fft.ifft(np.fft.fft(w.psi, axis=j) * p.reshape(shape), axis=j)
+        prod = w.psi.real * b.real + w.psi.imag * b.imag
+        for i, xi in enumerate((x.reshape((-1, 1)), x.reshape((1, -1)))):
+            cxp[i, j] = float((xi * prod).sum() / total) - (mx1, mx2)[i] * (mp1, mp2)[j]
+    record = [
+        (
+            (mx1 + sign * mx2) / SQRT2,
+            (mp1 + sign * mp2) / SQRT2,
+            0.5 * (vx1 + vx2) + sign * cxx,
+            0.5 * (vp1 + vp2) + sign * cpp,
+            0.5 * (cxp[0, 0] + cxp[1, 1] + sign * (cxp[0, 1] + cxp[1, 0])),
+        )
+        for sign in (1.0, -1.0)
+    ]
+    edge = np.zeros(w.spec.n, dtype=bool)
+    edge[: grid.EDGE_RING] = edge[w.spec.n - grid.EDGE_RING :] = True
+
+    def share(density, mask):
+        return float((density[mask].sum() + density[np.ix_(~mask, mask)].sum()) / density.sum())
+
+    return np.array(record), share(prob, edge), share(pp, np.fft.ifftshift(edge))
+
+
+@pytest.mark.parametrize("state", [CoherentProduct(1.5 + 0.5j, -1j), CatProduct(2 + 0j, 0.5j)], ids=["pair", "cat"])
+@pytest.mark.parametrize("model", list(ModelKind))
+def test_record_keeps_the_bits_of_six_passes(state, model):
+    # five one-axis passes and the cached axes and edges give the very bits
+    # of the six-pass record, on states each model has moved off the axes
+    params = DimensionlessParams(0.1)
+    w = split_step_evolve(_grid(state, model, params.delta), model, 1.3, params, n_samples=2).final
+    want, x_edge, p_edge = _six_pass_record(w)
+    got, got_p_edge = moments_from_grid(w)
+    assert np.array_equal(got, want)
+    assert got_p_edge == p_edge and w.boundary_fraction() == x_edge
+    assert p_edge > 0.0 and x_edge > 0.0
+
+
+def test_grid_axes_are_cached_read_only():
+    # a write into a cached axis would move every later record of the grid
+    spec = GridSpec(n=64, half_extent=8.0)
+    assert spec.x_axis is spec.x_axis and spec.p_axis is spec.p_axis
+    assert np.array_equal(spec.x_axis, (np.arange(64) - 32) * spec.dx)
+    assert np.array_equal(spec.p_axis, 2.0 * np.pi * np.fft.fftfreq(64, d=spec.dx))
+    # a pickled spec, as a forked grid run sends back, builds its own
+    for s in (spec, pickle.loads(pickle.dumps(spec))):
+        assert s == spec
+        for axis in (s.x_axis, s.p_axis):
+            with pytest.raises(ValueError, match="read-only"):
+                axis += 1.0
 
 
 def test_grid_step_budget_refuses_physical_scale():
@@ -431,7 +497,7 @@ def _gaussian_product(spec, x0=0.0, p0=0.0):
     """Normalized ground-width Gaussian centred at (x0, p0) in oscillator 1,
     vacuum in oscillator 2, built past the admission of auto_grid_spec and
     the norm-defect check of build_initial_grid."""
-    x = spec.x_axis()
+    x = spec.x_axis
     one = np.exp(-0.5 * (x - x0) ** 2 + 1j * p0 * x)
     w = GridWavefunction(spec, np.outer(one, np.exp(-0.5 * x**2)))
     w.psi /= math.sqrt(w.norm_squared())
