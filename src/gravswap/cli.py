@@ -117,9 +117,17 @@ def run() -> None:
     interpreter's teardown (its last GC pass, module teardown and C library
     destructors), about 12 ms once numpy is loaded on a 2-vCPU VM, which
     nothing here needs: every report file is closed by its `with`,
-    `fork_map` has reaped its children, and gravswap starts no threads.  An
-    exception out of `main` leaves the usual way."""
-    code = main()
+    `fork_map` has reaped its children, and gravswap starts no threads.
+    argparse's exit (after --help or a usage error) takes the same way out
+    with its code, so its text meeting a closed stdout ends no differently
+    from a report's summary; any other exception out of `main` leaves the
+    usual way."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):
         with contextlib.suppress(BrokenPipeError):  # its reader has gone

@@ -108,6 +108,25 @@ def test_closed_stdout_keeps_the_verdict(tmp_path, args, config, unbuffered):
     assert all((report / f).read_bytes() == (tmp_path / "piped" / f).read_bytes() for f in files)
 
 
+@pytest.mark.parametrize("args,code", [(["swap", "--help"], 0), (["nope"], 2)], ids=["help", "unknown-command"])
+def test_argparse_exit_onto_closed_stdout(tmp_path, args, code):
+    # argparse's exit takes the flush and os._exit of `run` too: its text
+    # arrives whole with a reader, and a closed stdout leaves argparse's code
+    # with no ignored BrokenPipeError at interpreter exit
+    done = _cli(args, tmp_path)
+    assert done.returncode == code
+    assert (done.stdout.startswith(b"usage: gravswap swap") and done.stdout.endswith(b"\n")) if code == 0 else (
+        done.stdout == b"" and b"invalid choice: 'nope'" in done.stderr)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _cli(args, tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == code
+    assert b"Exception ignored" not in done.stderr and b"Traceback" not in done.stderr, done.stderr
+
+
 def test_atexit_handlers_run_before_the_exit(tmp_path):
     # coverage.py and logging flush from atexit handlers, which os._exit
     # alone would skip

@@ -104,7 +104,7 @@ def test_parent_item_failure_kills_and_reaps_children(monkeypatch):
     "argv, forks",
     [
         (["cat-state"], 2),  # the runs of the three models; entropy.csv's 183 rows are one chunk
-        (["swap", "--oracle", "all"], 3),  # three models' grid runs, and one CSV child: moments.csv spans three chunks
+        (["swap", "--oracle", "all"], 3),  # three models' grid runs, and one CSV child: moments.csv spans six chunks
     ],
 )
 def test_forked_report_is_byte_identical(tmp_path, monkeypatch, argv, forks):
@@ -139,7 +139,7 @@ def test_csv_spans_split_chunks_in_order():
 
 
 def test_forked_emission_splits_each_table_by_rows(tmp_path, monkeypatch):
-    # moments.csv holds 3 models x (400 closed + 402 ode) rows, three chunks
+    # moments.csv holds 3 models x (400 closed + 402 ode) rows, five chunks
     report = run_swap(ExperimentConfig(kind="swap", platform=Platform(delta=0.05), oracle="ode", random_pairs=5))
     _cpus(monkeypatch, 1)
     serial = emit_report(report, tmp_path / "serial")
@@ -192,7 +192,7 @@ def _failing_write_csv(monkeypatch, in_child: bool):
 
 
 def _emitted_then_failing(tmp_path, monkeypatch, in_child: bool):
-    # 3 models x 2 modes x 1000 samples: moments.csv spans six chunks, three per process
+    # 3 models x 2 modes x 1000 samples: moments.csv spans twelve chunks, six per process
     report = run_swap(ExperimentConfig(kind="swap", platform=Platform(delta=0.05), samples=1000))
     out = tmp_path / "out"
     emit_report(report, out)

@@ -1,11 +1,11 @@
 """write_csv streams a table block by block, a fixed number of rows at a
-time, through one %-format per chunk derived from its column dtypes; over
-generated tables that span several chunks that must give exactly the
-per-value `_fmt` text.  emit_report splits every table by rows between the
-CPUs and writes the same bytes as one write_csv per table, leaving no part
-file.  A block that does not fit the header is refused when it is added, and
-emission of the largest benchmark report holds only a chunk of text at a
-time."""
+time, each chunk laid out as bytes in numpy; over generated tables that span
+several chunks that must give exactly the per-value `_fmt` text, and a float
+column from any 64-bit pattern, or next to a power of ten, must read as
+"%.17g" row by row.  emit_report splits every table by rows between the CPUs
+and writes the same bytes as one write_csv per table, leaving no part file.
+A block that does not fit the header is refused when it is added, and
+emission of the largest benchmark report holds only a chunk at a time."""
 
 import io
 import math
@@ -32,7 +32,7 @@ floats = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOA
 texts = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6)
 
 # (values, column built from a list of them): float, int, bool and str arrays
-# and str lists take the block's %-format; the rest fall back to `_fmt`
+# and str lists are laid out in numpy; the rest go through `_fmt` value by value
 COLUMN_KINDS = (
     (floats, lambda vs: np.array(vs, dtype=np.float64)),
     (st.integers(min_value=-(2**63), max_value=2**63 - 1), lambda vs: np.array(vs, dtype=np.int64)),
@@ -149,6 +149,78 @@ def test_render_csv_edge_values(value):
     table.add_row(value, 1.5)
     table.add(np.array([value, value]), np.array([1.5, 1.5]))
     assert _streamed(table) == "a,b\n" + f"{_text(value)},1.5\n" * 3
+
+
+# float64 values of arbitrary 64-bit patterns: nan payloads, signed zeros,
+# subnormals, infinities and the largest finite values among them
+bit_patterns = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+def _power_lattice() -> np.ndarray:
+    """The doubles nearest the powers of ten 1e-300 to 1e300 and the switch
+    points of "%g" (1e-5, 1e-4, 1e16, 1e17), three neighbours on each side of
+    each: where log10 is off by one and the 17-digit rounding comes nearest to
+    carrying into the next decade.  Exact ties of that rounding, half to even,
+    where the power of ten that scales them to 17 digits is not a double
+    (odd multiples of 2**-24 and 2**-25 near 1e-7) and where it is (1e15 +
+    j/8).  0, the subnormal and normal extremes, the largest double, and all
+    of them negated."""
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)] + [1e-5, 1e-4, 1e16, 1e17])
+    near, below, above = [powers], powers, powers
+    for _ in range(3):
+        below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+        near += [below, above]
+    ties = [m * 2.0**-24 for m in range(3, 17, 2)] + [2.0**-25, 3 * 2.0**-25] + [1e15 + j / 8 for j in range(1, 8)]
+    extremes = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.concatenate(near + [ties, extremes])
+    return np.concatenate([values, -values])
+
+
+def _float_lines(columns: np.ndarray) -> list[str]:
+    """The CSV lines below the header of a table of the float64 columns."""
+    table = Table(name="floats", columns=tuple(f"c{i}" for i in range(len(columns))))
+    table.add(*columns)
+    return _streamed(table).splitlines()[1:]
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda width: st.lists(st.lists(bit_patterns, min_size=width, max_size=width), min_size=1, max_size=30)),
+    st.integers(min_value=1, max_value=5))
+def test_float_columns_match_percent_17g_on_any_bit_pattern(rows, chunk_rows):
+    columns = np.array(rows, dtype=np.uint64).view(np.float64).T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gravswap.report, "CSV_CHUNK_ROWS", chunk_rows)
+        lines = _float_lines(columns)
+    assert lines == [",".join("%.17g" % v for v in row) for row in columns.T.tolist()]
+
+
+@pytest.mark.parametrize("source", ["lattice", "patterns"])
+def test_float_column_matches_percent_17g_in_bulk(source):
+    # the power lattice, and 200,000 random 64-bit patterns, each a column
+    if source == "lattice":
+        values = _power_lattice()
+    else:
+        values = np.random.default_rng(0).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    assert _float_lines(values[None]) == ["%.17g" % v for v in values.tolist()]
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_a_decimal_exponent_one_off_falls_back_to_percent_17g(shift):
+    # np.log10 one off either way, as next to a power of ten, puts the scaled
+    # value outside [1e16, 1e17): every other cell must still print as "%.17g"
+    log10 = np.log10
+
+    def off_by_one(a, out=None):
+        out = log10(a, out=out)
+        out[::2] += shift
+        return out
+
+    values = np.concatenate([_power_lattice(), np.random.default_rng(1).normal(0, 1e3, 2000)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "log10", off_by_one)
+        lines = _float_lines(values[None])
+    assert lines == ["%.17g" % v for v in values.tolist()]
 
 
 def test_emit_report_streams_the_largest_report(tmp_path):
