@@ -53,32 +53,33 @@ def _fmt(value) -> str:
 # rows formatted per write, which bounds the memory held at once, and the
 # unit a table is split in between the processes.  The work arrays of a
 # chunk grow with it: the peak RSS of `swap_ode` (52.2 MB with the old
-# %-format path at 1024 rows) read 51.8 MB at 512 rows, 52.0 at 1024 and
-# 54.3 at 2048, while its wall time moved by 3 ms between them (0.171, 0.168
-# and 0.169 s), medians of 3 runs on a 2-vCPU machine
+# %-format path at 1024 rows) read 51.7 MB at 512 rows, 52.0 at 1024 and
+# 54.2 at 2048, its wall time 0.175, 0.170 and 0.171 s, medians of 3 runs
+# on a 2-vCPU machine: the smallest peak for 5 ms
 CSV_CHUNK_ROWS = 512
 
-# The float kernel.  For a finite x with 1e-280 <= |x| <= 1e280, let k =
+# The float kernel.  For a finite x with 1e-40 <= |x| <= 1e40, let k =
 # floor(log10 |x|).  S = |x| * 10**(16 - k) is formed in double-double
 # arithmetic: Dekker's exact product of |x| and hi, plus |x| * lo, where hi +
 # lo is 10**(16 - k) to 2**-106.  S lies in [1e16, 1e17) with an error below
 # 1e-13, so its nearest integer D holds the 17 digits "%.17g" prints.  Where
 # 10**(16 - k) is a double (lo = 0) the product is exact, and np.rint rounds
 # a tie to even as "%.17g" does.  `_fmt` writes the cells the kernel cannot
-# vouch for: nan, inf, |x| outside [1e-280, 1e280] (0 aside), S within 1e-6
-# of a tie where lo is not 0, and S outside [1e16, 1e17), where log10 was one
-# off next to a power of ten.
+# vouch for: nan, inf, |x| outside [1e-40, 1e40] (0 aside; no report of the
+# benchmark's workloads or of the CLI's defaults holds such a value), S within
+# 1e-6 of a tie where lo is not 0, and S outside [1e16, 1e17), where log10 was
+# one off next to a power of ten.
 #
 # A cell is laid out on 48 slots, six pieces of eight taken from one table:
 # the sign, "0.000", the first digit and a point; four digit/point pairs for
-# each group of four digits; "e", the exponent's sign and three digits, the
-# separator and two slots never kept.  Which slots a cell keeps depends only
+# each group of four digits; "e", the exponent's sign and two digits, the
+# separator and three slots never kept.  Which slots a cell keeps depends only
 # on its sign, k and its number of digits once trailing zeros go, so one row
 # of the table `keep` holds each combination; np.compress drops the rest.
 _CELL = 48
-_SEP = 45  # the separator's slot
-_K_MIN, _K_MAX = -281, 281  # the exponents with a row: kept cells have |x| in [1e-280, 1e280]
-_K_NEAR = 40  # the exponents whose powers of ten are filled at once
+_SEP = 44  # the separator's slot
+_X_MIN, _X_MAX = 1e-40, 1e40  # the range of |x| the kernel writes
+_K_MIN, _K_MAX = -41, 41  # the exponents with a row, log10 one off at either end
 _SPLIT = 2.0**27 + 1  # Dekker's splitter: x * _SPLIT cuts x into two halves of 26 bits
 _LEAD, _TAIL = 10000, 10010  # the first rows of the first and the last piece in `pieces`
 _EXP_CLASS = 21  # the class of exponent-format cells, after k = 0..16 and -1..-4
@@ -86,19 +87,16 @@ _COMPRESS_BYTES = 1 << 15  # slots compressed at once: np.compress holds 8 bytes
 
 
 @functools.cache
-def _powers(complete: bool) -> SimpleNamespace:
+def _powers() -> SimpleNamespace:
     """For each k in [_K_MIN, _K_MAX], at row k - _K_MIN: hi, the double
     nearest 10**(16 - k), the halves of its Dekker split, lo, the double
     nearest the rest, so that hi + lo is the power to about 2**-106, and the
     largest distance |S - rint(S)| at which rint(S) is certainly the nearest
     integer to the exact product (any, where lo = 0 and the product is
     exact).  hi and lo come from exact integer arithmetic, in which an int /
-    int division rounds correctly.  Unless `complete`, only the rows with |k|
-    <= _K_NEAR are filled: the others scale every value to 0, outside [1e16,
-    1e17), so that it goes through `_fmt`."""
-    k = np.arange(_K_MIN, _K_MAX + 1)
-    hi, lo = np.zeros(len(k)), np.zeros(len(k))
-    for row in np.flatnonzero(complete | (np.abs(k) <= _K_NEAR)).tolist():
+    int division rounds correctly."""
+    hi, lo = np.zeros(_K_MAX - _K_MIN + 1), np.zeros(_K_MAX - _K_MIN + 1)
+    for row in range(len(hi)):
         m = 16 - (row + _K_MIN)
         if m >= 0:
             n = 10**m
@@ -111,8 +109,7 @@ def _powers(complete: bool) -> SimpleNamespace:
             lo[row] = (den - num * n) / (den * n)
     c = hi * _SPLIT
     hi_hi = c - (c - hi)
-    return SimpleNamespace(hi=hi, hi_hi=hi_hi, hi_lo=hi - hi_hi, lo=lo, margin=np.where(lo == 0, 0.5, 0.5 - 1e-6),
-                           complete=complete)
+    return SimpleNamespace(hi=hi, hi_hi=hi_hi, hi_lo=hi - hi_hi, lo=lo, margin=np.where(lo == 0, 0.5, 0.5 - 1e-6))
 
 
 @functools.cache
@@ -122,7 +119,7 @@ def _tables() -> SimpleNamespace:
     k = np.arange(_K_MIN, _K_MAX + 1)
 
     # the pieces of a cell: "d.d.d.d." for each group of four digits, then
-    # "-0.000d." for each first digit, then "e-ddd," and two more per k
+    # "-0.000d." for each first digit, then "e-dd," and three more per k
     pieces = np.zeros((_TAIL + len(k), 8), np.uint8)
     groups = pieces[:_LEAD].reshape(10, 10, 10, 10, 8)
     digit = np.arange(ord("0"), ord("9") + 1)
@@ -131,11 +128,10 @@ def _tables() -> SimpleNamespace:
     pieces[:_TAIL, 1::2] = ord(".")
     pieces[_LEAD:_TAIL, :6] = np.frombuffer(b"-0.000", np.uint8)
     pieces[_LEAD:_TAIL, 6] = digit
-    ak = np.abs(k)
     pieces[_TAIL:, 0] = ord("e")
     pieces[_TAIL:, 1] = np.where(k < 0, ord("-"), ord("+"))
-    pieces[_TAIL:, 2:5] = ak[:, None] // [100, 10, 1] % 10 + ord("0")
-    pieces[_TAIL:, 5] = ord(",")
+    pieces[_TAIL:, 2:4] = np.abs(k)[:, None] // [10, 1] % 10 + ord("0")
+    pieces[_TAIL:, 4] = ord(",")
     # the last nonzero digit of a group as one bit of a byte, 0 for the other
     # pieces: the four groups read as a little-endian uint32 then have their
     # highest set bit at b = 8j + place - 1 in the last nonzero group j
@@ -154,26 +150,23 @@ def _tables() -> SimpleNamespace:
 
     # a cell's class: k digits before the point (k = 0..16, classes 0-16),
     # "0." and -k - 1 zeros before the digits (k = -1..-4, classes 17-20), or
-    # the exponent format with two or three exponent digits (classes 21, 22)
-    fixed = (k >= 0) & (k <= 16)
-    small = (k >= -4) & (k < 0)
-    cls = np.select([fixed, small, ak < 100], [k, 16 - k, _EXP_CLASS], _EXP_CLASS + 1)
+    # the exponent format (class 21)
+    cls = np.select([(k >= 0) & (k <= 16), (k >= -4) & (k < 0)], [k, 16 - k], _EXP_CLASS)
 
     # the slots kept by class c, digit count d (1-17) and sign s, at row 36c + 2d + s
-    c = np.arange(_EXP_CLASS + 2)[:, None, None]
+    c = np.arange(_EXP_CLASS + 1)[:, None, None]
     d = np.arange(18)[None, :, None]
-    keep = np.zeros((_EXP_CLASS + 2, 18, 2, _CELL), bool)
+    keep = np.zeros((_EXP_CLASS + 1, 18, 2, _CELL), bool)
     keep[..., 0] = np.arange(2)
     prefix = np.where((c >= 17) & (c < _EXP_CLASS), c - 15, 0)  # "0.000": 1 - k slots
     keep[..., 1:6] = np.arange(5) < prefix[..., None]
     shown = np.where(c <= 16, np.maximum(d, c + 1), d)  # an integer part keeps its zeros
-    point = np.where(c <= 16, c, np.where(c >= _EXP_CLASS, 0, -1))  # the digit before the point
+    point = np.where(c <= 16, c, np.where(c == _EXP_CLASS, 0, -1))  # the digit before the point
     point = np.where(d > point + 1, point, -1)  # no point without a digit after it
     place = np.arange(17)
     keep[..., 6:40:2] = place < shown[..., None]
     keep[..., 7:40:2] = place == point[..., None]
-    keep[..., 40:_SEP] = (c >= _EXP_CLASS)[..., None]
-    keep[..., 42] = c > _EXP_CLASS
+    keep[..., 40:_SEP] = (c == _EXP_CLASS)[..., None]
     keep[..., _SEP] = True
 
     return SimpleNamespace(
@@ -182,27 +175,26 @@ def _tables() -> SimpleNamespace:
     )
 
 
-def _texts(part) -> tuple[list[str], np.ndarray | None]:
+def _texts(part) -> tuple[list[str], np.ndarray | int]:
     """The distinct texts of a column part that is not of floats, and each
-    value's index among them (None when all share the first): a number's
-    text is what `_fmt` writes, a string's the string.  Numeric and string
-    arrays find their distinct values in numpy; a sequence takes its distinct
-    strings from a dict, and only when it holds anything else (the one-value
-    columns of `add_row`) does it go through `_fmt` value by value."""
+    value's index among them, or 0 for all when a sequence repeats one string
+    (a model's name, as most text columns do): a number's text is what
+    `_fmt` writes, a string's the string.  Numeric and string arrays find
+    their distinct values in numpy; a sequence takes its distinct strings
+    from a dict, and only when it holds anything else (the one-value columns
+    of `add_row`) does it go through `_fmt` value by value."""
     if isinstance(part, np.ndarray) and part.dtype.kind in "iubU":
         values, index = np.unique(part, return_inverse=True)
         texts = values.tolist()
         return (texts if part.dtype.kind == "U" else [_fmt(v) for v in texts]), index.ravel()
     values = part.tolist() if isinstance(part, np.ndarray) else part
     if type(values[0]) is str and values.count(values[0]) == len(values):
-        return [values[0]], None  # one string throughout, as a model's name
+        return [values[0]], 0
     distinct = dict.fromkeys(values)
     if not all(type(v) is str for v in distinct):  # equal numbers may print apart (0.0, -0.0)
         values = [v if type(v) is str else _fmt(v) for v in values]
         distinct = dict.fromkeys(values)
     texts = list(distinct)
-    if len(texts) == 1:
-        return texts, None
     index = {text: i for i, text in enumerate(texts)}
     return texts, np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
@@ -231,9 +223,7 @@ class _CsvWriter:
     indices become the kept slots."""
 
     def __init__(self):
-        self.powers = _powers(False)
         self.size = 0  # the float values the work arrays hold
-        self.texts = {}  # by column: the last chunk's distinct texts, their cells and kept slots
         self.line = np.empty(0, np.uint8)  # a chunk's rows, where not all columns are floats
         self.line_keep = np.empty(0, bool)
 
@@ -250,7 +240,7 @@ class _CsvWriter:
     def _kernel(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cells of the (rows, cols) float64 values x, their kept slots, and
         the indices of the cells the kernel cannot vouch for."""
-        t, p, n = _tables(), self.powers, x.size
+        t, p, n = _tables(), _powers(), x.size
         work = self.work[: 6 * n].reshape(6, n)
         a, t0, t1, t2, t3, t4 = work
         row = self.row[:n]
@@ -258,11 +248,11 @@ class _CsvWriter:
         x = x.ravel()
         np.signbit(x, out=neg)
         np.abs(x, out=a)
-        np.greater_equal(a, 1e-280, out=bad)
-        np.less_equal(a, 1e280, out=tmp)
+        np.greater_equal(a, _X_MIN, out=bad)
+        np.less_equal(a, _X_MAX, out=tmp)
         bad &= tmp
         np.equal(a, 0, out=zero)
-        np.logical_not(bad, out=bad)  # nan, inf, 0 and |x| outside [1e-280, 1e280]
+        np.logical_not(bad, out=bad)  # nan, inf, 0 and |x| outside [1e-40, 1e40]
         np.copyto(a, 1.0, where=bad)
         bad ^= zero  # 0 is kept, as D = 0 with k = 0
 
@@ -352,8 +342,6 @@ class _CsvWriter:
         n, f = len(columns[0]), len(columns)
         self._reserve(n * f)
         cells, keep, bad = self._kernel(np.stack(columns, axis=1, out=self.work[: n * f].reshape(n, f)))
-        if bad.size and not self.powers.complete and not self.powers.hi[self.row[bad]].all():
-            self.powers = _powers(True)  # a value beyond the powers filled: it and the rest of the part take them all
         for i in bad.tolist():
             text = _fmt(columns[i % f][i // f]).encode()
             cells[i, : len(text)] = np.frombuffer(text, np.uint8)
@@ -394,10 +382,8 @@ class _CsvWriter:
                 continue
             for i in run:
                 texts, index = _texts(parts[i])
-                if self.texts.get(i, (None,))[0] != texts:  # the cells of the last chunk's texts serve again
-                    self.texts[i] = (texts, *_text_cells(texts))
-                _, text_cells, text_keep = self.texts[i]
-                pieces.append((text_cells[0], text_keep[0]) if index is None else (text_cells[index], text_keep[index]))
+                text_cells, text_keep = _text_cells(texts)
+                pieces.append((text_cells[index], text_keep[index]))
         size = n * sum(c.shape[-1] for c, _ in pieces)
         if self.line.size < size:
             self.line = np.empty(size, np.uint8)
@@ -545,7 +531,7 @@ def emit_report(report: ExperimentReport, out_dir: str | Path, force: bool = Fal
                         write_csv(table, fh, rows.start, rows.stop)
 
         try:
-            _tables(), _powers(False)  # before the fork: every process writes with them
+            _tables(), _powers()  # before the fork: every process writes with them
             fork_map(write_part, workers)
             for name in report.tables:
                 with csv_path(name, 0).open("ab") as whole:

@@ -13,6 +13,7 @@ import os
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -219,6 +220,21 @@ def test_a_decimal_exponent_one_off_falls_back_to_percent_17g(shift):
     values = np.concatenate([_power_lattice(), np.random.default_rng(1).normal(0, 1e3, 2000)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "log10", off_by_one)
+        lines = _float_lines(values[None])
+    assert lines == ["%.17g" % v for v in values.tolist()]
+
+
+def test_a_near_tie_where_the_power_is_inexact_falls_back_to_percent_17g():
+    # lo off by hi * 1e-24 wherever 10**(16 - k) is not a double puts the
+    # exact ties of the lattice 1e-8 to 1e-7 above a half, where np.rint
+    # rounds up whatever the parity: only the 1e-6 near-tie margin sends them
+    # to `_fmt`, and every cell must still print as "%.17g"
+    powers = gravswap.report._powers()
+    off = SimpleNamespace(**vars(powers))
+    off.lo = powers.lo + np.where(powers.lo != 0, powers.hi * 1e-24, 0)
+    values = _power_lattice()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gravswap.report, "_powers", lambda: off)
         lines = _float_lines(values[None])
     assert lines == ["%.17g" % v for v in values.tolist()]
 
