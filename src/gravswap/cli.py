@@ -1,9 +1,10 @@
 """Command-line dispatcher.
 
 Subcommands mirror the experiment kinds; each loads an optional config file,
-applies flag overrides, runs the experiment, writes the report directory, and
-exits 0 only if every verdict passed.  Reports are byte-reproducible by
-default; pass --stamp to record a wall-clock timestamp in the manifest.
+applies flag overrides, runs the experiment, writes the report directory
+(--out, else runs/<kind>), and exits 0 only if every verdict passed.
+Reports are byte-reproducible; --stamp writes the wall-clock time on the
+manifest's `timestamp =` line and changes no other byte.
 
 The config is parsed and checked before the experiments, the report writer
 and numpy are imported, so a refusal or `--help` never waits for them.
@@ -43,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--stamp",
             action="store_true",
-            help="record wall-clock time in the manifest (breaks byte-reproducibility)",
+            help="record wall-clock time on the manifest's timestamp line (its only byte that changes)",
         )
     return parser
 
@@ -91,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = RUNNERS[kind](cfg)
-        out_dir = args.out or cfg.out_dir or Path("runs") / kind
+        out_dir = args.out or Path("runs") / kind
         emit_report(report, out_dir, force=args.force)
         try:
             sys.stdout.write(render_summary(report))

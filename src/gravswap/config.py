@@ -4,13 +4,15 @@ with parsing, validation and a canonical echo.
 This module holds the schema of a run's inputs, `ExperimentConfig` with its
 `Platform` and the budgets of its counts; `params` holds the model names it
 reads.  The verdict thresholds and the integrators' step sizes are not
-inputs but constants of `experiments`, `grid` and `moments_ode`.  Neither
-this module nor `params` imports numpy, so a config is parsed, echoed,
+inputs but constants of `experiments`, `grid` and `moments_ode`; nor are
+the source digest and `--stamp` timestamp a config carries to the manifest.
+Neither this module nor `params` imports numpy, so a config is parsed, echoed,
 digested or refused, and `--help` answers, before any numeric module loads;
 the CLI imports the experiments only once a run starts.  The imports run one
 way: params, config, the numeric modules, experiments, report, cli.
 
-Format: `key = value` lines grouped under `[section]` headers, `#` comments.
+Format: `key = value` lines grouped under `[section]` headers, `#` comments,
+in UTF-8 with or without a byte order mark, and LF or CRLF line ends.
 Each key is declared once: `CONFIG_KEYS` drives the parse and echo of the
 plain keys, `SI_FIELDS` and `_DIRECT_FIELDS` those of the [params] and
 [platform:NAME] blocks.  Unknown keys and sections are refused, so a typo
@@ -71,8 +73,11 @@ class Platform:
             raise ConfigError(f"platform {self.name!r}: give SI parameters or a direct delta, not both")
 
     def dimensionless(self) -> DimensionlessParams:
-        """The platform's coupling.  A positive one must give a finite swap
-        time pi/(2 delta), and SI parameters one in seconds too."""
+        """The platform's coupling, derived once (and warned of once).  A
+        positive one must give a finite swap time pi/(2 delta), and SI
+        parameters one in seconds too."""
+        if "_params" in self.__dict__:
+            return self.__dict__["_params"]
         if self.physical is None:
             params, omega = DimensionlessParams(delta=self.delta), 1.0
         else:
@@ -83,6 +88,7 @@ class Platform:
         rate = params.delta * min(omega, 1.0)
         if (params.delta > 0 or self.physical is not None) and not (rate > 0 and math.pi / (2.0 * rate) < math.inf):
             raise ParameterError(f"params.delta: {params.delta!r} is too small: the swap time overflows a float")
+        self.__dict__["_params"] = params  # past the frozen __setattr__; no field, so no part of eq or hash
         return params
 
 
@@ -106,10 +112,10 @@ class ExperimentConfig:
     samples: int = 200
     oracle: str | None = None  # None: grid for a cat state, which needs it, else none
     seed: int = 0
-    timestamp: str | None = None
-    out_dir: str | None = None
     platforms: tuple[Platform, ...] = (preset_platform("ca40_ion"),)
+    # provenance, not inputs: neither is parsed, echoed or digested
     source_digest: str | None = field(default=None, compare=False)
+    timestamp: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -213,23 +219,17 @@ def _fmt_floats(values: tuple[float, ...]) -> str:
     return ", ".join(_fmt_float(v) for v in values)
 
 
-def _fmt_text(v: str | None) -> str | None:
-    return v
-
-
-# Every key of [run], [state] and [sweep], in echo order: its
-# section, its name, the ExperimentConfig field it sets, the parser of its
-# text and the echo of its value (an echo of None leaves the line out).  This
-# is the one place such a key is declared; the coupling blocks are declared by
-# SI_FIELDS and _DIRECT_FIELDS, and run.platforms is the platform ladder.
+# Every key of [run], [state] and [sweep], in echo order: its section, its
+# name, the ExperimentConfig field it sets, the parser of its text and its
+# echo.  This is the one place such a key is declared; the coupling blocks
+# are declared by SI_FIELDS and _DIRECT_FIELDS, and run.platforms is the
+# platform ladder.
 CONFIG_KEYS = (
     ("run", "kind", "kind", _parse_text, str),
     ("run", "seed", "seed", _parse_int, str),
     ("run", "oracle", "oracle", _parse_text, str),
     ("run", "samples", "samples", _parse_int, str),
     ("run", "models", "models", _parse_models, lambda models: ", ".join(m.value for m in models)),
-    ("run", "out", "out_dir", _parse_text, _fmt_text),
-    ("run", "timestamp", "timestamp", _parse_text, _fmt_text),
     ("state", "alpha", "alpha", _parse_complex, _fmt_complex),
     ("state", "beta", "beta", _parse_complex, _fmt_complex),
     ("state", "cat_alpha", "cat_alpha", _parse_complex, _fmt_complex),
@@ -258,14 +258,15 @@ for _section, _key, *_ in CONFIG_KEYS:
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
+    """The config of a file, whose source digest is the hash of its bytes."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        text = data.decode("utf-8").removeprefix("\ufeff")  # as utf-8-sig, without loading that codec
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
     cfg = parse_config_text(text, source=str(path))
-    return dataclasses.replace(cfg, source_digest=digest)
+    return dataclasses.replace(cfg, source_digest="sha256:" + hashlib.sha256(data).hexdigest())
 
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
@@ -404,9 +405,7 @@ def format_config(cfg: ExperimentConfig) -> str:
     ladder = cfg.kind == "feasibility"
     blocks: dict[str, list[str]] = {section: [] for section in _SECTION_KEYS}
     for section, key, name, _, echo in CONFIG_KEYS:
-        text = echo(getattr(cfg, name))
-        if text is not None:
-            blocks[section].append(f"{key} = {text}")
+        blocks[section].append(f"{key} = {echo(getattr(cfg, name))}")
     if ladder:
         blocks["run"].append("platforms = " + ", ".join(p.name for p in cfg.platforms))
     elif cfg.kind not in _COUPLING_ELSEWHERE:

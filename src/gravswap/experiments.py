@@ -1,11 +1,13 @@
 """Experiment drivers: swap, RWA-validity sweep, cat-state dichotomy, and
 platform feasibility.
 
-Each driver consumes one immutable ExperimentConfig and returns a
-self-contained ExperimentReport: tables of sampled observables, a list of
-pass/fail verdicts with their thresholds, and figure descriptions.  Reports
-contain no wall-clock state unless the config carries a timestamp, so
-identical configs produce byte-identical emitted files.
+Each driver consumes one immutable ExperimentConfig and returns an
+ExperimentReport of that config and what the run produced: tables of sampled
+observables, a list of pass/fail verdicts with their thresholds, notes and
+figure descriptions.  A run reads no clock and draws only from the config's
+seed, so identical configs produce byte-identical emitted files; the
+timestamp of `--stamp`, which a config carries as provenance, changes only
+the manifest's `timestamp =` line.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .analytic import (
     ModelKind,
     phase_corrected_pair,
@@ -122,29 +123,21 @@ class Table:
 
 @dataclass
 class ExperimentReport:
-    kind: str
+    """What a run of `config` produced."""
+
     config: ExperimentConfig
-    version: str
-    tables: dict[str, Table]
-    verdicts: list[Verdict]
-    notes: list[str]
-    figures: list[dict]
+    tables: dict[str, Table] = field(default_factory=dict)
+    verdicts: list[Verdict] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    figures: list[dict] = field(default_factory=list)
+
+    @property
+    def kind(self) -> str:
+        return self.config.kind
 
     @property
     def passed(self) -> bool:
         return all(v.passed for v in self.verdicts)
-
-
-def _report(cfg: ExperimentConfig) -> ExperimentReport:
-    return ExperimentReport(
-        kind=cfg.kind,
-        config=cfg,
-        version=__version__,
-        tables={},
-        verdicts=[],
-        notes=[],
-        figures=[],
-    )
 
 
 def _add_table(report: ExperimentReport, name: str, columns: tuple[str, ...]) -> Table:
@@ -257,7 +250,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
     """Evolve (alpha, beta) to the swap time under each requested model and
     compare every enabled method's trajectory against the closed forms."""
     params = cfg.platform.dimensionless()
-    report = _report(cfg)
+    report = ExperimentReport(cfg)
     T = swap_time(params)
     d = params.delta
     times = np.linspace(0.0, T, cfg.samples)
@@ -438,7 +431,7 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
     """Map where the number-conserving truncation fails: the counter-rotating
     part of the exact dynamics grows as delta * amplitude, crossing one
     vacuum width near delta |alpha| ~ 1."""
-    report = _report(cfg)
+    report = ExperimentReport(cfg)
     table = _add_table(
         report,
         "validity",
@@ -530,7 +523,7 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
     the closed-form two-branch value `cat_pair_entropy`, which does not
     depend on the partner beta."""
     params = cfg.platform.dimensionless()
-    report = _report(cfg)
+    report = ExperimentReport(cfg)
 
     t_final = swap_time(params) / 2.0  # quarter beat: maximally split branches
     state = CatProduct(cat_amp=complex(cfg.cat_alpha), partner=complex(cfg.beta))
@@ -631,7 +624,7 @@ def run_feasibility(cfg: ExperimentConfig) -> ExperimentReport:
     times beyond the practicality cutoff.  The one report in seconds: the
     trap frequency comes from the SI parameters, or is 1 rad/s for a direct
     delta."""
-    report = _report(cfg)
+    report = ExperimentReport(cfg)
     table = _add_table(
         report,
         "feasibility",

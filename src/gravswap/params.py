@@ -112,7 +112,7 @@ class DimensionlessParams:
                 "second-order frequency errors grow as delta^2 and the antisymmetric "
                 "mode softens toward instability",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, at the caller
             )
 
     @property

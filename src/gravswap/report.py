@@ -30,6 +30,7 @@ from typing import TextIO
 
 import numpy as np
 
+from . import __version__
 from .config import config_digest, format_config
 from .experiments import ExperimentReport, Table, cpu_count, fork_map
 
@@ -433,7 +434,7 @@ def render_manifest(report: ExperimentReport) -> str:
     cfg = report.config
     lines = [
         "# gravswap run manifest",
-        f"version = {report.version}",
+        f"version = {__version__}",
         f"kind = {report.kind}",
         f"seed = {cfg.seed}",
         f"timestamp = {cfg.timestamp if cfg.timestamp is not None else '(unset)'}",

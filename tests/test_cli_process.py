@@ -55,6 +55,8 @@ def test_exit_code_is_the_verdict(tmp_path, monkeypatch, capsys, args, config, c
     out = done.stdout.decode()
     assert out.startswith(f"gravswap {args[0]} report: ") and out.endswith("report written to proc\n")
     assert b"Traceback" not in done.stderr
+    # the failing swap's delta = 0.45 warns once, at a line of gravswap's
+    assert done.stderr.count(b"UserWarning") == (config is not None) and b"<string>" not in done.stderr
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the strong-coupling warning

@@ -37,7 +37,6 @@ cat_model_orders = [order for order in model_orders if ModelKind.SCEG in order a
 names = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=8).filter(
     lambda name: name not in PLATFORM_PRESETS
 )
-paths = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-", min_size=1, max_size=20)
 stamps = st.text(alphabet="0123456789-:T", min_size=1, max_size=20)
 
 
@@ -96,7 +95,6 @@ def configs(draw):
         oracle=draw(st.sampled_from(("grid", "all") if cat else ORACLES)),
         seed=draw(st.integers(0, 2**63)),
         timestamp=draw(st.one_of(st.none(), stamps)),
-        out_dir=draw(st.one_of(st.none(), paths)),
         platforms=draw(platforms()),
     )
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -65,8 +66,7 @@ def test_round_trip_through_echo():
         samples=5001,
         seed=99,
         oracle="ode",
-        out_dir="runs/custom",
-        timestamp="2026-01-01T00:00:00",
+        timestamp="2026-01-01T00:00:00",  # provenance: neither echoed nor digested
     )
     assert parse_config_text(format_config(cfg2)) == cfg2
     assert config_digest(cfg2) == config_digest(parse_config_text(format_config(cfg2)))
@@ -194,6 +194,37 @@ def test_replay_mismatch_guard(tmp_path):
     emit_report(run_feasibility(other), out, force=True)  # explicit override allowed
 
 
+def test_stamp_changes_only_the_manifest_timestamp(tmp_path):
+    # the timestamp is provenance, not input: a stamped run writes the bytes
+    # of an unstamped one but the manifest's timestamp line, replays into its
+    # own directory, and still refuses another config's
+    plain, stamped = tmp_path / "plain", tmp_path / "stamped"
+    assert cli_main(["feasibility", "--out", str(plain)]) == 0
+    assert cli_main(["feasibility", "--stamp", "--out", str(stamped)]) == 0
+    assert cli_main(["feasibility", "--stamp", "--out", str(stamped)]) == 0
+    files = sorted(p.name for p in plain.iterdir())
+    assert sorted(p.name for p in stamped.iterdir()) == files
+    for name in files:
+        data = (stamped / name).read_bytes()
+        if name == "manifest.txt":
+            data, n = re.subn(rb"^timestamp = \d{4}-\d\d-\d\dT[\d:.]+\+00:00$", b"timestamp = (unset)", data,
+                              flags=re.M)
+            assert n == 1
+        assert data == (plain / name).read_bytes(), name
+    assert cli_main(["feasibility", "--seed", "1", "--out", str(stamped)]) == 3
+
+
+@pytest.mark.parametrize("key", ["out", "timestamp"])
+def test_run_out_and_timestamp_are_no_keys(tmp_path, capsys, key):
+    # the report directory is --out and the timestamp --stamp; neither is an
+    # input of the run, so a config may not set them
+    path = tmp_path / "c.txt"
+    path.write_text(f"[run]\nkind = feasibility\n{key} = x\n")
+    assert cli_main(["feasibility", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: run.{key}: unknown key\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_manifest_is_written_last(tmp_path, monkeypatch):
     # a manifest implies a complete report: an emission that fails partway
     # leaves none, not even the one of an earlier run
@@ -224,12 +255,17 @@ def test_cli_refuses_unwritable_out(tmp_path, capsys, out):
 
 
 def test_source_digest_recorded(tmp_path):
+    # the digest is the hash of the file's bytes; a byte order mark, before a
+    # section or a key, and CRLF line ends parse like the plain file
     path = tmp_path / "cfg.txt"
-    path.write_text(MINIMAL)
-    cfg = parse_config(path)
-    assert cfg.source_digest is not None and cfg.source_digest.startswith("sha256:")
-    # digest is metadata, not identity
-    assert cfg == parse_config_text(MINIMAL)
+    key_first = MINIMAL.strip().removeprefix("[run]\n")
+    for text in (MINIMAL, key_first):
+        for data in (text.encode(), b"\xef\xbb\xbf" + text.encode(), text.replace("\n", "\r\n").encode()):
+            path.write_bytes(data)
+            cfg = parse_config(path)
+            assert cfg.source_digest == "sha256:" + hashlib.sha256(data).hexdigest()
+            # digest is metadata, not identity
+            assert cfg == parse_config_text(MINIMAL)
 
 
 def test_cat_report_has_entropy_csv(tmp_path):
@@ -699,10 +735,10 @@ def test_key_table_covers_the_schema():
     # field; a field left out of parse or echo fails here
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     rows = [name for _, _, name, _, _ in CONFIG_KEYS]
-    assert sorted(rows) == sorted(fields - {"platform", "platforms", "source_digest"})
+    assert sorted(rows) == sorted(fields - {"platform", "platforms", "source_digest", "timestamp"})
     assert set(SI_FIELDS.values()) == {f.name for f in dataclasses.fields(PhysicalParams)}
     ca40 = Platform(physical=PLATFORM_PRESETS["ca40_ion"])
-    cfg = ExperimentConfig(kind="swap", out_dir="o", timestamp="t", platform=ca40)
+    cfg = ExperimentConfig(kind="swap", platform=ca40)
     echoed = {}
     for block in format_config(cfg).split("\n\n"):
         head, *lines = block.strip().split("\n")

@@ -59,8 +59,9 @@ def test_delta_hard_limit():
 
 
 def test_delta_warn_band():
-    with pytest.warns(UserWarning, match="exceeds 0.2"):
+    with pytest.warns(UserWarning, match="exceeds 0.2") as record:
         DimensionlessParams(delta=0.3)
+    assert [w.filename for w in record] == [__file__]  # the caller, not the generated __init__
     # 0.2 itself is fine
     DimensionlessParams(delta=0.2)
 

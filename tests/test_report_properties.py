@@ -99,8 +99,7 @@ def split_reports(draw):
     chunk_rows = draw(st.integers(min_value=1, max_value=4))
     # k chunks and one row less, none or one more: 0 for an empty block
     lengths = st.builds(lambda k, e: max(0, k * chunk_rows + e), st.integers(0, 4), st.sampled_from([-1, 0, 1]))
-    report = ExperimentReport(kind="swap", config=ExperimentConfig(), version="test", tables={}, verdicts=[],
-                              notes=[], figures=[])
+    report = ExperimentReport(ExperimentConfig())
     for t in range(draw(st.integers(min_value=1, max_value=3))):
         width = draw(st.integers(min_value=1, max_value=3))
         table = report.tables[f"t{t}"] = Table(name=f"t{t}", columns=tuple(f"c{i}" for i in range(width)))
