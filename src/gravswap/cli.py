@@ -21,7 +21,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import KINDS, ORACLES, ExperimentConfig, parse_config
+from .config import KINDS, ORACLES, ExperimentConfig, parse_config, refuse_unread
 from .params import ConfigError, ParameterError
 
 _COMMANDS = {kind.replace("_", "-"): kind for kind in KINDS}  # subcommand -> experiment kind
@@ -59,7 +59,8 @@ def emit_report(report, out_dir, force=False):
 
 def _config(args, kind: str) -> ExperimentConfig:
     """The run's config: the --config file or the kind's defaults, with the
-    flag overrides applied."""
+    flag overrides applied; --oracle is refused, as the run.oracle key is, by
+    a kind that never reads it."""
     if args.config is not None:
         cfg = parse_config(args.config)
         if cfg.kind != kind:
@@ -68,6 +69,7 @@ def _config(args, kind: str) -> ExperimentConfig:
         cfg = ExperimentConfig(kind=kind)
     overrides = {}
     if args.oracle is not None:
+        refuse_unread(kind, "run", "oracle")
         overrides["oracle"] = args.oracle
     if args.seed is not None:
         overrides["seed"] = args.seed

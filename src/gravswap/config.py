@@ -13,16 +13,16 @@ way: params, config, the numeric modules, experiments, report, cli.
 
 Format: `key = value` lines grouped under `[section]` headers, `#` comments,
 in UTF-8 with or without a byte order mark, and LF or CRLF line ends.
-Each key is declared once: `CONFIG_KEYS` drives the parse and echo of the
-plain keys, `SI_FIELDS` and `_DIRECT_FIELDS` those of the [params] and
-[platform:NAME] blocks.  Unknown keys and sections are refused, so a typo
-never falls back to a physics default; so are a key the block's
-parameterization does not take, a coupling block the run's kind never
-reads, and a run its experiment cannot make: a swap or cat state at zero
-coupling, or a cat state without the grid oracle or without sceg and a
-quantum model to compare.  Every refusal names the key or block at fault.  `format_config`
-renders the fully resolved configuration in a canonical order with full float
-precision; parse(format(cfg)) == cfg.
+Each key is declared once: `CONFIG_KEYS` gives a plain key's parse, echo
+and the kinds that read it, `SI_FIELDS`, `_DIRECT_FIELDS` and
+`BLOCK_READERS` those of the [params] and [platform:NAME] blocks.  Unknown
+keys and sections are refused, so a typo never falls back to a physics
+default; so are a key the run's kind never reads, a key the block's
+parameterization does not take, and a run its experiment cannot make: a
+swap or cat state at zero coupling, or a cat state without the grid oracle
+or without sceg and a quantum model to compare.  Every refusal names the key
+or block at fault.  `format_config` renders the keys the kind reads in a
+canonical order with full float precision; parse(format(cfg)) == cfg.
 """
 
 from __future__ import annotations
@@ -220,22 +220,22 @@ def _fmt_floats(values: tuple[float, ...]) -> str:
 
 
 # Every key of [run], [state] and [sweep], in echo order: its section, its
-# name, the ExperimentConfig field it sets, the parser of its text and its
-# echo.  This is the one place such a key is declared; the coupling blocks
-# are declared by SI_FIELDS and _DIRECT_FIELDS, and run.platforms is the
-# platform ladder.
+# name, the ExperimentConfig field it sets, the parser of its text, its echo
+# and the kinds that read it.  This is the one place such a key is declared;
+# the coupling blocks are declared by SI_FIELDS, _DIRECT_FIELDS and
+# BLOCK_READERS.
 CONFIG_KEYS = (
-    ("run", "kind", "kind", _parse_text, str),
-    ("run", "seed", "seed", _parse_int, str),
-    ("run", "oracle", "oracle", _parse_text, str),
-    ("run", "samples", "samples", _parse_int, str),
-    ("run", "models", "models", _parse_models, lambda models: ", ".join(m.value for m in models)),
-    ("state", "alpha", "alpha", _parse_complex, _fmt_complex),
-    ("state", "beta", "beta", _parse_complex, _fmt_complex),
-    ("state", "cat_alpha", "cat_alpha", _parse_complex, _fmt_complex),
-    ("state", "random_pairs", "random_pairs", _parse_int, str),
-    ("sweep", "alpha_mags", "alpha_mags", _parse_float_list, _fmt_floats),
-    ("sweep", "deltas", "deltas", _parse_float_list, _fmt_floats),
+    ("run", "kind", "kind", _parse_text, str, KINDS),
+    ("run", "seed", "seed", _parse_int, str, KINDS),
+    ("run", "oracle", "oracle", _parse_text, str, ("swap", "cat_state")),
+    ("run", "samples", "samples", _parse_int, str, ("swap", "rwa_validity", "cat_state")),
+    ("run", "models", "models", _parse_models, lambda ms: ", ".join(m.value for m in ms), ("swap", "cat_state")),
+    ("state", "alpha", "alpha", _parse_complex, _fmt_complex, ("swap", "feasibility")),
+    ("state", "beta", "beta", _parse_complex, _fmt_complex, ("swap", "rwa_validity", "cat_state")),
+    ("state", "cat_alpha", "cat_alpha", _parse_complex, _fmt_complex, ("cat_state",)),
+    ("state", "random_pairs", "random_pairs", _parse_int, str, ("swap",)),
+    ("sweep", "alpha_mags", "alpha_mags", _parse_float_list, _fmt_floats, ("rwa_validity",)),
+    ("sweep", "deltas", "deltas", _parse_float_list, _fmt_floats, ("rwa_validity",)),
 )
 
 # The keys of a [params] or [platform:NAME] block besides `preset`, each with
@@ -245,16 +245,22 @@ SI_FIELDS = {"mass_kg": "mass", "omega_rad_s": "omega", "separation_m": "separat
 _DIRECT_FIELDS = {"delta": "delta"}
 _PARAMS_KEYS = {"preset", *SI_FIELDS, *_DIRECT_FIELDS}
 
-# the kinds that read no [params] block, each with where its couplings come from
-_COUPLING_ELSEWHERE = {
-    "rwa_validity": "give its couplings in sweep.deltas",
-    "feasibility": "list its platforms in run.platforms",
-}
+# the kinds that read [params], and the platform ladder: run.platforms and its [platform:NAME] sections
+BLOCK_READERS = {"params": ("swap", "cat_state"), "platform": ("feasibility",)}
 
-# the keys of each section, in echo order of the sections
+# the keys of each section, in echo order of the sections, and the kinds that read each key
 _SECTION_KEYS: dict[str, set[str]] = {"run": {"platforms"}, "params": _PARAMS_KEYS}
-for _section, _key, *_ in CONFIG_KEYS:
+_READERS = {("run", "platforms"): BLOCK_READERS["platform"]}
+for _section, _key, *_, _readers in CONFIG_KEYS:
     _SECTION_KEYS.setdefault(_section, set()).add(_key)
+    _READERS[_section, _key] = _readers
+
+
+def refuse_unread(kind: str, section: str, key: str) -> None:
+    """Refuses a key that a run of `kind` never reads, before its value is
+    judged: it would have no effect."""
+    if kind not in BLOCK_READERS.get(section.partition(":")[0], _READERS.get((section, key), ())):
+        raise ConfigError(f"{section}.{key}: a {kind} run never reads it")
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -299,25 +305,18 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     run = sections.get("run", {})
     if "kind" not in run:
         raise ConfigError(f"{source}: run.kind is required")
+    if run["kind"] in KINDS:  # else ExperimentConfig refuses the kind by name
+        for section, entries in sections.items():
+            for key in entries:
+                refuse_unread(run["kind"], section, key)
 
     kwargs: dict = {}
-    for section, key, name, parse, _ in CONFIG_KEYS:
+    for section, key, name, parse, *_ in CONFIG_KEYS:
         raw = sections.get(section, {}).get(key)
         if raw is not None:
             kwargs[name] = parse(raw, f"{section}.{key}")
     cfg = ExperimentConfig(**kwargs)  # checks these keys, the kind first
-    kind, blocks = cfg.kind, {}
-
-    # feasibility reads only the platform ladder, rwa_validity only its sweep
-    # and every other kind only the [params] block; a coupling block that a
-    # kind never reads would have no effect
-    if kind in _COUPLING_ELSEWHERE and sections.get("params"):
-        key = next(iter(sections["params"]))
-        raise ConfigError(f"params.{key}: a {kind} run never reads [params]; {_COUPLING_ELSEWHERE[kind]}")
-    if kind != "feasibility" and "platforms" in run:
-        raise ConfigError(f"run.platforms: a {kind} run never reads a platform ladder; give its coupling in [params]")
-    if sections.get("params"):
-        blocks["platform"] = _build_platform("params", sections["params"])
+    blocks = {"platform": _build_platform("params", sections["params"])} if sections.get("params") else {}
 
     defined = sorted(s.removeprefix("platform:") for s in sections if s.startswith("platform:"))
     if "platforms" in run:
@@ -398,20 +397,19 @@ def _platform_lines(platform: Platform) -> list[str]:
 
 
 def format_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form of the fully resolved configuration.  A run reads
-    at most one coupling block: feasibility reads `run.platforms` and the
-    [platform:NAME] sections, rwa_validity neither block, every other kind
-    the [params] block, and the echo writes only the one its kind reads."""
-    ladder = cfg.kind == "feasibility"
+    """Canonical text form of the fully resolved keys and coupling block the
+    config's kind reads; a field it never reads is neither echoed nor digested."""
     blocks: dict[str, list[str]] = {section: [] for section in _SECTION_KEYS}
-    for section, key, name, _, echo in CONFIG_KEYS:
-        blocks[section].append(f"{key} = {echo(getattr(cfg, name))}")
-    if ladder:
-        blocks["run"].append("platforms = " + ", ".join(p.name for p in cfg.platforms))
-    elif cfg.kind not in _COUPLING_ELSEWHERE:
+    for section, key, name, _, echo, readers in CONFIG_KEYS:
+        if cfg.kind in readers:
+            blocks[section].append(f"{key} = {echo(getattr(cfg, name))}")
+    if cfg.kind in BLOCK_READERS["params"]:
         blocks["params"] = _platform_lines(cfg.platform)
+    ladder = cfg.platforms if cfg.kind in BLOCK_READERS["platform"] else ()
+    if ladder:
+        blocks["run"].append("platforms = " + ", ".join(p.name for p in ladder))
     sections = [(section, lines) for section, lines in blocks.items() if lines]
-    sections += [(f"platform:{p.name}", _platform_lines(p)) for p in (cfg.platforms if ladder else ())]
+    sections += [(f"platform:{p.name}", _platform_lines(p)) for p in ladder]
     return "\n\n".join("\n".join([f"[{section}]", *lines]) for section, lines in sections) + "\n"
 
 

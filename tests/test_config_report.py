@@ -27,7 +27,7 @@ from gravswap import (
     run_swap,
 )
 from gravswap.cli import main as cli_main
-from gravswap.config import CONFIG_KEYS, SI_FIELDS
+from gravswap.config import BLOCK_READERS, CONFIG_KEYS, KINDS, SI_FIELDS
 
 
 MINIMAL = """
@@ -65,7 +65,6 @@ def test_round_trip_through_echo():
         beta=0.25 - 1j,
         samples=5001,
         seed=99,
-        oracle="ode",
         timestamp="2026-01-01T00:00:00",  # provenance: neither echoed nor digested
     )
     assert parse_config_text(format_config(cfg2)) == cfg2
@@ -613,18 +612,8 @@ def test_non_finite_amplitude_refused():
         parse_config_text("[run]\nkind = cat_state\n[state]\ncat_alpha = inf\n")
 
 
-_ECHO_RUN = "[run]\nkind = {kind}\nseed = 0\noracle = none\nsamples = 200\nmodels = qg_rwa, qg_full, sceg\n"
-_ECHO_DEFAULTS = """
-[state]
-alpha = 1+0j
-beta = 0+0j
-cat_alpha = 2+0j
-random_pairs = 0
-
-[sweep]
-alpha_mags = 1, 10, 100
-deltas = 0.01, 0.050000000000000003, 0.10000000000000001
-"""
+_ECHO_SWAP_RUN = "[run]\nkind = swap\nseed = 0\noracle = none\nsamples = 200\nmodels = qg_rwa, qg_full, sceg\n"
+_ECHO_SWAP_STATE = "\n[state]\nalpha = 1+0j\nbeta = 0+0j\nrandom_pairs = 0\n"
 _ECHO_CA40 = """
 mass_kg = 6.6421562664000002e-26
 omega_rad_s = 1000000
@@ -637,20 +626,19 @@ separation_m = 1e-10
     [
         (
             "[run]\nkind = swap\n[params]\npreset = ca40_ion\n",
-            _ECHO_RUN.format(kind="swap") + "\n[params]" + _ECHO_CA40 + _ECHO_DEFAULTS,
+            _ECHO_SWAP_RUN + "\n[params]" + _ECHO_CA40 + _ECHO_SWAP_STATE,
         ),
         (
             "[run]\nkind = swap\n[params]\nmass_kg = 1e-6\nomega_rad_s = 2e4\nseparation_m = 1e-3\n",
-            _ECHO_RUN.format(kind="swap")
+            _ECHO_SWAP_RUN
             + "\n[params]\nmass_kg = 9.9999999999999995e-07\nomega_rad_s = 20000\nseparation_m = 0.001\n"
-            + _ECHO_DEFAULTS,
+            + _ECHO_SWAP_STATE,
         ),
         (
-            # feasibility reads the platform ladder, not [params]
+            # feasibility reads the platform ladder and alpha, no other key
             "[run]\nkind = feasibility\nplatforms = ca40_ion, bench\n[platform:bench]\ndelta = 0.01\n",
-            _ECHO_RUN.format(kind="feasibility")
-            + "platforms = ca40_ion, bench\n"
-            + _ECHO_DEFAULTS
+            "[run]\nkind = feasibility\nseed = 0\nplatforms = ca40_ion, bench\n"
+            + "\n[state]\nalpha = 1+0j\n"
             + "\n[platform:ca40_ion]"
             + _ECHO_CA40
             + "\n[platform:bench]\ndelta = 0.01\n",
@@ -659,24 +647,25 @@ separation_m = 1e-10
     ids=["preset", "si", "feasibility"],
 )
 def test_echo_bytes_pinned(text, echo):
-    # the literal canonical echo: config.echo.txt and the manifest digest
-    # depend on every byte of it
+    # the literal canonical echo of the keys the kind reads: config.echo.txt
+    # and the manifest digest depend on every byte of it
     assert format_config(parse_config_text(text)) == echo
 
 
 def test_platform_block_the_kind_never_reads_is_refused():
     # a [params] block would have no effect on a feasibility or rwa_validity
     # report, nor a platform ladder on any other kind but feasibility: each
-    # is refused by its key and the kind
+    # is refused by its key and the kind, and neither is echoed
     ladder = "[run]\nkind = feasibility\nplatforms = ca40_ion\n"
-    with pytest.raises(ConfigError, match=r"params\.delta: a feasibility run never reads \[params\]"):
+    with pytest.raises(ConfigError, match=r"^params\.delta: a feasibility run never reads it$"):
         parse_config_text(ladder + "[params]\ndelta = 0.1\n")
-    with pytest.raises(ConfigError, match=r"params\.delta: a rwa_validity run never reads \[params\]; .* sweep\.deltas"):
+    with pytest.raises(ConfigError, match=r"^params\.delta: a rwa_validity run never reads it$"):
         parse_config_text("[run]\nkind = rwa_validity\n[params]\ndelta = 0.3\n")
     assert "[params]" not in format_config(ExperimentConfig(kind="rwa_validity"))
     for kind in ("swap", "cat_state", "rwa_validity"):
-        with pytest.raises(ConfigError, match=f"run.platforms: a {kind} run never reads a platform ladder"):
+        with pytest.raises(ConfigError, match=f"^run.platforms: a {kind} run never reads it$"):
             parse_config_text(f"[run]\nkind = {kind}\nplatforms = bench\n[platform:bench]\ndelta = 0.01\n")
+        assert "platform" not in format_config(ExperimentConfig(kind=kind))
     assert parse_config_text(ladder).platforms[0].name == "ca40_ion"
     assert parse_config_text(MINIMAL).platform.delta == 0.02
 
@@ -731,21 +720,24 @@ def test_repeated_model_is_refused():
 
 def test_key_table_covers_the_schema():
     # every config field but the coupling blocks has one row of the key
-    # table, and the echo writes each row's key in its section and every SI
-    # field; a field left out of parse or echo fails here
+    # table; the echo of each kind writes the key of each row its kind reads,
+    # no other row's, and every SI field of a [params] block it reads; a field
+    # left out of parse or echo fails here
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    rows = [name for _, _, name, _, _ in CONFIG_KEYS]
+    rows = [name for _, _, name, *_ in CONFIG_KEYS]
     assert sorted(rows) == sorted(fields - {"platform", "platforms", "source_digest", "timestamp"})
     assert set(SI_FIELDS.values()) == {f.name for f in dataclasses.fields(PhysicalParams)}
     ca40 = Platform(physical=PLATFORM_PRESETS["ca40_ion"])
-    cfg = ExperimentConfig(kind="swap", platform=ca40)
-    echoed = {}
-    for block in format_config(cfg).split("\n\n"):
-        head, *lines = block.strip().split("\n")
-        echoed[head.strip("[]")] = [line.split(" = ")[0] for line in lines]
-    assert echoed["params"] == list(SI_FIELDS)
-    for section, key, *_ in CONFIG_KEYS:
-        assert key in echoed[section]
+    readers = {(section, key): kinds for section, key, *_, kinds in CONFIG_KEYS}
+    for kind in KINDS:
+        echoed = set()
+        for block in format_config(ExperimentConfig(kind=kind, platform=ca40)).split("\n\n"):
+            head, *lines = block.strip().split("\n")
+            echoed |= {(head.strip("[]"), line.split(" = ")[0]) for line in lines}
+        read = {row for row, kinds in readers.items() if kind in kinds}
+        assert read <= echoed and not (readers.keys() - read) & echoed
+        params = {key for section, key in echoed if section == "params"}
+        assert params == (set(SI_FIELDS) if kind in BLOCK_READERS["params"] else set())
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -121,15 +121,15 @@ def test_config_and_help_need_no_numpy(tmp_path):
 @pytest.mark.parametrize("command", ["swap", "rwa-validity", "cat-state", "feasibility"])
 def test_step_factor_refused_before_numpy_loads(tmp_path, command):
     # the step sizes are constants, so a step factor is refused with its
-    # whole section; it and an out-of-range key are refused at the parse for
-    # every kind, before the runners that import numpy
+    # whole section; it and an out-of-range key that every kind reads are
+    # refused at the parse, before the runners that import numpy
     kind = command.replace("-", "_")
     (tmp_path / "c.cfg").write_text(f"[run]\nkind = {kind}\n[numerics]\ndt_factor = 5\n")
     err = _run_without("numpy", [command, "--config", "c.cfg", "--out", "r"], tmp_path, rc=2)
     assert err == "error: c.cfg:3: unknown section [numerics]\n"
-    (tmp_path / "c.cfg").write_text(f"[run]\nkind = {kind}\nsamples = 1\n")
+    (tmp_path / "c.cfg").write_text(f"[run]\nkind = {kind}\nseed = -1\n")
     err = _run_without("numpy", [command, "--config", "c.cfg", "--out", "r"], tmp_path, rc=2)
-    assert err.startswith("error: run.samples: need 2 to ") and "Traceback" not in err
+    assert err == "error: run.seed: must be non-negative, got -1\n"
     assert not (tmp_path / "r").exists()
 
 
