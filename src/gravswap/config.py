@@ -23,16 +23,31 @@ swap or cat state at zero coupling, or a cat state without the grid oracle
 or without sceg and a quantum model to compare.  Every refusal names the key
 or block at fault.  `format_config` renders the keys the kind reads in a
 canonical order with full float precision; parse(format(cfg)) == cfg.
+`ExperimentConfig` judges the value of a field only where the kind reads it
+(`FIELD_READERS`), so a config built in Python agrees with the text form.
+
+The config and source digests are SHA-256 hex, the value `sha256sum`
+prints, from CPython's built-in SHA-256 module: `hashlib` would load
+OpenSSL's libcrypto, 3.7 MB of every run's resident memory, to hash under
+1 kB of text.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+# the built-in SHA-256, taken as random.py takes its _sha512
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .params import (
     DELTA_HARD_LIMIT,
@@ -122,19 +137,22 @@ class ExperimentConfig:
             raise ConfigError(f"run.kind: unknown kind {self.kind!r}; expected one of {KINDS}")
         if self.oracle is None:
             object.__setattr__(self, "oracle", "grid" if self.kind == "cat_state" else "none")
-        if self.oracle not in ORACLES:
+        # a field the kind never reads is neither echoed nor digested, and its value is not judged
+        reads = {name for name, readers in FIELD_READERS.items() if self.kind in readers}
+        if "oracle" in reads and self.oracle not in ORACLES:
             raise ConfigError(f"run.oracle: unknown oracle {self.oracle!r}; expected one of {ORACLES}")
         cat = self.kind == "cat_state"
         if cat and not self.uses_grid():
             raise ConfigError("run.oracle: the cat-state experiment needs the grid oracle (grid or all)")
         # an empty ladder or sweep would pass with no verdicts
-        for key, values in (("run.models", self.models), ("run.platforms", self.platforms),
-                            ("sweep.deltas", self.deltas), ("sweep.alpha_mags", self.alpha_mags)):
-            if not values:
+        for key, name in (("run.models", "models"), ("run.platforms", "platforms"),
+                          ("sweep.deltas", "deltas"), ("sweep.alpha_mags", "alpha_mags")):
+            if name in reads and not getattr(self, name):
                 raise ConfigError(f"{key}: at least one entry required")
-        for i, model in enumerate(self.models):
-            if model in self.models[:i]:
-                raise ConfigError(f"run.models: {model.value!r} is listed twice")
+        if "models" in reads:
+            for i, model in enumerate(self.models):
+                if model in self.models[:i]:
+                    raise ConfigError(f"run.models: {model.value!r} is listed twice")
         if cat and (ModelKind.SCEG not in self.models or self.models == (ModelKind.SCEG,)):
             names = ", ".join(m.value for m in self.models)
             raise ConfigError(f"run.models: the cat-state experiment compares sceg with a quantum model; got {names}")
@@ -142,27 +160,29 @@ class ExperimentConfig:
         if self.kind in ("swap", "cat_state") and self.platform.delta == 0:
             experiment = self.kind.replace("_", "-")
             raise ConfigError(f"params.delta: the {experiment} experiment needs a positive coupling")
-        if not 2 <= self.samples <= MAX_SAMPLES:
+        if "samples" in reads and not 2 <= self.samples <= MAX_SAMPLES:
             raise ConfigError(f"run.samples: need 2 to {MAX_SAMPLES} samples, got {self.samples}")
-        if not 0 <= self.random_pairs <= MAX_RANDOM_PAIRS:
+        if "random_pairs" in reads and not 0 <= self.random_pairs <= MAX_RANDOM_PAIRS:
             raise ConfigError(f"state.random_pairs: must be 0 to {MAX_RANDOM_PAIRS}, got {self.random_pairs}")
         if self.seed < 0:
             raise ConfigError(f"run.seed: must be non-negative, got {self.seed}")
-        for name in ("alpha", "beta", "cat_alpha"):
+        for name in reads & {"alpha", "beta", "cat_alpha"}:
             if not cmath.isfinite(getattr(self, name)):
                 raise ConfigError(f"state.{name}: must be finite, got {getattr(self, name)!r}")
         # the photon number |alpha|^2 + |beta|^2 must be finite (abs() and ** would raise OverflowError)
-        mags = {name: math.hypot(z.real, z.imag) for name, z in (("alpha", self.alpha), ("beta", self.beta))}
+        mags = {name: math.hypot(getattr(self, name).real, getattr(self, name).imag)
+                for name in ("alpha", "beta") if name in reads}
         if not sum(m * m for m in mags.values()) < math.inf:
             name = max(mags, key=mags.get)
             raise ConfigError(f"state.{name}: |alpha|^2 + |beta|^2 overflows a float, got {getattr(self, name)!r}")
-        if not all(0 < d < DELTA_HARD_LIMIT and math.pi / d < math.inf for d in self.deltas):  # each sweeps pi/delta
+        if "deltas" in reads and not all(0 < d < DELTA_HARD_LIMIT and math.pi / d < math.inf for d in self.deltas):
             raise ConfigError(f"sweep.deltas: couplings must be in (0, 1/2), with a finite pi/delta, got {self.deltas}")
-        if not all(0 < m < math.inf for m in self.alpha_mags):
-            raise ConfigError(f"sweep.alpha_mags: magnitudes must be finite and positive, got {self.alpha_mags}")
-        # each magnitude is swept against beta, and its photon number must be finite too
-        if not all(m * m + mags["beta"] * mags["beta"] < math.inf for m in self.alpha_mags):
-            raise ConfigError(f"sweep.alpha_mags: mag^2 + |beta|^2 overflows a float, got {self.alpha_mags}")
+        if "alpha_mags" in reads:
+            if not all(0 < m < math.inf for m in self.alpha_mags):
+                raise ConfigError(f"sweep.alpha_mags: magnitudes must be finite and positive, got {self.alpha_mags}")
+            # each magnitude is swept against beta, and its photon number must be finite too
+            if not all(m * m + mags["beta"] * mags["beta"] < math.inf for m in self.alpha_mags):
+                raise ConfigError(f"sweep.alpha_mags: mag^2 + |beta|^2 overflows a float, got {self.alpha_mags}")
 
     def uses_ode(self) -> bool:
         return self.oracle in ("ode", "all")
@@ -248,6 +268,10 @@ _PARAMS_KEYS = {"preset", *SI_FIELDS, *_DIRECT_FIELDS}
 # the kinds that read [params], and the platform ladder: run.platforms and its [platform:NAME] sections
 BLOCK_READERS = {"params": ("swap", "cat_state"), "platform": ("feasibility",)}
 
+# the kinds that read each ExperimentConfig field, which alone they validate
+FIELD_READERS = {name: readers for _, _, name, *_, readers in CONFIG_KEYS}
+FIELD_READERS.update(platform=BLOCK_READERS["params"], platforms=BLOCK_READERS["platform"])
+
 # the keys of each section, in echo order of the sections, and the kinds that read each key
 _SECTION_KEYS: dict[str, set[str]] = {"run": {"platforms"}, "params": _PARAMS_KEYS}
 _READERS = {("run", "platforms"): BLOCK_READERS["platform"]}
@@ -272,7 +296,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     cfg = parse_config_text(text, source=str(path))
-    return dataclasses.replace(cfg, source_digest="sha256:" + hashlib.sha256(data).hexdigest())
+    return dataclasses.replace(cfg, source_digest="sha256:" + sha256(data).hexdigest())
 
 
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
@@ -414,4 +438,4 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
-    return "sha256:" + hashlib.sha256(format_config(cfg).encode("utf-8")).hexdigest()
+    return "sha256:" + sha256(format_config(cfg).encode("utf-8")).hexdigest()

@@ -97,9 +97,11 @@ def _check(name: str, observed: float, comparison: str, threshold: float, note: 
 @dataclass
 class Table:
     """A header and a list of column blocks.  A block holds one column per
-    header name, all of one length: numpy arrays, or plain sequences (string
-    columns, and the one-value columns of `add_row`).  A cell's value is what
-    `.tolist()` gives for it; `rows` builds the row tuples on access."""
+    header name, all of one length: numpy arrays, a column of one repeated
+    value among them as a zero-stride `np.broadcast_to` view, or plain
+    sequences (string columns, and the one-value columns of `add_row`).  A
+    cell's value is what `.tolist()` gives for it; `rows` builds the row
+    tuples on access."""
 
     name: str
     columns: tuple[str, ...]
@@ -296,6 +298,9 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         "closed": (WIDTH_CLOSED, "closed-form mean-field widths stay at the coherent value"),
         "grid": (WIDTH_GRID, ""),
     }
+    # the time and mode columns the closed series of every model share; the
+    # model and method columns repeat one value, as zero-stride views
+    closed_rows = np.repeat(times, 2), ["plus", "minus"] * cfg.samples
     closed_means: dict[ModelKind, np.ndarray] = {}
     corrected_fid: dict[tuple[ModelKind, str], float] = {}
     for model in cfg.models:
@@ -313,8 +318,9 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
                 width_err = np.max(np.abs(records[..., V_XX] - 0.5))
                 report.verdicts.append(_check(f"sceg_width_constancy_{method}", width_err, "<=", bound, why))
             n = len(ts)  # rows alternate plus, minus at each time
-            moments_table.add(np.repeat(ts, 2), [model.value] * (2 * n), [method] * (2 * n),
-                              ["plus", "minus"] * n, *records.reshape(2 * n, 5).T)
+            row_t, mode = closed_rows if ts is times else (np.repeat(ts, 2), ["plus", "minus"] * n)
+            moments_table.add(row_t, np.broadcast_to(np.array(model.value), 2 * n),
+                              np.broadcast_to(np.array(method), 2 * n), mode, *records.reshape(2 * n, 5).T)
 
             alpha_T, beta_T, width_dev = _amplitudes_from_pair(records[-1])
             raw = two_mode_overlap((alpha_T, beta_T), target)
@@ -549,7 +555,8 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
         else:
             oracle[model] = [math.nan] * n
         max_mean = np.max(np.abs(lab_means(evo.moments)), axis=1)
-        table.add(evo.times, [model.value] * n, evo.entropies, oracle[model], evo.purities, max_mean)
+        table.add(evo.times, np.broadcast_to(np.array(model.value), n), evo.entropies, oracle[model], evo.purities,
+                  max_mean)
         report.verdicts.append(
             _check(f"{model.value}_initial_product_entropy", float(evo.entropies[0]), "<=", PRODUCT_ENTROPY_MAX)
         )

@@ -53,10 +53,10 @@ def _fmt(value) -> str:
 
 # rows formatted per write, which bounds the memory held at once, and the
 # unit a table is split in between the processes.  The work arrays of a
-# chunk grow with it: the peak RSS of `swap_ode` (52.2 MB with the old
-# %-format path at 1024 rows) read 51.7 MB at 512 rows, 52.0 at 1024 and
-# 54.2 at 2048, its wall time 0.175, 0.170 and 0.171 s, medians of 3 runs
-# on a 2-vCPU machine: the smallest peak for 5 ms
+# chunk grow with it: the peak RSS of `swap_ode` reads 48.5 MB at 512 rows,
+# 49.0 at 1024 and 50.9 at 2048, medians of 3 runs on a 2-vCPU machine, and
+# its wall time read 0.175, 0.170 and 0.171 s on a faster one: the smallest
+# peak for 5 ms
 CSV_CHUNK_ROWS = 512
 
 # The float kernel.  For a finite x with 1e-40 <= |x| <= 1e40, let k =
@@ -178,19 +178,21 @@ def _tables() -> SimpleNamespace:
 
 def _texts(part) -> tuple[list[str], np.ndarray | int]:
     """The distinct texts of a column part that is not of floats, and each
-    value's index among them, or 0 for all when a sequence repeats one string
-    (a model's name, as most text columns do): a number's text is what
-    `_fmt` writes, a string's the string.  Numeric and string arrays find
-    their distinct values in numpy; a sequence takes its distinct strings
-    from a dict, and only when it holds anything else (the one-value columns
-    of `add_row`) does it go through `_fmt` value by value."""
+    value's index among them, or 0 for all in a part of stride 0 (a
+    `np.broadcast_to` view of one value, as a model's name is): a number's
+    text is what `_fmt` writes, a string's the string.  Numeric and string
+    arrays find their distinct values in numpy; a sequence takes its
+    distinct strings from a dict, and only when it holds anything else (the
+    one-value columns of `add_row`) does it go through `_fmt` value by
+    value."""
     if isinstance(part, np.ndarray) and part.dtype.kind in "iubU":
+        if part.strides == (0,):
+            value = part[0].item()
+            return [value if part.dtype.kind == "U" else _fmt(value)], 0
         values, index = np.unique(part, return_inverse=True)
         texts = values.tolist()
         return (texts if part.dtype.kind == "U" else [_fmt(v) for v in texts]), index.ravel()
     values = part.tolist() if isinstance(part, np.ndarray) else part
-    if type(values[0]) is str and values.count(values[0]) == len(values):
-        return [values[0]], 0
     distinct = dict.fromkeys(values)
     if not all(type(v) is str for v in distinct):  # equal numbers may print apart (0.0, -0.0)
         values = [v if type(v) is str else _fmt(v) for v in values]

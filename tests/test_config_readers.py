@@ -1,7 +1,10 @@
 """One rule for every input: a key or coupling block that the run's kind never
 reads is refused by its name, before its value is judged, and neither the
-echo nor the digest holds a field the kind never reads."""
+echo nor the digest holds a field the kind never reads.  A config built in
+Python judges only the fields its kind reads, so it agrees with the text."""
 
+import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -11,13 +14,14 @@ from gravswap import (
     ConfigError,
     ExperimentConfig,
     ModelKind,
+    Platform,
     config_digest,
     emit_report,
     parse_config_text,
     run_feasibility,
 )
 from gravswap.cli import main as cli_main
-from gravswap.config import BLOCK_READERS, CONFIG_KEYS, KINDS, SI_FIELDS, refuse_unread
+from gravswap.config import BLOCK_READERS, CONFIG_KEYS, FIELD_READERS, KINDS, SI_FIELDS, refuse_unread
 
 # 0.7 is no valid value of most keys (an out-of-range coupling, no integer,
 # no model, oracle or preset), so a refusal for its value would show here
@@ -96,6 +100,45 @@ def test_replay_ignores_a_field_the_kind_never_reads(tmp_path):
     first = {p.name: p.read_bytes() for p in emit_report(run_feasibility(plain), out)}
     again = {p.name: p.read_bytes() for p in emit_report(run_feasibility(other), out)}
     assert again == first
+
+
+# a value each field of ExperimentConfig but the kind refuses, and the key it is refused by
+_REFUSED = {
+    "seed": (-1, "run.seed"),
+    "oracle": ("sometimes", "run.oracle"),
+    "samples": (1, "run.samples"),
+    "models": ((), "run.models"),
+    "platforms": ((), "run.platforms"),
+    "platform": (Platform(delta=0.0), "params.delta"),
+    "alpha": (complex(math.inf), "state.alpha"),
+    "beta": (complex(0, math.inf), "state.beta"),
+    "cat_alpha": (complex(math.inf, 1), "state.cat_alpha"),
+    "random_pairs": (-1, "state.random_pairs"),
+    "alpha_mags": ((-1.0,), "sweep.alpha_mags"),
+    "deltas": ((0.7,), "sweep.deltas"),
+}
+
+
+def test_every_field_has_its_readers():
+    inputs = {f.name for f in dataclasses.fields(ExperimentConfig) if f.compare}
+    assert set(FIELD_READERS) == inputs
+    assert set(_REFUSED) == inputs - {"kind"}
+
+
+@pytest.mark.parametrize("field", _REFUSED)
+@pytest.mark.parametrize("kind", KINDS)
+def test_python_config_judges_only_the_fields_its_kind_reads(kind, field):
+    # ExperimentConfig(kind="feasibility", deltas=(0.7,)) builds, as the text
+    # form never reaches the value of a key the kind never reads; an
+    # rwa_validity config refuses it by name
+    value, key = _REFUSED[field]
+    if kind in FIELD_READERS[field]:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+            ExperimentConfig(kind=kind, **{field: value})
+    else:
+        cfg = ExperimentConfig(kind=kind, **{field: value})
+        assert getattr(cfg, field) == value
+        assert config_digest(cfg) == config_digest(ExperimentConfig(kind=kind))
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -16,6 +16,7 @@ from gravswap import (
     auto_grid_spec,
     coherent_pair_moments,
     emit_report,
+    format_config,
     from_normal_modes,
     integrate_moments,
     lab_means,
@@ -29,7 +30,7 @@ from gravswap import (
     to_normal_modes,
 )
 from gravswap.cli import main as cli_main
-from gravswap.config import KINDS
+from gravswap.config import FIELD_READERS, KINDS
 
 
 def _verdict(report, name):
@@ -454,7 +455,12 @@ def test_cat_state_runs_the_listed_models(models):
 @pytest.mark.parametrize("kind", KINDS)
 def test_empty_sweeps_refused(kind, field, key):
     # an empty ladder or sweep would give a report that passes with no
-    # verdicts; it is refused for every kind, as the range checks are
+    # verdicts; it is refused for every kind that reads it, as the range
+    # checks are, and a kind that never reads it echoes and digests its default
+    if kind not in FIELD_READERS[field]:
+        cfg = ExperimentConfig(kind=kind, **{field: ()})
+        assert format_config(cfg) == format_config(ExperimentConfig(kind=kind))
+        return
     with pytest.raises(ConfigError, match=rf"^{key}: at least one entry required$"):
         ExperimentConfig(kind=kind, **{field: ()})
 

@@ -2,10 +2,13 @@
 blocked in a fresh interpreter (`sys.modules["scipy"] = None` makes every
 import of it fail), and the CLI still runs the grid oracle from start to
 end.  Parsing, echoing and refusing a config, and `--help`, need no numpy at
-all.  Importing gravswap sets numpy's BLAS to one thread unless the user
-chose a count; its names load from their modules on first access."""
+all, and digesting a config no OpenSSL: no run loads `_hashlib` that numpy
+does not load itself.  Importing gravswap sets numpy's BLAS to one thread
+unless the user chose a count; its names load from their modules on first
+access."""
 
-import importlib
+import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import gravswap
+from gravswap.config import KINDS, ExperimentConfig, config_digest, format_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
@@ -116,6 +120,68 @@ def test_config_and_help_need_no_numpy(tmp_path):
     loaded, _, usage = done.stdout.partition("\n")
     assert loaded == "['gravswap', 'gravswap.cli', 'gravswap.config', 'gravswap.params']"
     assert usage.startswith("usage: gravswap swap")
+
+
+OPENSSL = ("hashlib", "_hashlib")
+
+
+def _loaded(code: str, cwd: Path) -> list[str]:
+    """Which of the OPENSSL modules a fresh interpreter holds after `code`."""
+    code += f"\nimport sys\nprint(*[m for m in {OPENSSL!r} if m in sys.modules])\n"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env(), cwd=cwd)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_config_digest_loads_no_openssl(tmp_path):
+    # hashlib would load OpenSSL's libcrypto, 3.7 MB of resident memory,
+    # to hash a config; this path loads no numpy either, on any numpy
+    (tmp_path / "c.cfg").write_text("[run]\nkind = swap\n")
+    code = (
+        "import sys\n"
+        "import gravswap.cli\n"
+        "from gravswap.config import config_digest, parse_config\n"
+        "cfg = parse_config('c.cfg')\n"
+        "assert cfg.source_digest.startswith('sha256:') and config_digest(cfg).startswith('sha256:')\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    assert _loaded(code, tmp_path) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["swap", "--config", "swap.cfg", "--oracle", "grid", "--out", "r"],
+    ["cat-state", "--out", "r"],
+], ids=["swap-grid", "cat-state"])
+def test_run_loads_openssl_only_where_numpy_does(tmp_path, args):
+    # numpy < 2 imports numpy.random eagerly, which loads OpenSSL through
+    # secrets and hmac; a run adds nothing to what numpy alone loads
+    (tmp_path / "swap.cfg").write_text("[run]\nkind = swap\n\n[params]\ndelta = 0.1\n")
+    run = _loaded(f"import gravswap.cli\nassert gravswap.cli.main({args!r}) == 0", tmp_path)
+    assert set(run) <= set(_loaded("import numpy", tmp_path))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_config_digest_is_the_sha256_of_the_echo(kind):
+    cfg = ExperimentConfig(kind=kind)
+    assert config_digest(cfg) == "sha256:" + hashlib.sha256(format_config(cfg).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")], ids=["none", "_sha2", "both"])
+def test_digest_falls_back_to_the_next_sha256(blocked):
+    # _sha2 (3.12+), then _sha256 (3.10, 3.11), then hashlib: the same hex
+    code = (
+        "import sys\n"
+        f"for name in {blocked!r}:\n"
+        "    sys.modules[name] = None\n"
+        "from gravswap.config import ExperimentConfig, config_digest, format_config, sha256\n"
+        "import hashlib\n"
+        "cfg = ExperimentConfig(kind='cat_state')\n"
+        "assert config_digest(cfg) == 'sha256:' + hashlib.sha256(format_config(cfg).encode()).hexdigest()\n"
+        "print(sha256.__module__)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env(), check=True)
+    found = [m for m in ("_sha2", "_sha256") if m not in blocked and importlib.util.find_spec(m)]
+    assert done.stdout.strip() == (found[0] if found else hashlib.sha256.__module__)
 
 
 @pytest.mark.parametrize("command", ["swap", "rwa-validity", "cat-state", "feasibility"])

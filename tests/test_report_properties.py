@@ -5,7 +5,8 @@ column from any 64-bit pattern, or next to a power of ten, must read as
 "%.17g" row by row.  emit_report splits every table by rows between the CPUs
 and writes the same bytes as one write_csv per table, leaving no part file.
 A block that does not fit the header is refused when it is added, and
-emission of the largest benchmark report holds only a chunk at a time."""
+emission of the largest benchmark report holds only a chunk at a time.  A
+column of one value as a zero-stride view writes as the equal list does."""
 
 import io
 import math
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 import gravswap.report
 from gravswap import ExperimentConfig, Platform, run_swap
 from gravswap.experiments import ExperimentReport, Table
-from gravswap.report import _fmt, emit_report, write_csv
+from gravswap.report import _fmt, csv_spans, emit_report, write_csv
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -126,6 +127,25 @@ def test_split_emission_writes_each_table_whole(case):
                 files = {p.name: p for p in Path(out).iterdir()}
                 assert set(files) == set(whole) | {"config.echo.txt", "plots.json", "summary.txt", "manifest.txt"}
                 assert {name: files[name].read_bytes() for name in whole} == whole
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts, st.integers(min_value=-(2**63), max_value=2**63 - 1), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=3))
+def test_zero_stride_columns_write_as_list_columns(text, number, chunk_rows, n_rows, n):
+    # a column of one value as a np.broadcast_to view, as run_swap's model
+    # and method columns are, writes the bytes of the equal list column in
+    # every part of the table that one of n processes writes
+    views, lists = (Table(name="t", columns=("t", "model", "count")) for _ in range(2))
+    times = np.linspace(0.0, 1.0, n_rows)
+    views.add(times, np.broadcast_to(np.array(text), n_rows), np.broadcast_to(np.array(number), n_rows))
+    lists.add(times, [text] * n_rows, [number] * n_rows)
+    assert [c.strides for c in views.blocks[0][1:]] == [(0,), (0,)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gravswap.report, "CSV_CHUNK_ROWS", chunk_rows)
+        for rows in csv_spans(n_rows, n):
+            assert _streamed(views, rows.start, rows.stop) == _streamed(lists, rows.start, rows.stop)
+    assert views.rows == lists.rows
 
 
 def test_table_refuses_a_block_that_does_not_fit():
