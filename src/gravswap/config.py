@@ -227,7 +227,9 @@ def _parse_text(raw: str, path: str) -> str:
     return raw
 
 
-def _fmt_float(v: float) -> str:
+def format_float(v: float) -> str:
+    """The text of a number in an echo and a report: its 17 significant
+    digits as "%.17g" writes them, nan and inf as nan and inf."""
     return "%.17g" % v
 
 
@@ -236,7 +238,7 @@ def _fmt_complex(v: complex) -> str:
 
 
 def _fmt_floats(values: tuple[float, ...]) -> str:
-    return ", ".join(_fmt_float(v) for v in values)
+    return ", ".join(format_float(v) for v in values)
 
 
 # Every key of [run], [state] and [sweep], in echo order: its section, its
@@ -417,7 +419,7 @@ def _platform_lines(platform: Platform) -> list[str]:
     """The keys of a [params] or [platform:NAME] block; a preset is echoed
     as its SI values, and the block's name is the caller's to write."""
     source, fields = (platform, _DIRECT_FIELDS) if platform.physical is None else (platform.physical, SI_FIELDS)
-    return [f"{key} = {_fmt_float(getattr(source, field))}" for key, field in fields.items()]
+    return [f"{key} = {format_float(getattr(source, field))}" for key, field in fields.items()]
 
 
 def format_config(cfg: ExperimentConfig) -> str:

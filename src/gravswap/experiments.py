@@ -96,31 +96,38 @@ def _check(name: str, observed: float, comparison: str, threshold: float, note: 
 
 @dataclass
 class Table:
-    """A header and a list of column blocks.  A block holds one column per
-    header name, all of one length: numpy arrays, a column of one repeated
-    value among them as a zero-stride `np.broadcast_to` view, or plain
-    sequences (string columns, and the one-value columns of `add_row`).  A
-    cell's value is what `.tolist()` gives for it; `rows` builds the row
-    tuples on access."""
+    """A header and a list of column blocks.  A block holds one numpy column
+    per header name, all of one length: an array of numbers (float, int or
+    bool), or one value, a number or a string, for all of the block's rows as
+    a zero-stride `np.broadcast_to` view.  A cell's value is what `.tolist()`
+    gives for it; `rows` builds the row tuples on access."""
 
     name: str
     columns: tuple[str, ...]
     blocks: list[tuple] = field(default_factory=list)
 
     def add(self, *columns) -> None:
-        lengths = sorted({len(column) for column in columns})
-        if len(columns) != len(self.columns) or len(lengths) > 1:
-            raise ValueError(f"table {self.name}: block of {len(columns)} columns of lengths {lengths} "
+        """Append a block of the columns, each an array of numbers or one
+        value; a block of single values is one row.  Refuses a string array,
+        an object column and an integer a double cannot hold exactly."""
+        arrays = [np.asarray(column) for column in columns]
+        lengths = sorted({len(a) for a in arrays if a.ndim})
+        if len(arrays) != len(self.columns) or len(lengths) > 1:
+            raise ValueError(f"table {self.name}: block of {len(arrays)} columns of lengths {lengths} "
                              f"does not fit the header's {len(self.columns)}")
-        self.blocks.append(columns)
-
-    def add_row(self, *values) -> None:
-        self.add(*([v] for v in values))
+        for name, a in zip(self.columns, arrays):
+            if not (np.can_cast(a.dtype, np.float64) or (a.ndim == 0 and a.dtype.kind == "U")):
+                raise ValueError(f"table {self.name}: column {name} of dtype {a.dtype} is neither "
+                                 "an array of numbers nor one value")
+            if a.dtype.kind in "iu" and a.size and max(-int(a.min()), int(a.max())) >= 2**53:
+                raise ValueError(f"table {self.name}: column {name} holds an integer beyond 2**53, "
+                                 "which a double cannot hold exactly")
+        n = lengths[0] if lengths else 1
+        self.blocks.append(tuple(a if a.ndim else np.broadcast_to(a, n) for a in arrays))
 
     @property
     def rows(self) -> list[tuple]:
-        plain = ([c.tolist() if isinstance(c, np.ndarray) else c for c in block] for block in self.blocks)
-        return [row for block in plain for row in zip(*block)]
+        return [row for block in self.blocks for row in zip(*(c.tolist() for c in block))]
 
 
 @dataclass
@@ -298,9 +305,6 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         "closed": (WIDTH_CLOSED, "closed-form mean-field widths stay at the coherent value"),
         "grid": (WIDTH_GRID, ""),
     }
-    # the time and mode columns the closed series of every model share; the
-    # model and method columns repeat one value, as zero-stride views
-    closed_rows = np.repeat(times, 2), ["plus", "minus"] * cfg.samples
     closed_means: dict[ModelKind, np.ndarray] = {}
     corrected_fid: dict[tuple[ModelKind, str], float] = {}
     for model in cfg.models:
@@ -317,17 +321,15 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
                 bound, why = width_check[method]
                 width_err = np.max(np.abs(records[..., V_XX] - 0.5))
                 report.verdicts.append(_check(f"sceg_width_constancy_{method}", width_err, "<=", bound, why))
-            n = len(ts)  # rows alternate plus, minus at each time
-            row_t, mode = closed_rows if ts is times else (np.repeat(ts, 2), ["plus", "minus"] * n)
-            moments_table.add(row_t, np.broadcast_to(np.array(model.value), 2 * n),
-                              np.broadcast_to(np.array(method), 2 * n), mode, *records.reshape(2 * n, 5).T)
+            for mode, mode_records in zip(("plus", "minus"), records.transpose(1, 2, 0)):
+                moments_table.add(ts, model.value, method, mode, *mode_records)
 
             alpha_T, beta_T, width_dev = _amplitudes_from_pair(records[-1])
             raw = two_mode_overlap((alpha_T, beta_T), target)
             corrected_pair = phase_corrected_pair((alpha_T, beta_T), T)
             corrected = two_mode_overlap(corrected_pair, target)
             deviation = math.hypot(abs(corrected_pair[0] - target[0]), abs(corrected_pair[1] - target[1]))
-            fidelity_table.add_row(model.value, method, raw, corrected, deviation, width_dev)
+            fidelity_table.add(model.value, method, raw, corrected, deviation, width_dev)
             corrected_fid[model, method] = corrected
 
     modes = exact[..., :2].reshape(-1, 4) / SQRT2  # re_a, im_a, re_b, im_b
@@ -467,7 +469,7 @@ def run_rwa_validity(cfg: ExperimentConfig) -> ExperimentReport:
                 ratios.append(measured / mag)
                 scaling_mags.append(mag)
             crossed = measured >= threshold
-            table.add_row(float(d), float(mag), float(d * mag), measured, predicted, ratio, int(crossed))
+            table.add(float(d), float(mag), float(d * mag), measured, predicted, ratio, int(crossed))
             report.verdicts.append(
                 _check(
                     f"deviation_law_delta_{d:g}_alpha_{mag:g}",
@@ -541,9 +543,8 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
     runs = _grid_runs(report, "grid", state, cfg.models, t_final, params, min(cfg.samples, 61), record_entropy=True)
-    oracle: dict[ModelKind, np.ndarray | list[float]] = {}
+    oracle: dict[ModelKind, np.ndarray | float] = {}
     for model, evo in runs.items():
-        n = len(evo.times)
         if model is ModelKind.QG_RWA:
             # the lab map U is linear and unitary, so the branches (+-g, beta)
             # go to +-(u, v) + U(0, beta) with (u, v) = U(g, 0); the shared
@@ -553,10 +554,9 @@ def run_cat_state(cfg: ExperimentConfig) -> ExperimentReport:
             u, v = propagate_rwa_lab_displacement(state.cat_amp, 0j, evo.times, params)
             oracle[model] = cat_pair_entropy(np.abs(u) ** 2, np.abs(v) ** 2)
         else:
-            oracle[model] = [math.nan] * n
+            oracle[model] = math.nan
         max_mean = np.max(np.abs(lab_means(evo.moments)), axis=1)
-        table.add(evo.times, np.broadcast_to(np.array(model.value), n), evo.entropies, oracle[model], evo.purities,
-                  max_mean)
+        table.add(evo.times, model.value, evo.entropies, oracle[model], evo.purities, max_mean)
         report.verdicts.append(
             _check(f"{model.value}_initial_product_entropy", float(evo.entropies[0]), "<=", PRODUCT_ENTROPY_MAX)
         )
@@ -656,7 +656,7 @@ def run_feasibility(cfg: ExperimentConfig) -> ExperimentReport:
         rate = dp.delta * omega  # omega_g
         T = math.pi / (2.0 * rate) if rate else math.inf  # swap time in seconds
         osc_len = p.oscillator_length if p else math.nan
-        table.add_row(
+        table.add(
             platform.name,
             p.mass if p else math.nan,
             omega,

@@ -2,14 +2,15 @@
 
 Emission is a pure serialization of the report object: identical reports
 produce byte-identical files (floats at 17 significant digits, fixed key
-order, LF line endings).  `_fmt` is the one definition of a value's text.
-CSV tables are streamed to disk a fixed number of rows at a time, each chunk
-laid out as bytes in numpy that are the text of `_fmt` value by value: a
-float column's cells by a kernel that writes the 17 digits of "%.17g" and
-hands the cells it cannot vouch for to `_fmt` one by one, any other column's
-from the text of each of its distinct values.  Every table is split by
-rows: of its run of chunks, process k of one per CPU writes the k-th
-contiguous part.  This process writes the header and the first part
+order, LF line endings).  `config.format_float` is the one definition of a
+number's text.  CSV tables are streamed to disk a fixed number of rows at a
+time, each chunk laid out as bytes in numpy.  A table column holds numbers
+or one string per block (`experiments.Table`): the numbers, ints and bools
+among them, take the cells of a kernel that writes the 17 digits of "%.17g"
+and hands the cells it cannot vouch for to `format_float` one by one; a
+string is one text, laid out once and repeated down its rows.  Every table
+is split by rows: of its run of chunks, process k of one per CPU writes the
+k-th contiguous part.  This process writes the header and the first part
 straight into the table's file, each forked child its part into a hidden
 part file beside it; the parts are then appended in order and deleted, also
 when a child fails.  The manifest is written last, so a
@@ -31,7 +32,7 @@ from typing import TextIO
 import numpy as np
 
 from . import __version__
-from .config import config_digest, format_config
+from .config import config_digest, format_config, format_float
 from .experiments import ExperimentReport, Table, cpu_count, fork_map
 
 
@@ -43,20 +44,11 @@ class ReplayMismatchError(ReportError):
     pass
 
 
-def _fmt(value) -> str:
-    """The text of an int (a bool as 1 or 0) or a float; "%.17g" prints nan
-    and inf as nan and inf."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % value
-
-
 # rows formatted per write, which bounds the memory held at once, and the
 # unit a table is split in between the processes.  The work arrays of a
-# chunk grow with it: the peak RSS of `swap_ode` reads 48.5 MB at 512 rows,
-# 49.0 at 1024 and 50.9 at 2048, medians of 3 runs on a 2-vCPU machine, and
-# its wall time read 0.175, 0.170 and 0.171 s on a faster one: the smallest
-# peak for 5 ms
+# chunk grow with it: the peak RSS of `swap_ode` reads 46.5 MB at 512 rows,
+# 47.4 at 1024 and 49.6 at 2048, and its wall time 0.360, 0.367 and 0.362 s,
+# medians of 30 runs on a 2-vCPU machine: the smallest peak at no measured cost
 CSV_CHUNK_ROWS = 512
 
 # The float kernel.  For a finite x with 1e-40 <= |x| <= 1e40, let k =
@@ -65,11 +57,11 @@ CSV_CHUNK_ROWS = 512
 # lo is 10**(16 - k) to 2**-106.  S lies in [1e16, 1e17) with an error below
 # 1e-13, so its nearest integer D holds the 17 digits "%.17g" prints.  Where
 # 10**(16 - k) is a double (lo = 0) the product is exact, and np.rint rounds
-# a tie to even as "%.17g" does.  `_fmt` writes the cells the kernel cannot
-# vouch for: nan, inf, |x| outside [1e-40, 1e40] (0 aside; no report of the
-# benchmark's workloads or of the CLI's defaults holds such a value), S within
-# 1e-6 of a tie where lo is not 0, and S outside [1e16, 1e17), where log10 was
-# one off next to a power of ten.
+# a tie to even as "%.17g" does.  `format_float` writes the cells the kernel
+# cannot vouch for: nan, inf, |x| outside [1e-40, 1e40] (0 aside; no report of
+# the benchmark's workloads or of the CLI's defaults holds such a value), S
+# within 1e-6 of a tie where lo is not 0, and S outside [1e16, 1e17), where
+# log10 was one off next to a power of ten.
 #
 # A cell is laid out on 48 slots, six pieces of eight taken from one table:
 # the sign, "0.000", the first digit and a point; four digit/point pairs for
@@ -176,58 +168,17 @@ def _tables() -> SimpleNamespace:
     )
 
 
-def _texts(part) -> tuple[list[str], np.ndarray | int]:
-    """The distinct texts of a column part that is not of floats, and each
-    value's index among them, or 0 for all in a part of stride 0 (a
-    `np.broadcast_to` view of one value, as a model's name is): a number's
-    text is what `_fmt` writes, a string's the string.  Numeric and string
-    arrays find their distinct values in numpy; a sequence takes its
-    distinct strings from a dict, and only when it holds anything else (the
-    one-value columns of `add_row`) does it go through `_fmt` value by
-    value."""
-    if isinstance(part, np.ndarray) and part.dtype.kind in "iubU":
-        if part.strides == (0,):
-            value = part[0].item()
-            return [value if part.dtype.kind == "U" else _fmt(value)], 0
-        values, index = np.unique(part, return_inverse=True)
-        texts = values.tolist()
-        return (texts if part.dtype.kind == "U" else [_fmt(v) for v in texts]), index.ravel()
-    values = part.tolist() if isinstance(part, np.ndarray) else part
-    distinct = dict.fromkeys(values)
-    if not all(type(v) is str for v in distinct):  # equal numbers may print apart (0.0, -0.0)
-        values = [v if type(v) is str else _fmt(v) for v in values]
-        distinct = dict.fromkeys(values)
-    texts = list(distinct)
-    index = {text: i for i, text in enumerate(texts)}
-    return texts, np.fromiter(map(index.__getitem__, values), np.intp, len(values))
-
-
-def _text_cells(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of the texts, one row each, and their kept slots: the UTF-8
-    bytes, the separator and the slots a shorter text leaves out."""
-    encoded = [text.encode() for text in texts]
-    lengths = np.fromiter(map(len, encoded), np.intp, len(encoded))
-    width = int(lengths.max()) + 1
-    keep = np.arange(width) < lengths[:, None]
-    cells = np.zeros((len(encoded), width), np.uint8)
-    if width > 1:  # np.frombuffer refuses an empty buffer
-        cells[keep] = np.frombuffer(b"".join(encoded), np.uint8)
-    cells[:, -1] = ord(",")
-    keep[:, -1] = True
-    return cells, keep
-
-
 class _CsvWriter:
     """Writes the chunks of one table part as CSV text.  Its work arrays are
-    sized for the part's largest chunk of floats and reused chunk after chunk
+    sized for the part's largest chunk of numbers and reused chunk after chunk
     through `out=`: fresh arrays for every chunk cost page faults that cancel
     the kernel's gain.  The float kernel's phases share them: the doubles of the
     product become the digits' integers and then the cells, the table
     indices become the kept slots."""
 
     def __init__(self):
-        self.size = 0  # the float values the work arrays hold
-        self.line = np.empty(0, np.uint8)  # a chunk's rows, where not all columns are floats
+        self.size = 0  # the numbers the work arrays hold
+        self.line = np.empty(0, np.uint8)  # a chunk's rows, where not all columns are numbers
         self.line_keep = np.empty(0, bool)
 
     def _reserve(self, n: int) -> None:
@@ -339,14 +290,15 @@ class _CsvWriter:
         np.take(t.keep, key, out=keep, mode="clip")
         return cells.view(np.uint8).reshape(n, _CELL), keep.view(bool).reshape(n, _CELL), np.flatnonzero(bad)
 
-    def _floats(self, columns: list) -> tuple[np.ndarray, np.ndarray]:
-        """The (rows, cols, _CELL) cells of float columns of one length, and
-        their kept slots: the kernel's, and `_fmt`'s where it cannot vouch."""
+    def _numbers(self, columns: list) -> tuple[np.ndarray, np.ndarray]:
+        """The (rows, cols, _CELL) cells of number columns of one length, as
+        float64, and their kept slots: the kernel's, and `format_float`'s
+        where it cannot vouch."""
         n, f = len(columns[0]), len(columns)
         self._reserve(n * f)
         cells, keep, bad = self._kernel(np.stack(columns, axis=1, out=self.work[: n * f].reshape(n, f)))
         for i in bad.tolist():
-            text = _fmt(columns[i % f][i // f]).encode()
+            text = format_float(columns[i % f][i // f]).encode()
             cells[i, : len(text)] = np.frombuffer(text, np.uint8)
             keep[i, :_SEP] = np.arange(_SEP) < len(text)
         return cells.reshape(n, f, _CELL), keep.reshape(n, f, _CELL)
@@ -354,39 +306,36 @@ class _CsvWriter:
     def write(self, parts: list, out: TextIO) -> None:
         """Writes the CSV lines of a chunk: a part of each column, of one length."""
         n = len(parts[0])
-        floats = [i for i, p in enumerate(parts)
-                  if isinstance(p, np.ndarray) and p.dtype.kind == "f" and p.dtype.itemsize <= 8]
+        numbers = [i for i, p in enumerate(parts) if p.dtype.kind != "U"]
         cells = keep = None
-        if floats:
-            cells, keep = self._floats([parts[i] for i in floats])
-        if len(floats) == len(parts):
+        if numbers:
+            cells, keep = self._numbers([parts[i] for i in numbers])
+        if len(numbers) == len(parts):
             line, line_keep = cells.reshape(n, -1), keep.reshape(n, -1)
         else:
-            line, line_keep = self._line(parts, floats, cells, keep)
-        # the last separator: the last slot of a text cell, slot _SEP of a float cell
-        line[:, -1 - (_CELL - 1 - _SEP if len(parts) - 1 in floats else 0)] = ord("\n")
+            line, line_keep = self._line(parts, numbers, cells, keep)
+        # the last separator: the last slot of a text cell, slot _SEP of a number cell
+        line[:, -1 - (_CELL - 1 - _SEP if len(parts) - 1 in numbers else 0)] = ord("\n")
         step = max(1, _COMPRESS_BYTES // line.shape[1])
         for a in range(0, n, step):
             out.write(str(np.compress(line_keep[a : a + step].ravel(), line[a : a + step].ravel()), "utf-8"))
 
-    def _line(self, parts: list, floats: list, cells, keep) -> tuple[np.ndarray, np.ndarray]:
-        """The lines of a chunk whose columns are not all floats, and their
-        kept slots: each run of float columns as laid out by the kernel, each
-        other column from the cells of its distinct texts."""
+    def _line(self, parts: list, numbers: list, cells, keep) -> tuple[np.ndarray, np.ndarray]:
+        """The lines of a chunk whose columns are not all numbers, and their
+        kept slots: each run of number columns as laid out by the kernel,
+        each string column's one text, with its separator, in every row."""
         n = len(parts[0])
         pieces = []
-        done = 0  # float columns laid out
-        for is_float, run in itertools.groupby(range(len(parts)), floats.__contains__):
+        done = 0  # number columns laid out
+        for is_number, run in itertools.groupby(range(len(parts)), numbers.__contains__):
             run = list(run)
-            if is_float:
+            if is_number:
                 pieces.append((cells[:, done : done + len(run)].reshape(n, -1),
                                keep[:, done : done + len(run)].reshape(n, -1)))
                 done += len(run)
                 continue
             for i in run:
-                texts, index = _texts(parts[i])
-                text_cells, text_keep = _text_cells(texts)
-                pieces.append((text_cells[index], text_keep[index]))
+                pieces.append((np.frombuffer(f"{parts[i][0]},".encode(), np.uint8), True))
         size = n * sum(c.shape[-1] for c, _ in pieces)
         if self.line.size < size:
             self.line = np.empty(size, np.uint8)
@@ -447,7 +396,7 @@ def render_manifest(report: ExperimentReport) -> str:
         "# thresholds in effect (name, comparison, value)",
     ]
     for v in report.verdicts:
-        lines.append(f"threshold {v.name} {v.comparison} {_fmt(v.threshold)}")
+        lines.append(f"threshold {v.name} {v.comparison} {format_float(v.threshold)}")
     lines.append("")
     lines.append("# --- effective configuration ---")
     lines.append(format_config(cfg))
@@ -465,7 +414,8 @@ def render_summary(report: ExperimentReport) -> str:
         lines.append("  (none)")
     for v in report.verdicts:
         status = "PASS" if v.passed else "FAIL"
-        line = f"  [{status}] {v.name}: observed {_fmt(v.observed)} (require {v.comparison} {_fmt(v.threshold)})"
+        line = (f"  [{status}] {v.name}: observed {format_float(v.observed)} "
+                f"(require {v.comparison} {format_float(v.threshold)})")
         if v.note:
             line += f" -- {v.note}"
         lines.append(line)

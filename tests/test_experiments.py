@@ -253,6 +253,50 @@ def test_swap_model_method_matrix():
     assert fid_methods == {(m, meth) for m in models for meth in ("closed", "ode", "grid")}
 
 
+def test_moments_blocks_hold_one_mode_of_one_series(monkeypatch):
+    # swap --oracle all: each (model, method) series goes into moments as a
+    # block of its plus rows, then one of its minus rows, each in time order;
+    # the rows are those of the records, one per time and mode
+    cfg = ExperimentConfig(kind="swap", oracle="all")
+    params = cfg.platform.dimensionless()
+    pair0 = coherent_pair_moments(*to_normal_modes(cfg.alpha, cfg.beta))
+    series = {}  # (model, method) -> (times, records) as the run made them
+
+    def ode(model, *args, **kwargs):
+        run = integrate_moments(model, *args, **kwargs)
+        series[model.value, "ode"] = run.times, run.moments
+        return run
+
+    def grid(*args, **kwargs):
+        runs = grid_runs(*args, **kwargs)
+        series.update({(model.value, "grid"): (run.times, run.moments) for model, run in runs.items()})
+        return runs
+
+    grid_runs = experiments._grid_runs
+    monkeypatch.setattr(experiments, "integrate_moments", ode)
+    monkeypatch.setattr(experiments, "_grid_runs", grid)
+    table = run_swap(cfg).tables["moments"]
+    times = np.linspace(0.0, swap_time(params), cfg.samples)
+    for model in cfg.models:
+        closed = experiments.propagate_moments(model, pair0, times, params)
+        if model is ModelKind.QG_FULL:
+            closed = propagate_corrected_displacement(*to_normal_modes(cfg.alpha, cfg.beta), times, params)[0]
+        series[model.value, "closed"] = times, closed
+
+    labels = [tuple(column[0] for column in block[1:4]) for block in table.blocks]
+    assert labels == [(model.value, method, mode) for model in cfg.models for method in ("closed", "ode", "grid")
+                      for mode in ("plus", "minus")]
+    for block in table.blocks:
+        assert all(len(set(column.tolist())) == 1 for column in block[1:4])
+        assert np.all(np.diff(block[0]) > 0)
+    interleaved = [(t, model, method, mode, *record[k])
+                   for (model, method), (ts, records) in series.items()
+                   for t, record in zip(ts.tolist(), records.tolist())
+                   for k, mode in enumerate(("plus", "minus"))]
+    assert len(table.rows) == len(interleaved)
+    assert set(table.rows) == set(interleaved)
+
+
 def test_swap_requires_positive_coupling():
     with pytest.raises(ConfigError):
         run_swap(ExperimentConfig(kind="swap", platform=Platform(delta=0.0)))

@@ -1,12 +1,14 @@
 """write_csv streams a table block by block, a fixed number of rows at a
 time, each chunk laid out as bytes in numpy; over generated tables that span
-several chunks that must give exactly the per-value `_fmt` text, and a float
+several chunks that must give exactly the per-value text, and a float
 column from any 64-bit pattern, or next to a power of ten, must read as
-"%.17g" row by row.  emit_report splits every table by rows between the CPUs
-and writes the same bytes as one write_csv per table, leaving no part file.
-A block that does not fit the header is refused when it is added, and
-emission of the largest benchmark report holds only a chunk at a time.  A
-column of one value as a zero-stride view writes as the equal list does."""
+"%.17g" row by row, an int or bool column as its digits.  emit_report splits
+every table by rows between the CPUs and writes the same bytes as one
+write_csv per table, leaving no part file.  A block that does not fit the
+header, or a column that is neither numbers nor one value, is refused when
+it is added, and emission of the largest benchmark report holds only a chunk
+at a time.  A column of one value as a zero-stride view writes as the equal
+full array does."""
 
 import io
 import math
@@ -24,31 +26,60 @@ from hypothesis import strategies as st
 import gravswap.report
 from gravswap import ExperimentConfig, Platform, run_swap
 from gravswap.experiments import ExperimentReport, Table
-from gravswap.report import _fmt, csv_spans, emit_report, write_csv
+from gravswap.report import csv_spans, emit_report, write_csv
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 
 SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-320, 2.2250738585072014e-308]
 floats = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(SPECIAL_FLOATS))
+# the integers a double holds exactly, which are all a table takes
+ints = st.integers(min_value=-(2**53 - 1), max_value=2**53 - 1)
 # numpy's fixed-width strings drop trailing NULs, so columns never hold them
 texts = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6)
 
-# (values, column built from a list of them): float, int, bool and str arrays
-# and str lists are laid out in numpy; the rest go through `_fmt` value by value
-COLUMN_KINDS = (
-    (floats, lambda vs: np.array(vs, dtype=np.float64)),
-    (st.integers(min_value=-(2**63), max_value=2**63 - 1), lambda vs: np.array(vs, dtype=np.int64)),
-    (st.booleans(), lambda vs: np.array(vs, dtype=bool)),
-    (texts, lambda vs: np.array(vs, dtype=str)),
-    (texts, list),
-    (floats, list),
-    (st.integers(min_value=-(2**80), max_value=2**80), list),
+
+def _array_kind(values, build):
+    """A column of n values of `values`: (the values, the column)."""
+    return lambda n: st.lists(values, min_size=n, max_size=n).map(lambda vs: (vs, build(vs)))
+
+
+def _one_value_kind(values):
+    """A column of one value of `values` for each of the n rows."""
+    return lambda n: values.map(lambda v: ([v] * n, v))
+
+
+# each kind draws a column of a block of n rows; a block all of whose
+# columns are one value is one row
+ARRAY_KINDS = (
+    _array_kind(floats, lambda vs: np.array(vs, dtype=np.float64)),
+    _array_kind(ints, lambda vs: np.array(vs, dtype=np.int64)),
+    _array_kind(st.booleans(), lambda vs: np.array(vs, dtype=bool)),
+    _array_kind(floats, list),
+    _array_kind(ints, list),
 )
+ONE_VALUE_KINDS = (_one_value_kind(texts), _one_value_kind(st.one_of(floats, ints, st.booleans())))
+COLUMN_KINDS = ARRAY_KINDS + ONE_VALUE_KINDS
 
 
 def _text(value) -> str:
-    """A cell's text: a string as it is, a number as `_fmt` writes it."""
-    return value if isinstance(value, str) else _fmt(value)
+    """A cell's text: a string as it is, an int or bool as its digits, a
+    float as "%.17g" writes it."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, int, np.bool_, np.integer)):
+        return str(int(value))
+    return "%.17g" % value
+
+
+def _block(draw, n: int, width: int, first=COLUMN_KINDS) -> tuple[list, list[list]]:
+    """The columns of a block of n rows, the first of kind `first`, or of one
+    row where every column is one value, and the values of each column's
+    rows."""
+    kinds = [draw(st.sampled_from(first)), *(draw(st.sampled_from(COLUMN_KINDS)) for _ in range(width - 1))]
+    if all(kind in ONE_VALUE_KINDS for kind in kinds):
+        n = 1
+    drawn = [draw(kind(n)) for kind in kinds]
+    return [column for _, column in drawn], [values for values, _ in drawn]
 
 
 @st.composite
@@ -62,10 +93,9 @@ def chunked_tables(draw):
     lengths = [first, *draw(st.lists(st.integers(min_value=0, max_value=12), max_size=3))]
     table = Table(name="generated", columns=tuple(f"c{i}" for i in range(width)))
     lines = [",".join(table.columns)]
-    for n in lengths:
-        kinds = [draw(st.sampled_from(COLUMN_KINDS)) for _ in range(width)]
-        values = [draw(st.lists(strategy, min_size=n, max_size=n)) for strategy, _ in kinds]
-        table.add(*(build(vs) for (_, build), vs in zip(kinds, values)))
+    for i, n in enumerate(lengths):
+        columns, values = _block(draw, n, width, ARRAY_KINDS if i == 0 else COLUMN_KINDS)
+        table.add(*columns)
         lines += [",".join(_text(v) for v in row) for row in zip(*values)]
     return table, chunk_rows, "\n".join(lines) + "\n"
 
@@ -95,7 +125,7 @@ def test_render_csv_matches_per_value_text(case, data):
 @st.composite
 def split_reports(draw):
     """A chunk size and a report of one to three generated tables whose blocks
-    (empty, one-value and mixed-dtype ones) total around multiples of the
+    (empty, one-row and mixed-dtype ones) total around multiples of the
     chunk size."""
     chunk_rows = draw(st.integers(min_value=1, max_value=4))
     # k chunks and one row less, none or one more: 0 for an empty block
@@ -105,11 +135,7 @@ def split_reports(draw):
         width = draw(st.integers(min_value=1, max_value=3))
         table = report.tables[f"t{t}"] = Table(name=f"t{t}", columns=tuple(f"c{i}" for i in range(width)))
         for n in draw(st.lists(lengths, max_size=3)):
-            kinds = [draw(st.sampled_from(COLUMN_KINDS)) for _ in range(width)]
-            values = [draw(st.lists(strategy, min_size=n, max_size=n)) for strategy, _ in kinds]
-            table.add(*(build(vs) for (_, build), vs in zip(kinds, values)))
-        if draw(st.booleans()):
-            table.add_row(*(draw(draw(st.sampled_from(COLUMN_KINDS))[0]) for _ in range(width)))
+            table.add(*_block(draw, n, width)[0])
     return chunk_rows, report
 
 
@@ -130,45 +156,81 @@ def test_split_emission_writes_each_table_whole(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(texts, st.integers(min_value=-(2**63), max_value=2**63 - 1), st.integers(min_value=1, max_value=4),
+@given(texts, st.one_of(floats, ints, st.booleans()), st.integers(min_value=1, max_value=4),
        st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=3))
-def test_zero_stride_columns_write_as_list_columns(text, number, chunk_rows, n_rows, n):
-    # a column of one value as a np.broadcast_to view, as run_swap's model
-    # and method columns are, writes the bytes of the equal list column in
+def test_one_value_columns_write_as_full_columns(text, number, chunk_rows, n_rows, n):
+    # a column of one value, which the table keeps as a zero-stride view,
+    # writes the bytes of the equal full array, and a string its text, in
     # every part of the table that one of n processes writes
-    views, lists = (Table(name="t", columns=("t", "model", "count")) for _ in range(2))
+    views, full = (Table(name="t", columns=("t", "model", "count")) for _ in range(2))
     times = np.linspace(0.0, 1.0, n_rows)
-    views.add(times, np.broadcast_to(np.array(text), n_rows), np.broadcast_to(np.array(number), n_rows))
-    lists.add(times, [text] * n_rows, [number] * n_rows)
+    views.add(times, text, number)
+    full.add(times, text, np.array([number] * n_rows))
     assert [c.strides for c in views.blocks[0][1:]] == [(0,), (0,)]
+    lines = ["t,model,count"] + [f"{_text(t)},{text},{_text(number)}" for t in times.tolist()]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gravswap.report, "CSV_CHUNK_ROWS", chunk_rows)
         for rows in csv_spans(n_rows, n):
-            assert _streamed(views, rows.start, rows.stop) == _streamed(lists, rows.start, rows.stop)
-    assert views.rows == lists.rows
+            part = _streamed(views, rows.start, rows.stop)
+            assert part == _streamed(full, rows.start, rows.stop)
+            assert part == "".join(line + "\n" for line in lines[rows.start + (rows.start > 0) : rows.stop + 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.lists(ints, min_size=1, max_size=20).map(lambda vs: np.array(vs, dtype=np.int64)),
+                 st.lists(st.booleans(), min_size=1, max_size=20).map(lambda vs: np.array(vs, dtype=bool))),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
+def test_int_and_bool_columns_write_as_their_digits(column, chunk_rows, n):
+    # an int or bool column goes through the float kernel, and writes each
+    # value's digits in every part of the table that one of n processes writes
+    table = Table(name="t", columns=("count", "x"))
+    table.add(column, column[::-1])
+    lines = ["count,x"] + [f"{int(v)},{int(w)}" for v, w in zip(column.tolist(), column[::-1].tolist())]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gravswap.report, "CSV_CHUNK_ROWS", chunk_rows)
+        for rows in csv_spans(len(column), n):
+            part = _streamed(table, rows.start, rows.stop)
+            assert part.splitlines() == lines[rows.start + (rows.start > 0) : rows.stop + 1]
 
 
 def test_table_refuses_a_block_that_does_not_fit():
     table = Table(name="generated", columns=("a", "b", "c"))
     with pytest.raises(ValueError, match="table generated: block of 3 columns of lengths \\[3, 4\\]"):
-        table.add(np.zeros(4), np.zeros(3), ["x"] * 4)
+        table.add(np.zeros(4), np.zeros(3), "x")
     with pytest.raises(ValueError, match="table generated: block of 2 columns"):
         table.add(np.zeros(4), np.zeros(4))
     with pytest.raises(ValueError, match="table generated: block of 4 columns"):
-        table.add_row(1.0, 2.0, "x", 4)
+        table.add(1.0, 2.0, "x", 4)
     assert table.blocks == [] and table.rows == []
 
 
 @pytest.mark.parametrize(
+    "column",
+    [np.array(["x", "y"]), ["x", "y"], np.array([1.0, None]), None, [1.0j], 2**53, -(2**53), [0, 2**53],
+     np.array([2**53], dtype=np.uint64), 2**70],
+)
+def test_table_refuses_what_is_neither_numbers_nor_one_value(column):
+    # a string array, an object column, a complex one, and an integer a
+    # double cannot hold exactly
+    table = Table(name="refused", columns=("a", "b"))
+    with pytest.raises(ValueError, match="^table refused: column a "):
+        table.add(column, 1.5)
+    assert table.blocks == []
+
+
+@pytest.mark.parametrize(
     "value",
-    [math.nan, -math.nan, math.inf, -math.inf, -0.0, 1e-320, 2**70, np.True_, np.False_, np.int64(-7), True, "x%sy"],
+    [math.nan, -math.nan, math.inf, -math.inf, -0.0, 1e-320, 2**53 - 1, np.True_, np.False_, np.int64(-7), True,
+     "x%sy", -(2**53 - 1)],
 )
 def test_render_csv_edge_values(value):
-    # the value in a one-value column of add_row, and in a numpy array
+    # the value as one value for a row and for a block, and a number in an array
     table = Table(name="edge", columns=("a", "b"))
-    table.add_row(value, 1.5)
-    table.add(np.array([value, value]), np.array([1.5, 1.5]))
-    assert _streamed(table) == "a,b\n" + f"{_text(value)},1.5\n" * 3
+    table.add(value, 1.5)
+    table.add(value, np.array([1.5, 1.5]))
+    if not isinstance(value, str):
+        table.add(np.array([value, value]), np.array([1.5, 1.5]))
+    assert _streamed(table) == "a,b\n" + f"{_text(value)},1.5\n" * len(table.rows)
 
 
 # float64 values of arbitrary 64-bit patterns: nan payloads, signed zeros,
