@@ -164,8 +164,8 @@ class ExperimentConfig:
             raise ConfigError(f"run.samples: need 2 to {MAX_SAMPLES} samples, got {self.samples}")
         if "random_pairs" in reads and not 0 <= self.random_pairs <= MAX_RANDOM_PAIRS:
             raise ConfigError(f"state.random_pairs: must be 0 to {MAX_RANDOM_PAIRS}, got {self.random_pairs}")
-        if self.seed < 0:
-            raise ConfigError(f"run.seed: must be non-negative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:  # the state of the random-pairs stream is 64 bits
+            raise ConfigError(f"run.seed: must be 0 to 2**64 - 1, got {self.seed}")
         for name in reads & {"alpha", "beta", "cat_alpha"}:
             if not cmath.isfinite(getattr(self, name)):
                 raise ConfigError(f"state.{name}: must be finite, got {getattr(self, name)!r}")

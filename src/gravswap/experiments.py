@@ -255,6 +255,36 @@ def _amplitudes_from_pair(pair: np.ndarray) -> tuple[complex, complex, float]:
     return *from_normal_modes(a, b), float(np.max(np.abs(pair[:, 2:] / GROUND_VARIANCE - (1.0, 1.0, 0.0))))
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): output k = 1, 2, ... of a
+# seed is mix(seed + k * _GAMMA mod 2**64).  The stream is defined here, not
+# by numpy.random, so a seed gives the same pairs on every numpy, and a run
+# loads neither numpy.random nor the OpenSSL its import brings.  Every
+# integer meets numpy as an np.uint64, so numpy 1.24's value-based casting
+# and NEP 50 give the same bits.
+_GAMMA = 0x9E3779B97F4A7C15
+_STREAM_BLOCK = 1 << 16  # outputs per pass, so the work arrays stay 512 kB at any count
+
+
+def _random_pairs(seed: int, n: int) -> np.ndarray:
+    """(n, 4) uniforms on [-3, 3): row i holds outputs 4i + 1 ... 4i + 4 of
+    the seed's stream, each z taken as -3 + 6 (z >> 11) 2**-53."""
+    out = np.empty((n, 4))
+    flat = out.reshape(-1)
+    steps = np.arange(1, min(_STREAM_BLOCK, flat.size) + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    for start in range(0, flat.size, _STREAM_BLOCK):
+        part = flat[start:start + _STREAM_BLOCK]
+        z = steps[: part.size] + np.uint64((seed + start * _GAMMA) % 2**64)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        # (z >> 11) is exact in a double, so this is 6u rounded once
+        np.multiply(z >> np.uint64(11), 6.0 * 2.0**-53, out=part)
+    out -= 3.0
+    return out
+
+
 def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
     """Evolve (alpha, beta) to the swap time under each requested model and
     compare every enabled method's trajectory against the closed forms."""
@@ -401,7 +431,7 @@ def run_swap(cfg: ExperimentConfig) -> ExperimentReport:
         )
         # row i is the i-th draw of four from the seed's stream; its
         # (re, im) pairs, viewed as complex, are alpha and beta
-        draws = np.random.default_rng(cfg.seed).uniform(-3.0, 3.0, size=(cfg.random_pairs, 4))
+        draws = _random_pairs(cfg.seed, cfg.random_pairs)
         al, be = draws.view(np.complex128).T
         final = propagate_rwa_lab_displacement(al, be, T, params)
         fid = two_mode_overlap(phase_corrected_pair(final, T), (be, al))

@@ -1,9 +1,9 @@
 """The config echo is the config as its kind reads it:
 parse_config_text(format_config(cfg)) == cfg over generated configurations,
 up to the fields the kind never reads, with direct, preset and free SI
-parameters in both the [params] block and platform sections.  A negative
-seed is refused, from a config file and from --seed alike, and any bytes in
-a config file parse or are refused as a ConfigError."""
+parameters in both the [params] block and platform sections.  A seed
+outside 0 to 2**64 - 1 is refused, from a config file and from --seed alike,
+and any bytes in a config file parse or are refused as a ConfigError."""
 
 import dataclasses
 import itertools
@@ -155,3 +155,28 @@ def test_cli_refuses_negative_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "run.seed" in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 1, 10**30])
+def test_seed_above_64_bits_is_refused(tmp_path, capsys, seed):
+    # the seed is the 64-bit state of the random-pairs stream
+    with pytest.raises(ConfigError, match="run.seed"):
+        ExperimentConfig(kind="swap", seed=seed, random_pairs=3)
+    with pytest.raises(ConfigError, match="run.seed"):
+        parse_config_text(f"[run]\nkind = swap\nseed = {seed}\n[state]\nrandom_pairs = 3\n")
+    rc = cli_main(["swap", "--seed", str(seed), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: run.seed: must be 0 to 2**64 - 1, got {seed}\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    seed = 2**64 - 1
+    text = f"[run]\nkind = swap\nseed = {seed:#x}\n[state]\nrandom_pairs = 3\n"
+    cfg = parse_config_text(text)
+    assert cfg.seed == seed and parse_config_text(format_config(cfg)) == cfg
+    (tmp_path / "c.cfg").write_text(text.replace(f"{seed:#x}", "0"))
+    assert cli_main(["swap", "--config", str(tmp_path / "c.cfg"), "--seed", str(seed), "--out", str(tmp_path / "r")]) == 0
+    assert f"seed = {seed}" in (tmp_path / "r" / "manifest.txt").read_text()
+    assert len((tmp_path / "r" / "random_swaps.csv").read_text().splitlines()) == 4

@@ -741,22 +741,55 @@ def test_key_table_covers_the_schema():
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-# a backticked `section.key`; a file name (`manifest.txt`) or a dotted name
-# under an importable module (`gravswap.config`, `numpy.fft`) is no key
 _KEY_MENTION = re.compile(r"`([a-z]+)\.([a-z][a-z_]*)(?=[` ])")
+_SECTIONS = {section for section, *_ in CONFIG_KEYS} | set(BLOCK_READERS)
+
+
+def _names_code(word: str, attr: str) -> bool:
+    """Whether `word.attr`, whose word is no config section, names code: a
+    dotted name under an importable module (`gravswap.config`, `numpy.fft`)
+    or an attribute of a gravswap module (`config.format_float`)."""
+    if importlib.util.find_spec(word) is not None:
+        return True
+    return importlib.util.find_spec(f"gravswap.{word}") is not None and hasattr(
+        importlib.import_module(f"gravswap.{word}"), attr
+    )
+
+
+def _key_mentions(text: str) -> set[tuple[str, str]]:
+    """The backticked `section.key` mentions of a text that must be config
+    keys: a file name (`manifest.txt`) is none, and neither is a name of code
+    unless its word is a config section, so `params.swap_time` is read as a
+    key of [params]."""
+    return {
+        (section, key)
+        for section, key in _KEY_MENTION.findall(text)
+        if key not in ("csv", "json", "txt") and (section in _SECTIONS or not _names_code(section, key))
+    }
+
+
+def _unknown_keys(mentions: set[tuple[str, str]]) -> list[str]:
+    unknown = []
+    for section, key in sorted(mentions):
+        try:
+            parse_config_text(f"[{section}]\n{key} = 0\n")
+        except ConfigError as exc:
+            if re.search("unknown (key|section)", str(exc)):
+                unknown.append(f"`{section}.{key}`: {exc}")
+    return unknown
+
+
+def test_key_matcher_skips_code_names_only_outside_the_sections():
+    text = "`config.format_float`, `report.write_csv`, `params.delta`, `params.swap_time` and `state.alpah`"
+    mentions = _key_mentions(text)
+    assert mentions == {("params", "delta"), ("params", "swap_time"), ("state", "alpah")}
+    assert [line.split(":")[0] for line in _unknown_keys(mentions)] == ["`params.swap_time`", "`state.alpah`"]
 
 
 def test_readme_keys_match_the_parser():
     # every key the README names is one the parser knows, and every key of
     # the key table is named in the README
-    mentions = {
-        (section, key)
-        for section, key in _KEY_MENTION.findall(README.read_text(encoding="utf-8"))
-        if key not in ("csv", "json", "txt") and importlib.util.find_spec(section) is None
-    }
-    for section, key in sorted(mentions):
-        try:
-            parse_config_text(f"[{section}]\n{key} = 0\n")
-        except ConfigError as exc:
-            assert not re.search("unknown (key|section)", str(exc)), f"README names `{section}.{key}`: {exc}"
+    mentions = _key_mentions(README.read_text(encoding="utf-8"))
+    unknown = _unknown_keys(mentions)
+    assert not unknown, "README names " + "; ".join(unknown)
     assert {(section, key) for section, key, *_ in CONFIG_KEYS} <= mentions

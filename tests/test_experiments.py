@@ -336,15 +336,43 @@ def test_swap_writes_the_displacement_table_past_delta_0_2(tmp_path):
     assert len(lines) == 51 and lines[0].endswith("v_xx_plus,v_xx_minus,corr_mag_1,corr_mag_2")
 
 
+def _splitmix64(seed):
+    """SplitMix64 on Python ints: the reference the numpy stream must match."""
+    state = seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        yield z ^ (z >> 31)
+
+
+def _reference_draws(seed, count):
+    """The first `count` draws of the seed's stream, each -3 + 6 (z >> 11) 2**-53."""
+    stream = _splitmix64(seed)
+    return [-3.0 + 6.0 * ((next(stream) >> 11) * 2.0**-53) for _ in range(count)]
+
+
+def test_splitmix64_reference_gives_the_published_outputs():
+    assert next(_splitmix64(0)) == 0xE220A8397B1DCDAF
+    assert next(_splitmix64(1234567)) == 0x599ED017FB08FC85
+
+
 def test_random_pairs_follow_the_seed_stream():
-    # pair i is the i-th draw of four uniforms on [-3, 3) from the seed's
-    # generator, as (re alpha, im alpha, re beta, im beta)
-    cfg = ExperimentConfig(kind="swap", platform=Platform(delta=0.05), random_pairs=7, seed=0)
-    rows = run_swap(cfg).tables["random_swaps"].rows
-    rng = np.random.default_rng(0)
-    for i, row in enumerate(rows):
-        assert row[0] == i
-        assert list(row[1:5]) == rng.uniform(-3.0, 3.0, size=4).tolist()
+    # pair i is draws 4i + 1 ... 4i + 4 of the seed's SplitMix64 stream, as
+    # (re alpha, im alpha, re beta, im beta); the stream is gravswap's own,
+    # so the same seed gives the same pairs on every numpy
+    for seed in (0, 1, 1234567, 2**64 - 1):
+        cfg = ExperimentConfig(kind="swap", platform=Platform(delta=0.05), random_pairs=7, seed=seed)
+        rows = run_swap(cfg).tables["random_swaps"].rows
+        assert [row[0] for row in rows] == list(range(7))
+        assert [value for row in rows for value in row[1:5]] == _reference_draws(seed, 28)
+
+
+def test_random_pairs_stream_across_its_blocks():
+    # the numpy stream is computed in blocks of outputs; one more row than a
+    # block holds crosses the seam
+    n = experiments._STREAM_BLOCK // 4 + 1
+    assert experiments._random_pairs(1234567, n).reshape(-1).tolist() == _reference_draws(1234567, 4 * n)
 
 
 def test_rwa_validity_law():

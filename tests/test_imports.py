@@ -2,10 +2,10 @@
 blocked in a fresh interpreter (`sys.modules["scipy"] = None` makes every
 import of it fail), and the CLI still runs the grid oracle from start to
 end.  Parsing, echoing and refusing a config, and `--help`, need no numpy at
-all, and digesting a config no OpenSSL: no run loads `_hashlib` that numpy
-does not load itself.  Importing gravswap sets numpy's BLAS to one thread
-unless the user chose a count; its names load from their modules on first
-access."""
+all, and digesting a config no OpenSSL: no run loads `_hashlib` or
+`numpy.random` that numpy does not load itself.  Importing gravswap sets
+numpy's BLAS to one thread unless the user chose a count; its names load
+from their modules on first access."""
 
 import hashlib
 import importlib.util
@@ -122,12 +122,13 @@ def test_config_and_help_need_no_numpy(tmp_path):
     assert usage.startswith("usage: gravswap swap")
 
 
-OPENSSL = ("hashlib", "_hashlib")
+# OpenSSL's bindings, and numpy.random, which loads them through secrets and hmac
+UNNEEDED = ("hashlib", "_hashlib", "numpy.random")
 
 
 def _loaded(code: str, cwd: Path) -> list[str]:
-    """Which of the OPENSSL modules a fresh interpreter holds after `code`."""
-    code += f"\nimport sys\nprint(*[m for m in {OPENSSL!r} if m in sys.modules])\n"
+    """Which of the UNNEEDED modules a fresh interpreter holds after `code`."""
+    code += f"\nimport sys\nprint(*[m for m in {UNNEEDED!r} if m in sys.modules])\n"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env(), cwd=cwd)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1].split()
@@ -151,11 +152,14 @@ def test_config_digest_loads_no_openssl(tmp_path):
 @pytest.mark.parametrize("args", [
     ["swap", "--config", "swap.cfg", "--oracle", "grid", "--out", "r"],
     ["cat-state", "--out", "r"],
-], ids=["swap-grid", "cat-state"])
+    ["swap", "--config", "pairs.cfg", "--oracle", "ode", "--out", "r"],
+], ids=["swap-grid", "cat-state", "swap-ode-pairs"])
 def test_run_loads_openssl_only_where_numpy_does(tmp_path, args):
     # numpy < 2 imports numpy.random eagerly, which loads OpenSSL through
-    # secrets and hmac; a run adds nothing to what numpy alone loads
+    # secrets and hmac; a run adds nothing to what numpy alone loads, and
+    # the random pairs come from gravswap's own stream
     (tmp_path / "swap.cfg").write_text("[run]\nkind = swap\n\n[params]\ndelta = 0.1\n")
+    (tmp_path / "pairs.cfg").write_text("[run]\nkind = swap\n\n[params]\ndelta = 0.1\n\n[state]\nrandom_pairs = 5\n")
     run = _loaded(f"import gravswap.cli\nassert gravswap.cli.main({args!r}) == 0", tmp_path)
     assert set(run) <= set(_loaded("import numpy", tmp_path))
 
@@ -195,7 +199,7 @@ def test_step_factor_refused_before_numpy_loads(tmp_path, command):
     assert err == "error: c.cfg:3: unknown section [numerics]\n"
     (tmp_path / "c.cfg").write_text(f"[run]\nkind = {kind}\nseed = -1\n")
     err = _run_without("numpy", [command, "--config", "c.cfg", "--out", "r"], tmp_path, rc=2)
-    assert err == "error: run.seed: must be non-negative, got -1\n"
+    assert err == "error: run.seed: must be 0 to 2**64 - 1, got -1\n"
     assert not (tmp_path / "r").exists()
 
 
