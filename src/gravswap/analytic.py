@@ -23,8 +23,12 @@ moment equations
                              dV_xp/dt = 2A V_pp - 2B V_xx
 
 are independent of the linear coefficient C; that independence is why the
-mean-field model cannot touch second moments.  Closed forms below are the
-symplectic rotation generated by those equations (`template_generator`).
+mean-field model cannot touch second moments.  `mode_hamiltonians` is the
+one table of each model's (A, B, C), read by the RK4 oracle and the closed
+forms alike.  The closed forms are the symplectic rotation generated by
+those equations (`template_generator`): with a = 2A, b = 2B and m = 2B + C,
+the means rotate at sqrt(a m) with impedance sqrt(m / a) and the covariance
+at sqrt(a b) with impedance sqrt(b / a) (`mode_rotation`).
 """
 
 from __future__ import annotations
@@ -112,24 +116,24 @@ def propagate_rwa_lab_displacement(alpha, beta, t, params: DimensionlessParams) 
     )
 
 
-def _evolve_mode(
-    m: np.ndarray,
-    mean_angle: np.ndarray,
-    mean_impedance: float,
-    cov_angle: np.ndarray,
-    cov_impedance: float,
-) -> np.ndarray:
+def mode_rotation(h: QuadraticHamiltonian) -> tuple[float, float, float, float]:
+    """(mean frequency, mean impedance, covariance frequency, covariance
+    impedance) of the rotation the template generates."""
+    a, b = 2.0 * h.A, 2.0 * h.B
+    m = b + h.C
+    return math.sqrt(a * m), math.sqrt(m / a), math.sqrt(a * b), math.sqrt(b / a)
+
+
+def _evolve_mode(m: np.ndarray, h: QuadraticHamiltonian, tau: np.ndarray) -> np.ndarray:
     """Apply the symplectic rotation (x, p) -> (x cos + p sin/z, p cos - x z sin)
-    to the means of one mode's record (5,) at (mean_angle, mean_impedance)
-    and the same map to the covariance at (cov_angle, cov_impedance); one
-    output record (n, 5) per angle."""
+    of `mode_rotation(h)` to the means of one mode's record (5,) and the same
+    map to its covariance; one output record (n, 5) per time of `tau`."""
     mean_x, mean_p, v_xx, v_pp, v_xp = m
-    c = np.cos(mean_angle)
-    s = np.sin(mean_angle)
-    z = mean_impedance
-    c2 = np.cos(cov_angle)
-    s2 = np.sin(cov_angle)
-    z2 = cov_impedance
+    w, z, w2, z2 = mode_rotation(h)
+    c = np.cos(w * tau)
+    s = np.sin(w * tau)
+    c2 = np.cos(w2 * tau)
+    s2 = np.sin(w2 * tau)
     return np.stack(
         (
             mean_x * c + mean_p * (s / z),
@@ -144,9 +148,12 @@ def _evolve_mode(
 
 def propagate_moments(model: ModelKind, init, times, params: DimensionlessParams) -> np.ndarray:
     """Closed-form moment records (n, 2, 5) at each of the n scaled `times`,
-    from the record `init` (2, 5).
+    from the record `init` (2, 5): each mode rotates under its
+    `mode_hamiltonians` template, the means at sqrt(a m) with impedance
+    sqrt(m / a) and the covariance at sqrt(a b) with impedance sqrt(b / a)
+    (a = 2A, b = 2B, m = 2B + C).
 
-    QG_RWA rotates means and covariance at k_pm with the bare
+    So QG_RWA rotates means and covariance at k_pm with the bare
     impedance.  QG_FULL rotates both at K_pm with impedance K_pm, which
     makes initially coherent widths breathe between 1/2 and 1/(2 K_pm^2).
     SCEG shares QG_FULL's mean map but rotates the covariance at the bare
@@ -155,20 +162,7 @@ def propagate_moments(model: ModelKind, init, times, params: DimensionlessParams
     if init.shape != (2, 5):
         raise ParameterError(f"init: need one pair record of shape (2, 5), got {init.shape}")
     tau = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    if model is ModelKind.QG_RWA:
-        kp, km = params.k_plus, params.k_minus
-        plus = _evolve_mode(init[0], kp * tau, 1.0, kp * tau, 1.0)
-        minus = _evolve_mode(init[1], km * tau, 1.0, km * tau, 1.0)
-    elif model is ModelKind.QG_FULL:
-        kp, km = params.K_plus, params.K_minus
-        plus = _evolve_mode(init[0], kp * tau, kp, kp * tau, kp)
-        minus = _evolve_mode(init[1], km * tau, km, km * tau, km)
-    elif model is ModelKind.SCEG:
-        kp, km = params.K_plus, params.K_minus
-        plus = _evolve_mode(init[0], kp * tau, kp, tau, 1.0)
-        minus = _evolve_mode(init[1], km * tau, km, tau, 1.0)
-    else:
-        raise ParameterError(f"unknown model {model!r}")
+    plus, minus = (_evolve_mode(m, h, tau) for m, h in zip(init, mode_hamiltonians(model, params)))
     records = check_moments(np.stack((plus, minus), axis=-2))
     # a zero that rounding signed -0 (a coherent state's V_xp) becomes +0,
     # in place, so a report prints no -0
@@ -188,8 +182,8 @@ def propagate_corrected_displacement(a: complex, b: complex, t, params: Dimensio
     tau = np.atleast_1d(np.asarray(t, dtype=np.float64))
     records = propagate_moments(ModelKind.QG_FULL, coherent_pair_moments(a, b), tau, params)
     modes = (records[..., 0] + 1j * records[..., 1]) / SQRT2  # exact (a_t, b_t) on the last axis
-    modes[..., 0] -= a * np.exp(-1j * params.K_plus * tau)
-    modes[..., 1] -= b * np.exp(-1j * params.K_minus * tau)
+    for i, (amp, h) in enumerate(zip((a, b), mode_hamiltonians(ModelKind.QG_FULL, params))):
+        modes[..., i] -= amp * np.exp(-1j * mode_rotation(h)[0] * tau)
     corr_1, corr_2 = from_normal_modes(modes[..., 0], modes[..., 1])
     return records, corr_1, corr_2
 

@@ -46,9 +46,9 @@ class ReplayMismatchError(ReportError):
 
 # rows formatted per write, which bounds the memory held at once, and the
 # unit a table is split in between the processes.  The work arrays of a
-# chunk grow with it: the peak RSS of `swap_ode` reads 46.5 MB at 512 rows,
-# 47.4 at 1024 and 49.6 at 2048, and its wall time 0.360, 0.367 and 0.362 s,
-# medians of 30 runs on a 2-vCPU machine: the smallest peak at no measured cost
+# chunk grow with it: the peak RSS of `swap_ode` reads 41.95 MB at 512 rows,
+# 41.93 at 1024 and 44.29 at 2048 (medians of 10 alternating runs each on a
+# 2-vCPU machine, 2026-10-22); its wall time spreads too widely to rank them
 CSV_CHUNK_ROWS = 512
 
 # The float kernel.  For a finite x with 1e-40 <= |x| <= 1e40, let k =

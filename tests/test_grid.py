@@ -31,7 +31,7 @@ from gravswap import (
     swap_time,
     to_normal_modes,
 )
-from gravswap import grid
+from gravswap import analytic, grid
 from gravswap.grid import LEAKAGE_LIMIT, MAX_GRID_POINTS
 from gravswap.moments_ode import step_schedule
 from gravswap.params import DELTA_WARN_LIMIT
@@ -560,3 +560,28 @@ def test_grid_step_never_sees_the_closed_forms():
             names.add(node.asname or node.name)
             names.add(node.name)
     assert not {name for name in names if name in _CLOSED_FORM_NAMES or name.startswith("propagate_")}
+
+
+_MODE_FREQUENCIES = {"K_plus", "K_minus", "k_plus", "k_minus"}
+
+
+def _frequency_reads(tree: ast.AST) -> set[int]:
+    """The nodes of `tree` that name a mode frequency, by id."""
+    return {
+        id(node)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in _MODE_FREQUENCIES)
+        or (isinstance(node, ast.Attribute) and node.attr in _MODE_FREQUENCIES)
+        or (isinstance(node, ast.alias) and _MODE_FREQUENCIES & {node.name, node.asname})
+    }
+
+
+def test_closed_forms_read_the_mode_frequencies_only_from_the_table():
+    # every closed-form rotation is derived from the mode_hamiltonians
+    # template, so analytic.py names the frequencies of params in that
+    # one function alone: a model's physics has one owner
+    tree = ast.parse(Path(analytic.__file__).read_text(encoding="utf-8"))
+    (table,) = (node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "mode_hamiltonians")
+    inside = _frequency_reads(table)
+    assert {node.attr for node in ast.walk(table) if id(node) in inside} == _MODE_FREQUENCIES
+    assert _frequency_reads(tree) == inside

@@ -5,6 +5,7 @@ gap in the checks.  The children that `fork_map` forks inherit the patch, so
 a fault reaches the grid runs and the report writers too."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,31 @@ def _replace_propagate_moments(monkeypatch, fn) -> None:
     """Replace the closed-form moment map wherever a run reads it."""
     monkeypatch.setattr(analytic, "propagate_moments", fn)
     monkeypatch.setattr(experiments, "propagate_moments", fn)
+
+
+@pytest.mark.parametrize(
+    ("model", "modes", "field", "scale", "verdict"),
+    [
+        (ModelKind.QG_RWA, (0,), "B", 1.0 + 1e-6, "qg_rwa_phase_corrected_swap"),
+        (ModelKind.SCEG, (0, 1), "C", 1.0 + 1e-4, "first_moment_identity_full_vs_sceg"),
+        (ModelKind.SCEG, (0, 1), "B", 1.0 + 1e-4, "sceg_width_constancy_closed"),
+        (ModelKind.QG_FULL, (0, 1), "B", 1.0 + 1e-6, "first_moment_identity_full_vs_sceg"),
+    ],
+)
+def test_mode_table_coefficient_scaled(tmp_path, capsys, monkeypatch, model, modes, field, scale, verdict):
+    # one coefficient of one model's mode_hamiltonians template is off; the
+    # closed forms read their rotations from that table, so the default
+    # swap (closed forms only) must see it
+    table = analytic.mode_hamiltonians
+
+    def mutant(kind, params):
+        hs = table(kind, params)
+        if kind is not model:
+            return hs
+        return tuple(replace(h, **{field: getattr(h, field) * scale}) if i in modes else h for i, h in enumerate(hs))
+
+    monkeypatch.setattr(analytic, "mode_hamiltonians", mutant)
+    assert verdict in _failed_verdicts(capsys, tmp_path, ["swap"])
 
 
 def test_qg_full_covariance_without_breathing(tmp_path, capsys, monkeypatch):
